@@ -4,17 +4,18 @@ The quotient functions F[a c; b d](z) = theta[a c; b d](z) / theta[0 0; 0 0](z)
 satisfy an algebraic addition law: all fifteen quotients at z1 + z2 are
 rational functions of the quotients at z1, the quotients at z2, and theta
 constants of the doubled period matrix.  This module implements that law in
-three layers, mirroring the identity catalog:
+three layers, running the identity catalog's own rows:
 
   1. doubled_values: from the sixteen point values at one z, produce every
-     doubled-argument theta at 2z (sixteen integer characteristics via the
-     solved matrix rows, twelve half characteristics via the connector
-     rows), each divided through by its constants denominator.  The map is
+     doubled-argument theta at 2z (sixteen integer and twelve half
+     characteristics, one per solved row C1..C28), each divided through by
+     its constants coefficient.  The map is
      homogeneous of degree 2, so feeding quotients instead of raw values
      scales every output by the same factor 1/theta[0 0;0 0]^2(z).
-  2. duplication pairings: combine doubled values at 2*z1 and 2*z2 into the
-     products G[a c;b d] = theta[a c;b d](z1+z2) * theta[a c;0 0](z1-z2)
-     (and the three connector products G1 anchored on theta[0 0;0 0](diff)).
+  2. duplication pairings (rows B1..B19): combine doubled values at 2*z1
+     and 2*z2 into the products G[a c;b d] = theta[a c;b d](z1+z2) *
+     theta[a c;0 0](z1-z2) and the three connector products anchored on
+     theta[0 0;0 0](z1-z2).
   3. quotient assembly: ratios of the G-values in which the difference
      factors and the common homogeneity scale cancel, leaving exactly
      F[a c;b d](z1+z2).
@@ -29,12 +30,26 @@ summation at z1+z2 and cross-checks the two modes against each other.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
-from .identity_catalog import NoConsistentSign, ResidualReport, build_catalog, resolve_sign
+from .identity_catalog import (
+    ARG_2P1,
+    ARG_2P2,
+    ARG_DIFF,
+    ARG_ORIGIN,
+    ARG_P1,
+    ARG_SUM,
+    H,
+    IdentityTerm,
+    NoConsistentSign,
+    ResidualReport,
+    build_catalog,
+    resolve_sign,
+)
 from .sampling import make_rng, sample_point, sample_tau
 from .theta_core import (
     DEFAULT_POLICY,
@@ -42,13 +57,12 @@ from .theta_core import (
     EvalPoint,
     PeriodMatrix,
     PrecisionPolicy,
+    Scale,
     ThetaCharacteristic,
     double_periods,
     is_odd,
     theta_eval,
 )
-
-H = Fraction(1, 2)
 
 DIVISOR_THRESHOLD = 1e-10
 CONSISTENCY_TOL = 1e-8
@@ -77,7 +91,6 @@ A_ORDER: tuple[tuple, ...] = (
 A_LABELS: dict[str, tuple] = {f"A{k + 1}": ch for k, ch in enumerate(A_ORDER)}
 
 _ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
-_M = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
 
 # Constant names, their (doubled-period) characteristics, and the root-form
 # id that re-derives each one from base constants.
@@ -98,62 +111,10 @@ ROOT_IDS: dict[str, str] = {
     "r": "D13", "t": "D14", "s": "D15", "w": "D16",
 }
 
-# Half-characteristic names of the connector families (doubled periods,
-# lower rows zero).  Primed values differ from unprimed only by the sign of
-# the imaginary combination in their solved rows.
-_PQ = ((H, H, 0, 0), (H, -H, 0, 0), (-H, H, 0, 0), (-H, -H, 0, 0))
-_RS = ((0, H, 0, 0), (0, -H, 0, 0), (1, H, 0, 0), (1, -H, 0, 0))
-_TU = ((H, 0, 0, 0), (-H, 0, 0, 0), (H, 1, 0, 0), (-H, 1, 0, 0))
-
-# Solved rows for the integer doubled thetas with nonzero lower row:
-# target (a,c) -> ((coeff, constant, chA, chB), (coeff, constant, chA, chB))
-# meaning  Theta[a c; row](2z) * discriminant
-#            = sum of coeff * constant * theta[chA](z) * theta[chB](z).
-_SOLVED_01 = {
-    (0, 0): ((1, "alpha", (0, 0, 0, 1), (0, 0, 0, 0)),
-             (-1, "beta", (1, 0, 0, 1), (1, 0, 0, 0))),
-    (0, 1): ((1, "alpha", (0, 1, 0, 1), (0, 1, 0, 0)),
-             (-1, "beta", (1, 1, 0, 1), (1, 1, 0, 0))),
-    (1, 0): ((-1, "beta", (0, 0, 0, 1), (0, 0, 0, 0)),
-             (1, "alpha", (1, 0, 0, 1), (1, 0, 0, 0))),
-    (1, 1): ((-1, "beta", (0, 1, 0, 1), (0, 1, 0, 0)),
-             (1, "alpha", (1, 1, 0, 1), (1, 1, 0, 0))),
-}
-_SOLVED_10 = {
-    (0, 0): ((1, "gamma", (0, 0, 1, 0), (0, 0, 0, 0)),
-             (-1, "delta", (0, 1, 1, 0), (0, 1, 0, 0))),
-    (1, 0): ((1, "gamma", (1, 0, 1, 0), (1, 0, 0, 0)),
-             (-1, "delta", (1, 1, 1, 0), (1, 1, 0, 0))),
-    (0, 1): ((-1, "delta", (0, 0, 1, 0), (0, 0, 0, 0)),
-             (1, "gamma", (0, 1, 1, 0), (0, 1, 0, 0))),
-    (1, 1): ((-1, "delta", (1, 0, 1, 0), (1, 0, 0, 0)),
-             (1, "gamma", (1, 1, 1, 0), (1, 1, 0, 0))),
-}
-_SOLVED_11 = {
-    (0, 0): ((1, "xi", (0, 0, 1, 1), (0, 0, 0, 0)),
-             (-1, "zeta", (1, 1, 1, 1), (1, 1, 0, 0))),
-    (0, 1): ((1, "xi", (0, 1, 1, 1), (0, 1, 0, 0)),
-             (-1, "zeta", (1, 0, 1, 1), (1, 0, 0, 0))),
-    (1, 0): ((-1, "zeta", (0, 1, 1, 1), (0, 1, 0, 0)),
-             (1, "xi", (1, 0, 1, 1), (1, 0, 0, 0))),
-    (1, 1): ((-1, "zeta", (0, 0, 1, 1), (0, 0, 0, 0)),
-             (1, "xi", (1, 1, 1, 1), (1, 1, 0, 0))),
-}
-
-# Duplication pairings: G[a c;b d] pairs the doubled upper rows
-# (first slot at 2*z1, second at 2*z2); the lower row rides along.
-_SECTOR_PAIRS = {
-    (0, 0): (((0, 0), (0, 0)), ((0, 1), (0, 1)), ((1, 0), (1, 0)),
-             ((1, 1), (1, 1))),
-    (0, 1): (((0, 1), (0, 0)), ((0, 0), (0, 1)), ((1, 1), (1, 0)),
-             ((1, 0), (1, 1))),
-    (1, 0): (((1, 0), (0, 0)), ((1, 1), (0, 1)), ((0, 0), (1, 0)),
-             ((0, 1), (1, 1))),
-    (1, 1): (((1, 1), (0, 0)), ((1, 0), (0, 1)), ((0, 1), (1, 0)),
-             ((0, 0), (1, 1))),
-}
-# Connector products G1[upper;0 0] pair each half characteristic with itself.
-_CONNECTOR_NAMES = {(1, 1): _PQ, (0, 1): _RS, (1, 0): _TU}
+# The catalog rows the law runs: C1..C28 solve each doubled theta at 2z,
+# B1..B19 pair doubled values at 2*z1 and 2*z2 into duplication products.
+SOLVED_IDS = tuple(f"C{n}" for n in range(1, 29))
+PAIRING_IDS = tuple(f"B{n}" for n in range(1, 20))
 
 
 @dataclass(frozen=True)
@@ -333,7 +294,7 @@ def constants_vector(tau: PeriodMatrix,
 
 
 # --------------------------------------------------------------------------
-# the degree-2 core: point values -> doubled values
+# the law's tables, compiled from the catalog rows
 
 def _guard(value: complex, what: str) -> complex:
     if abs(value) < DIVISOR_THRESHOLD:
@@ -341,119 +302,155 @@ def _guard(value: complex, what: str) -> complex:
     return value
 
 
+_CONSTANT_NAMES = {ch: name for name, ch in CONSTANT_CHARS.items()}
+
+# The sixteen point values in the order the compiled rows index them.
+_POINT_CHARS = (BASE_CHAR,) + A_ORDER
+
+# (argument, scale) of the factors away from the origin, per side of a
+# solved row (C) and of a pairing row (B).
+_SOLVED_LHS = ((ARG_2P1, Scale.DOUBLED),)
+_SOLVED_RHS = ((ARG_P1, Scale.BASE),) * 2
+_PAIRING_LHS = ((ARG_SUM, Scale.BASE), (ARG_DIFF, Scale.BASE))
+_PAIRING_RHS = ((ARG_2P1, Scale.DOUBLED), (ARG_2P2, Scale.DOUBLED))
+
+
+def _read(term: IdentityTerm, shape: tuple, ident: str) -> tuple:
+    """(coefficient, keys of the factors away from the origin, names of the
+    doubled-period constants) of a term whose factors away from the origin
+    have the (argument, scale) `shape`."""
+    moving = [f for f in term.factors if f.arg != ARG_ORIGIN]
+    consts = [f for f in term.factors if f.arg == ARG_ORIGIN]
+    if (tuple((f.arg, f.scale) for f in moving) != shape
+            or any(f.scale is not Scale.DOUBLED for f in consts)):
+        raise ValueError(f"{ident} does not have the shape the law reads")
+    return (term.coefficient, tuple(FVector._key(f.ch) for f in moving),
+            tuple(_CONSTANT_NAMES[FVector._key(f.ch)] for f in consts))
+
+
+@lru_cache(maxsize=1)
+def _law_tables() -> tuple[tuple, tuple, tuple, tuple]:
+    """Catalog rows C1..C28 and B1..B19 in index form, compiled once from
+    the catalog builder.
+
+    A solved row (C) reads
+
+        (sum of coeff * constants) * Theta[target](2z; doubled periods)
+            = sum of coeff * constants * theta[chA](z) * theta[chB](z),
+
+    so the doubled value is its rhs over its lhs coefficient.  A pairing
+    row (B) reads
+
+        theta[sum](z1+z2) * theta[diff](z1-z2)
+            = sum of coeff * Theta[x](2*z1) * Theta[y](2*z2).
+
+    Returns (targets, products, solved, pairings): the characteristic each
+    solved row gives; the distinct products of named constants the rows
+    use; per solved row, a label, its lhs terms (coeff, products index) and
+    its rhs terms (coeff, products index, chA and chB _POINT_CHARS index);
+    per pairing row, (sum, diff) and its rhs terms (coeff / lhs coeff,
+    x and y targets index).
+    """
+    by_id = {i.id: i for i in build_catalog()}
+    products: dict[tuple, int] = {}
+    targets, solved, pairings = [], [], []
+    for ident in SOLVED_IDS:
+        lhs = [_read(t, _SOLVED_LHS, ident) for t in by_id[ident].lhs]
+        rhs = [_read(t, _SOLVED_RHS, ident) for t in by_id[ident].rhs]
+        if len({keys for _, keys, _ in lhs}) != 1:
+            raise ValueError(f"{ident} does not solve for one doubled theta")
+        targets.append(lhs[0][1][0])
+        solved.append((
+            f"lhs coefficient of {ident}",
+            tuple((c, products.setdefault(names, len(products)))
+                  for c, _, names in lhs),
+            tuple((c, products.setdefault(names, len(products)),
+                   _POINT_CHARS.index(a), _POINT_CHARS.index(b))
+                  for c, (a, b), names in rhs)))
+    for ident in PAIRING_IDS:
+        ((c0, pair, names),) = [_read(t, _PAIRING_LHS, ident)
+                                for t in by_id[ident].lhs]
+        rhs = [_read(t, _PAIRING_RHS, ident) for t in by_id[ident].rhs]
+        if names or any(more for _, _, more in rhs):
+            raise ValueError(f"{ident}: constants in a pairing row")
+        pairings.append((pair, tuple(
+            (c / c0, targets.index(x), targets.index(y))
+            for c, (x, y), _ in rhs)))
+    return tuple(targets), tuple(products), tuple(solved), tuple(pairings)
+
+
+def _solved_weights(k: ConstantsVector) -> list[tuple]:
+    """The solved rows at one tau: per row, its lhs coefficient and its rhs
+    terms as (coeff * constants, chA index, chB index).  Raises
+    DegenerateDenominator when an lhs coefficient vanishes."""
+    _, products, solved, _ = _law_tables()
+    values = [math.prod((k.direct[name] for name in names), start=1)
+              for names in products]
+    return [(_guard(sum(c * values[i] for c, i in lhs), label),
+             [(c * values[i], a, b) for c, i, a, b in rhs])
+            for label, lhs, rhs in solved]
+
+
+def _doubled(v: tuple, weights: list[tuple]) -> list[complex]:
+    """Doubled values in row order from point values in _POINT_CHARS order."""
+    out = []
+    for den, terms in weights:
+        acc = 0j
+        for w, a, b in terms:
+            acc += w * v[a] * v[b]
+        out.append(acc / den)
+    return out
+
+
 def doubled_values(point_vals: Mapping[tuple, complex],
                    k: ConstantsVector) -> dict[tuple, complex]:
     """Every doubled-argument theta at 2z from the sixteen values at z.
 
     `point_vals` maps the sixteen integer characteristics to values at one
-    point; the result maps all twenty-eight doubled characteristics (the
-    sixteen integer ones plus the twelve half-characteristic connector
-    names) to theta[ch](2z; doubled periods) divided by the same overall
-    scale.  With raw theta values in, true doubled values come out; with
-    quotients in, everything is divided by theta[0 0;0 0]^2(z).  The map is
-    exactly homogeneous of degree 2 in the input vector.
+    point; the result maps the twenty-eight characteristics solved by
+    catalog rows C1..C28 (the sixteen integer ones plus the twelve
+    half-characteristic connector names) to theta[ch](2z; doubled periods)
+    divided by the same overall scale.  With raw theta values in, true
+    doubled values come out; with quotients in, everything is divided by
+    theta[0 0;0 0]^2(z).  The map is exactly homogeneous of degree 2 in the
+    input vector.
     """
-    v = point_vals
+    v = tuple(point_vals[ch] for ch in _POINT_CHARS)
+    return dict(zip(_law_tables()[0], _doubled(v, _solved_weights(k))))
+
+
+def _pairings(d1: list[complex], d2: list[complex]) -> dict[tuple, complex]:
+    """theta[sum](z1+z2) * theta[diff](z1-z2), keyed by (sum, diff), from
+    doubled values at 2*z1 and 2*z2 in row order (catalog rows B1..B19)."""
     out: dict[tuple, complex] = {}
-
-    # integer lower row (0,0): quarter-sums of squares over the lower rows
-    for idx, (a, c) in enumerate(_ORDER):
+    for pair, terms in _law_tables()[3]:
         acc = 0j
-        for j, bd in enumerate(_ORDER):
-            acc += _M[idx][j] * v[(0, 0, *bd)] ** 2
-        out[(a, c, 0, 0)] = acc / (4 * _guard(k["m" + f"{a}{c}"], f"m{a}{c}"))
-
-    # integer lower rows (0,1), (1,0), (1,1): two-term solved rows
-    for lower, table, dA, dB in (((0, 1), _SOLVED_01, "alpha", "beta"),
-                                 ((1, 0), _SOLVED_10, "gamma", "delta"),
-                                 ((1, 1), _SOLVED_11, "xi", "zeta")):
-        disc = _guard(k[dA] ** 2 - k[dB] ** 2, f"{dA}^2-{dB}^2")
-        for (a, c), row in table.items():
-            acc = 0j
-            for coeff, const, chA, chB in row:
-                acc += coeff * k[const] * v[chA] * v[chB]
-            out[(a, c, *lower)] = acc / disc
-
-    # half characteristics, (1,1)-connector: P, Q, Q', P'
-    X = v[(1, 1, 0, 0)] * v[(0, 0, 0, 0)]
-    Y = v[(0, 1, 0, 0)] * v[(1, 0, 0, 0)]
-    Xp = v[(1, 1, 1, 0)] * v[(0, 0, 1, 0)]
-    Yp = v[(1, 0, 1, 0)] * v[(0, 1, 1, 0)]
-    p, q = k["p"], k["q"]
-    den = _guard(2 * (p ** 2 - q ** 2), "2(p^2-q^2)")
-    even = X * p - Y * q
-    even_q = -X * q + Y * p
-    odd = Xp * p - Yp * q
-    odd_q = Xp * q - Yp * p
-    P, Q, Qp, Pp = _PQ
-    out[P] = (even - 1j * odd) / den
-    out[Pp] = (even + 1j * odd) / den
-    out[Q] = (even_q + 1j * odd_q) / den
-    out[Qp] = (even_q - 1j * odd_q) / den
-
-    # (0,1)-connector: R, R', S, S'
-    A = v[(0, 1, 0, 0)] * v[(0, 0, 0, 0)]
-    B = v[(0, 1, 1, 0)] * v[(0, 0, 1, 0)]
-    C = v[(0, 1, 0, 1)] * v[(0, 0, 0, 1)]
-    D = v[(0, 1, 1, 1)] * v[(0, 0, 1, 1)]
-    R, Rp, S, Sp = _RS
-    out[R] = (A + B - 1j * (C + D)) / _guard(4 * k["r"], "4r")
-    out[Rp] = (A + B + 1j * (C + D)) / (4 * k["r"])
-    out[S] = (A - B - 1j * (C - D)) / _guard(4 * k["s"], "4s")
-    out[Sp] = (A - B + 1j * (C - D)) / (4 * k["s"])
-
-    # (1,0)-connector: T, T', U, U'
-    Aq = v[(1, 0, 0, 0)] * v[(0, 0, 0, 0)]
-    Bq = v[(1, 0, 0, 1)] * v[(0, 0, 0, 1)]
-    Cq = v[(1, 0, 1, 0)] * v[(0, 0, 1, 0)]
-    Dq = v[(1, 0, 1, 1)] * v[(0, 0, 1, 1)]
-    T, Tp, U, Up = _TU
-    out[T] = (Aq + Bq - 1j * (Cq + Dq)) / _guard(4 * k["t"], "4t")
-    out[Tp] = (Aq + Bq + 1j * (Cq + Dq)) / (4 * k["t"])
-    out[U] = (Aq - Bq - 1j * (Cq - Dq)) / _guard(4 * k["w"], "4w")
-    out[Up] = (Aq - Bq + 1j * (Cq - Dq)) / (4 * k["w"])
+        for coeff, x, y in terms:
+            acc += coeff * d1[x] * d2[y]
+        out[pair] = acc
     return out
 
 
-def _pairings(d1: Mapping[tuple, complex],
-              d2: Mapping[tuple, complex]) -> tuple[dict, dict]:
-    """All G[a c;b d] and G1[upper;0 0] products from doubled values."""
-    G: dict[tuple, complex] = {}
-    for (a, c), pairs in _SECTOR_PAIRS.items():
-        for b, d in _ORDER:
-            acc = 0j
-            for (a1, c1), (a2, c2) in pairs:
-                acc += d1[(a1, c1, b, d)] * d2[(a2, c2, b, d)]
-            G[(a, c, b, d)] = acc
-    G1: dict[tuple, complex] = {}
-    for upper, names in _CONNECTOR_NAMES.items():
-        acc = 0j
-        for name in names:
-            acc += d1[name] * d2[name]
-        G1[upper] = acc
-    return G, G1
-
-
-def _assemble(d1: Mapping[tuple, complex],
-              d2: Mapping[tuple, complex]) -> tuple[complex, ...]:
+def _assemble(d1: list[complex], d2: list[complex]) -> tuple[complex, ...]:
     """Quotients at the summed point from two sets of doubled values.
 
-    The difference factors theta[a c;0 0](z1-z2) and any common per-point
-    scale cancel in these ratios, which is what makes the same assembly
-    serve both computation modes.
+    F[ch](z1+z2) is the pairing of ch with theta[0 0;0 0](z1-z2) over that
+    of theta[0 0;0 0], or, where no row pairs ch with theta[0 0;0 0], the
+    pairing of ch with theta[a c;0 0](z1-z2) carried over by two anchor
+    pairings.  The difference factors and any common per-point scale cancel
+    in these ratios, which is what makes the same assembly serve both
+    computation modes.
     """
-    G, G1 = _pairings(d1, d2)
-    g00 = _guard(G[(0, 0, 0, 0)], "G[0 0;0 0]")
+    G = _pairings(d1, d2)
+    g00 = _guard(G[(BASE_CHAR, BASE_CHAR)], "G[0 0;0 0]")
     out: list[complex] = []
     for ch in A_ORDER:
-        a, c, b, d = ch
-        if (a, c) == (0, 0):
-            out.append(G[ch] / g00)
-        elif (b, d) == (0, 0):
-            out.append(G1[(a, c)] / g00)
+        if (ch, BASE_CHAR) in G:
+            out.append(G[(ch, BASE_CHAR)] / g00)
         else:
-            anchor = _guard(G[(a, c, 0, 0)], f"G[{a} {c};0 0]")
-            out.append(G1[(a, c)] * G[ch] / (anchor * g00))
+            upper = (*ch[:2], 0, 0)
+            anchor = _guard(G[(upper, upper)], f"G[{ch[0]} {ch[1]};0 0]")
+            out.append(G[(upper, BASE_CHAR)] * G[(ch, upper)] / (anchor * g00))
     return tuple(out)
 
 
@@ -471,8 +468,9 @@ def add_vector(f1: FVector, f2: FVector, k: ConstantsVector) -> FVector:
     Raises DegenerateDenominator when the draw sits too close to a divisor
     (a vanishing G-product) or the constants make a solved row singular.
     """
-    d1 = doubled_values(f1.full_mapping(), k)
-    d2 = doubled_values(f2.full_mapping(), k)
+    weights = _solved_weights(k)
+    d1 = _doubled((1 + 0j, *f1.values), weights)
+    d2 = _doubled((1 + 0j, *f2.values), weights)
     return FVector(_assemble(d1, d2), point=_summed_point(f1, f2), tau=k.tau)
 
 
@@ -486,13 +484,12 @@ def add_algebraic(ch, f1: FVector, f2: FVector,
 
 def doubled_values_direct(z: EvalPoint, tau: PeriodMatrix,
                           pol: PrecisionPolicy = DEFAULT_POLICY) -> dict:
-    """The twenty-eight doubled values by fresh summation at (2z; 2*tau)."""
+    """The twenty-eight doubled values by fresh summation at (2z; 2*tau),
+    in the order of rows C1..C28."""
     dbl = double_periods(tau)
     arg = z.scaled(2)
-    keys = [(*upper, *lower) for upper in _ORDER for lower in _ORDER]
-    keys.extend(_PQ + _RS + _TU)
     return {key: theta_eval(ThetaCharacteristic.of(*key), arg, dbl, pol)
-            for key in keys}
+            for key in _law_tables()[0]}
 
 
 def add_direct(z1: EvalPoint, z2: EvalPoint, tau: PeriodMatrix,
@@ -501,7 +498,8 @@ def add_direct(z1: EvalPoint, z2: EvalPoint, tau: PeriodMatrix,
     thetas, bypassing the functional relations and constants entirely."""
     d1 = doubled_values_direct(z1, tau, pol)
     d2 = doubled_values_direct(z2, tau, pol)
-    return FVector(_assemble(d1, d2), point=z1 + z2, tau=tau)
+    return FVector(_assemble(list(d1.values()), list(d2.values())),
+                   point=z1 + z2, tau=tau)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Lattice-sum kernels behind the genus-2 theta evaluator.
+"""Lattice-sum kernel behind the genus-2 theta evaluator.
 
-Both backends compute the same truncated double series
+The kernel computes the truncated double series
 
     sum_{|m|,|n| <= R} exp( pi*i*(tau1*M^2 + tau2*N^2 + 2*tau12*M*N)
                             + 2*pi*i*(M*xs + N*ys) )
@@ -8,70 +8,22 @@ Both backends compute the same truncated double series
 with M = m + a2, N = n + c2, where a2, c2 are the (halved) upper
 characteristic entries and xs, ys already include the lower-row shift
 (xs = x + b/2, ys = y + d/2).
-
-The numba kernel is the default; set HYPERTHETA_BACKEND=numpy to force the
-vectorized fallback (or =numba to fail hard if numba is unavailable).
-The two backends accumulate in different orders, so results agree to
-rounding (~1e-15 relative), not bitwise.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_BACKEND = "HYPERTHETA_BACKEND"
+BACKEND_NAME = "numpy"
 
 
-def lattice_sum_numpy(a2: float, c2: float, xs: complex, ys: complex,
-                      tau1: complex, tau2: complex, tau12: complex,
-                      radius: int) -> complex:
-    """Pure-numpy evaluation: one (2R+1)^2 exp call, pairwise summation."""
+def lattice_sum(a2: float, c2: float, xs: complex, ys: complex,
+                tau1: complex, tau2: complex, tau12: complex,
+                radius: int) -> complex:
+    """One (2R+1)^2 exp call over the window, pairwise summation."""
     m = np.arange(-radius, radius + 1, dtype=np.float64) + a2
     n = np.arange(-radius, radius + 1, dtype=np.float64) + c2
     row = 1j * np.pi * tau1 * m * m + 2j * np.pi * m * xs
     col = 1j * np.pi * tau2 * n * n + 2j * np.pi * n * ys
     cross = 2j * np.pi * tau12 * np.outer(m, n)
     return complex(np.exp(row[:, None] + col[None, :] + cross).sum())
-
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-
-    @njit(cache=True)
-    def lattice_sum_numba(a2, c2, xs, ys, tau1, tau2, tau12, radius):
-        total = 0.0 + 0.0j
-        pi_i = np.pi * 1j
-        two_pi_i = 2.0 * pi_i
-        for mi in range(-radius, radius + 1):
-            m = mi + a2
-            row = pi_i * tau1 * m * m + two_pi_i * m * xs
-            for ni in range(-radius, radius + 1):
-                n = ni + c2
-                total += np.exp(row + pi_i * (tau2 * n * n + 2.0 * tau12 * m * n)
-                                + two_pi_i * n * ys)
-        return total
-
-except ImportError:  # pragma: no cover - exercised only on numba-free installs
-    HAS_NUMBA = False
-    lattice_sum_numba = None
-
-
-def _select() -> tuple[str, object]:
-    choice = os.environ.get(ENV_BACKEND, "").strip().lower()
-    if choice not in ("", "numba", "numpy"):
-        raise ValueError(
-            f"{ENV_BACKEND} must be 'numba' or 'numpy', got {choice!r}")
-    if choice == "numpy":
-        return "numpy", lattice_sum_numpy
-    if HAS_NUMBA:
-        return "numba", lattice_sum_numba
-    if choice == "numba":
-        raise ImportError("numba backend requested but numba is not installed")
-    return "numpy", lattice_sum_numpy
-
-
-BACKEND_NAME, lattice_sum = _select()

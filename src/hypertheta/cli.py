@@ -10,7 +10,8 @@ ResidualReport row per (id, sample) as JSON-lines or CSV, followed by a
 RunReport summary on stdout.  Reports are a pure function of the
 configuration: rows are sorted by id then sample index (so worker
 parallelism never reorders output), and the RunReport carries a
-determinism hash over everything except wall time.
+determinism hash over everything except wall time, the output path and
+the worker count.
 
 Exit codes: 0 all pass; 2 numeric failures; 3 configuration/parse errors.
 `eval` additionally distinguishes InvalidPeriod (4), RadiusExceeded (5)
@@ -76,7 +77,6 @@ EXIT_RADIUS = 5
 EXIT_DIVISOR = 6
 
 ELLIPTIC_TOL = 1e-10
-_ELLIPTIC_IDS = ("E.matrix", "E.11", "E.12", "E.13", "E.22", "E.23", "E.33")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -259,11 +259,10 @@ def cmd_eval(args) -> int:
 # verify
 
 def _catalog_chunk(payload) -> list[ResidualReport]:
-    """Worker entry point: verify a slice of catalog ids (process pool)."""
-    ids, n_samples, seed, pol_fields = payload
-    pol = PrecisionPolicy(*pol_fields)
-    catalog = [i for i in build_catalog() if i.id in ids]
-    return verify_catalog(n_samples, seed, pol, catalog=catalog)
+    """Worker entry point: verify a slice of the loaded catalog (process
+    pool), so workers check the same identities as a serial run."""
+    identities, n_samples, seed, pol = payload
+    return verify_catalog(n_samples, seed, pol, catalog=identities)
 
 
 def _verify_catalog_rows(cfg: VerificationConfig, catalog: list[Identity],
@@ -274,13 +273,12 @@ def _verify_catalog_rows(cfg: VerificationConfig, catalog: list[Identity],
                    if i.id in only or base_id(i.id) in only]
     if cfg.jobs <= 1 or len(catalog) < 2:
         return verify_catalog(cfg.n_samples, cfg.seed, pol, catalog=catalog)
-    ids = sorted(i.id for i in catalog)
-    chunks = [frozenset(ids[k::cfg.jobs]) for k in range(cfg.jobs)]
-    pol_fields = (pol.eps_tail, pol.max_radius, pol.rel_tol, pol.abs_tol)
+    ordered = sorted(catalog, key=lambda i: i.id)
+    chunks = [ordered[k::cfg.jobs] for k in range(cfg.jobs)]
     rows: list[ResidualReport] = []
     with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
         for part in pool.map(_catalog_chunk,
-                             [(c, cfg.n_samples, cfg.seed, pol_fields)
+                             [(c, cfg.n_samples, cfg.seed, pol)
                               for c in chunks if c]):
             rows.extend(part)
     rows.sort(key=lambda r: (r.identity_id, r.sample_index))
@@ -428,8 +426,13 @@ def cmd_verify(args) -> int:
         "versions": {"hypertheta": __version__},
         "catalog_sha256": catalog_as_json(catalog)["sha256"],
     }
+    # Where rows go and how many workers made them decide no result, so
+    # the hash leaves them out: equal hashes then prove --jobs invariance.
+    hashed = {**report, "config": {
+        k: v for k, v in report["config"].items()
+        if k not in ("output_path", "jobs")}}
     digest = hashlib.sha256()
-    digest.update(json.dumps(report, sort_keys=True).encode("utf-8"))
+    digest.update(json.dumps(hashed, sort_keys=True).encode("utf-8"))
     digest.update(body.encode("utf-8"))
     report["determinism_hash"] = digest.hexdigest()
     report["wall_time_s"] = round(time.monotonic() - started, 3)

@@ -34,10 +34,9 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 
 from .sampling import SampleAssignment, assignments_for
 from .theta_core import (
@@ -284,8 +283,22 @@ def general_duplication(a, c, b, d, e, g, f, h, id: str | None = None,
 # --------------------------------------------------------------------------
 # catalog builder
 
-def _sector_product(a, c, b, d, id: str, note: str = "",
-                    flags: tuple[str, ...] = ()) -> Identity:
+def _restated(cat: list[Identity], source: str, ident: str,
+              note: str) -> Identity:
+    """An equation already in the catalog under a second printed name (the
+    paper states it twice): the same terms, built once."""
+    entry = next(i for i in cat if i.id == source)
+    return replace(entry, id=ident, note=note)
+
+
+# Sector (a, c) -> ids of its duplication products at lower rows in _ORDER.
+_SECTOR_IDS = {(0, 0): ("2e8", "2e9", "2e10", "2e11"),
+               (0, 1): ("2e13", "2e14", "2e15", "2e16"),
+               (1, 0): ("2e18", "2e19", "2e20", "2e21"),
+               (1, 1): ("2e23", "2e24", "2e25", "2e26")}
+
+
+def _sector_product(a, c, b, d, id: str, note: str) -> Identity:
     """theta[a c; b d](sum) * theta[a c; 0 0](diff) as the four-term
     doubled product, transcribed from the sector tables (upper rows reduced
     mod 2, a phase-free reduction)."""
@@ -295,7 +308,7 @@ def _sector_product(a, c, b, d, id: str, note: str = "",
               _dbl((a + i) % 2, (c + j) % 2, b, d, ARG_2P1),
               _dbl(i, j, b, d, ARG_2P2))
         for i, j in _ORDER)
-    return Identity(id, lhs, rhs, Domain.TWO_POINT, note=note, flags=flags)
+    return Identity(id, lhs, rhs, Domain.TWO_POINT, note=note)
 
 
 def _connector_product(upper, names, id: str, note: str) -> Identity:
@@ -368,13 +381,8 @@ def _build_2e_series(cat: list[Identity]) -> None:
                 note="theta[b d]*theta[0 0] as four doubled products "
                      "(lower row kept)"))
 
-    # ---- sector instances (and the same equations under their G-names,
-    # appended later by _build_b_series).
-    sector_ids = {(0, 0): ("2e8", "2e9", "2e10", "2e11"),
-                  (0, 1): ("2e13", "2e14", "2e15", "2e16"),
-                  (1, 0): ("2e18", "2e19", "2e20", "2e21"),
-                  (1, 1): ("2e23", "2e24", "2e25", "2e26")}
-    for (a, c), ids in sector_ids.items():
+    # ---- sector instances (restated under their G-names by _build_b_series).
+    for (a, c), ids in _SECTOR_IDS.items():
         for (b, d), ident in zip(_ORDER, ids):
             cat.append(_sector_product(
                 a, c, b, d, ident,
@@ -383,13 +391,8 @@ def _build_2e_series(cat: list[Identity]) -> None:
     # ---- functional relations, lower row (0,0): Goepel square family,
     # the Riemann-matrix packaging, and its inverse.
     for b, d in _ORDER:
-        lhs = (_pair_term(1, (0, 0, b, d), (0, 0, b, d)),)
-        rhs = tuple(
-            _term(1, _dbl(i, j, 2 * b, 2 * d, ARG_2P1), _konst(i, j, 0, 0))
-            for i, j in _ORDER)
-        cat.append(Identity(
-            f"2e27.{b}{d}", lhs, rhs, Domain.ONE_POINT,
-            note="squared [0 0;b d] as doubled products"))
+        cat.append(_restated(cat, f"2e5.00{b}{d}", f"2e27.{b}{d}",
+                             "squared [0 0;b d] as doubled products"))
 
     for k, (b, d) in enumerate(_ORDER):
         lhs = (_pair_term(1, (0, 0, b, d), (0, 0, b, d)),)
@@ -422,76 +425,28 @@ def _build_2e_series(cat: list[Identity]) -> None:
             note="two-term doubled expansion at lower row (0,1); the two "
                  "odd-constant terms drop"))
 
-    ab_matrix = ((_AL, 0, _BE, 0), (0, _AL, 0, _BE),
-                 (_BE, 0, _AL, 0), (0, _BE, 0, _AL))
-    targets_01 = tuple((a, c, 0, 1) for a, c in _ORDER)
-    for k in range(4):
-        a, c = _ORDER[k]
-        lhs = (_pair_term(1, (a, c, 0, 1), (a, c, 0, 0)),)
-        rhs = tuple(
-            _term(1, _konst(*ab_matrix[k][j]), _dbl(*targets_01[j], ARG_2P1))
-            for j in range(4) if ab_matrix[k][j] != 0)
-        cat.append(Identity(
-            f"2e31.r{k + 1}", lhs, rhs, Domain.ONE_POINT,
-            note="forward alpha/beta matrix row at lower row (0,1)"))
-
-    inv_rows_01 = (((1, _AL, (0, 0, 0, 1), (0, 0, 0, 0)),
-                    (-1, _BE, (1, 0, 0, 1), (1, 0, 0, 0))),
-                   ((1, _AL, (0, 1, 0, 1), (0, 1, 0, 0)),
-                    (-1, _BE, (1, 1, 0, 1), (1, 1, 0, 0))),
-                   ((-1, _BE, (0, 0, 0, 1), (0, 0, 0, 0)),
-                    (1, _AL, (1, 0, 0, 1), (1, 0, 0, 0))),
-                   ((-1, _BE, (0, 1, 0, 1), (0, 1, 0, 0)),
-                    (1, _AL, (1, 1, 0, 1), (1, 1, 0, 0))))
-    for k in range(4):
-        cat.append(_inverse_row(
-            f"2e32.r{k + 1}", targets_01[k], (_AL, _BE), inv_rows_01[k],
-            note="inverse alpha/beta row, multiplied through by "
-                 "alpha^2 - beta^2"))
+    cat.extend(_forward_rows(
+        "2e31", (0, 1), (_AL, _BE), (1, 0),
+        note="forward alpha/beta matrix row at lower row (0,1)"))
+    cat.extend(_inverse_rows(
+        "2e32", (0, 1), (_AL, _BE), (1, 0), _ORDER,
+        note="inverse alpha/beta row, multiplied through by "
+             "alpha^2 - beta^2"))
 
     # ---- functional relations, lower row (1,0): only the inverse matrix is
     # tabulated; target order has the upper entries transposed.
-    targets_10 = ((0, 0, 1, 0), (1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 1, 0))
-    inv_rows_10 = (((1, _GA, (0, 0, 1, 0), (0, 0, 0, 0)),
-                    (-1, _DE, (0, 1, 1, 0), (0, 1, 0, 0))),
-                   ((1, _GA, (1, 0, 1, 0), (1, 0, 0, 0)),
-                    (-1, _DE, (1, 1, 1, 0), (1, 1, 0, 0))),
-                   ((-1, _DE, (0, 0, 1, 0), (0, 0, 0, 0)),
-                    (1, _GA, (0, 1, 1, 0), (0, 1, 0, 0))),
-                   ((-1, _DE, (1, 0, 1, 0), (1, 0, 0, 0)),
-                    (1, _GA, (1, 1, 1, 0), (1, 1, 0, 0))))
-    for k in range(4):
-        cat.append(_inverse_row(
-            f"2e33.r{k + 1}", targets_10[k], (_GA, _DE), inv_rows_10[k],
-            note="inverse gamma/delta row at lower row (1,0)"))
+    cat.extend(_inverse_rows(
+        "2e33", (1, 0), (_GA, _DE), (0, 1), ((0, 0), (1, 0), (0, 1), (1, 1)),
+        note="inverse gamma/delta row at lower row (1,0)"))
 
     # ---- functional relations, lower row (1,1): xi/zeta anti-diagonal
     # forward matrix and its inverse.
-    targets_11 = tuple((a, c, 1, 1) for a, c in _ORDER)
-    xz_matrix = ((_XI, 0, 0, _ZE), (0, _XI, _ZE, 0),
-                 (0, _ZE, _XI, 0), (_ZE, 0, 0, _XI))
-    for k in range(4):
-        a, c = _ORDER[k]
-        lhs = (_pair_term(1, (a, c, 1, 1), (a, c, 0, 0)),)
-        rhs = tuple(
-            _term(1, _konst(*xz_matrix[k][j]), _dbl(*targets_11[j], ARG_2P1))
-            for j in range(4) if xz_matrix[k][j] != 0)
-        cat.append(Identity(
-            f"2e34.r{k + 1}", lhs, rhs, Domain.ONE_POINT,
-            note="forward xi/zeta matrix row at lower row (1,1)"))
-
-    inv_rows_11 = (((1, _XI, (0, 0, 1, 1), (0, 0, 0, 0)),
-                    (-1, _ZE, (1, 1, 1, 1), (1, 1, 0, 0))),
-                   ((1, _XI, (0, 1, 1, 1), (0, 1, 0, 0)),
-                    (-1, _ZE, (1, 0, 1, 1), (1, 0, 0, 0))),
-                   ((-1, _ZE, (0, 1, 1, 1), (0, 1, 0, 0)),
-                    (1, _XI, (1, 0, 1, 1), (1, 0, 0, 0))),
-                   ((-1, _ZE, (0, 0, 1, 1), (0, 0, 0, 0)),
-                    (1, _XI, (1, 1, 1, 1), (1, 1, 0, 0))))
-    for k in range(4):
-        cat.append(_inverse_row(
-            f"2e35.r{k + 1}", targets_11[k], (_XI, _ZE), inv_rows_11[k],
-            note="inverse xi/zeta row at lower row (1,1)"))
+    cat.extend(_forward_rows(
+        "2e34", (1, 1), (_XI, _ZE), (1, 1),
+        note="forward xi/zeta matrix row at lower row (1,1)"))
+    cat.extend(_inverse_rows(
+        "2e35", (1, 1), (_XI, _ZE), (1, 1), _ORDER,
+        note="inverse xi/zeta row at lower row (1,1)"))
 
     # ---- constants relations
     for k, (a, c) in enumerate(_ORDER):
@@ -527,16 +482,48 @@ def _build_2e_series(cat: list[Identity]) -> None:
         note="(xi +- zeta)^2 = X +- Y"))
 
 
-def _inverse_row(ident, target, consts, row, note) -> Identity:
-    """(cA^2 - cB^2) * Theta[target](2u,2v) = signed sum of
-    const * theta * theta products (the multiplied-through inverse rows)."""
+def _partner(u, shift) -> tuple:
+    return tuple((x + s) % 2 for x, s in zip(u, shift))
+
+
+def _forward_rows(family, lower, consts, shift, note) -> list[Identity]:
+    """A forward matrix row pairs each upper row u with u' = u + shift
+    (mod 2): theta[u; lower](u,v) * theta[u; 0 0](u,v)
+    = cA * Theta[u; lower](2u,2v) + cB * Theta[u'; lower](2u,2v), rows and
+    terms in _ORDER."""
+    rows = []
+    for k, u in enumerate(_ORDER):
+        lhs = (_pair_term(1, (*u, *lower), (*u, 0, 0)),)
+        rhs = tuple(_term(1, _konst(*c), _dbl(*v, *lower, ARG_2P1))
+                    for v, c in sorted(((u, consts[0]),
+                                        (_partner(u, shift), consts[1]))))
+        rows.append(Identity(f"{family}.r{k + 1}", lhs, rhs,
+                             Domain.ONE_POINT, note=note))
+    return rows
+
+
+def _inverse_rows(family, lower, consts, shift, uppers,
+                  note) -> list[Identity]:
+    """The forward rows inverted and multiplied through: row k, with target
+    u = uppers[k] and P(u) = theta[u; lower](u,v) * theta[u; 0 0](u,v), reads
+    (cA^2 - cB^2) * Theta[u; lower](2u,2v) = cA * P(u) - cB * P(u'), the two
+    products listed with the member of {u, u'} that is 0 at the first
+    shifted position first."""
     cA, cB = consts
-    lhs = (_term(1, _konst(*cA), _konst(*cA), _dbl(*target, ARG_2P1)),
-           _term(-1, _konst(*cB), _konst(*cB), _dbl(*target, ARG_2P1)))
-    rhs = tuple(
-        _pair_term(sign, chA, chB, extra=_konst(*const))
-        for sign, const, chA, chB in row)
-    return Identity(ident, lhs, rhs, Domain.ONE_POINT, note=note)
+    first = shift.index(1)
+    rows = []
+    for k, u in enumerate(uppers):
+        partner = _partner(u, shift)
+        target = _dbl(*u, *lower, ARG_2P1)
+        lhs = (_term(1, _konst(*cA), _konst(*cA), target),
+               _term(-1, _konst(*cB), _konst(*cB), target))
+        rhs = tuple(
+            _pair_term(sign, (*v, *lower), (*v, 0, 0), extra=_konst(*const))
+            for sign, const, v in sorted(((1, cA, u), (-1, cB, partner)),
+                                         key=lambda t: t[2][first]))
+        rows.append(Identity(f"{family}.r{k + 1}", lhs, rhs,
+                             Domain.ONE_POINT, note=note))
+    return rows
 
 
 def _constants_pair(base_id, consts, X, Y, note) -> list[Identity]:
@@ -557,8 +544,7 @@ def _constants_pair(base_id, consts, X, Y, note) -> list[Identity]:
     return [r1, r2]
 
 
-def _pm_squares(base_id, consts, X, Y, note,
-                flags: tuple[str, ...] = ()) -> list[Identity]:
+def _pm_squares(base_id, consts, X, Y, note) -> list[Identity]:
     """(cA +- cB)^2 = theta-product X +- theta-product Y at the origin."""
     cA, cB = consts
     out = []
@@ -569,7 +555,7 @@ def _pm_squares(base_id, consts, X, Y, note,
         rhs = (_term(1, _theta0(*X[0]), _theta0(*X[1])),
                _term(sign, _theta0(*Y[0]), _theta0(*Y[1])))
         out.append(Identity(f"{base_id}.{tag}", lhs, rhs,
-                            Domain.CONSTANTS_ONLY, note=note, flags=flags))
+                            Domain.CONSTANTS_ONLY, note=note))
     return out
 
 
@@ -721,84 +707,34 @@ def _build_connectors(cat: list[Identity]) -> None:
 
 def _build_b_series(cat: list[Identity]) -> None:
     b_index = 1
-    for a, c in _ORDER:
-        for b, d in _ORDER:
-            same = {(0, 0): ("2e8", "2e9", "2e10", "2e11"),
-                    (0, 1): ("2e13", "2e14", "2e15", "2e16"),
-                    (1, 0): ("2e18", "2e19", "2e20", "2e21"),
-                    (1, 1): ("2e23", "2e24", "2e25", "2e26")}[(a, c)][
-                        _ORDER.index((b, d))]
-            cat.append(_sector_product(
-                a, c, b, d, f"B{b_index}",
-                note=f"G[{a} {c};{b} {d}] product table; same content as {same}"))
+    for (a, c), ids in _SECTOR_IDS.items():
+        for (b, d), same in zip(_ORDER, ids):
+            cat.append(_restated(
+                cat, same, f"B{b_index}",
+                f"G[{a} {c};{b} {d}] product table; same content as {same}"))
             b_index += 1
-    cat.append(_connector_product(
-        (1, 1), _D_NAMES, "B17",
-        note="G1[1 1;0 0] half-characteristic product; same content as 2e42"))
-    cat.append(_connector_product(
-        (0, 1), _B_NAMES, "B18",
-        note="G1[0 1;0 0] half-characteristic product; same content as 2e54"))
-    cat.append(_connector_product(
-        (1, 0), _C_NAMES, "B19",
-        note="G1[1 0;0 0] half-characteristic product; same content as 2e65"))
+    for ident, upper, same in (("B17", "1 1", "2e42"), ("B18", "0 1", "2e54"),
+                               ("B19", "1 0", "2e65")):
+        cat.append(_restated(
+            cat, same, ident,
+            f"G1[{upper};0 0] half-characteristic product; "
+            f"same content as {same}"))
 
 
 def _build_c_series(cat: list[Identity]) -> None:
     # C1..C4: doubled product = quarter-sum of signed squared thetas.
     for k, (a, c) in enumerate(_ORDER):
-        lhs = (_term(1, _dbl(a, c, 0, 0, ARG_2P1), _konst(a, c, 0, 0)),)
-        rhs = tuple(
-            _pair_term(Fraction(_RIEMANN[k][j], 4), (0, 0, *_ORDER[j]),
-                       (0, 0, *_ORDER[j]))
-            for j in range(4))
-        cat.append(Identity(
-            f"C{k + 1}", lhs, rhs, Domain.ONE_POINT,
-            note=f"doubled [{a} {c};0 0] through squared thetas; "
-                 f"same content as 2e29.r{k + 1}"))
+        cat.append(_restated(
+            cat, f"2e29.r{k + 1}", f"C{k + 1}",
+            f"doubled [{a} {c};0 0] through squared thetas; "
+            f"same content as 2e29.r{k + 1}"))
 
     # C5..C8 / C9..C12 / C13..C16: the multiplied-through inverse rows.
-    rows = (
-        ("C5", (0, 0, 0, 1), (_AL, _BE),
-         ((1, _AL, (0, 0, 0, 1), (0, 0, 0, 0)),
-          (-1, _BE, (1, 0, 0, 1), (1, 0, 0, 0)))),
-        ("C6", (0, 1, 0, 1), (_AL, _BE),
-         ((1, _AL, (0, 1, 0, 1), (0, 1, 0, 0)),
-          (-1, _BE, (1, 1, 0, 1), (1, 1, 0, 0)))),
-        ("C7", (1, 0, 0, 1), (_AL, _BE),
-         ((-1, _BE, (0, 0, 0, 1), (0, 0, 0, 0)),
-          (1, _AL, (1, 0, 0, 1), (1, 0, 0, 0)))),
-        ("C8", (1, 1, 0, 1), (_AL, _BE),
-         ((-1, _BE, (0, 1, 0, 1), (0, 1, 0, 0)),
-          (1, _AL, (1, 1, 0, 1), (1, 1, 0, 0)))),
-        ("C9", (0, 0, 1, 0), (_GA, _DE),
-         ((1, _GA, (0, 0, 1, 0), (0, 0, 0, 0)),
-          (-1, _DE, (0, 1, 1, 0), (0, 1, 0, 0)))),
-        ("C10", (1, 0, 1, 0), (_GA, _DE),
-         ((1, _GA, (1, 0, 1, 0), (1, 0, 0, 0)),
-          (-1, _DE, (1, 1, 1, 0), (1, 1, 0, 0)))),
-        ("C11", (0, 1, 1, 0), (_GA, _DE),
-         ((-1, _DE, (0, 0, 1, 0), (0, 0, 0, 0)),
-          (1, _GA, (0, 1, 1, 0), (0, 1, 0, 0)))),
-        ("C12", (1, 1, 1, 0), (_GA, _DE),
-         ((-1, _DE, (1, 0, 1, 0), (1, 0, 0, 0)),
-          (1, _GA, (1, 1, 1, 0), (1, 1, 0, 0)))),
-        ("C13", (0, 0, 1, 1), (_XI, _ZE),
-         ((1, _XI, (0, 0, 1, 1), (0, 0, 0, 0)),
-          (-1, _ZE, (1, 1, 1, 1), (1, 1, 0, 0)))),
-        ("C14", (0, 1, 1, 1), (_XI, _ZE),
-         ((1, _XI, (0, 1, 1, 1), (0, 1, 0, 0)),
-          (-1, _ZE, (1, 0, 1, 1), (1, 0, 0, 0)))),
-        ("C15", (1, 0, 1, 1), (_XI, _ZE),
-         ((-1, _ZE, (0, 1, 1, 1), (0, 1, 0, 0)),
-          (1, _XI, (1, 0, 1, 1), (1, 0, 0, 0)))),
-        ("C16", (1, 1, 1, 1), (_XI, _ZE),
-         ((-1, _ZE, (0, 0, 1, 1), (0, 0, 0, 0)),
-          (1, _XI, (1, 1, 1, 1), (1, 1, 0, 0)))),
-    )
-    for ident, target, consts, row in rows:
-        cat.append(_inverse_row(
-            ident, target, consts, row,
-            note="doubled theta solved through base products"))
+    for n, source in enumerate(
+            f"{family}.r{k}" for family in ("2e32", "2e33", "2e35")
+            for k in range(1, 5)):
+        cat.append(_restated(cat, source, f"C{n + 5}",
+                             "doubled theta solved through base products"))
 
     # C17..C20: the connector system solved for P, P', Q, Q'.
     P, Q, Qp, Pp = _D_NAMES
@@ -806,33 +742,20 @@ def _build_c_series(cat: list[Identity]) -> None:
     Y = ((0, 1, 0, 0), (1, 0, 0, 0))
     Xp = ((1, 1, 1, 0), (0, 0, 1, 0))
     Yp = ((1, 0, 1, 0), (0, 1, 1, 0))
-
-    def conn_solved(ident, name, big, small, i_sign, note):
-        # 2*name*(p^2 - q^2) = X*big - Y*small + i_sign*i*(X'*big - Y'*small)
+    # 2*name*(p^2 - q^2) = s*(X*big - Y*small) + i_sign*i*(X'*big - Y'*small);
+    # for Q and Q' the roles of p and q interchange and the base products
+    # swap sign.
+    for ident, name, big, small, s, i_sign, label in (
+            ("C17", P, _P, _Q, 1, -1, "2P"), ("C18", Pp, _P, _Q, 1, 1, "2P'"),
+            ("C19", Q, _Q, _P, -1, 1, "2Q"), ("C20", Qp, _Q, _P, -1, -1, "2Q'")):
         lhs = (_term(2, _half_dbl(name, ARG_2P1),
                      _half_konst(_P), _half_konst(_P)),
                _term(-2, _half_dbl(name, ARG_2P1),
                      _half_konst(_Q), _half_konst(_Q)))
-        rhs = (_pair_term(1, X[0], X[1], extra=_half_konst(big)),
-               _pair_term(-1, Y[0], Y[1], extra=_half_konst(small)),
+        rhs = (_pair_term(s, X[0], X[1], extra=_half_konst(big)),
+               _pair_term(-s, Y[0], Y[1], extra=_half_konst(small)),
                _pair_term(i_sign * 1j, Xp[0], Xp[1], extra=_half_konst(big)),
                _pair_term(-i_sign * 1j, Yp[0], Yp[1], extra=_half_konst(small)))
-        return Identity(ident, lhs, rhs, Domain.ONE_POINT, note=note)
-
-    cat.append(conn_solved("C17", P, _P, _Q, -1, "2P(p^2-q^2) solved form"))
-    cat.append(conn_solved("C18", Pp, _P, _Q, +1, "2P'(p^2-q^2) solved form"))
-    # For Q and Q' the roles of p and q interchange and the base products
-    # swap sign: 2Q(p^2-q^2) = -X q + Y p + i(X' q - Y' p).
-    for ident, name, i_sign in (("C19", Q, +1), ("C20", Qp, -1)):
-        lhs = (_term(2, _half_dbl(name, ARG_2P1),
-                     _half_konst(_P), _half_konst(_P)),
-               _term(-2, _half_dbl(name, ARG_2P1),
-                     _half_konst(_Q), _half_konst(_Q)))
-        rhs = (_pair_term(-1, X[0], X[1], extra=_half_konst(_Q)),
-               _pair_term(1, Y[0], Y[1], extra=_half_konst(_P)),
-               _pair_term(i_sign * 1j, Xp[0], Xp[1], extra=_half_konst(_Q)),
-               _pair_term(-i_sign * 1j, Yp[0], Yp[1], extra=_half_konst(_P)))
-        label = "2Q" if ident == "C19" else "2Q'"
         cat.append(Identity(ident, lhs, rhs, Domain.ONE_POINT,
                             note=f"{label}(p^2-q^2) solved form"))
 
@@ -840,14 +763,9 @@ def _build_c_series(cat: list[Identity]) -> None:
     # combinations of the four base products.
     R, Rp, S, Sp = _B_NAMES
     T, Tp, U, Up = _C_NAMES
-    A = ((0, 1, 0, 0), (0, 0, 0, 0))
-    B = ((0, 1, 1, 0), (0, 0, 1, 0))
-    C = ((0, 1, 0, 1), (0, 0, 0, 1))
-    D = ((0, 1, 1, 1), (0, 0, 1, 1))
-    Aq = ((1, 0, 0, 0), (0, 0, 0, 0))
-    Bq = ((1, 0, 0, 1), (0, 0, 0, 1))
-    Cq = ((1, 0, 1, 0), (0, 0, 1, 0))
-    Dq = ((1, 0, 1, 1), (0, 0, 1, 1))
+    # theta[u; b d] * theta[0 0; b d], lower rows transposed for u = (0, 1).
+    rs = tuple(((0, 1, b, d), (0, 0, b, d)) for d, b in _ORDER)
+    tu = tuple(((1, 0, b, d), (0, 0, b, d)) for b, d in _ORDER)
 
     def four_solved(ident, name, const, prods, s2, i_sign, note):
         first, second, third, fourth = prods
@@ -858,14 +776,14 @@ def _build_c_series(cat: list[Identity]) -> None:
                _pair_term(i_sign * s2 * 1j, fourth[0], fourth[1]))
         return Identity(ident, lhs, rhs, Domain.ONE_POINT, note=note)
 
-    cat.append(four_solved("C21", R, _R, (A, B, C, D), +1, -1, "4Rr solved"))
-    cat.append(four_solved("C22", Rp, _R, (A, B, C, D), +1, +1, "4R'r solved"))
-    cat.append(four_solved("C23", S, _S, (A, B, C, D), -1, -1, "4Ss solved"))
-    cat.append(four_solved("C24", Sp, _S, (A, B, C, D), -1, +1, "4S's solved"))
-    cat.append(four_solved("C25", T, _T, (Aq, Bq, Cq, Dq), +1, -1, "4Tt solved"))
-    cat.append(four_solved("C26", Tp, _T, (Aq, Bq, Cq, Dq), +1, +1, "4T't solved"))
-    cat.append(four_solved("C27", U, _W, (Aq, Bq, Cq, Dq), -1, -1, "4Uw solved"))
-    cat.append(four_solved("C28", Up, _W, (Aq, Bq, Cq, Dq), -1, +1, "4U'w solved"))
+    cat.append(four_solved("C21", R, _R, rs, +1, -1, "4Rr solved"))
+    cat.append(four_solved("C22", Rp, _R, rs, +1, +1, "4R'r solved"))
+    cat.append(four_solved("C23", S, _S, rs, -1, -1, "4Ss solved"))
+    cat.append(four_solved("C24", Sp, _S, rs, -1, +1, "4S's solved"))
+    cat.append(four_solved("C25", T, _T, tu, +1, -1, "4Tt solved"))
+    cat.append(four_solved("C26", Tp, _T, tu, +1, +1, "4T't solved"))
+    cat.append(four_solved("C27", U, _W, tu, -1, -1, "4Uw solved"))
+    cat.append(four_solved("C28", Up, _W, tu, -1, +1, "4U'w solved"))
 
 
 def _root_spec(sign, chA, chB):
@@ -1136,12 +1054,12 @@ def save_catalog(catalog: list[Identity], path: str) -> None:
 
 
 def load_catalog(path: str | None = None) -> list[Identity]:
-    """Load the shipped catalog (or the file named by HYPERTHETA_CATALOG or
-    an explicit path) and verify its content hash."""
+    """The catalog from an explicit path or the file named by
+    HYPERTHETA_CATALOG, with its content hash verified; with neither, the
+    in-code builder's catalog."""
     if path is None:
         path = os.environ.get(ENV_CATALOG) or None
-    if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            return identities_from_json(json.load(fh))
-    data = resources.files("hypertheta").joinpath("data/catalog.json")
-    return identities_from_json(json.loads(data.read_text(encoding="utf-8")))
+    if path is None:
+        return build_catalog()
+    with open(path, encoding="utf-8") as fh:
+        return identities_from_json(json.load(fh))

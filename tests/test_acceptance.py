@@ -37,7 +37,7 @@ from hypertheta import (
     verify_catalog,
     yang_baxter_residual,
 )
-from hypertheta.backends import lattice_sum_numpy
+from hypertheta.backends import lattice_sum
 from hypertheta.sampling import make_rng, sample_point, sample_tau
 from hypertheta.theta_core import DEFAULT_POLICY
 
@@ -157,7 +157,7 @@ def test_primary_theta_core_oracles():
         base = theta_eval(ch, Z_G, TAU_G)
         reduced, phase = ch.reduce()
         r = truncation_radius(reduced, Z_G, TAU_G)
-        bigger = phase * lattice_sum_numpy(
+        bigger = phase * lattice_sum(
             float(reduced.a) / 2, float(reduced.c) / 2,
             Z_G.x + float(reduced.b) / 2, Z_G.y + float(reduced.d) / 2,
             TAU_G.tau1, TAU_G.tau2, TAU_G.tau12, r + 10)
@@ -170,7 +170,7 @@ def test_primary_theta_core_oracles():
                     (3, -1, 2, 4), ("5/2", 0, "-3/2", 1)):
         ch = ThetaCharacteristic.of(*entries)
         reduced, phase = reduce_characteristic(ch)
-        raw = lattice_sum_numpy(
+        raw = lattice_sum(
             float(ch.a) / 2, float(ch.c) / 2,
             Z_G.x + float(ch.b) / 2, Z_G.y + float(ch.d) / 2,
             TAU_G.tau1, TAU_G.tau2, TAU_G.tau12, 24)

@@ -12,6 +12,8 @@ x = (1 + tau1)/2.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from hypertheta import (
@@ -41,6 +43,8 @@ from hypertheta.addition import (
     f_vector,
     verify_addition,
 )
+from hypertheta import addition, identity_catalog
+from hypertheta.identity_catalog import IdentityTerm, verify_catalog
 from hypertheta.sampling import make_rng, sample_point, sample_tau
 
 TAU = PeriodMatrix(0.3 + 1.1j, -0.2 + 1.4j, 0.15 + 0.25j)
@@ -275,3 +279,31 @@ def test_verify_addition_structure_and_determinism():
     other = verify_addition(n_samples=3, seed=22)
     assert [r.as_json() for r in other.reports] != [
         r.as_json() for r in run.reports]
+
+
+def test_wrong_sign_in_a_solved_row_fails_catalog_and_law(monkeypatch):
+    """The law runs the catalog's own rows.  Flipping the sign of one
+    coefficient of C7 (which solves Theta[1 0;0 1]) fails C7 in the catalog
+    suite, and fails both comparisons of every quotient whose pairing reads
+    a doubled theta with lower row (0,1)."""
+    catalog = []
+    for idty in identity_catalog.build_catalog():
+        if idty.id == "C7":
+            first = idty.rhs[0]
+            idty = dataclasses.replace(idty, rhs=(
+                IdentityTerm(-first.coefficient, first.factors),
+                *idty.rhs[1:]))
+        catalog.append(idty)
+    monkeypatch.setattr(identity_catalog, "_built_catalog",
+                        lambda: tuple(catalog))
+    addition._law_tables.cache_clear()
+    try:
+        reports = verify_catalog(n_samples=1, seed=0, only={"C6", "C7"})
+        run = verify_addition(n_samples=1, seed=0)
+    finally:
+        addition._law_tables.cache_clear()
+    assert [(r.identity_id, r.passed) for r in reports] == [
+        ("C6", True), ("C7", False)]
+    lower_01 = {label for label, ch in A_LABELS.items() if ch[2:] == (0, 1)}
+    assert {r.identity_id for r in run.reports if not r.passed} == \
+        lower_01 | {f"{label}.path" for label in lower_01}

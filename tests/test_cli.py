@@ -1,7 +1,8 @@
 """End-to-end checks of the command-line harness (eval / verify / list)."""
 
+import dataclasses
+import hashlib
 import json
-from importlib import resources
 
 import pytest
 
@@ -13,7 +14,15 @@ from hypertheta.cli import (
     EXIT_RADIUS,
     main,
 )
-from hypertheta.identity_catalog import Domain, load_catalog
+from hypertheta.identity_catalog import (
+    ENV_CATALOG,
+    Domain,
+    IdentityTerm,
+    build_catalog,
+    catalog_as_json,
+    load_catalog,
+    save_catalog,
+)
 from hypertheta.theta_core import (
     EvalPoint,
     PeriodMatrix,
@@ -205,14 +214,45 @@ def test_verify_rejects_bad_config(capsys):
 
 
 def test_verify_parallel_jobs_match_serial(tmp_path, capsys):
+    """--jobs and --out change no row and, so that the hash can prove it,
+    not the determinism hash either; the config echo still shows both."""
     serial = tmp_path / "serial.jsonl"
     parallel = tmp_path / "parallel.jsonl"
     assert main(["verify", "--samples", "1", "--only", "2e5",
                  "--out", str(serial)]) == 0
+    rep_serial = json.loads(capsys.readouterr().out)
     assert main(["verify", "--samples", "1", "--only", "2e5",
                  "--jobs", "2", "--out", str(parallel)]) == 0
-    capsys.readouterr()
+    rep_parallel = json.loads(capsys.readouterr().out)
     assert serial.read_text() == parallel.read_text()
+    assert rep_serial["determinism_hash"] == rep_parallel["determinism_hash"]
+    assert (rep_serial["config"]["jobs"], rep_parallel["config"]["jobs"]) \
+        == (1, 2)
+    assert rep_parallel["config"]["output_path"] == str(parallel)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_honours_catalog_override_in_workers(jobs, tmp_path,
+                                                    monkeypatch, capsys):
+    """An override whose hash is valid but whose B1 has one coefficient
+    sign flipped must fail, whether or not the catalog suite runs in
+    worker processes."""
+    catalog = []
+    for idty in build_catalog():
+        if idty.id == "B1":
+            first = idty.rhs[0]
+            idty = dataclasses.replace(idty, rhs=(
+                IdentityTerm(-first.coefficient, first.factors),
+                *idty.rhs[1:]))
+        catalog.append(idty)
+    path = tmp_path / "corrupt.json"
+    save_catalog(catalog, str(path))
+    monkeypatch.setenv(ENV_CATALOG, str(path))
+    code, rows, report, err = _run_verify(tmp_path, capsys, "--only",
+                                          "B1,B2", "--jobs", jobs)
+    assert code == EXIT_FAILED
+    assert report["failing_ids"] == ["B1"]
+    assert {r["id"] for r in rows} == {"B1", "B2"}
 
 
 def test_list_text_inventory(capsys):
@@ -234,11 +274,17 @@ def test_list_text_inventory(capsys):
     assert f"({two_point} TwoPoint)" in out
 
 
-def test_list_json_is_catalog_file_verbatim(capsys):
+def test_list_json_is_catalog_file_verbatim(tmp_path, capsys):
+    """`list --format json` prints the builder's catalog exactly as
+    save_catalog writes it, and those bytes are pinned."""
     assert main(["list", "--format", "json"]) == 0
     out = capsys.readouterr().out
-    shipped = (resources.files("hypertheta") / "data/catalog.json").read_text()
-    assert out == shipped
+    path = tmp_path / "catalog.json"
+    save_catalog(build_catalog(), str(path))
+    assert out == path.read_text()
+    assert json.loads(out)["sha256"] == catalog_as_json(build_catalog())["sha256"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "5b72f246308aaa2f22884afea20dfdba790c14f21e9e4d6908cbd4dd899ea564")
 
 
 def test_unknown_flag_exits_with_config_code(capsys):

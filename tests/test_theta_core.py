@@ -31,7 +31,7 @@ from hypertheta import (
     theta_eval,
     truncation_radius,
 )
-from hypertheta.backends import HAS_NUMBA, lattice_sum_numpy
+from hypertheta.backends import lattice_sum
 
 TAU_E = PeriodMatrix(1j, 1j, 0j)
 TAU_G = PeriodMatrix(0.3 + 1.1j, -0.2 + 1.4j, 0.15 + 0.25j)
@@ -127,7 +127,7 @@ def test_reduction_matches_unreduced_sum(a, c, b, d):
     reduced, phase = reduce_characteristic(ch)
     assert all(0 <= e < 2 for e in reduced.entries)
     assert phase in (1, 1j, -1, -1j)
-    raw = lattice_sum_numpy(float(a) / 2, float(c) / 2,
+    raw = lattice_sum(float(a) / 2, float(c) / 2,
                             Z_G.x + float(b) / 2, Z_G.y + float(d) / 2,
                             TAU_G.tau1, TAU_G.tau2, TAU_G.tau12, 24)
     assert abs(theta_eval(ch, Z_G, TAU_G) - raw) <= 1e-11
@@ -155,7 +155,7 @@ def test_radius_stability():
     base = theta_eval(ch, Z_G, TAU_G)
     r = truncation_radius(ch, Z_G, TAU_G)
     reduced, phase = ch.reduce()
-    bigger = phase * lattice_sum_numpy(
+    bigger = phase * lattice_sum(
         float(reduced.a) / 2, float(reduced.c) / 2,
         Z_G.x + float(reduced.b) / 2, Z_G.y + float(reduced.d) / 2,
         TAU_G.tau1, TAU_G.tau2, TAU_G.tau12, r + 10)
@@ -218,13 +218,3 @@ def test_lambda_min_matches_eigenvalue():
                    [TAU_G.tau12.imag, TAU_G.tau2.imag]])
     assert math.isclose(TAU_G.lambda_min, min(np.linalg.eigvalsh(im)),
                         rel_tol=1e-12)
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_backends_agree():
-    from hypertheta.backends import lattice_sum_numba
-    args = (0.5, 0.0, Z_G.x, Z_G.y + 0.5,
-            TAU_G.tau1, TAU_G.tau2, TAU_G.tau12, 14)
-    a = lattice_sum_numba(*args)
-    b = lattice_sum_numpy(*args)
-    assert abs(a - b) <= 1e-13 * max(1.0, abs(b))
