@@ -43,12 +43,12 @@ from .identity_catalog import (
     ARG_ORIGIN,
     ARG_P1,
     ARG_SUM,
-    H,
     IdentityTerm,
     NoConsistentSign,
     ResidualReport,
+    _json_key,
     build_catalog,
-    resolve_sign,
+    match_signs,
 )
 from .sampling import make_rng, sample_point, sample_tau
 from .theta_core import (
@@ -60,7 +60,6 @@ from .theta_core import (
     Scale,
     ThetaCharacteristic,
     double_periods,
-    is_odd,
     theta_eval,
 )
 
@@ -90,20 +89,8 @@ A_ORDER: tuple[tuple, ...] = (
 
 A_LABELS: dict[str, tuple] = {f"A{k + 1}": ch for k, ch in enumerate(A_ORDER)}
 
-_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-# Constant names, their (doubled-period) characteristics, and the root-form
-# id that re-derives each one from base constants.
-CONSTANT_CHARS: dict[str, tuple] = {
-    "m00": (0, 0, 0, 0), "m01": (0, 1, 0, 0), "m10": (1, 0, 0, 0),
-    "m11": (1, 1, 0, 0),
-    "alpha": (0, 0, 0, 1), "beta": (1, 0, 0, 1),
-    "gamma": (0, 0, 1, 0), "delta": (0, 1, 1, 0),
-    "xi": (0, 0, 1, 1), "zeta": (1, 1, 1, 1),
-    "p": (H, H, 0, 0), "q": (H, -H, 0, 0),
-    "r": (0, H, 0, 0), "t": (H, 0, 0, 0),
-    "s": (1, H, 0, 0), "w": (H, 1, 0, 0),
-}
+# Constant names and the root-form rows whose targets are their
+# doubled-period characteristics.
 ROOT_IDS: dict[str, str] = {
     "m00": "D1", "m01": "D2", "m10": "D3", "m11": "D4",
     "alpha": "D5", "beta": "D6", "gamma": "D7", "delta": "D8",
@@ -252,34 +239,46 @@ def f_vector(z: EvalPoint, tau: PeriodMatrix,
     return FVector(vals, point=z, tau=tau)
 
 
+@lru_cache(maxsize=1)
+def _constant_forms() -> tuple[dict, tuple]:
+    """The doubled constants read once from the built-in rows D1..D16, as
+    characteristic key -> (name, root-form id, root form), and the sorted
+    keys of the base-period constants their radicands use."""
+    by_id = {i.id: i for i in build_catalog()}
+    forms = {}
+    for name, d_id in ROOT_IDS.items():
+        form = by_id[d_id].root_form
+        if form is None:
+            raise ValueError(f"{d_id} has no root form to read a constant from")
+        forms[_json_key(form["target"])] = (name, d_id, form)
+    if len(forms) != len(ROOT_IDS):
+        raise ValueError("two constants share a characteristic")
+    base = {_json_key(ch) for _, _, form in forms.values()
+            for root in form["roots"] for _, *pair in root for ch in pair}
+    return forms, tuple(sorted(base))
+
+
 def constants_vector(tau: PeriodMatrix,
-                     pol: PrecisionPolicy = DEFAULT_POLICY,
-                     resolve: bool = True) -> ConstantsVector:
-    """Doubled constants both directly summed and root-resolved.
+                     pol: PrecisionPolicy = DEFAULT_POLICY) -> ConstantsVector:
+    """Doubled constants, summed once each and read back through their
+    root forms by match_signs over the summed values.
 
     A failed sign search warns and falls back to the direct value; it does
     not abort, because the direct route is the computational one and the
     root route is a consistency read-back.
     """
     dbl = double_periods(tau)
+    forms, base_chars = _constant_forms()
     direct = {name: theta_eval(ThetaCharacteristic.of(*ch), ORIGIN, dbl, pol)
-              for name, ch in CONSTANT_CHARS.items()}
-    base = {}
-    for upper in _ORDER:
-        for lower in _ORDER:
-            ch = ThetaCharacteristic.of(*upper, *lower)
-            if not is_odd(ch):
-                base[(*upper, *lower)] = theta_eval(ch, ORIGIN, tau, pol)
-    if not resolve:
-        return ConstantsVector(tau, base, direct, dict(direct), 0.0)
-
-    catalog = build_catalog()
+              for ch, (name, _, _) in forms.items()}
+    base = {ch: theta_eval(ThetaCharacteristic.of(*ch), ORIGIN, tau, pol)
+            for ch in base_chars}
     resolved: dict[str, complex] = {}
     records: list[dict] = []
     fallbacks: list[str] = []
-    for name, d_id in ROOT_IDS.items():
+    for name, d_id, form in forms.values():
         try:
-            value, record = resolve_sign(d_id, tau, pol, catalog=catalog)
+            value, record = match_signs(d_id, form, direct[name], base)
             resolved[name] = value
             records.append(record)
         except NoConsistentSign as exc:
@@ -302,8 +301,6 @@ def _guard(value: complex, what: str) -> complex:
     return value
 
 
-_CONSTANT_NAMES = {ch: name for name, ch in CONSTANT_CHARS.items()}
-
 # The sixteen point values in the order the compiled rows index them.
 _POINT_CHARS = (BASE_CHAR,) + A_ORDER
 
@@ -324,8 +321,9 @@ def _read(term: IdentityTerm, shape: tuple, ident: str) -> tuple:
     if (tuple((f.arg, f.scale) for f in moving) != shape
             or any(f.scale is not Scale.DOUBLED for f in consts)):
         raise ValueError(f"{ident} does not have the shape the law reads")
+    forms = _constant_forms()[0]
     return (term.coefficient, tuple(FVector._key(f.ch) for f in moving),
-            tuple(_CONSTANT_NAMES[FVector._key(f.ch)] for f in consts))
+            tuple(forms[FVector._key(f.ch)][0] for f in consts))
 
 
 @lru_cache(maxsize=1)

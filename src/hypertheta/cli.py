@@ -14,8 +14,8 @@ determinism hash over everything except wall time, the output path and
 the worker count.
 
 Exit codes: 0 all pass; 2 numeric failures; 3 configuration/parse errors.
-`eval` additionally distinguishes InvalidPeriod (4), RadiusExceeded (5)
-and DivisorHit (6).
+`eval` additionally distinguishes InvalidPeriod (4), RadiusExceeded (5),
+DivisorHit (6) and NonFiniteSum (7).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -39,10 +39,11 @@ from .elliptic_so3 import component_residuals, euler_lhs, euler_rhs
 from .identity_catalog import (
     Domain,
     Identity,
+    NoConsistentSign,
     ResidualReport,
     base_id,
-    build_catalog,
     catalog_as_json,
+    catalog_sha256,
     load_catalog,
     resolve_sign,
     verify_catalog,
@@ -60,6 +61,7 @@ from .theta_core import (
     DEFAULT_POLICY,
     EvalPoint,
     InvalidPeriod,
+    NonFiniteSum,
     PeriodMatrix,
     PrecisionPolicy,
     RadiusExceeded,
@@ -75,6 +77,7 @@ EXIT_CONFIG = 3
 EXIT_INVALID_PERIOD = 4
 EXIT_RADIUS = 5
 EXIT_DIVISOR = 6
+EXIT_NONFINITE = 7
 
 ELLIPTIC_TOL = 1e-10
 
@@ -157,7 +160,6 @@ class VerificationConfig:
     output_path: str = ""
     output_format: str = "json-lines"
     jobs: int = 1
-    tau_family: dict = field(default_factory=_tau_family)
 
     def validate(self) -> None:
         if self.n_samples < 1:
@@ -179,7 +181,7 @@ class VerificationConfig:
                 "abs_tol": self.abs_tol, "only": list(self.only),
                 "output_path": self.output_path,
                 "output_format": self.output_format, "jobs": self.jobs,
-                "tau_family": self.tau_family}
+                "tau_family": _tau_family()}
 
     @classmethod
     def from_args(cls, args) -> "VerificationConfig":
@@ -250,6 +252,9 @@ def cmd_eval(args) -> int:
     except DivisorHit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVISOR
+    except NonFiniteSum as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NONFINITE
     print(f"{label}({z.x}, {z.y}) = "
           f"{value.real:+.17e}{value.imag:+.17e}j   [radius {radius}]")
     return EXIT_OK
@@ -311,15 +316,20 @@ def _verify_elliptic_rows(n_samples: int, seed: int) -> list[ResidualReport]:
 
 
 def _sign_resolution_details(d_ids: list[str], seed: int,
-                             pol: PrecisionPolicy) -> list[dict]:
-    """resolve_sign records for the selected root-form ids at 3 tau draws."""
-    catalog = build_catalog()
+                             pol: PrecisionPolicy,
+                             catalog: list[Identity]) -> list[dict]:
+    """resolve_sign records for the selected root-form ids at 3 tau draws;
+    a failed sign search is recorded with its error."""
     rng = make_rng(seed, "sign-resolution")
     details = []
     for trial in range(3):
         tau = sample_tau(rng)
         for d_id in sorted(d_ids):
-            value, record = resolve_sign(d_id, tau, pol, catalog=catalog)
+            try:
+                value, record = resolve_sign(d_id, tau, pol, catalog=catalog)
+            except NoConsistentSign as exc:
+                details.append({"trial": trial, "id": d_id, "error": str(exc)})
+                continue
             details.append({"trial": trial, **record,
                             "value": {"re": value.real, "im": value.imag}})
     return details
@@ -399,11 +409,13 @@ def cmd_verify(args) -> int:
     failing = sorted({r.identity_id for r in rows if not r.passed})
 
     sign_details: list[dict] = []
-    selected_d = sorted((only or {f"D{k}" for k in range(1, 17)})
-                        & {f"D{k}" for k in range(1, 17)})
+    roots = {i.id for i in catalog if i.root_form}
+    selected_d = sorted(roots if only is None else roots & only)
     if selected_d:
         sign_details = _sign_resolution_details(selected_d, cfg.seed,
-                                                cfg.policy())
+                                                cfg.policy(), catalog)
+        failing = sorted({*failing, *(d["id"] for d in sign_details
+                                      if "error" in d)})
 
     body = _rows_to_text(rows, cfg.output_format)
     if cfg.output_path:
@@ -424,7 +436,7 @@ def cmd_verify(args) -> int:
         "max_constant_discrepancy": max_constant_gap,
         "sign_resolutions": sign_details,
         "versions": {"hypertheta": __version__},
-        "catalog_sha256": catalog_as_json(catalog)["sha256"],
+        "catalog_sha256": catalog_sha256(catalog),
     }
     # Where rows go and how many workers made them decide no result, so
     # the hash leaves them out: equal hashes then prove --jobs invariance.

@@ -18,7 +18,7 @@ The catalog covers four layers that build on each other:
   * constants relations: the same at the origin (2e36..2e41, 2e51..2e53,
     2e63/2e64, 2e74/2e75, and the sign-free squared forms D1..D16);
   * root forms: the D-entries also carry the printed square-root
-    expressions, checked by a per-radical sign search (resolve_sign).
+    expressions, checked by a per-radical sign search (match_signs).
 
 Identity ids are catalog keys; suspected misprints in the source tables are
 encoded in the mathematically coherent reading and flagged (see each
@@ -37,6 +37,7 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .sampling import SampleAssignment, assignments_for
 from .theta_core import (
@@ -147,7 +148,7 @@ class Identity:
     note: str = ""
     flags: tuple[str, ...] = ()
     # Optional record of a printed square-root expression for the lhs
-    # constant, consumed by resolve_sign (present on D1..D16 only).
+    # constant, consumed by match_signs (present on D1..D16 only).
     root_form: dict | None = None
 
     def as_json(self) -> dict:
@@ -892,6 +893,11 @@ def build_catalog() -> list[Identity]:
     return list(_built_catalog())
 
 
+@lru_cache(maxsize=1)
+def _built_sha256() -> str:
+    return _sha256([i.as_json() for i in _built_catalog()])
+
+
 # --------------------------------------------------------------------------
 # evaluation
 
@@ -968,42 +974,34 @@ def base_id(ident: str) -> str:
 _PREFACTORS = {"1/2": 0.5, "1/(2*sqrt(2))": 1.0 / (2.0 * math.sqrt(2.0))}
 
 
-def resolve_sign(d_id: str, tau: PeriodMatrix,
-                 pol: PrecisionPolicy = DEFAULT_POLICY,
-                 catalog: list[Identity] | None = None):
-    """Evaluate a printed root expression and find the radical signs.
+def _json_key(ch) -> tuple:
+    """Key of a [[num, den], ...] characteristic: ints, Fractions for halves."""
+    return tuple(n if d == 1 else Fraction(n, d) for n, d in ch)
 
-    Each radical is taken on its principal branch; the resolver scans sign
-    assignments (the printed one first) for one whose combination matches
-    the directly summed doubled constant to relative 1e-8.  Returns the
-    matched value and a record of the choice; raises NoConsistentSign when
-    no assignment matches.
+
+def match_signs(d_id: str, root_form: dict, direct: complex,
+                base: dict[tuple, complex]) -> tuple[complex, dict]:
+    """Find the radical signs of a printed root expression.
+
+    `direct` is the directly summed doubled constant the form targets and
+    `base` maps its radicands' characteristics (_json_key) to base-period
+    theta constants.  Each radical is taken on its principal branch; sign
+    assignments are scanned (the printed one first) for one whose
+    combination matches `direct` to relative 1e-8.  Returns the matched
+    value and a record of the choice; raises NoConsistentSign when no
+    assignment matches.
     """
-    if catalog is None:
-        catalog = build_catalog()
-    entry = next((i for i in catalog if i.id == d_id and i.root_form), None)
-    if entry is None:
-        raise KeyError(f"no root form under id {d_id!r}")
-    form = entry.root_form
-    tau.validate()
-
-    target_ch = ThetaCharacteristic.from_json(form["target"])
-    direct = theta_eval(target_ch, ORIGIN, double_periods(tau), pol)
-
-    prefactor = _PREFACTORS[form["prefactor"]]
+    prefactor = _PREFACTORS[root_form["prefactor"]]
     radicals = []
-    for root in form["roots"]:
+    for root in root_form["roots"]:
         content = 0j
         for sign, chA, chB in root:
-            content += sign \
-                * theta_eval(ThetaCharacteristic.from_json(chA), ORIGIN, tau, pol) \
-                * theta_eval(ThetaCharacteristic.from_json(chB), ORIGIN, tau, pol)
+            content += sign * base[_json_key(chA)] * base[_json_key(chB)]
         radicals.append(cmath.sqrt(content))
 
-    printed = tuple(form["printed_signs"])
-    n = len(radicals)
-    candidates = [printed] + [
-        signs for signs in _sign_tuples(n) if signs != printed]
+    printed = tuple(root_form["printed_signs"])
+    others = product((1, -1), repeat=len(radicals))
+    candidates = [printed] + [signs for signs in others if signs != printed]
     scale = max(abs(direct), REL_FLOOR)
     best = None
     for signs in candidates:
@@ -1021,30 +1019,66 @@ def resolve_sign(d_id: str, tau: PeriodMatrix,
         f"{d_id}: best assignment {best[1]} misses by rel {best[0]:.3e}")
 
 
-def _sign_tuples(n: int):
-    if n == 0:
-        return [()]
-    return [(s, *rest) for s in (1, -1) for rest in _sign_tuples(n - 1)]
+def resolve_sign(d_id: str, tau: PeriodMatrix,
+                 pol: PrecisionPolicy = DEFAULT_POLICY,
+                 catalog: list[Identity] | None = None):
+    """match_signs for one root form, its constants summed at tau."""
+    if catalog is None:
+        catalog = build_catalog()
+    entry = next((i for i in catalog if i.id == d_id and i.root_form), None)
+    if entry is None:
+        raise KeyError(f"no root form under id {d_id!r}")
+    form = entry.root_form
+    direct = theta_eval(ThetaCharacteristic.from_json(form["target"]),
+                        ORIGIN, double_periods(tau), pol)
+    base = {_json_key(ch): theta_eval(ThetaCharacteristic.from_json(ch),
+                                      ORIGIN, tau, pol)
+            for root in form["roots"] for _, *pair in root for ch in pair}
+    return match_signs(d_id, form, direct, base)
 
 
 # --------------------------------------------------------------------------
 # serialization
 
+def _sha256(body: list) -> str:
+    payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 def catalog_as_json(catalog: list[Identity]) -> dict:
     body = [i.as_json() for i in catalog]
-    payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    return {"version": CATALOG_VERSION, "sha256": digest, "identities": body}
+    return {"version": CATALOG_VERSION, "sha256": _sha256(body),
+            "identities": body}
+
+
+# (entries, content digest) of the catalog last read from a file.
+_loaded: tuple[tuple[Identity, ...], str] = ((), _sha256([]))
 
 
 def identities_from_json(obj: dict) -> list[Identity]:
+    global _loaded
     body = obj["identities"]
-    payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    digest = _sha256(body)
     if obj.get("sha256") != digest:
         raise ValueError("catalog content hash mismatch (file corrupted or "
                          "hand-edited)")
-    return [Identity.from_json(entry) for entry in body]
+    catalog = [Identity.from_json(entry) for entry in body]
+    _loaded = (tuple(catalog), digest)
+    return catalog
+
+
+def catalog_sha256(catalog: list[Identity]) -> str:
+    """catalog_as_json(catalog)["sha256"], reusing the digests of the
+    built-in catalog and of the catalog last read from a file."""
+    def same(entries) -> bool:
+        return len(entries) == len(catalog) and all(
+            a is b for a, b in zip(entries, catalog))
+
+    if same(_loaded[0]):
+        return _loaded[1]
+    if same(_built_catalog()):
+        return _built_sha256()
+    return _sha256([i.as_json() for i in catalog])
 
 
 def save_catalog(catalog: list[Identity], path: str) -> None:

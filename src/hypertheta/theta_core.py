@@ -36,6 +36,10 @@ class RadiusExceeded(RuntimeError):
     """No summation radius within max_radius meets the tail target."""
 
 
+class NonFiniteSum(ArithmeticError):
+    """The truncated lattice sum overflowed to a non-finite value."""
+
+
 class HalfIntegerParityUndefined(ValueError):
     """Parity (odd/even) is defined only for integer characteristics."""
 
@@ -300,13 +304,14 @@ def clear_theta_cache() -> None:
 
 def theta_eval(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
                pol: PrecisionPolicy = DEFAULT_POLICY) -> complex:
-    """Truncated lattice sum for theta[ch](z; tau), tail below pol.eps_tail."""
-    tau.validate()
-    z.validate()
+    """Truncated lattice sum for theta[ch](z; tau), tail below pol.eps_tail;
+    raises NonFiniteSum where the terms overflow."""
     reduced, phase = ch.reduce()
     radius = truncation_radius(reduced, z, tau, pol.eps_tail, pol.max_radius)
     value = _cached_sum(
         float(reduced.a) / 2.0, float(reduced.c) / 2.0,
         z.x + float(reduced.b) / 2.0, z.y + float(reduced.d) / 2.0,
         tau.tau1, tau.tau2, tau.tau12, radius)
+    if not _finite(value):
+        raise NonFiniteSum(f"theta{ch} sum overflows to {value}")
     return phase * value

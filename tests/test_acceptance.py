@@ -86,7 +86,7 @@ def test_primary_addition_law(addition_run):
     worst_id, worst_comm = 0.0, 0.0
     for _ in range(10):
         tau = sample_tau(rng)
-        k = constants_vector(tau, resolve=False)
+        k = constants_vector(tau)
         if k.near_singular():
             continue
         f1 = f_vector(sample_point(rng), tau)
@@ -197,7 +197,7 @@ def test_primary_riemann_matrix():
     # base squares.
     v_sq = np.array([theta_eval(ThetaCharacteristic.of(0, 0, *bd), Z_G, TAU_G) ** 2
                      for bd in _ORDER])
-    k = constants_vector(TAU_G, resolve=False)
+    k = constants_vector(TAU_G)
     dbl = double_periods(TAU_G)
     twice = Z_G.scaled(2)
     forward = M @ v_sq

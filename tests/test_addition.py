@@ -112,17 +112,28 @@ def test_constants_direct_vs_resolved(k):
     assert len(k.sign_records) == 16
 
 
-def test_constants_without_resolution():
-    plain = constants_vector(TAU, resolve=False)
-    assert plain.discrepancy == 0.0
-    assert plain.resolved == plain.direct
+def test_constants_sum_each_constant_once(monkeypatch):
+    """16 doubled and 10 base constants, each summed once; the sign
+    searches read those values instead of summing their own."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return theta_eval(*args)
+
+    for module in (addition, identity_catalog):
+        monkeypatch.setattr(module, "theta_eval", counted)
+    kv = constants_vector(TAU)
+    assert len(calls) == 26
+    assert len(set(calls)) == 26
+    assert len(kv.sign_records) == 16 and kv.fallback_ids == ()
 
 
 def test_constants_fallback_on_failed_sign_search(monkeypatch):
     def boom(*args, **kwargs):
         raise NoConsistentSign("forced")
 
-    monkeypatch.setattr("hypertheta.addition.resolve_sign", boom)
+    monkeypatch.setattr("hypertheta.addition.match_signs", boom)
     with pytest.warns(RuntimeWarning, match="using direct value"):
         kv = constants_vector(TAU)
     assert len(kv.fallback_ids) == 16
@@ -199,7 +210,7 @@ def test_addition_matches_direct_on_random_draws():
     rng = make_rng(17, "addition-unit")
     for _ in range(3):
         tau = sample_tau(rng)
-        kv = constants_vector(tau, resolve=False)
+        kv = constants_vector(tau)
         if kv.near_singular():
             continue
         z1, z2 = sample_point(rng), sample_point(rng)
@@ -251,7 +262,7 @@ def test_divisor_hit_at_known_zero():
 
 def test_degenerate_denominator_when_sum_hits_divisor():
     tau = PeriodMatrix(1.1j, 1.3j, 0j)
-    kv = constants_vector(tau, resolve=False)
+    kv = constants_vector(tau)
     half = (1 + tau.tau1) / 2
     z1 = EvalPoint(half / 2, 0.07 + 0.02j)
     z2 = EvalPoint(half / 2, -0.03 + 0.05j)

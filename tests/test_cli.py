@@ -11,6 +11,7 @@ from hypertheta.cli import (
     EXIT_DIVISOR,
     EXIT_FAILED,
     EXIT_INVALID_PERIOD,
+    EXIT_NONFINITE,
     EXIT_RADIUS,
     main,
 )
@@ -109,6 +110,15 @@ def test_eval_exit_codes(argv, code, capsys):
     assert capsys.readouterr().err  # reason goes to stderr
 
 
+@pytest.mark.parametrize("ratio", [[], ["--ratio"]])
+def test_eval_never_prints_nan(ratio, capsys):
+    assert main(["eval", *ratio, "--char", "0,0,0,0", "--z", "0.2+20i,0",
+                 "--tau", "0.3+1.1i,-0.2+1.4i,0.15+0.25i"]) == EXIT_NONFINITE
+    captured = capsys.readouterr()
+    assert "nan" not in captured.out.lower()
+    assert "overflows" in captured.err
+
+
 def _run_verify(tmp_path, capsys, *extra):
     out = tmp_path / "rows.jsonl"
     code = main(["verify", "--samples", "2", "--out", str(out), *extra])
@@ -195,6 +205,20 @@ def test_verify_config_file_flags_win(tmp_path, capsys):
     assert echo["n_samples"] == 2      # --samples flag wins
 
 
+def test_verify_config_ignores_tau_family(tmp_path, capsys):
+    """Sampling has one fixed family, so a tau_family setting is not a
+    setting: it changes neither the config echo nor the hash."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tau_family": {"im_diag": [5.0, 6.0]}}))
+    _, rows, plain, _ = _run_verify(tmp_path, capsys, "--only", "B2,D5")
+    _, rows_cfg, with_cfg, _ = _run_verify(tmp_path, capsys, "--only",
+                                           "B2,D5", "--config", str(cfg))
+    assert rows_cfg == rows
+    assert with_cfg["config"] == plain["config"]
+    assert with_cfg["config"]["tau_family"]["im_diag"] != [5.0, 6.0]
+    assert with_cfg["determinism_hash"] == plain["determinism_hash"]
+
+
 def test_verify_csv_format(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     code = main(["verify", "--samples", "1", "--only", "C17",
@@ -253,6 +277,45 @@ def test_verify_honours_catalog_override_in_workers(jobs, tmp_path,
     assert code == EXIT_FAILED
     assert report["failing_ids"] == ["B1"]
     assert {r["id"] for r in rows} == {"B1", "B2"}
+
+
+def test_verify_sign_resolutions_follow_catalog_override(tmp_path,
+                                                        monkeypatch, capsys):
+    catalog = [dataclasses.replace(i, root_form={**i.root_form,
+                                                 "printed_signs": [1, -1]})
+               if i.id == "D5" else i for i in build_catalog()]
+    path = tmp_path / "d5.json"
+    save_catalog(catalog, str(path))
+    monkeypatch.setenv(ENV_CATALOG, str(path))
+    code, _, report, _ = _run_verify(tmp_path, capsys, "--only", "D5")
+    assert code == 0
+    details = report["sign_resolutions"]
+    assert [d["trial"] for d in details] == [0, 1, 2]
+    assert all(d["printed_signs"] == [1, -1] for d in details)
+    assert not any(d["matches_printed"] for d in details)
+    assert report["catalog_sha256"] == catalog_as_json(catalog)["sha256"]
+
+
+def test_verify_reports_failed_sign_search_of_override(tmp_path,
+                                                      monkeypatch, capsys):
+    """A root form whose radicand no sign assignment can match fails its
+    id instead of aborting the run."""
+    wrong = [[[1, [[0, 1], [1, 1], [0, 1], [0, 1]],
+               [[0, 1], [0, 1], [0, 1], [0, 1]]]]]
+    catalog = [dataclasses.replace(i, root_form={**i.root_form,
+                                                 "roots": wrong})
+               if i.id == "D13" else i for i in build_catalog()]
+    path = tmp_path / "d13.json"
+    save_catalog(catalog, str(path))
+    monkeypatch.setenv(ENV_CATALOG, str(path))
+    code, rows, report, err = _run_verify(tmp_path, capsys, "--only",
+                                          "D13,D14")
+    assert code == EXIT_FAILED
+    assert all(r["pass"] for r in rows)  # the squared forms still close
+    assert report["failing_ids"] == ["D13"]
+    errors = [d for d in report["sign_resolutions"] if "error" in d]
+    assert [d["id"] for d in errors] == ["D13"] * 3
+    assert "D13" in err
 
 
 def test_list_text_inventory(capsys):

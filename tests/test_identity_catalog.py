@@ -44,6 +44,7 @@ from hypertheta.identity_catalog import (
     Scale,
     base_id,
     catalog_as_json,
+    catalog_sha256,
 )
 from hypertheta.sampling import make_rng, sample_tau
 
@@ -369,6 +370,16 @@ CATALOG_SHA256 = \
 def test_shipped_catalog_matches_builder():
     assert catalog_as_json(build_catalog())["sha256"] == CATALOG_SHA256
     assert [i.as_json() for i in load_catalog()] == [i.as_json() for i in CAT]
+
+
+def test_catalog_sha256_matches_serialised_hash(tmp_path):
+    assert catalog_sha256(build_catalog()) == CATALOG_SHA256
+    path = tmp_path / "cat.json"
+    save_catalog(CAT[:5], str(path))
+    loaded = load_catalog(str(path))
+    assert catalog_sha256(loaded) == catalog_as_json(CAT[:5])["sha256"]
+    for other in (CAT[:4], loaded[:4], CAT[1:] + CAT[:1], []):
+        assert catalog_sha256(other) == catalog_as_json(other)["sha256"]
 
 
 def test_catalog_hash_guard(tmp_path):

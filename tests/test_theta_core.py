@@ -19,6 +19,7 @@ from hypertheta import (
     EvalPoint,
     HalfIntegerParityUndefined,
     InvalidPeriod,
+    NonFiniteSum,
     ORIGIN,
     PeriodMatrix,
     PrecisionPolicy,
@@ -178,6 +179,28 @@ def test_invalid_period_rejected():
         PeriodMatrix(1j, 1j, 1.5j).validate()
     with pytest.raises(InvalidPeriod):
         PeriodMatrix(complex("inf"), 1j, 0j).validate()
+
+
+def test_theta_eval_validates_tau_and_z_once(monkeypatch):
+    counts = {"tau": 0, "z": 0}
+    for cls, key in ((PeriodMatrix, "tau"), (EvalPoint, "z")):
+        def counted(self, _check=cls.validate, _key=key):
+            counts[_key] += 1
+            return _check(self)
+        monkeypatch.setattr(cls, "validate", counted)
+    theta_eval(ThetaCharacteristic.of(1, 0, 1, 1), Z_G, TAU_G)
+    assert counts == {"tau": 1, "z": 1}
+    with pytest.raises(ValueError, match="non-finite evaluation point"):
+        theta_eval(ThetaCharacteristic.of(0, 0, 0, 0),
+                   EvalPoint(complex("nan"), 0j), TAU_G)
+
+
+def test_overflowing_sum_raises_instead_of_returning_nan():
+    """At Im z = 20 the terms overflow double precision; the sum is not a
+    value, so theta_eval raises rather than return NaN."""
+    with pytest.raises(NonFiniteSum):
+        theta_eval(ThetaCharacteristic.of(0, 0, 0, 0), EvalPoint(0.2 + 20j, 0),
+                   TAU_G)
 
 
 def test_radius_exceeded():
