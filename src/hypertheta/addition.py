@@ -89,6 +89,9 @@ A_ORDER: tuple[tuple, ...] = (
 
 A_LABELS: dict[str, tuple] = {f"A{k + 1}": ch for k, ch in enumerate(A_ORDER)}
 
+_BASE = ThetaCharacteristic.of(*BASE_CHAR)
+_A_CHARS = tuple(ThetaCharacteristic.of(*ch) for ch in A_ORDER)
+
 # Constant names and the root-form rows whose targets are their
 # doubled-period characteristics.
 ROOT_IDS: dict[str, str] = {
@@ -220,7 +223,7 @@ def f_eval(ch, z: EvalPoint, tau: PeriodMatrix,
     """F[ch](z) by direct summation of numerator and normalizer."""
     if not isinstance(ch, ThetaCharacteristic):
         ch = ThetaCharacteristic.of(*ch)
-    den = theta_eval(ThetaCharacteristic.of(0, 0, 0, 0), z, tau, pol)
+    den = theta_eval(_BASE, z, tau, pol)
     if abs(den) < DIVISOR_THRESHOLD:
         raise DivisorHit(f"theta[0 0;0 0]({z.x:.4g}, {z.y:.4g}) = {den:.3e}")
     num = theta_eval(ch, z, tau, pol)
@@ -230,32 +233,32 @@ def f_eval(ch, z: EvalPoint, tau: PeriodMatrix,
 def f_vector(z: EvalPoint, tau: PeriodMatrix,
              pol: PrecisionPolicy = DEFAULT_POLICY) -> FVector:
     """All fifteen quotients at z by direct summation."""
-    den = theta_eval(ThetaCharacteristic.of(0, 0, 0, 0), z, tau, pol)
+    den = theta_eval(_BASE, z, tau, pol)
     if abs(den) < DIVISOR_THRESHOLD:
         raise DivisorHit(f"theta[0 0;0 0]({z.x:.4g}, {z.y:.4g}) = {den:.3e}")
-    vals = tuple(
-        theta_eval(ThetaCharacteristic.of(*ch), z, tau, pol) / den
-        for ch in A_ORDER)
+    vals = tuple(theta_eval(ch, z, tau, pol) / den for ch in _A_CHARS)
     return FVector(vals, point=z, tau=tau)
 
 
 @lru_cache(maxsize=1)
-def _constant_forms() -> tuple[dict, tuple]:
+def _constant_forms() -> tuple[dict, dict]:
     """The doubled constants read once from the built-in rows D1..D16, as
-    characteristic key -> (name, root-form id, root form), and the sorted
-    keys of the base-period constants their radicands use."""
+    characteristic key -> (name, root-form id, root form, characteristic),
+    and the base-period constants their radicands use, as sorted key ->
+    characteristic."""
     by_id = {i.id: i for i in build_catalog()}
     forms = {}
     for name, d_id in ROOT_IDS.items():
         form = by_id[d_id].root_form
         if form is None:
             raise ValueError(f"{d_id} has no root form to read a constant from")
-        forms[_json_key(form["target"])] = (name, d_id, form)
+        key = _json_key(form["target"])
+        forms[key] = (name, d_id, form, ThetaCharacteristic.of(*key))
     if len(forms) != len(ROOT_IDS):
         raise ValueError("two constants share a characteristic")
-    base = {_json_key(ch) for _, _, form in forms.values()
+    base = {_json_key(ch) for _, _, form, _ in forms.values()
             for root in form["roots"] for _, *pair in root for ch in pair}
-    return forms, tuple(sorted(base))
+    return forms, {key: ThetaCharacteristic.of(*key) for key in sorted(base)}
 
 
 def constants_vector(tau: PeriodMatrix,
@@ -269,14 +272,14 @@ def constants_vector(tau: PeriodMatrix,
     """
     dbl = double_periods(tau)
     forms, base_chars = _constant_forms()
-    direct = {name: theta_eval(ThetaCharacteristic.of(*ch), ORIGIN, dbl, pol)
-              for ch, (name, _, _) in forms.items()}
-    base = {ch: theta_eval(ThetaCharacteristic.of(*ch), ORIGIN, tau, pol)
-            for ch in base_chars}
+    direct = {name: theta_eval(ch, ORIGIN, dbl, pol)
+              for name, _, _, ch in forms.values()}
+    base = {key: theta_eval(ch, ORIGIN, tau, pol)
+            for key, ch in base_chars.items()}
     resolved: dict[str, complex] = {}
     records: list[dict] = []
     fallbacks: list[str] = []
-    for name, d_id, form in forms.values():
+    for name, d_id, form, _ in forms.values():
         try:
             value, record = match_signs(d_id, form, direct[name], base)
             resolved[name] = value
@@ -327,7 +330,7 @@ def _read(term: IdentityTerm, shape: tuple, ident: str) -> tuple:
 
 
 @lru_cache(maxsize=1)
-def _law_tables() -> tuple[tuple, tuple, tuple, tuple]:
+def _law_tables() -> tuple[dict, tuple, tuple, tuple]:
     """Catalog rows C1..C28 and B1..B19 in index form, compiled once from
     the catalog builder.
 
@@ -343,11 +346,11 @@ def _law_tables() -> tuple[tuple, tuple, tuple, tuple]:
             = sum of coeff * Theta[x](2*z1) * Theta[y](2*z2).
 
     Returns (targets, products, solved, pairings): the characteristic each
-    solved row gives; the distinct products of named constants the rows
-    use; per solved row, a label, its lhs terms (coeff, products index) and
-    its rhs terms (coeff, products index, chA and chB _POINT_CHARS index);
-    per pairing row, (sum, diff) and its rhs terms (coeff / lhs coeff,
-    x and y targets index).
+    solved row gives, as key -> ThetaCharacteristic; the distinct products
+    of named constants the rows use; per solved row, a label, its lhs terms
+    (coeff, products index) and its rhs terms (coeff, products index, chA
+    and chB _POINT_CHARS index); per pairing row, (sum, diff) and its rhs
+    terms (coeff / lhs coeff, x and y targets index).
     """
     by_id = {i.id: i for i in build_catalog()}
     products: dict[tuple, int] = {}
@@ -374,7 +377,8 @@ def _law_tables() -> tuple[tuple, tuple, tuple, tuple]:
         pairings.append((pair, tuple(
             (c / c0, targets.index(x), targets.index(y))
             for c, (x, y), _ in rhs)))
-    return tuple(targets), tuple(products), tuple(solved), tuple(pairings)
+    return ({key: ThetaCharacteristic.of(*key) for key in targets},
+            tuple(products), tuple(solved), tuple(pairings))
 
 
 def _solved_weights(k: ConstantsVector) -> list[tuple]:
@@ -486,8 +490,8 @@ def doubled_values_direct(z: EvalPoint, tau: PeriodMatrix,
     in the order of rows C1..C28."""
     dbl = double_periods(tau)
     arg = z.scaled(2)
-    return {key: theta_eval(ThetaCharacteristic.of(*key), arg, dbl, pol)
-            for key in _law_tables()[0]}
+    return {key: theta_eval(ch, arg, dbl, pol)
+            for key, ch in _law_tables()[0].items()}
 
 
 def add_direct(z1: EvalPoint, z2: EvalPoint, tau: PeriodMatrix,

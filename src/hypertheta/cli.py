@@ -41,11 +41,13 @@ from .identity_catalog import (
     Identity,
     NoConsistentSign,
     ResidualReport,
+    _json_key,
     base_id,
     catalog_as_json,
     catalog_sha256,
     load_catalog,
-    resolve_sign,
+    match_signs,
+    root_constants,
     verify_catalog,
 )
 from .sampling import (
@@ -318,15 +320,20 @@ def _verify_elliptic_rows(n_samples: int, seed: int) -> list[ResidualReport]:
 def _sign_resolution_details(d_ids: list[str], seed: int,
                              pol: PrecisionPolicy,
                              catalog: list[Identity]) -> list[dict]:
-    """resolve_sign records for the selected root-form ids at 3 tau draws;
+    """match_signs records for the selected ids' root forms in `catalog` at
+    3 tau draws, each distinct constant of the forms summed once per draw;
     a failed sign search is recorded with its error."""
+    forms = {i.id: i.root_form for i in catalog
+             if i.id in d_ids and i.root_form}
     rng = make_rng(seed, "sign-resolution")
     details = []
     for trial in range(3):
-        tau = sample_tau(rng)
+        direct, base = root_constants([*forms.values()], sample_tau(rng), pol)
         for d_id in sorted(d_ids):
+            form = forms[d_id]
             try:
-                value, record = resolve_sign(d_id, tau, pol, catalog=catalog)
+                value, record = match_signs(
+                    d_id, form, direct[_json_key(form["target"])], base)
             except NoConsistentSign as exc:
                 details.append({"trial": trial, "id": d_id, "error": str(exc)})
                 continue

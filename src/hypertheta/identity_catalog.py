@@ -1029,12 +1029,23 @@ def resolve_sign(d_id: str, tau: PeriodMatrix,
     if entry is None:
         raise KeyError(f"no root form under id {d_id!r}")
     form = entry.root_form
-    direct = theta_eval(ThetaCharacteristic.from_json(form["target"]),
-                        ORIGIN, double_periods(tau), pol)
-    base = {_json_key(ch): theta_eval(ThetaCharacteristic.from_json(ch),
-                                      ORIGIN, tau, pol)
-            for root in form["roots"] for _, *pair in root for ch in pair}
-    return match_signs(d_id, form, direct, base)
+    direct, base = root_constants([form], tau, pol)
+    return match_signs(d_id, form, direct[_json_key(form["target"])], base)
+
+
+def root_constants(forms: list[dict], tau: PeriodMatrix,
+                   pol: PrecisionPolicy = DEFAULT_POLICY) -> tuple[dict, dict]:
+    """Each distinct doubled target and base-period radicand constant of
+    the root forms, summed once at tau, as two dicts keyed by _json_key:
+    the values match_signs reads."""
+    targets = {_json_key(f["target"]): f["target"] for f in forms}
+    radicands = {_json_key(ch): ch for f in forms for root in f["roots"]
+                 for _, *pair in root for ch in pair}
+    dbl = double_periods(tau)
+    return ({key: theta_eval(ThetaCharacteristic.from_json(ch), ORIGIN, dbl,
+                             pol) for key, ch in targets.items()},
+            {key: theta_eval(ThetaCharacteristic.from_json(ch), ORIGIN, tau,
+                             pol) for key, ch in radicands.items()})
 
 
 # --------------------------------------------------------------------------

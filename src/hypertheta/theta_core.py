@@ -23,7 +23,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .backends import lattice_sum
 
@@ -64,12 +64,8 @@ def _as_frac(value) -> Fraction:
     return f
 
 
-_QUARTER_PHASE = {
-    Fraction(0): 1 + 0j,
-    Fraction(1, 2): 1j,
-    Fraction(1): -1 + 0j,
-    Fraction(3, 2): -1j,
-}
+# i**q for q = 0..3.
+_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 @dataclass(frozen=True)
@@ -93,21 +89,32 @@ class ThetaCharacteristic:
     def is_integer(self) -> bool:
         return all(e.denominator == 1 for e in self.entries)
 
-    def reduce(self) -> tuple["ThetaCharacteristic", complex]:
-        """Canonical form with entries in [0, 2) and the exact phase unit.
+    def _reduction(self) -> tuple[tuple[int, int, int, int], int]:
+        """Doubled entries of the reduced form and q with theta[self] =
+        i**q * theta[reduced], in integers from the doubled entries k = 2e.
 
-        theta[self](z; tau) = phase * theta[reduced](z; tau) for all z, tau.
-        Shifting a or c by 2 is an exact reindex of the lattice (phase 1);
-        shifting b by 2 contributes exp(pi*i*a), shifting d by 2 contributes
-        exp(pi*i*c) — the integer-entry specialisation is the familiar
-        (-1)^a, (-1)^c.
+        Shifting a or c by 2 is an exact reindex of the lattice; each step
+        of 2 folded out of b (d) contributes exp(pi*i*a) (exp(pi*i*c)), that
+        is ka (kc) quarter turns, and k // 4 such steps are folded out.
         """
-        a0, c0, b0, d0 = (e % 2 for e in self.entries)
-        shifts_b = (self.b - b0) / 2   # integer number of +2 steps folded out
-        shifts_d = (self.d - d0) / 2
-        quarter = (self.a * shifts_b + self.c * shifts_d) % 2
-        phase = _QUARTER_PHASE[quarter]
-        return ThetaCharacteristic(a0, c0, b0, d0), phase
+        ka, kc, kb, kd = (e.numerator * (2 // e.denominator)
+                          for e in self.entries)
+        q = (ka * (kb // 4) + kc * (kd // 4)) % 4
+        return (ka % 4, kc % 4, kb % 4, kd % 4), q
+
+    @cached_property
+    def _kernel(self) -> tuple[float, float, float, float, complex]:
+        """(a0/2, c0/2, b0/2, d0/2, phase) of reduce(), the offsets as floats;
+        computed once per object."""
+        reduced, q = self._reduction()
+        return (*(k / 4 for k in reduced), _PHASES[q])
+
+    def reduce(self) -> tuple["ThetaCharacteristic", complex]:
+        """Canonical form with entries in [0, 2) and the exact phase unit:
+        theta[self](z; tau) = phase * theta[reduced](z; tau) for all z, tau."""
+        reduced, q = self._reduction()
+        return (ThetaCharacteristic(*(Fraction(k, 2) for k in reduced)),
+                _PHASES[q])
 
     def as_json(self) -> list[list[int]]:
         return [[e.numerator, e.denominator] for e in self.entries]
@@ -252,10 +259,11 @@ def truncation_radius(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
 
     Bound used.  Every term satisfies |term| <= f(M)*f(N) with
     f(t) = exp(-pi*lam*t^2 + 2*pi*rho*|t|), where lam is the smallest
-    eigenvalue of Im(tau) and rho = max(|Im x|, |Im y|) (the lower-row
-    characteristic shift is real and drops out of the modulus, so the
-    radius is characteristic-independent once entries are reduced to
-    [0, 2)).  Writing t* = rho/lam for the maximiser of f:
+    eigenvalue of Im(tau) and rho = max(|Im x|, |Im y|).  The radius does
+    not depend on the characteristic: the lower-row shift is real and
+    drops out of the modulus, and the upper-row offsets the lattice kernel
+    sums are reduced to [0, 1), so theta_eval passes ch as given.  Writing
+    t* = rho/lam for the maximiser of f:
 
       * one full index line sums to at most
         S = 2*exp(pi*rho^2/lam) * (t* + 2 + 1/sqrt(lam))
@@ -306,12 +314,10 @@ def theta_eval(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
                pol: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     """Truncated lattice sum for theta[ch](z; tau), tail below pol.eps_tail;
     raises NonFiniteSum where the terms overflow."""
-    reduced, phase = ch.reduce()
-    radius = truncation_radius(reduced, z, tau, pol.eps_tail, pol.max_radius)
-    value = _cached_sum(
-        float(reduced.a) / 2.0, float(reduced.c) / 2.0,
-        z.x + float(reduced.b) / 2.0, z.y + float(reduced.d) / 2.0,
-        tau.tau1, tau.tau2, tau.tau12, radius)
+    a2, c2, b2, d2, phase = ch._kernel
+    radius = truncation_radius(ch, z, tau, pol.eps_tail, pol.max_radius)
+    value = _cached_sum(a2, c2, z.x + b2, z.y + d2,
+                        tau.tau1, tau.tau2, tau.tau12, radius)
     if not _finite(value):
         raise NonFiniteSum(f"theta{ch} sum overflows to {value}")
     return phase * value

@@ -129,6 +129,22 @@ def test_constants_sum_each_constant_once(monkeypatch):
     assert len(kv.sign_records) == 16 and kv.fallback_ids == ()
 
 
+def test_theta_eval_and_law_never_call_reduce(monkeypatch):
+    """theta_eval reads each characteristic's integer reduction, so neither
+    it nor the addition law goes through the rational reduce()."""
+    def boom(self):
+        raise AssertionError("reduce() on the evaluation path")
+
+    monkeypatch.setattr(ThetaCharacteristic, "reduce", boom)
+    chars = {f.ch for idty in identity_catalog.build_catalog()
+             for term in (*idty.lhs, *idty.rhs) for f in term.factors}
+    for ch in chars:
+        fresh = ThetaCharacteristic(*ch.entries)  # nothing cached yet
+        theta_eval(fresh, Z1, TAU)
+        theta_eval(fresh, Z1.scaled(2), double_periods(TAU))
+    assert verify_addition(1, 0).all_passed
+
+
 def test_constants_fallback_on_failed_sign_search(monkeypatch):
     def boom(*args, **kwargs):
         raise NoConsistentSign("forced")

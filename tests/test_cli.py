@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from hypertheta import cli, identity_catalog
 from hypertheta.cli import (
     EXIT_CONFIG,
     EXIT_DIVISOR,
@@ -22,9 +23,12 @@ from hypertheta.identity_catalog import (
     build_catalog,
     catalog_as_json,
     load_catalog,
+    resolve_sign,
     save_catalog,
 )
+from hypertheta.sampling import make_rng, sample_tau
 from hypertheta.theta_core import (
+    DEFAULT_POLICY,
     EvalPoint,
     PeriodMatrix,
     ThetaCharacteristic,
@@ -145,6 +149,50 @@ def test_verify_smoke(tmp_path, capsys):
     per = report["per_identity"]["B1"]
     assert per["passed"] == per["samples"] == 2
     assert rows == sorted(rows, key=lambda r: (r["id"], r["sample"]))
+
+
+def test_verify_small_run_is_byte_pinned(tmp_path, capsys):
+    """Rows and report hash of a small run, pinned so that a change to the
+    evaluation path has to keep every byte (the hash covers the sign
+    resolutions too)."""
+    out = tmp_path / "rows.jsonl"
+    code = main(["verify", "--seed", "0", "--samples", "2", "--jobs", "1",
+                 "--out", str(out)])
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert code == 0
+    assert report["total_rows"] == report["passed_rows"] == 474
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "9c52113a1a800d24e546e1b47d6e7f558d5b44d56c6f3315d8b03b42716fab18")
+    assert report["determinism_hash"] == (
+        "9a7d850f05ac05dff2b61a37af71fe9927ab219d8b351657edaafe5720ea695b")
+
+
+def test_sign_details_sum_each_constant_once_per_draw(monkeypatch):
+    """A default verify's sign resolutions sum the 16 targets and 10 base
+    constants once per draw (78 sums; 384 through resolve_sign), and give
+    the records resolve_sign gives."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return theta_eval(*args)
+
+    for module in (cli, identity_catalog):
+        monkeypatch.setattr(module, "theta_eval", counted)
+    catalog = build_catalog()
+    d_ids = sorted(i.id for i in catalog if i.root_form)
+    details = cli._sign_resolution_details(d_ids, 0, DEFAULT_POLICY, catalog)
+    assert len(calls) == len(set(calls)) == 3 * 26
+    monkeypatch.setattr(identity_catalog, "theta_eval", theta_eval)
+    rng = make_rng(0, "sign-resolution")
+    want = []
+    for trial in range(3):
+        tau = sample_tau(rng)
+        for d_id in d_ids:
+            value, record = resolve_sign(d_id, tau, catalog=catalog)
+            want.append({"trial": trial, **record,
+                         "value": {"re": value.real, "im": value.imag}})
+    assert details == want
 
 
 def test_verify_reports_are_deterministic(tmp_path, capsys):

@@ -8,6 +8,7 @@ package, so they cannot inherit a bug from the kernel under test.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -132,6 +133,35 @@ def test_reduction_matches_unreduced_sum(a, c, b, d):
                             Z_G.x + float(b) / 2, Z_G.y + float(d) / 2,
                             TAU_G.tau1, TAU_G.tau2, TAU_G.tau12, 24)
     assert abs(theta_eval(ch, Z_G, TAU_G) - raw) <= 1e-11
+
+
+def _fraction_reduction(ch):
+    """Reference reduction in exact rationals: fold each entry into [0, 2);
+    every +2 folded out of b (d) costs exp(pi*i*a) (exp(pi*i*c))."""
+    a0, c0, b0, d0 = (e % 2 for e in ch.entries)
+    quarter = (ch.a * (ch.b - b0) / 2 + ch.c * (ch.d - d0) / 2) % 2
+    phase = {Fraction(0): 1 + 0j, Fraction(1, 2): 1j,
+             Fraction(1): -1 + 0j, Fraction(3, 2): -1j}[quarter]
+    return (a0, c0, b0, d0), phase
+
+
+def test_integer_reduction_matches_fraction_rule():
+    """For every entry k/2 with k in [-5, 5], the offsets and phase
+    theta_eval reads equal reduce()'s, and both equal the rule worked in
+    rationals, bit for bit (repr tells -0.0 from 0.0)."""
+    steps = [Fraction(k, 2) for k in range(-5, 6)]
+    count = 0
+    for entries in itertools.product(steps, repeat=4):
+        ch = ThetaCharacteristic.of(*entries)
+        reduced, phase = ch.reduce()
+        want_entries, want_phase = _fraction_reduction(ch)
+        assert reduced.entries == want_entries
+        assert repr(phase) == repr(want_phase)
+        *offsets, kernel_phase = ch._kernel
+        assert offsets == [float(e) / 2.0 for e in reduced.entries]
+        assert repr(kernel_phase) == repr(phase)
+        count += 1
+    assert count == 11 ** 4
 
 
 @settings(max_examples=40, deadline=None)
