@@ -45,6 +45,7 @@ from .identity_catalog import (
     ARG_SUM,
     IdentityTerm,
     NoConsistentSign,
+    REL_FLOOR,
     ResidualReport,
     _json_key,
     build_catalog,
@@ -66,7 +67,6 @@ from .theta_core import (
 DIVISOR_THRESHOLD = 1e-10
 CONSISTENCY_TOL = 1e-8
 PATH_TOL = 1e-9
-REL_FLOOR = 1e-30
 
 
 class DivisorHit(ArithmeticError):
@@ -522,15 +522,9 @@ class AdditionRun:
 
 def _quotient_rows(label_suffix: str, sample: int, got: FVector,
                    want: FVector, tol: float) -> list[ResidualReport]:
-    rows = []
-    for idx in range(15):
-        a, b = got.values[idx], want.values[idx]
-        abs_res = abs(a - b)
-        rel_res = abs_res / max(abs(a), abs(b), REL_FLOOR)
-        passed = rel_res < tol or abs_res < DEFAULT_POLICY.abs_tol
-        rows.append(ResidualReport(f"A{idx + 1}{label_suffix}", sample,
-                                   a, b, abs_res, rel_res, passed))
-    return rows
+    return [ResidualReport.compare(f"A{idx + 1}{label_suffix}", sample, a, b,
+                                   tol, DEFAULT_POLICY.abs_tol)
+            for idx, (a, b) in enumerate(zip(got.values, want.values))]
 
 
 def verify_addition(n_samples: int = 100, seed: int = 0,

@@ -232,15 +232,9 @@ def cmd_eval(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        reduced, _ = ch.reduce()
-        radius = truncation_radius(reduced, z, tau, pol.eps_tail,
-                                   pol.max_radius)
+        radius = truncation_radius(ch, z, tau, pol.eps_tail, pol.max_radius)
         if args.ratio:
             value = f_eval(ch, z, tau, pol).value
-            base = ThetaCharacteristic.of(0, 0, 0, 0).reduce()[0]
-            radius = max(radius, truncation_radius(base, z, tau,
-                                                   pol.eps_tail,
-                                                   pol.max_radius))
             label = f"F{ch}"
         else:
             value = theta_eval(ch, z, tau, pol)

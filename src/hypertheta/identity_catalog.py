@@ -184,6 +184,17 @@ class ResidualReport:
     passed: bool
     error: str = ""
 
+    @classmethod
+    def compare(cls, identity_id: str, sample_index: int, lhs: complex,
+                rhs: complex, rel_tol: float,
+                abs_tol: float) -> "ResidualReport":
+        """The row for lhs against rhs: it passes when the residual is below
+        rel_tol relative to max(|lhs|, |rhs|, REL_FLOOR) or below abs_tol."""
+        abs_res = abs(lhs - rhs)
+        rel_res = abs_res / max(abs(lhs), abs(rhs), REL_FLOOR)
+        return cls(identity_id, sample_index, lhs, rhs, abs_res, rel_res,
+                   rel_res < rel_tol or abs_res < abs_tol)
+
     def as_json(self) -> dict:
         def num(x: float):
             return x if math.isfinite(x) else None
@@ -901,36 +912,35 @@ def _built_sha256() -> str:
 # --------------------------------------------------------------------------
 # evaluation
 
-def _factor_value(f: ThetaFactor, s: SampleAssignment,
-                  pol: PrecisionPolicy) -> complex:
-    z = f.arg.select(s.p1, s.p2)
-    tau = double_periods(s.tau) if f.scale is Scale.DOUBLED else s.tau
-    return theta_eval(f.ch, z, tau, pol)
-
-
-def _side_value(terms, s, pol) -> complex:
-    total = 0j
-    for t in terms:
-        prod = t.coefficient
-        for f in t.factors:
-            prod *= _factor_value(f, s, pol)
-        total += prod
-    return total
-
-
 def evaluate_identity(idty: Identity, s: SampleAssignment,
                       pol: PrecisionPolicy = DEFAULT_POLICY) -> ResidualReport:
     """Compute both sides by direct summation and report the residual.
 
+    Each distinct factor of the sample is summed once, for lhs and rhs
+    together; a factor's value is decided by its reduced characteristic
+    (_kernel), argument selector and scale.  Nothing is kept between calls.
     OnePoint identities ignore p2 and ConstantsOnly identities ignore both
     points by construction (their selectors never touch the ignored point).
     """
-    lhs = _side_value(idty.lhs, s, pol)
-    rhs = _side_value(idty.rhs, s, pol)
-    abs_res = abs(lhs - rhs)
-    rel_res = abs_res / max(abs(lhs), abs(rhs), REL_FLOOR)
-    passed = rel_res < pol.rel_tol or abs_res < pol.abs_tol
-    return ResidualReport(idty.id, s.seed, lhs, rhs, abs_res, rel_res, passed)
+    taus = {Scale.BASE: s.tau, Scale.DOUBLED: double_periods(s.tau)}
+    values: dict[tuple, complex] = {}
+
+    def side(terms) -> complex:
+        total = 0j
+        for t in terms:
+            prod = t.coefficient
+            for f in t.factors:
+                key = (f.ch._kernel, f.arg, f.scale)
+                value = values.get(key)
+                if value is None:
+                    value = values[key] = theta_eval(
+                        f.ch, f.arg.select(s.p1, s.p2), taus[f.scale], pol)
+                prod *= value
+            total += prod
+        return total
+
+    return ResidualReport.compare(idty.id, s.seed, side(idty.lhs),
+                                  side(idty.rhs), pol.rel_tol, pol.abs_tol)
 
 
 def verify_catalog(n_samples: int = 100, seed: int = 0,
@@ -1062,32 +1072,20 @@ def catalog_as_json(catalog: list[Identity]) -> dict:
             "identities": body}
 
 
-# (entries, content digest) of the catalog last read from a file.
-_loaded: tuple[tuple[Identity, ...], str] = ((), _sha256([]))
-
-
 def identities_from_json(obj: dict) -> list[Identity]:
-    global _loaded
     body = obj["identities"]
-    digest = _sha256(body)
-    if obj.get("sha256") != digest:
+    if obj.get("sha256") != _sha256(body):
         raise ValueError("catalog content hash mismatch (file corrupted or "
                          "hand-edited)")
-    catalog = [Identity.from_json(entry) for entry in body]
-    _loaded = (tuple(catalog), digest)
-    return catalog
+    return [Identity.from_json(entry) for entry in body]
 
 
 def catalog_sha256(catalog: list[Identity]) -> str:
-    """catalog_as_json(catalog)["sha256"], reusing the digests of the
-    built-in catalog and of the catalog last read from a file."""
-    def same(entries) -> bool:
-        return len(entries) == len(catalog) and all(
-            a is b for a, b in zip(entries, catalog))
-
-    if same(_loaded[0]):
-        return _loaded[1]
-    if same(_built_catalog()):
+    """catalog_as_json(catalog)["sha256"], reusing the memoized digest of
+    the built-in catalog."""
+    built = _built_catalog()
+    if len(built) == len(catalog) and all(
+            a is b for a, b in zip(built, catalog)):
         return _built_sha256()
     return _sha256([i.as_json() for i in catalog])
 

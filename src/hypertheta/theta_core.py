@@ -23,7 +23,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .backends import lattice_sum
 
@@ -127,11 +127,6 @@ class ThetaCharacteristic:
         def fmt(e: Fraction) -> str:
             return str(e.numerator) if e.denominator == 1 else f"{e.numerator}/2"
         return f"[{fmt(self.a)} {fmt(self.c)}; {fmt(self.b)} {fmt(self.d)}]"
-
-
-def reduce_characteristic(ch: ThetaCharacteristic) -> tuple[ThetaCharacteristic, complex]:
-    """Canonical characteristic in [0,2)^4 and phase with theta[ch] = phase*theta[ch']."""
-    return ch.reduce()
 
 
 def is_odd(ch: ThetaCharacteristic) -> bool:
@@ -299,15 +294,9 @@ def truncation_radius(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
         f"(lambda_min={lam:.3g}, rho={rho:.3g})")
 
 
-@lru_cache(maxsize=262144)
-def _cached_sum(a2: float, c2: float, xs: complex, ys: complex,
-                tau1: complex, tau2: complex, tau12: complex,
-                radius: int) -> complex:
-    return lattice_sum(a2, c2, xs, ys, tau1, tau2, tau12, radius)
-
-
 def clear_theta_cache() -> None:
-    _cached_sum.cache_clear()
+    """No-op: theta values are not cached between calls, so every
+    theta_eval sums afresh and there is nothing to clear."""
 
 
 def theta_eval(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
@@ -316,7 +305,7 @@ def theta_eval(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
     raises NonFiniteSum where the terms overflow."""
     a2, c2, b2, d2, phase = ch._kernel
     radius = truncation_radius(ch, z, tau, pol.eps_tail, pol.max_radius)
-    value = _cached_sum(a2, c2, z.x + b2, z.y + d2,
+    value = lattice_sum(a2, c2, z.x + b2, z.y + d2,
                         tau.tau1, tau.tau2, tau.tau12, radius)
     if not _finite(value):
         raise NonFiniteSum(f"theta{ch} sum overflows to {value}")

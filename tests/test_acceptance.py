@@ -29,7 +29,6 @@ from hypertheta import (
     f_vector,
     is_odd,
     jacobi_eval,
-    reduce_characteristic,
     riemann_matrix,
     theta_eval,
     truncation_radius,
@@ -169,7 +168,7 @@ def test_primary_theta_core_oracles():
     for entries in ((2, 0, 0, 0), (0, 2, 0, 0), (1, 0, 2, 0), (0, 1, 0, 2),
                     (3, -1, 2, 4), ("5/2", 0, "-3/2", 1)):
         ch = ThetaCharacteristic.of(*entries)
-        reduced, phase = reduce_characteristic(ch)
+        reduced, phase = ch.reduce()
         raw = lattice_sum(
             float(ch.a) / 2, float(ch.c) / 2,
             Z_G.x + float(ch.b) / 2, Z_G.y + float(ch.d) / 2,

@@ -29,6 +29,7 @@ from hypertheta import (
     SampleAssignment,
     ThetaCharacteristic,
     build_catalog,
+    clear_theta_cache,
     double_periods,
     evaluate_identity,
     general_duplication,
@@ -39,6 +40,7 @@ from hypertheta import (
     theta_eval,
     verify_catalog,
 )
+from hypertheta import identity_catalog, theta_core
 from hypertheta.identity_catalog import (
     ENV_CATALOG,
     Scale,
@@ -338,6 +340,28 @@ def test_verify_catalog_deterministic():
     assert [r.as_json() for r in a] == [r.as_json() for r in b]
     c = verify_catalog(n_samples=2, seed=6, only={"2e30", "D11", "B17"})
     assert [r.as_json() for r in a] != [r.as_json() for r in c]
+
+
+def test_each_distinct_factor_summed_once_per_sample(monkeypatch):
+    """A factor repeated within one identity at one sample is summed once,
+    and with no theta cache every theta_eval reaches the lattice kernel."""
+    expected = [r.as_json() for r in verify_catalog(2, 0)]
+    counts = {"theta_eval": 0, "lattice_sum": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(identity_catalog, "theta_eval")
+    counted(theta_core, "lattice_sum")
+    clear_theta_cache()
+    rows = verify_catalog(2, 0)
+    assert counts == {"theta_eval": 3216, "lattice_sum": 3216}
+    assert [r.as_json() for r in rows] == expected
 
 
 def test_report_json_schema():

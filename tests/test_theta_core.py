@@ -29,7 +29,6 @@ from hypertheta import (
     ThetaCharacteristic,
     double_periods,
     is_odd,
-    reduce_characteristic,
     theta_eval,
     truncation_radius,
 )
@@ -126,7 +125,7 @@ def test_reduction_matches_unreduced_sum(a, c, b, d):
     """theta_eval folds entries into [0,2) with a unit phase; summing the
     raw offsets directly must give the same number."""
     ch = ThetaCharacteristic(a, c, b, d)
-    reduced, phase = reduce_characteristic(ch)
+    reduced, phase = ch.reduce()
     assert all(0 <= e < 2 for e in reduced.entries)
     assert phase in (1, 1j, -1, -1j)
     raw = lattice_sum(float(a) / 2, float(c) / 2,
