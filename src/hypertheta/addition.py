@@ -26,12 +26,14 @@ constants alone and never evaluates a theta series at a new argument.
 Direct mode (add_direct) instead sums every doubled theta at (2z; doubled
 periods) from scratch.  verify_addition checks reduced mode against direct
 summation at z1+z2 and cross-checks the two modes against each other.
+
+constants_vector sums each of the sixteen constants the rows read once; the
+root forms of D1..D16 are checked in identity_catalog, not on this path.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -44,12 +46,8 @@ from .identity_catalog import (
     ARG_P1,
     ARG_SUM,
     IdentityTerm,
-    NoConsistentSign,
-    REL_FLOOR,
     ResidualReport,
-    _json_key,
     build_catalog,
-    match_signs,
 )
 from .sampling import make_rng, sample_point, sample_tau
 from .theta_core import (
@@ -167,31 +165,19 @@ class FVector:
 
 @dataclass(frozen=True)
 class ConstantsVector:
-    """The doubled-period constants of the addition law, plus the ten even
-    base-period constants they are rooted in.
-
-    `direct` holds lattice-summed doubled values (used by all computations);
-    `resolved` holds the values re-derived from base constants through the
-    printed root expressions, with `discrepancy` the worst relative gap.
-    Constants whose root search found no consistent signs fall back to the
-    direct value and are listed in `fallback_ids`.  The six odd constants
-    vanish identically and are not stored.
-    """
+    """The sixteen doubled-period theta constants the addition law reads at
+    one tau, keyed by name (m00 .. w), each lattice-summed once.  The six
+    odd constants vanish identically and are not stored."""
 
     tau: PeriodMatrix
-    base: dict[tuple, complex]
-    direct: dict[str, complex]
-    resolved: dict[str, complex]
-    discrepancy: float
-    fallback_ids: tuple[str, ...] = ()
-    sign_records: tuple[dict, ...] = ()
+    values: dict[str, complex]
 
     def __getitem__(self, name: str) -> complex:
-        return self.direct[name]
+        return self.values[name]
 
     def near_singular(self, threshold: float = DIVISOR_THRESHOLD) -> tuple[str, ...]:
         """Names of assembly denominators too close to zero at this tau."""
-        k = self.direct
+        k = self.values
         dens = {
             "alpha^2-beta^2": k["alpha"] ** 2 - k["beta"] ** 2,
             "gamma^2-delta^2": k["gamma"] ** 2 - k["delta"] ** 2,
@@ -203,16 +189,9 @@ class ConstantsVector:
         return tuple(sorted(n for n, v in dens.items() if abs(v) < threshold))
 
     def as_json(self) -> dict:
-        def c2j(z: complex) -> dict:
-            return {"re": z.real, "im": z.imag}
-
         return {"tau": self.tau.as_json(),
-                "base": {"".join(map(str, ch)): c2j(v)
-                         for ch, v in self.base.items()},
-                "direct": {n: c2j(v) for n, v in self.direct.items()},
-                "resolved": {n: c2j(v) for n, v in self.resolved.items()},
-                "discrepancy": self.discrepancy,
-                "fallback_ids": list(self.fallback_ids)}
+                "values": {n: {"re": v.real, "im": v.imag}
+                           for n, v in self.values.items()}}
 
 
 # --------------------------------------------------------------------------
@@ -241,58 +220,28 @@ def f_vector(z: EvalPoint, tau: PeriodMatrix,
 
 
 @lru_cache(maxsize=1)
-def _constant_forms() -> tuple[dict, dict]:
-    """The doubled constants read once from the built-in rows D1..D16, as
-    characteristic key -> (name, root-form id, root form, characteristic),
-    and the base-period constants their radicands use, as sorted key ->
-    characteristic."""
+def _constant_chars() -> dict[str, ThetaCharacteristic]:
+    """Constant name -> doubled-period characteristic, read once from the
+    targets of the built-in root-form rows D1..D16."""
     by_id = {i.id: i for i in build_catalog()}
-    forms = {}
+    chars = {}
     for name, d_id in ROOT_IDS.items():
         form = by_id[d_id].root_form
         if form is None:
             raise ValueError(f"{d_id} has no root form to read a constant from")
-        key = _json_key(form["target"])
-        forms[key] = (name, d_id, form, ThetaCharacteristic.of(*key))
-    if len(forms) != len(ROOT_IDS):
+        chars[name] = ThetaCharacteristic.from_json(form["target"])
+    if len(set(chars.values())) != len(chars):
         raise ValueError("two constants share a characteristic")
-    base = {_json_key(ch) for _, _, form, _ in forms.values()
-            for root in form["roots"] for _, *pair in root for ch in pair}
-    return forms, {key: ThetaCharacteristic.of(*key) for key in sorted(base)}
+    return chars
 
 
 def constants_vector(tau: PeriodMatrix,
                      pol: PrecisionPolicy = DEFAULT_POLICY) -> ConstantsVector:
-    """Doubled constants, summed once each and read back through their
-    root forms by match_signs over the summed values.
-
-    A failed sign search warns and falls back to the direct value; it does
-    not abort, because the direct route is the computational one and the
-    root route is a consistency read-back.
-    """
+    """The sixteen doubled constants at tau, each summed once at the origin
+    and doubled periods."""
     dbl = double_periods(tau)
-    forms, base_chars = _constant_forms()
-    direct = {name: theta_eval(ch, ORIGIN, dbl, pol)
-              for name, _, _, ch in forms.values()}
-    base = {key: theta_eval(ch, ORIGIN, tau, pol)
-            for key, ch in base_chars.items()}
-    resolved: dict[str, complex] = {}
-    records: list[dict] = []
-    fallbacks: list[str] = []
-    for name, d_id, form, _ in forms.values():
-        try:
-            value, record = match_signs(d_id, form, direct[name], base)
-            resolved[name] = value
-            records.append(record)
-        except NoConsistentSign as exc:
-            warnings.warn(f"constant {name}: {exc}; using direct value",
-                          RuntimeWarning, stacklevel=2)
-            resolved[name] = direct[name]
-            fallbacks.append(d_id)
-    gap = max(abs(resolved[n] - direct[n])
-              / max(abs(direct[n]), REL_FLOOR) for n in direct)
-    return ConstantsVector(tau, base, direct, resolved, gap,
-                           tuple(fallbacks), tuple(records))
+    return ConstantsVector(tau, {name: theta_eval(ch, ORIGIN, dbl, pol)
+                                 for name, ch in _constant_chars().items()})
 
 
 # --------------------------------------------------------------------------
@@ -324,9 +273,9 @@ def _read(term: IdentityTerm, shape: tuple, ident: str) -> tuple:
     if (tuple((f.arg, f.scale) for f in moving) != shape
             or any(f.scale is not Scale.DOUBLED for f in consts)):
         raise ValueError(f"{ident} does not have the shape the law reads")
-    forms = _constant_forms()[0]
+    names = {ch: name for name, ch in _constant_chars().items()}
     return (term.coefficient, tuple(FVector._key(f.ch) for f in moving),
-            tuple(forms[FVector._key(f.ch)][0] for f in consts))
+            tuple(names[f.ch] for f in consts))
 
 
 @lru_cache(maxsize=1)
@@ -386,7 +335,7 @@ def _solved_weights(k: ConstantsVector) -> list[tuple]:
     terms as (coeff * constants, chA index, chB index).  Raises
     DegenerateDenominator when an lhs coefficient vanishes."""
     _, products, solved, _ = _law_tables()
-    values = [math.prod((k.direct[name] for name in names), start=1)
+    values = [math.prod((k[name] for name in names), start=1)
               for names in products]
     return [(_guard(sum(c * values[i] for c, i in lhs), label),
              [(c * values[i], a, b) for c, i, a, b in rhs])
@@ -513,7 +462,6 @@ class AdditionRun:
     samples: int
     tau_redraws: int
     point_redraws: int
-    max_constant_discrepancy: float
 
     @property
     def all_passed(self) -> bool:
@@ -542,7 +490,6 @@ def verify_addition(n_samples: int = 100, seed: int = 0,
     reports: list[ResidualReport] = []
     tau_redraws = 0
     point_redraws = 0
-    max_gap = 0.0
     for idx in range(n_samples):
         for _ in range(20):
             tau = sample_tau(rng)
@@ -552,7 +499,6 @@ def verify_addition(n_samples: int = 100, seed: int = 0,
             tau_redraws += 1
         else:  # pragma: no cover - the draw family keeps taus well away
             raise RuntimeError("could not draw a nondegenerate period matrix")
-        max_gap = max(max_gap, k.discrepancy)
 
         for _ in range(50):
             z1, z2 = sample_point(rng), sample_point(rng)
@@ -572,4 +518,4 @@ def verify_addition(n_samples: int = 100, seed: int = 0,
                                       CONSISTENCY_TOL))
         reports.extend(_quotient_rows(".path", idx, reduced, direct_mode,
                                       PATH_TOL))
-    return AdditionRun(reports, n_samples, tau_redraws, point_redraws, max_gap)
+    return AdditionRun(reports, n_samples, tau_redraws, point_redraws)

@@ -30,7 +30,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import __version__
@@ -48,6 +48,7 @@ from .identity_catalog import (
     load_catalog,
     match_signs,
     root_constants,
+    selected,
     verify_catalog,
 )
 from .sampling import (
@@ -164,9 +165,19 @@ class VerificationConfig:
     jobs: int = 1
 
     def validate(self) -> None:
+        if not (isinstance(self.only, tuple)
+                and all(isinstance(o, str) for o in self.only)):
+            raise ValueError("config field 'only' must be a list of strings, "
+                             f"got {self.only!r}")
+        for f in fields(self):  # each field has its default's type
+            value, want = getattr(self, f.name), type(f.default)
+            if isinstance(value, bool) or not isinstance(
+                    value, (float, int) if want is float else want):
+                raise ValueError(f"config field {f.name!r} must be "
+                                 f"{want.__name__}, got {value!r}")
         if self.n_samples < 1:
             raise ValueError("--samples must be >= 1")
-        if min(self.eps_tail, self.rel_tol, self.abs_tol) <= 0:
+        if not all(t > 0 for t in (self.eps_tail, self.rel_tol, self.abs_tol)):
             raise ValueError("tolerances must be positive")
         if self.output_format not in ("json-lines", "csv"):
             raise ValueError(f"unknown format {self.output_format!r}")
@@ -191,6 +202,9 @@ class VerificationConfig:
         if args.config:
             with open(args.config, encoding="utf-8") as fh:
                 base = json.load(fh)
+            if not isinstance(base, dict):
+                raise ValueError(f"config file {args.config} must hold a "
+                                 "JSON object")
         cfg = cls(**{k: v for k, v in base.items()
                      if k in cls.__dataclass_fields__})
         # flags win over the config file
@@ -269,9 +283,7 @@ def _catalog_chunk(payload) -> list[ResidualReport]:
 def _verify_catalog_rows(cfg: VerificationConfig, catalog: list[Identity],
                          only: set[str] | None) -> list[ResidualReport]:
     pol = cfg.policy()
-    if only is not None:
-        catalog = [i for i in catalog
-                   if i.id in only or base_id(i.id) in only]
+    catalog = [i for i in catalog if selected(i.id, only)]
     if cfg.jobs <= 1 or len(catalog) < 2:
         return verify_catalog(cfg.n_samples, cfg.seed, pol, catalog=catalog)
     ordered = sorted(catalog, key=lambda i: i.id)
@@ -367,35 +379,31 @@ def cmd_verify(args) -> int:
         return EXIT_CONFIG
 
     only = set(cfg.only) or None
-    catalog_ids = {i.id for i in catalog} | {base_id(i.id) for i in catalog}
     addition_ids = set(A_LABELS) | {f"{a}.path" for a in A_LABELS}
+    elliptic_ids = {label for label, _ in _ELLIPTIC_LISTING}
+    row_ids = {i.id for i in catalog} | addition_ids | elliptic_ids
+    unknown = sorted(set(cfg.only) - row_ids - {base_id(r) for r in row_ids})
+    if unknown:
+        print(f"error: --only entries select no row: {', '.join(unknown)}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     started = time.monotonic()
 
-    run_catalog = only is None or bool(only & catalog_ids)
-    run_addition = only is None or bool(only & addition_ids)
-    run_elliptic = only is None or any(o.startswith("E") for o in only)
+    run_catalog = any(selected(i.id, only) for i in catalog)
+    run_addition = any(selected(a, only) for a in addition_ids)
+    run_elliptic = any(selected(e, only) for e in elliptic_ids)
 
     rows: list[ResidualReport] = []
     redraws = {"tau": 0, "points": 0}
-    max_constant_gap = 0.0
     if run_catalog:
         rows.extend(_verify_catalog_rows(cfg, catalog, only))
     if run_addition:
         run = verify_addition(cfg.n_samples, cfg.seed, cfg.policy())
-        add_rows = run.reports
-        if only is not None:
-            add_rows = [r for r in add_rows if r.identity_id in only
-                        or base_id(r.identity_id) in only]
-        add_rows.sort(key=lambda r: (r.identity_id, r.sample_index))
-        rows.extend(add_rows)
+        rows.extend(r for r in run.reports if selected(r.identity_id, only))
         redraws = {"tau": run.tau_redraws, "points": run.point_redraws}
-        max_constant_gap = run.max_constant_discrepancy
     if run_elliptic:
-        ell = _verify_elliptic_rows(cfg.n_samples, cfg.seed)
-        if only is not None:
-            ell = [r for r in ell if r.identity_id in only
-                   or base_id(r.identity_id) in only or "E" in only]
-        rows.extend(ell)
+        rows.extend(r for r in _verify_elliptic_rows(cfg.n_samples, cfg.seed)
+                    if selected(r.identity_id, only))
     rows.sort(key=lambda r: (r.identity_id, r.sample_index))
 
     per_identity: dict[str, dict] = {}
@@ -410,8 +418,8 @@ def cmd_verify(args) -> int:
     failing = sorted({r.identity_id for r in rows if not r.passed})
 
     sign_details: list[dict] = []
-    roots = {i.id for i in catalog if i.root_form}
-    selected_d = sorted(roots if only is None else roots & only)
+    selected_d = sorted(i.id for i in catalog
+                        if i.root_form and selected(i.id, only))
     if selected_d:
         sign_details = _sign_resolution_details(selected_d, cfg.seed,
                                                 cfg.policy(), catalog)
@@ -434,7 +442,6 @@ def cmd_verify(args) -> int:
         "failing_ids": failing,
         "per_identity": per_identity,
         "redraws": redraws,
-        "max_constant_discrepancy": max_constant_gap,
         "sign_resolutions": sign_details,
         "versions": {"hypertheta": __version__},
         "catalog_sha256": catalog_sha256(catalog),

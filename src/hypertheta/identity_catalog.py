@@ -958,8 +958,7 @@ def verify_catalog(n_samples: int = 100, seed: int = 0,
         raise ValueError("n_samples must be >= 1")
     if catalog is None:
         catalog = build_catalog()
-    if only is not None:
-        catalog = [i for i in catalog if i.id in only or base_id(i.id) in only]
+    catalog = [i for i in catalog if selected(i.id, only)]
     reports: list[ResidualReport] = []
     for idty in sorted(catalog, key=lambda i: i.id):
         for s in assignments_for(seed, idty.id, n_samples):
@@ -976,6 +975,12 @@ def verify_catalog(n_samples: int = 100, seed: int = 0,
 def base_id(ident: str) -> str:
     """Family id: text before the first dot ('2e5.0001' -> '2e5')."""
     return ident.split(".", 1)[0]
+
+
+def selected(ident: str, only: set[str] | None) -> bool:
+    """Whether an --only set picks row id `ident`: every id when `only` is
+    None, else an id listed itself or through its family (base_id)."""
+    return only is None or ident in only or base_id(ident) in only
 
 
 # --------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_verify_small_run_is_byte_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "9c52113a1a800d24e546e1b47d6e7f558d5b44d56c6f3315d8b03b42716fab18")
     assert report["determinism_hash"] == (
-        "9a7d850f05ac05dff2b61a37af71fe9927ab219d8b351657edaafe5720ea695b")
+        "1d33524a6e5a58cba923c2cb39064c19db7fc4d97a5bc087671e02ea444b65d8")
 
 
 def test_sign_details_sum_each_constant_once_per_draw(monkeypatch):
@@ -283,6 +283,35 @@ def test_verify_rejects_bad_config(capsys):
     assert "samples" in capsys.readouterr().err
     assert main(["verify", "--rel-tol", "-1"]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("body, named", [
+    ([{"seed": 7}], "JSON object"),
+    ({"n_samples": "2"}, "n_samples"),
+    ({"only": "2e5.0000"}, "only"),
+    ({"rel_tol": float("nan")}, "tolerances"),
+])
+def test_verify_rejects_malformed_config_file(body, named, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(body))
+    out = tmp_path / "rows.jsonl"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) \
+        == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("only, unknown", [
+    ("D99", "D99"), ("2e5,D99", "D99"), ("Exx", "Exx")])
+def test_verify_rejects_only_entry_that_selects_no_row(only, unknown,
+                                                      tmp_path, capsys):
+    out = tmp_path / "rows.jsonl"
+    assert main(["verify", "--samples", "1", "--only", only,
+                 "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert unknown in captured.err and "2e5" not in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_verify_parallel_jobs_match_serial(tmp_path, capsys):

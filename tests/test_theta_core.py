@@ -12,6 +12,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +94,54 @@ def test_block_diagonal_factorizes(a, c, b, d):
     got = theta_eval(ThetaCharacteristic.of(a, c, b, d), Z_G, tau)
     want = _theta_1d(a, b, Z_G.x, tau.tau1) * _theta_1d(c, d, Z_G.y, tau.tau2)
     assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def _thin_tau(lam_min: float, det: float = 0.2, angle: float = 0.4,
+              re=(0.3, -0.2, 0.15)) -> PeriodMatrix:
+    """Periods whose Im part has eigenvalues lam_min and det / lam_min,
+    rotated by `angle` so the lattice is thin along a slanted direction."""
+    lam_max = det / lam_min
+    cs, sn = math.cos(angle), math.sin(angle)
+    i1 = lam_min * cs * cs + lam_max * sn * sn
+    i2 = lam_min * sn * sn + lam_max * cs * cs
+    i12 = (lam_max - lam_min) * cs * sn
+    return PeriodMatrix(complex(re[0], i1), complex(re[1], i2),
+                        complex(re[2], i12))
+
+
+def _mp_theta(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
+              radius: int) -> complex:
+    """theta[ch](z; tau) summed over |m|, |n| <= radius with 30 digits,
+    straight from the definition, the characteristic left unreduced."""
+    with mpmath.workdps(30):
+        a, c, b, d = (mpmath.mpf(e.numerator) / e.denominator
+                      for e in ch.entries)
+        t1, t2, t12 = (mpmath.mpc(t.real, t.imag)
+                       for t in (tau.tau1, tau.tau2, tau.tau12))
+        x = mpmath.mpc(z.x.real, z.x.imag) + b / 2
+        y = mpmath.mpc(z.y.real, z.y.imag) + d / 2
+        total = mpmath.mpc(0)
+        for m in range(-radius, radius + 1):
+            M = m + a / 2
+            for n in range(-radius, radius + 1):
+                N = n + c / 2
+                total += mpmath.expjpi(t1 * M * M + t2 * N * N
+                                       + 2 * t12 * M * N + 2 * (M * x + N * y))
+        return complex(total)
+
+
+@pytest.mark.parametrize("lam_min", [0.07, 0.14])
+def test_thin_lattices_match_a_30_digit_sum(lam_min):
+    """Away from the sampling family (det Im tau = 0.2, small lambda_min),
+    with half, unreduced and odd characteristics."""
+    tau = _thin_tau(lam_min)
+    assert math.isclose(tau.lambda_min, lam_min, rel_tol=1e-12)
+    for ch in (ThetaCharacteristic.of("1/2", "-1/2", 0, 0),
+               ThetaCharacteristic.of(3, -1, "5/2", 2),
+               ThetaCharacteristic.of(1, 1, 1, 1)):
+        radius = truncation_radius(ch, Z_G, tau) + 3
+        want = _mp_theta(ch, Z_G, tau, radius)
+        assert abs(theta_eval(ch, Z_G, tau) - want) <= 1e-13 * abs(want)
 
 
 def test_exactly_six_odd_characteristics_vanish_at_origin():
