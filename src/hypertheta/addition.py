@@ -27,8 +27,12 @@ Direct mode (add_direct) instead sums every doubled theta at (2z; doubled
 periods) from scratch.  verify_addition checks reduced mode against direct
 summation at z1+z2 and cross-checks the two modes against each other.
 
-constants_vector sums each of the sixteen constants the rows read once; the
-root forms of D1..D16 are checked in identity_catalog, not on this path.
+Direct sums share one kernel call per (z, tau) through theta_values:
+constants_vector sums the sixteen constants the rows read in one call,
+f_vector the normalizer and then the fifteen numerators, and
+doubled_values_direct the twenty-eight doubled values in one, so a
+verify_addition sample makes nine kernel calls.  The root forms of D1..D16
+are checked in identity_catalog, not on this path.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from .theta_core import (
     ThetaCharacteristic,
     double_periods,
     theta_eval,
+    theta_values,
 )
 
 DIVISOR_THRESHOLD = 1e-10
@@ -211,11 +216,13 @@ def f_eval(ch, z: EvalPoint, tau: PeriodMatrix,
 
 def f_vector(z: EvalPoint, tau: PeriodMatrix,
              pol: PrecisionPolicy = DEFAULT_POLICY) -> FVector:
-    """All fifteen quotients at z by direct summation."""
+    """All fifteen quotients at z by direct summation: the normalizer
+    first, so DivisorHit is raised before any numerator is summed, then the
+    fifteen numerators in one theta_values call."""
     den = theta_eval(_BASE, z, tau, pol)
     if abs(den) < DIVISOR_THRESHOLD:
         raise DivisorHit(f"theta[0 0;0 0]({z.x:.4g}, {z.y:.4g}) = {den:.3e}")
-    vals = tuple(theta_eval(ch, z, tau, pol) / den for ch in _A_CHARS)
+    vals = tuple(v / den for v in theta_values(_A_CHARS, z, tau, pol))
     return FVector(vals, point=z, tau=tau)
 
 
@@ -238,10 +245,10 @@ def _constant_chars() -> dict[str, ThetaCharacteristic]:
 def constants_vector(tau: PeriodMatrix,
                      pol: PrecisionPolicy = DEFAULT_POLICY) -> ConstantsVector:
     """The sixteen doubled constants at tau, each summed once at the origin
-    and doubled periods."""
-    dbl = double_periods(tau)
-    return ConstantsVector(tau, {name: theta_eval(ch, ORIGIN, dbl, pol)
-                                 for name, ch in _constant_chars().items()})
+    and doubled periods, all in one theta_values call."""
+    chars = _constant_chars()
+    values = theta_values(chars.values(), ORIGIN, double_periods(tau), pol)
+    return ConstantsVector(tau, dict(zip(chars, values)))
 
 
 # --------------------------------------------------------------------------
@@ -436,11 +443,10 @@ def add_algebraic(ch, f1: FVector, f2: FVector,
 def doubled_values_direct(z: EvalPoint, tau: PeriodMatrix,
                           pol: PrecisionPolicy = DEFAULT_POLICY) -> dict:
     """The twenty-eight doubled values by fresh summation at (2z; 2*tau),
-    in the order of rows C1..C28."""
-    dbl = double_periods(tau)
-    arg = z.scaled(2)
-    return {key: theta_eval(ch, arg, dbl, pol)
-            for key, ch in _law_tables()[0].items()}
+    in the order of rows C1..C28, all in one theta_values call."""
+    targets = _law_tables()[0]
+    return dict(zip(targets, theta_values(targets.values(), z.scaled(2),
+                                          double_periods(tau), pol)))
 
 
 def add_direct(z1: EvalPoint, z2: EvalPoint, tau: PeriodMatrix,

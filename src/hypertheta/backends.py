@@ -7,7 +7,10 @@ The kernel computes the truncated double series
 
 with M = m + a2, N = n + c2, where a2, c2 are the (halved) upper
 characteristic entries and xs, ys already include the lower-row shift
-(xs = x + b/2, ys = y + d/2).
+(xs = x + b/2, ys = y + d/2).  Given numpy arrays of shape (C,) for a2,
+c2, xs and ys, one call sums C characteristics that share (tau, R); each
+sum is bit-identical to the scalar call, since every term is formed by the
+same expressions in the same order and each window is reduced on its own.
 """
 
 from __future__ import annotations
@@ -16,14 +19,34 @@ import numpy as np
 
 BACKEND_NAME = "numpy"
 
+# Most lattice points one exp grid holds (128 KB of complex terms), so the
+# memory of a batch does not grow with its size: larger batches are summed
+# a slice of characteristics at a time.
+GRID_POINTS = 8192
 
-def lattice_sum(a2: float, c2: float, xs: complex, ys: complex,
-                tau1: complex, tau2: complex, tau12: complex,
-                radius: int) -> complex:
-    """One (2R+1)^2 exp call over the window, pairwise summation."""
-    m = np.arange(-radius, radius + 1, dtype=np.float64) + a2
-    n = np.arange(-radius, radius + 1, dtype=np.float64) + c2
+
+def lattice_sum(a2, c2, xs, ys, tau1: complex, tau2: complex, tau12: complex,
+                radius: int):
+    """The sum over the (2R+1)^2 window, pairwise summation: a complex for
+    scalar offsets, else an array of C sums."""
+    k = np.arange(-radius, radius + 1, dtype=np.float64)
+    if not isinstance(a2, np.ndarray):
+        return complex(_window_sums(k, a2, c2, xs, ys, tau1, tau2, tau12))
+    a2, c2, xs, ys = (v[:, None] for v in (a2, c2, xs, ys))
+    step = max(1, GRID_POINTS // k.size ** 2)
+    return np.concatenate([
+        _window_sums(k, a2[i:i + step], c2[i:i + step], xs[i:i + step],
+                     ys[i:i + step], tau1, tau2, tau12)
+        for i in range(0, len(a2), step)])
+
+
+def _window_sums(k, a2, c2, xs, ys, tau1, tau2, tau12):
+    """One exp call over the window of each characteristic, the grid formed
+    in place; offsets of shape (C, 1) give C sums, scalars one."""
+    m = k + a2
+    n = k + c2
     row = 1j * np.pi * tau1 * m * m + 2j * np.pi * m * xs
     col = 1j * np.pi * tau2 * n * n + 2j * np.pi * n * ys
-    cross = 2j * np.pi * tau12 * np.outer(m, n)
-    return complex(np.exp(row[:, None] + col[None, :] + cross).sum())
+    grid = row[..., :, None] + col[..., None, :]
+    grid += 2j * np.pi * tau12 * (m[..., :, None] * n[..., None, :])
+    return np.exp(grid, out=grid).sum(axis=(-2, -1))

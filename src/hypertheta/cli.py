@@ -298,23 +298,39 @@ def _verify_catalog_rows(cfg: VerificationConfig, catalog: list[Identity],
     return rows
 
 
+# The elliptic rows: id -> (matrix entry the row compares, None for the
+# whole matrix; the relation it checks).  verify, list and the --only check
+# all read this one table.
+_ELLIPTIC_ROWS = {
+    "E.matrix": (None, "X(u3)Z(u1+u3)X(u1) = Z(u1)X(u1+u3)Z(u3)"),
+    "E.11": ((0, 0), "cn(u2) - cn(u1)cn(u3) + dn(u2)sn(u1)sn(u3) = 0"),
+    "E.12": ((0, 1), "dn(u1)sn(u2) - cn(u1)sn(u3) - dn(u2)sn(u1)cn(u3) = 0"),
+    "E.13": ((0, 2), "k(sn(u2)sn(u1) - sn(u1)sn(u2)) = 0 (structural)"),
+    "E.22": ((1, 1), "cn(u2)dn(u1)dn(u3) - k^2 sn(u1)sn(u3) + sn(u1)sn(u3)"
+                     " - cn(u1)cn(u3)dn(u2) = 0"),
+    "E.23": ((1, 2), "-cn(u1)k sn(u2) + dn(u1)k sn(u3)"
+                     " + dn(u3)k sn(u1)cn(u2) = 0"),
+    "E.33": ((2, 2), "-dn(u2) + dn(u1)dn(u3) - cn(u2)k^2 sn(u1)sn(u3) = 0"),
+}
+
+
 def _verify_elliptic_rows(n_samples: int, seed: int) -> list[ResidualReport]:
     """Matrix identity and component rows at uniform (u1, u3, k) draws."""
     rng = make_rng(seed, "elliptic")
-    entry = {"E.11": (0, 0), "E.12": (0, 1), "E.13": (0, 2),
-             "E.22": (1, 1), "E.23": (1, 2), "E.33": (2, 2)}
     rows = []
     for idx in range(n_samples):
         u1, u3 = (float(v) for v in rng.uniform(-3.0, 3.0, size=2))
         k = float(rng.uniform(0.0, 1.0))
         lhs = euler_lhs(u1, u3, k).matrix
         rhs = euler_rhs(u1, u3, k).matrix
-        gap = abs(lhs - rhs).max()
-        rows.append(ResidualReport("E.matrix", idx, 0j, 0j, float(gap),
-                                   float(gap), bool(gap < ELLIPTIC_TOL)))
         comp = component_residuals(u1, u3, k)
-        for key, (i, j) in entry.items():
-            a, b = complex(lhs[i, j]), complex(rhs[i, j])
+        for key, (entry, _) in _ELLIPTIC_ROWS.items():
+            if entry is None:
+                gap = float(abs(lhs - rhs).max())
+                rows.append(ResidualReport(key, idx, 0j, 0j, gap, gap,
+                                           gap < ELLIPTIC_TOL))
+                continue
+            a, b = complex(lhs[entry]), complex(rhs[entry])
             res = abs(comp[key.split(".")[1]])
             rows.append(ResidualReport(key, idx, a, b, res,
                                        res / max(abs(a), abs(b), 1.0),
@@ -380,7 +396,7 @@ def cmd_verify(args) -> int:
 
     only = set(cfg.only) or None
     addition_ids = set(A_LABELS) | {f"{a}.path" for a in A_LABELS}
-    elliptic_ids = {label for label, _ in _ELLIPTIC_LISTING}
+    elliptic_ids = set(_ELLIPTIC_ROWS)
     row_ids = {i.id for i in catalog} | addition_ids | elliptic_ids
     unknown = sorted(set(cfg.only) - row_ids - {base_id(r) for r in row_ids})
     if unknown:
@@ -514,18 +530,6 @@ _ADDITION_LISTING = [
     for label, ch in sorted(A_LABELS.items(),
                             key=lambda kv: int(kv[0][1:]))]
 
-_ELLIPTIC_LISTING = [
-    ("E.matrix", "X(u3)Z(u1+u3)X(u1) = Z(u1)X(u1+u3)Z(u3)"),
-    ("E.11", "cn(u2) - cn(u1)cn(u3) + dn(u2)sn(u1)sn(u3) = 0"),
-    ("E.12", "dn(u1)sn(u2) - cn(u1)sn(u3) - dn(u2)sn(u1)cn(u3) = 0"),
-    ("E.13", "k(sn(u2)sn(u1) - sn(u1)sn(u2)) = 0 (structural)"),
-    ("E.22", "cn(u2)dn(u1)dn(u3) - k^2 sn(u1)sn(u3) + sn(u1)sn(u3)"
-             " - cn(u1)cn(u3)dn(u2) = 0"),
-    ("E.23", "-cn(u1)k sn(u2) + dn(u1)k sn(u3) + dn(u3)k sn(u1)cn(u2) = 0"),
-    ("E.33", "-dn(u2) + dn(u1)dn(u3) - cn(u2)k^2 sn(u1)sn(u3) = 0"),
-]
-
-
 def cmd_list(args) -> int:
     try:
         catalog = load_catalog()
@@ -543,12 +547,12 @@ def cmd_list(args) -> int:
             print(f"{'':10s} {'':13s} {'':14s} # {idty.note}")
     for label, desc in _ADDITION_LISTING:
         print(f"{label:10s} {'Addition':13s} {'-':14s} {desc}")
-    for label, desc in _ELLIPTIC_LISTING:
+    for label, (_, desc) in _ELLIPTIC_ROWS.items():
         print(f"{label:10s} {'Elliptic':13s} {'-':14s} {desc}")
     two_point = sum(i.domain is Domain.TWO_POINT for i in catalog)
     print(f"# {len(catalog)} catalog identities "
           f"({two_point} TwoPoint), 15 addition rows, "
-          f"{len(_ELLIPTIC_LISTING)} elliptic rows")
+          f"{len(_ELLIPTIC_ROWS)} elliptic rows")
     return EXIT_OK
 
 

@@ -49,7 +49,7 @@ from .theta_core import (
     Scale,
     ThetaCharacteristic,
     double_periods,
-    theta_eval,
+    theta_values,
 )
 
 ENV_CATALOG = "HYPERTHETA_CATALOG"
@@ -918,24 +918,33 @@ def evaluate_identity(idty: Identity, s: SampleAssignment,
 
     Each distinct factor of the sample is summed once, for lhs and rhs
     together; a factor's value is decided by its reduced characteristic
-    (_kernel), argument selector and scale.  Nothing is kept between calls.
-    OnePoint identities ignore p2 and ConstantsOnly identities ignore both
-    points by construction (their selectors never touch the ignored point).
+    (_kernel), argument selector and scale.  The distinct factors sharing
+    one (argument, scale) are summed in one theta_values call, the groups
+    in order of first appearance, so a radius failure names the same
+    (z, tau) as factor-by-factor summation would.  Nothing is kept between
+    calls.  OnePoint identities ignore p2 and ConstantsOnly identities
+    ignore both points by construction (their selectors never touch the
+    ignored point).
     """
     taus = {Scale.BASE: s.tau, Scale.DOUBLED: double_periods(s.tau)}
+    groups: dict[tuple, dict] = {}
+    for t in (*idty.lhs, *idty.rhs):
+        for f in t.factors:
+            group = groups.setdefault((f.arg, f.scale), {})
+            group.setdefault(f.ch._kernel, f.ch)
     values: dict[tuple, complex] = {}
+    for (arg, scale), chars in groups.items():
+        sums = theta_values(chars.values(), arg.select(s.p1, s.p2),
+                            taus[scale], pol)
+        values.update(((kernel, arg, scale), value)
+                      for kernel, value in zip(chars, sums))
 
     def side(terms) -> complex:
         total = 0j
         for t in terms:
             prod = t.coefficient
             for f in t.factors:
-                key = (f.ch._kernel, f.arg, f.scale)
-                value = values.get(key)
-                if value is None:
-                    value = values[key] = theta_eval(
-                        f.ch, f.arg.select(s.p1, s.p2), taus[f.scale], pol)
-                prod *= value
+                prod *= values[f.ch._kernel, f.arg, f.scale]
             total += prod
         return total
 
@@ -1052,15 +1061,17 @@ def root_constants(forms: list[dict], tau: PeriodMatrix,
                    pol: PrecisionPolicy = DEFAULT_POLICY) -> tuple[dict, dict]:
     """Each distinct doubled target and base-period radicand constant of
     the root forms, summed once at tau, as two dicts keyed by _json_key:
-    the values match_signs reads."""
+    the values match_signs reads.  One theta_values call per dict."""
     targets = {_json_key(f["target"]): f["target"] for f in forms}
     radicands = {_json_key(ch): ch for f in forms for root in f["roots"]
                  for _, *pair in root for ch in pair}
-    dbl = double_periods(tau)
-    return ({key: theta_eval(ThetaCharacteristic.from_json(ch), ORIGIN, dbl,
-                             pol) for key, ch in targets.items()},
-            {key: theta_eval(ThetaCharacteristic.from_json(ch), ORIGIN, tau,
-                             pol) for key, ch in radicands.items()})
+
+    def summed(chars: dict, periods: PeriodMatrix) -> dict:
+        return dict(zip(chars, theta_values(
+            [ThetaCharacteristic.from_json(ch) for ch in chars.values()],
+            ORIGIN, periods, pol)))
+
+    return summed(targets, double_periods(tau)), summed(radicands, tau)
 
 
 # --------------------------------------------------------------------------

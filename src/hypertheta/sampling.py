@@ -16,6 +16,7 @@ filtered run (--only) sees exactly the same samples as a full run.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,32 +54,42 @@ def make_rng(root_seed: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(child_seed(root_seed, label)))
 
 
-def sample_tau(rng: np.random.Generator) -> PeriodMatrix:
-    im1 = rng.uniform(*TAU_IM_DIAG)
-    im2 = rng.uniform(*TAU_IM_DIAG)
-    margin = np.sqrt(im1 * im2 - TAU_DET_FLOOR)
-    im12 = rng.uniform(-margin, margin)
-    re1, re2, re12 = rng.uniform(*TAU_RE, size=3)
+def _between(lo: float, hi: float, u: float) -> float:
+    """The affine map of u in [0, 1) onto [lo, hi), as rng.uniform does it."""
+    return lo + (hi - lo) * u
+
+
+def _tau(u) -> PeriodMatrix:
+    """The period matrix of six uniforms: Im tau1, Im tau2, Im tau12, then
+    Re tau1, Re tau2, Re tau12."""
+    im1, im2 = (_between(*TAU_IM_DIAG, v) for v in u[:2])
+    margin = math.sqrt(im1 * im2 - TAU_DET_FLOOR)
+    im12 = _between(-margin, margin, u[2])
+    re1, re2, re12 = (_between(*TAU_RE, v) for v in u[3:6])
     tau = PeriodMatrix(complex(re1, im1), complex(re2, im2), complex(re12, im12))
     tau.validate()
     return tau
 
 
+def _point(u) -> EvalPoint:
+    """The point of four uniforms: Re x, Re y, Im x, Im y."""
+    re_x, re_y = (_between(*POINT_RE, v) for v in u[:2])
+    im_x, im_y = (_between(*POINT_IM, v) for v in u[2:4])
+    return EvalPoint(complex(re_x, im_x), complex(re_y, im_y))
+
+
+def sample_tau(rng: np.random.Generator) -> PeriodMatrix:
+    return _tau(rng.random(6).tolist())
+
+
 def sample_point(rng: np.random.Generator) -> EvalPoint:
-    re = rng.uniform(*POINT_RE, size=2)
-    im = rng.uniform(*POINT_IM, size=2)
-    return EvalPoint(complex(re[0], im[0]), complex(re[1], im[1]))
-
-
-def sample_assignment(rng: np.random.Generator, seed_label: int) -> SampleAssignment:
-    """Draw tau first, then p1, p2, in a fixed order (order is part of the API:
-    changing it would silently change every pinned report)."""
-    tau = sample_tau(rng)
-    p1 = sample_point(rng)
-    p2 = sample_point(rng)
-    return SampleAssignment(tau, p1, p2, seed_label)
+    return _point(rng.random(4).tolist())
 
 
 def assignments_for(root_seed: int, label: str, n: int) -> list[SampleAssignment]:
-    rng = make_rng(root_seed, label)
-    return [sample_assignment(rng, i) for i in range(n)]
+    """n draws of (tau, p1, p2), sample i labelled i, from one block of 14
+    uniforms per sample: tau first, then p1, p2 (order is part of the API:
+    changing it would silently change every pinned report)."""
+    rows = make_rng(root_seed, label).random((n, 14)).tolist()
+    return [SampleAssignment(_tau(u[:6]), _point(u[6:10]), _point(u[10:]), i)
+            for i, u in enumerate(rows)]

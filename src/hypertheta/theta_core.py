@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .backends import lattice_sum
 
 
@@ -257,7 +259,8 @@ def truncation_radius(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
     eigenvalue of Im(tau) and rho = max(|Im x|, |Im y|).  The radius does
     not depend on the characteristic: the lower-row shift is real and
     drops out of the modulus, and the upper-row offsets the lattice kernel
-    sums are reduced to [0, 1), so theta_eval passes ch as given.  Writing
+    sums are reduced to [0, 1), so theta_eval passes ch as given and
+    theta_values uses one radius for all its characteristics.  Writing
     t* = rho/lam for the maximiser of f:
 
       * one full index line sums to at most
@@ -310,3 +313,24 @@ def theta_eval(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
     if not _finite(value):
         raise NonFiniteSum(f"theta{ch} sum overflows to {value}")
     return phase * value
+
+
+def theta_values(chars, z: EvalPoint, tau: PeriodMatrix,
+                 pol: PrecisionPolicy = DEFAULT_POLICY) -> list[complex]:
+    """[theta_eval(ch, z, tau, pol) for ch in chars], bit for bit, from one
+    truncation radius and one kernel call: the radius does not depend on
+    the characteristic.  Raises NonFiniteSum naming the first
+    characteristic, in the order given, whose sum overflows."""
+    chars = tuple(chars)
+    if not chars:
+        return []
+    a2, c2, b2, d2, phases = zip(*(ch._kernel for ch in chars))
+    radius = truncation_radius(chars[0], z, tau, pol.eps_tail, pol.max_radius)
+    sums = lattice_sum(np.array(a2), np.array(c2),
+                       np.array([z.x + b for b in b2]),
+                       np.array([z.y + d for d in d2]),
+                       tau.tau1, tau.tau2, tau.tau12, radius).tolist()
+    for ch, value in zip(chars, sums):
+        if not _finite(value):
+            raise NonFiniteSum(f"theta{ch} sum overflows to {value}")
+    return [phase * value for phase, value in zip(phases, sums)]

@@ -43,7 +43,8 @@ from hypertheta.addition import (
     f_vector,
     verify_addition,
 )
-from hypertheta import addition, identity_catalog
+from hypertheta import addition, identity_catalog, theta_core
+from hypertheta.backends import lattice_sum
 from hypertheta.identity_catalog import IdentityTerm, verify_catalog
 from hypertheta.sampling import make_rng, sample_point, sample_tau
 
@@ -114,23 +115,60 @@ def test_constants_direct_vs_resolved(k):
         assert record["rel_error"] < 1e-10
 
 
+def _counted_kernel(monkeypatch, *modules) -> dict:
+    """Record the characteristics passed to theta_values through `modules`,
+    one tuple per call, and count the lattice_sum calls."""
+    seen = {"theta_values": [], "lattice_sum": 0}
+
+    def values(chars, *args):
+        chars = tuple(chars)
+        seen["theta_values"].append(chars)
+        return theta_core.theta_values(chars, *args)
+
+    def kernel(*args):
+        seen["lattice_sum"] += 1
+        return lattice_sum(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, "theta_values", values)
+    monkeypatch.setattr(theta_core, "lattice_sum", kernel)
+    return seen
+
+
 def test_constants_sum_each_constant_once(monkeypatch):
-    """The 16 doubled constants, each summed once, and no sign search."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return theta_eval(*args)
-
+    """The 16 doubled constants, each summed once in one kernel call, and
+    no sign search."""
     def boom(*args, **kwargs):
         raise AssertionError("match_signs on the constants path")
 
-    for module in (addition, identity_catalog):
-        monkeypatch.setattr(module, "theta_eval", counted)
+    seen = _counted_kernel(monkeypatch, addition, identity_catalog)
     monkeypatch.setattr(identity_catalog, "match_signs", boom)
     kv = constants_vector(TAU)
-    assert len(calls) == len(set(calls)) == 16
+    (chars,) = seen["theta_values"]
+    assert len(chars) == len(set(chars)) == 16
+    assert seen["lattice_sum"] == 1
     assert set(kv.values) == set(addition.ROOT_IDS)
+
+
+def test_f_vector_divisor_hit_sums_no_numerator(monkeypatch):
+    """At a zero of the normalizer, f_vector raises after the one kernel
+    call that sums it."""
+    seen = _counted_kernel(monkeypatch, addition)
+    tau = PeriodMatrix(1.1j, 1.3j, 0j)
+    with pytest.raises(DivisorHit):
+        f_vector(EvalPoint((1 + tau.tau1) / 2, 0.07 + 0.02j), tau)
+    assert seen == {"theta_values": [], "lattice_sum": 1}
+
+
+def test_verify_addition_sample_makes_nine_kernel_calls(monkeypatch):
+    """One sample: the constants (1), three f_vector (2 each) and the two
+    doubled-value sets of direct mode (1 each)."""
+    seen = _counted_kernel(monkeypatch, addition)
+    run = verify_addition(1, 0)
+    assert (run.tau_redraws, run.point_redraws) == (0, 0)
+    assert seen["lattice_sum"] == 9
+    assert ([len(chars) for chars in seen["theta_values"]]
+            == [16] + [15] * 3 + [28] * 2)
 
 
 def test_constants_at_diagonal_tau_do_not_warn():

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from hypertheta import cli, identity_catalog
+from hypertheta import cli, identity_catalog, theta_core
 from hypertheta.cli import (
     EXIT_CONFIG,
     EXIT_DIVISOR,
@@ -33,8 +33,10 @@ from hypertheta.theta_core import (
     PeriodMatrix,
     ThetaCharacteristic,
     theta_eval,
+    theta_values,
 )
 from hypertheta.addition import f_eval
+from hypertheta.backends import lattice_sum
 
 
 def _printed_value(line: str) -> complex:
@@ -169,21 +171,29 @@ def test_verify_small_run_is_byte_pinned(tmp_path, capsys):
 
 def test_sign_details_sum_each_constant_once_per_draw(monkeypatch):
     """A default verify's sign resolutions sum the 16 targets and 10 base
-    constants once per draw (78 sums; 384 through resolve_sign), and give
-    the records resolve_sign gives."""
+    constants once per draw, in two kernel calls per draw (78 sums; 384
+    through resolve_sign), and give the records resolve_sign gives."""
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return theta_eval(*args)
+    def counted(chars, *args):
+        calls.append([(ch, *args) for ch in chars])
+        return theta_values(chars, *args)
 
-    for module in (cli, identity_catalog):
-        monkeypatch.setattr(module, "theta_eval", counted)
+    kernel_calls = []
+
+    def kernel(*args):
+        kernel_calls.append(args)
+        return lattice_sum(*args)
+
+    monkeypatch.setattr(identity_catalog, "theta_values", counted)
+    monkeypatch.setattr(theta_core, "lattice_sum", kernel)
     catalog = build_catalog()
     d_ids = sorted(i.id for i in catalog if i.root_form)
     details = cli._sign_resolution_details(d_ids, 0, DEFAULT_POLICY, catalog)
-    assert len(calls) == len(set(calls)) == 3 * 26
-    monkeypatch.setattr(identity_catalog, "theta_eval", theta_eval)
+    summed = [key for call in calls for key in call]
+    assert len(summed) == len(set(summed)) == 3 * 26
+    assert len(calls) == len(kernel_calls) == 3 * 2
+    monkeypatch.setattr(identity_catalog, "theta_values", theta_values)
     rng = make_rng(0, "sign-resolution")
     want = []
     for trial in range(3):
@@ -228,6 +238,24 @@ def test_verify_only_spans_all_suites(tmp_path, capsys):
     assert report["suites"] == {"catalog": True, "addition": True,
                                 "elliptic": True}
     assert report["sign_resolutions"] == []
+
+
+def test_every_elliptic_row_is_listed_and_selectable(tmp_path, capsys):
+    """The elliptic ids of a full run are the ones `list` prints, and
+    --only with one of them runs exactly that row."""
+    code, rows, _, _ = _run_verify(tmp_path, capsys, "--samples", "1")
+    assert code == 0
+    ran = {r["id"] for r in rows if r["id"].startswith("E")}
+    assert main(["list"]) == 0
+    listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line.split()[1:2] == ["Elliptic"]}
+    assert ran == listed and len(ran) == 7
+    for ident in sorted(ran):
+        code, rows, report, _ = _run_verify(tmp_path, capsys, "--only", ident)
+        assert code == 0
+        assert {r["id"] for r in rows} == {ident}
+        assert report["suites"] == {"catalog": False, "addition": False,
+                                    "elliptic": True}
 
 
 def test_verify_failure_exit_code_lists_ids(tmp_path, capsys):

@@ -344,23 +344,28 @@ def test_verify_catalog_deterministic():
 
 def test_each_distinct_factor_summed_once_per_sample(monkeypatch):
     """A factor repeated within one identity at one sample is summed once,
-    and with no theta cache every theta_eval reaches the lattice kernel."""
+    the distinct factors sharing an (argument, scale) in one kernel call,
+    and with no theta cache every theta_values call reaches the kernel."""
     expected = [r.as_json() for r in verify_catalog(2, 0)]
-    counts = {"theta_eval": 0, "lattice_sum": 0}
+    counts = {"characteristics": 0, "theta_values": 0, "lattice_sum": 0}
+    values, kernel = identity_catalog.theta_values, theta_core.lattice_sum
 
-    def counted(module, name):
-        inner = getattr(module, name)
+    def counted_values(chars, *args):
+        chars = tuple(chars)
+        counts["characteristics"] += len(chars)
+        counts["theta_values"] += 1
+        return values(chars, *args)
 
-        def wrapper(*args):
-            counts[name] += 1
-            return inner(*args)
-        monkeypatch.setattr(module, name, wrapper)
+    def counted_kernel(*args):
+        counts["lattice_sum"] += 1
+        return kernel(*args)
 
-    counted(identity_catalog, "theta_eval")
-    counted(theta_core, "lattice_sum")
+    monkeypatch.setattr(identity_catalog, "theta_values", counted_values)
+    monkeypatch.setattr(theta_core, "lattice_sum", counted_kernel)
     clear_theta_cache()
     rows = verify_catalog(2, 0)
-    assert counts == {"theta_eval": 3216, "lattice_sum": 3216}
+    assert counts == {"characteristics": 3216, "theta_values": 1232,
+                      "lattice_sum": 1232}
     assert [r.as_json() for r in rows] == expected
 
 

@@ -31,8 +31,10 @@ from hypertheta import (
     double_periods,
     is_odd,
     theta_eval,
+    theta_values,
     truncation_radius,
 )
+from hypertheta.addition import _law_tables
 from hypertheta.backends import lattice_sum
 
 TAU_E = PeriodMatrix(1j, 1j, 0j)
@@ -142,6 +144,43 @@ def test_thin_lattices_match_a_30_digit_sum(lam_min):
         radius = truncation_radius(ch, Z_G, tau) + 3
         want = _mp_theta(ch, Z_G, tau, radius)
         assert abs(theta_eval(ch, Z_G, tau) - want) <= 1e-13 * abs(want)
+
+
+_INTEGER_CHARS = [ThetaCharacteristic.of(*e)
+                  for e in itertools.product((0, 1), repeat=4)]
+_UNREDUCED_CHARS = [ThetaCharacteristic.of(*e) for e in itertools.product(
+    [Fraction(k, 2) for k in range(-3, 5)], repeat=4)]
+
+
+@pytest.mark.parametrize("z, tau, radius", [
+    (EvalPoint(0.1 + 0.01j, -0.2), PeriodMatrix(0.2 + 3.5j, -0.1 + 4j,
+                                                0.3 + 0.5j), 2),
+    (Z_G, TAU_G, 4),
+    (Z_G, _thin_tau(0.14), 11),
+    (EvalPoint(0.3 + 1.3j, -0.2 - 1.1j),
+     PeriodMatrix(0.3 + 0.5j, -0.2 + 0.6j, 0.1 + 0.2j), 12),
+    (Z_G, _thin_tau(0.022), 30),
+])
+def test_theta_values_equal_theta_eval_bit_for_bit(z, tau, radius):
+    """One kernel call over many characteristics gives exactly the values
+    of one theta_eval each: the 16 integer characteristics, the 28 targets
+    of the doubled law (half characteristics included) and unreduced
+    entries k/2, k in [-3, 4] (all 4,096 at small radii, which the kernel
+    sums in several slices, every 31st otherwise), up to radius 30 on a
+    thin lattice."""
+    assert truncation_radius(_INTEGER_CHARS[0], z, tau) == radius
+    unreduced = _UNREDUCED_CHARS if radius <= 4 else _UNREDUCED_CHARS[::31]
+    for chars in (_INTEGER_CHARS, list(_law_tables()[0].values()), unreduced):
+        assert theta_values(chars, z, tau) == [theta_eval(ch, z, tau)
+                                               for ch in chars]
+
+
+def test_theta_values_names_the_first_overflowing_characteristic():
+    chars = [ThetaCharacteristic.of(1, 0, 1, 1),
+             ThetaCharacteristic.of(0, 0, 0, 0)]
+    with pytest.raises(NonFiniteSum, match=r"theta\[1 0; 1 1\]"):
+        theta_values(chars, EvalPoint(0.2 + 20j, 0), TAU_G)
+    assert theta_values([], Z_G, TAU_G) == []
 
 
 def test_exactly_six_odd_characteristics_vanish_at_origin():
@@ -268,6 +307,8 @@ def test_theta_eval_validates_tau_and_z_once(monkeypatch):
         monkeypatch.setattr(cls, "validate", counted)
     theta_eval(ThetaCharacteristic.of(1, 0, 1, 1), Z_G, TAU_G)
     assert counts == {"tau": 1, "z": 1}
+    theta_values(_INTEGER_CHARS, Z_G, TAU_G)
+    assert counts == {"tau": 2, "z": 2}
     with pytest.raises(ValueError, match="non-finite evaluation point"):
         theta_eval(ThetaCharacteristic.of(0, 0, 0, 0),
                    EvalPoint(complex("nan"), 0j), TAU_G)
