@@ -8,9 +8,11 @@ The kernel computes the truncated double series
 with M = m + a2, N = n + c2, where a2, c2 are the (halved) upper
 characteristic entries and xs, ys already include the lower-row shift
 (xs = x + b/2, ys = y + d/2).  Given numpy arrays of shape (C,) for a2,
-c2, xs and ys, one call sums C characteristics that share (tau, R); each
-sum is bit-identical to the scalar call, since every term is formed by the
-same expressions in the same order and each window is reduced on its own.
+c2, xs and ys, one call sums C characteristics that share R; tau1, tau2
+and tau12 are either scalars shared by all rows or arrays of shape (C,),
+one period matrix per row.  Each sum is bit-identical to the scalar call,
+since every term is formed by the same expressions in the same order and
+each window is reduced on its own.
 """
 
 from __future__ import annotations
@@ -25,24 +27,30 @@ BACKEND_NAME = "numpy"
 GRID_POINTS = 8192
 
 
-def lattice_sum(a2, c2, xs, ys, tau1: complex, tau2: complex, tau12: complex,
-                radius: int):
+def lattice_sum(a2, c2, xs, ys, tau1, tau2, tau12, radius: int):
     """The sum over the (2R+1)^2 window, pairwise summation: a complex for
     scalar offsets, else an array of C sums."""
     k = np.arange(-radius, radius + 1, dtype=np.float64)
     if not isinstance(a2, np.ndarray):
         return complex(_window_sums(k, a2, c2, xs, ys, tau1, tau2, tau12))
-    a2, c2, xs, ys = (v[:, None] for v in (a2, c2, xs, ys))
+    rows = [v[:, None] for v in (a2, c2, xs, ys)]
+    shared = (tau1, tau2, tau12)
+    if isinstance(tau1, np.ndarray):
+        rows += [tau1[:, None], tau2[:, None], tau12[:, None, None]]
+        shared = ()
     step = max(1, GRID_POINTS // k.size ** 2)
+    if len(a2) <= step:
+        return _window_sums(k, *rows, *shared)
     return np.concatenate([
-        _window_sums(k, a2[i:i + step], c2[i:i + step], xs[i:i + step],
-                     ys[i:i + step], tau1, tau2, tau12)
+        _window_sums(k, *(v[i:i + step] for v in rows), *shared)
         for i in range(0, len(a2), step)])
 
 
 def _window_sums(k, a2, c2, xs, ys, tau1, tau2, tau12):
     """One exp call over the window of each characteristic, the grid formed
-    in place; offsets of shape (C, 1) give C sums, scalars one."""
+    in place; offsets of shape (C, 1) give C sums, scalars one.  Per-row
+    periods come as tau1, tau2 of shape (C, 1) and tau12 of shape
+    (C, 1, 1)."""
     m = k + a2
     n = k + c2
     row = 1j * np.pi * tau1 * m * m + 2j * np.pi * m * xs

@@ -33,6 +33,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .addition import A_LABELS, DivisorHit, f_eval, verify_addition
 from .elliptic_so3 import component_residuals, euler_lhs, euler_rhs
@@ -83,6 +85,12 @@ EXIT_DIVISOR = 6
 EXIT_NONFINITE = 7
 
 ELLIPTIC_TOL = 1e-10
+
+# An overflowing lattice sum is reported as NonFiniteSum (a failed row, or
+# exit 7), so numpy's own overflow warnings would only repeat it on stderr.
+# Set once per command, not per kernel call: entering np.errstate costs
+# about 1 us, a few per cent of a small theta_eval.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -234,6 +242,7 @@ class VerificationConfig:
 # --------------------------------------------------------------------------
 # eval
 
+@_quiet_overflow
 def cmd_eval(args) -> int:
     try:
         ch = _parse_char(args.char)
@@ -385,6 +394,7 @@ def _rows_to_text(rows: list[ResidualReport], fmt: str) -> str:
     return buf.getvalue()
 
 
+@_quiet_overflow
 def cmd_verify(args) -> int:
     try:
         cfg = VerificationConfig.from_args(args)

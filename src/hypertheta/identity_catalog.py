@@ -38,8 +38,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
-from .sampling import SampleAssignment, assignments_for
+from .sampling import SampleAssignment, assignment_stream
 from .theta_core import (
     DEFAULT_POLICY,
     ORIGIN,
@@ -49,6 +50,7 @@ from .theta_core import (
     Scale,
     ThetaCharacteristic,
     double_periods,
+    theta_groups,
     theta_values,
 )
 
@@ -916,40 +918,92 @@ def evaluate_identity(idty: Identity, s: SampleAssignment,
                       pol: PrecisionPolicy = DEFAULT_POLICY) -> ResidualReport:
     """Compute both sides by direct summation and report the residual.
 
-    Each distinct factor of the sample is summed once, for lhs and rhs
-    together; a factor's value is decided by its reduced characteristic
-    (_kernel), argument selector and scale.  The distinct factors sharing
-    one (argument, scale) are summed in one theta_values call, the groups
-    in order of first appearance, so a radius failure names the same
-    (z, tau) as factor-by-factor summation would.  Nothing is kept between
+    The one-pair case of the evaluation verify_catalog runs: each distinct
+    factor of the sample is summed once, for lhs and rhs together; a
+    factor's value is decided by its reduced characteristic (_kernel),
+    argument selector and scale.  The distinct factors sharing one
+    (argument, scale) form one theta_groups group, the groups in order of
+    first appearance, and the first group whose radius is exceeded or whose
+    sum overflows raises its exception here.  Nothing is kept between
     calls.  OnePoint identities ignore p2 and ConstantsOnly identities
     ignore both points by construction (their selectors never touch the
     ignored point).
     """
-    taus = {Scale.BASE: s.tau, Scale.DOUBLED: double_periods(s.tau)}
-    groups: dict[tuple, dict] = {}
+    (row,) = _evaluate([(_plan(idty), s)], pol)
+    if isinstance(row, Exception):
+        raise row
+    return row
+
+
+class _Plan(NamedTuple):
+    """The distinct factors of an identity, grouped by (argument, scale) in
+    order of first appearance, and each side's terms as (coefficient,
+    positions of its factors in the groups' values laid end to end)."""
+
+    idty: Identity
+    groups: list[tuple[ArgSelector, Scale, tuple[ThetaCharacteristic, ...]]]
+    lhs: list[tuple[complex, list[int]]]
+    rhs: list[tuple[complex, list[int]]]
+
+
+def _plan(idty: Identity) -> _Plan:
+    """The factor groups and indexed sides of one identity; a factor is
+    decided by its reduced characteristic (_kernel), argument and scale."""
+    keyed: dict[tuple, dict] = {}
     for t in (*idty.lhs, *idty.rhs):
         for f in t.factors:
-            group = groups.setdefault((f.arg, f.scale), {})
+            group = keyed.setdefault((f.arg, f.scale), {})
             group.setdefault(f.ch._kernel, f.ch)
-    values: dict[tuple, complex] = {}
-    for (arg, scale), chars in groups.items():
-        sums = theta_values(chars.values(), arg.select(s.p1, s.p2),
-                            taus[scale], pol)
-        values.update(((kernel, arg, scale), value)
-                      for kernel, value in zip(chars, sums))
+    position = {key: i for i, key in enumerate(
+        (kernel, arg, scale) for (arg, scale), chars in keyed.items()
+        for kernel in chars)}
 
-    def side(terms) -> complex:
-        total = 0j
-        for t in terms:
-            prod = t.coefficient
-            for f in t.factors:
-                prod *= values[f.ch._kernel, f.arg, f.scale]
-            total += prod
-        return total
+    def indexed(terms) -> list[tuple[complex, list[int]]]:
+        return [(t.coefficient,
+                 [position[f.ch._kernel, f.arg, f.scale] for f in t.factors])
+                for t in terms]
 
-    return ResidualReport.compare(idty.id, s.seed, side(idty.lhs),
-                                  side(idty.rhs), pol.rel_tol, pol.abs_tol)
+    return _Plan(idty, [(arg, scale, tuple(chars.values()))
+                        for (arg, scale), chars in keyed.items()],
+                 indexed(idty.lhs), indexed(idty.rhs))
+
+
+def _evaluate(pairs, pol: PrecisionPolicy) -> list:
+    """For each (plan, sample) pair, its ResidualReport or the exception of
+    its first failing factor group; the factor groups of all pairs are
+    summed together by one theta_groups call."""
+    groups = []
+    for plan, s in pairs:
+        taus = {Scale.BASE: s.tau, Scale.DOUBLED: double_periods(s.tau)}
+        groups.extend((chars, arg.select(s.p1, s.p2), taus[scale])
+                      for arg, scale, chars in plan.groups)
+    results = iter(theta_groups(groups, pol))
+    rows = []
+    for plan, s in pairs:
+        values: list[complex] = []
+        error = None
+        for _ in plan.groups:
+            sums = next(results)
+            if not isinstance(sums, Exception):
+                values += sums
+            elif error is None:
+                error = sums
+        rows.append(error if error is not None else ResidualReport.compare(
+            plan.idty.id, s.seed, _side(plan.lhs, values),
+            _side(plan.rhs, values), pol.rel_tol, pol.abs_tol))
+    return rows
+
+
+def _side(terms, values: list[complex]) -> complex:
+    """One side of an identity: each coefficient times its factors' values,
+    in the catalog's order, summed."""
+    total = 0j
+    for coefficient, indices in terms:
+        prod = coefficient
+        for i in indices:
+            prod *= values[i]
+        total += prod
+    return total
 
 
 def verify_catalog(n_samples: int = 100, seed: int = 0,
@@ -958,27 +1012,33 @@ def verify_catalog(n_samples: int = 100, seed: int = 0,
                    only: set[str] | None = None) -> list[ResidualReport]:
     """Evaluate every identity at n_samples fresh draws.
 
-    Per-sample errors (e.g. RadiusExceeded on an extreme draw) become failed
-    report rows instead of aborting the run.  Reports come out sorted by
-    identity id then sample index, so the output is a pure function of
-    (catalog, n_samples, seed, pol).
+    One sample index of every identity is evaluated at a time, all its
+    factor groups summed together (one kernel call per truncation radius),
+    so the values held at once do not grow with n_samples.  Per-sample
+    errors (e.g. RadiusExceeded on an extreme draw) become failed report
+    rows instead of aborting the run, and leave the other rows of the block
+    unchanged.  Reports come out sorted by identity id then sample index,
+    so the output is a pure function of (catalog, n_samples, seed, pol).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if catalog is None:
         catalog = build_catalog()
-    catalog = [i for i in catalog if selected(i.id, only)]
-    reports: list[ResidualReport] = []
-    for idty in sorted(catalog, key=lambda i: i.id):
-        for s in assignments_for(seed, idty.id, n_samples):
-            try:
-                reports.append(evaluate_identity(idty, s, pol))
-            except Exception as exc:  # noqa: BLE001 - aggregate, don't abort
-                reports.append(ResidualReport(
-                    idty.id, s.seed, complex("nan"), complex("nan"),
+    plans = [_plan(i) for i in sorted(
+        (i for i in catalog if selected(i.id, only)), key=lambda i: i.id)]
+    streams = [assignment_stream(seed, p.idty.id) for p in plans]
+    per_identity: list[list[ResidualReport]] = [[] for _ in plans]
+    for _ in range(n_samples):
+        block = [(plan, next(draws)) for plan, draws in zip(plans, streams)]
+        for (plan, s), row, out in zip(block, _evaluate(block, pol),
+                                       per_identity):
+            if isinstance(row, Exception):
+                row = ResidualReport(
+                    plan.idty.id, s.seed, complex("nan"), complex("nan"),
                     math.inf, math.inf, False,
-                    error=f"{type(exc).__name__}: {exc}"))
-    return reports
+                    error=f"{type(row).__name__}: {row}")
+            out.append(row)
+    return [row for rows in per_identity for row in rows]
 
 
 def base_id(ident: str) -> str:

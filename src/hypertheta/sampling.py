@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
@@ -86,10 +88,17 @@ def sample_point(rng: np.random.Generator) -> EvalPoint:
     return _point(rng.random(4).tolist())
 
 
+def assignment_stream(root_seed: int,
+                      label: str) -> Iterator[SampleAssignment]:
+    """Draws of (tau, p1, p2) without end, sample i labelled i, from one
+    block of 14 uniforms per sample: tau first, then p1, p2 (order is part
+    of the API: changing it would silently change every pinned report)."""
+    rng = make_rng(root_seed, label)
+    for i in count():
+        u = rng.random(14).tolist()
+        yield SampleAssignment(_tau(u[:6]), _point(u[6:10]), _point(u[10:]), i)
+
+
 def assignments_for(root_seed: int, label: str, n: int) -> list[SampleAssignment]:
-    """n draws of (tau, p1, p2), sample i labelled i, from one block of 14
-    uniforms per sample: tau first, then p1, p2 (order is part of the API:
-    changing it would silently change every pinned report)."""
-    rows = make_rng(root_seed, label).random((n, 14)).tolist()
-    return [SampleAssignment(_tau(u[:6]), _point(u[6:10]), _point(u[10:]), i)
-            for i, u in enumerate(rows)]
+    """The first n draws of assignment_stream(root_seed, label)."""
+    return list(islice(assignment_stream(root_seed, label), n))

@@ -260,8 +260,9 @@ def truncation_radius(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
     not depend on the characteristic: the lower-row shift is real and
     drops out of the modulus, and the upper-row offsets the lattice kernel
     sums are reduced to [0, 1), so theta_eval passes ch as given and
-    theta_values uses one radius for all its characteristics.  Writing
-    t* = rho/lam for the maximiser of f:
+    theta_groups computes one radius per (z, tau) group, for all the
+    group's characteristics, then sums the groups that share a radius in
+    one kernel call.  Writing t* = rho/lam for the maximiser of f:
 
       * one full index line sums to at most
         S = 2*exp(pi*rho^2/lam) * (t* + 2 + 1/sqrt(lam))
@@ -320,17 +321,73 @@ def theta_values(chars, z: EvalPoint, tau: PeriodMatrix,
     """[theta_eval(ch, z, tau, pol) for ch in chars], bit for bit, from one
     truncation radius and one kernel call: the radius does not depend on
     the characteristic.  Raises NonFiniteSum naming the first
-    characteristic, in the order given, whose sum overflows."""
-    chars = tuple(chars)
-    if not chars:
-        return []
-    a2, c2, b2, d2, phases = zip(*(ch._kernel for ch in chars))
-    radius = truncation_radius(chars[0], z, tau, pol.eps_tail, pol.max_radius)
-    sums = lattice_sum(np.array(a2), np.array(c2),
-                       np.array([z.x + b for b in b2]),
-                       np.array([z.y + d for d in d2]),
-                       tau.tau1, tau.tau2, tau.tau12, radius).tolist()
-    for ch, value in zip(chars, sums):
-        if not _finite(value):
-            raise NonFiniteSum(f"theta{ch} sum overflows to {value}")
+    characteristic, in the order given, whose sum overflows.  The
+    one-group case of theta_groups."""
+    (values,) = theta_groups([(chars, z, tau)], pol)
+    if isinstance(values, Exception):
+        raise values
+    return values
+
+
+def theta_groups(groups, pol: PrecisionPolicy = DEFAULT_POLICY) -> list:
+    """theta_values(chars, z, tau, pol) for each (chars, z, tau) of groups,
+    bit for bit; where that call would raise RadiusExceeded, NonFiniteSum
+    or an invalid-input error, the exception stands in place of its values.
+
+    Each group is summed at its own truncation radius, and the groups that
+    share a radius are summed in one kernel call, with tau given per row
+    when the call holds more than one group.  Each window is reduced on its
+    own, so a group's values do not depend on the others in its call, and
+    a group that fails leaves the others' values untouched.
+    """
+    groups = [(tuple(chars), z, tau) for chars, z, tau in groups]
+    out: list = [[] for _ in groups]
+    classes: dict[int, list[int]] = {}
+    for g, (chars, z, tau) in enumerate(groups):
+        if not chars:
+            continue
+        try:
+            radius = truncation_radius(chars[0], z, tau, pol.eps_tail,
+                                       pol.max_radius)
+        except (ValueError, ArithmeticError, RadiusExceeded) as exc:
+            out[g] = exc
+            continue
+        classes.setdefault(radius, []).append(g)
+    for radius, members in classes.items():
+        a2, c2, xs, ys, phases, taus = [], [], [], [], [], []
+        for g in members:
+            chars, z, tau = groups[g]
+            ka, kc, kb, kd, ph = zip(*(ch._kernel for ch in chars))
+            a2 += ka
+            c2 += kc
+            xs += [z.x + b for b in kb]
+            ys += [z.y + d for d in kd]
+            phases += ph
+            taus += [(tau.tau1, tau.tau2, tau.tau12)] * len(chars)
+        periods = (taus[0] if len(members) == 1
+                   else (np.array(t) for t in zip(*taus)))
+        sums = lattice_sum(np.array(a2), np.array(c2), np.array(xs),
+                           np.array(ys), *periods, radius).tolist()
+        # Any non-finite sum makes the total non-finite; a total that
+        # overflows from finite sums only costs the per-value check.
+        overflowed = not _finite(sum(sums))
+        start = 0
+        for g in members:
+            chars = groups[g][0]
+            stop = start + len(chars)
+            out[g] = _phased(chars, sums[start:stop], phases[start:stop],
+                             overflowed)
+            start = stop
+    return out
+
+
+def _phased(chars, sums, phases, overflowed: bool):
+    """The theta values of summed characteristics, each sum times its
+    reduction phase; where some sum of the kernel call overflowed,
+    NonFiniteSum naming the first of chars, in the order given, whose sum
+    is not finite."""
+    if overflowed:
+        for ch, value in zip(chars, sums):
+            if not _finite(value):
+                return NonFiniteSum(f"theta{ch} sum overflows to {value}")
     return [phase * value for phase, value in zip(phases, sums)]

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -118,8 +119,13 @@ def test_eval_exit_codes(argv, code, capsys):
 
 @pytest.mark.parametrize("ratio", [[], ["--ratio"]])
 def test_eval_never_prints_nan(ratio, capsys):
-    assert main(["eval", *ratio, "--char", "0,0,0,0", "--z", "0.2+20i,0",
-                 "--tau", "0.3+1.1i,-0.2+1.4i,0.15+0.25i"]) == EXIT_NONFINITE
+    """An overflowing sum exits 7 with one error line: no NaN, and numpy's
+    overflow warnings (raised here as errors) are not emitted."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["eval", *ratio, "--char", "0,0,0,0", "--z", "0.2+20i,0",
+                     "--tau", "0.3+1.1i,-0.2+1.4i,0.15+0.25i"])
+    assert code == EXIT_NONFINITE
     captured = capsys.readouterr()
     assert "nan" not in captured.out.lower()
     assert "overflows" in captured.err

@@ -24,12 +24,15 @@ from hypertheta import (
     Identity,
     IdentityTerm,
     NoConsistentSign,
+    NonFiniteSum,
     PeriodMatrix,
     PrecisionPolicy,
+    RadiusExceeded,
+    ResidualReport,
     SampleAssignment,
     ThetaCharacteristic,
+    assignments_for,
     build_catalog,
-    clear_theta_cache,
     double_periods,
     evaluate_identity,
     general_duplication,
@@ -38,9 +41,10 @@ from hypertheta import (
     riemann_matrix,
     save_catalog,
     theta_eval,
+    truncation_radius,
     verify_catalog,
 )
-from hypertheta import identity_catalog, theta_core
+from hypertheta import backends, identity_catalog, theta_core
 from hypertheta.identity_catalog import (
     ENV_CATALOG,
     Scale,
@@ -343,30 +347,108 @@ def test_verify_catalog_deterministic():
 
 
 def test_each_distinct_factor_summed_once_per_sample(monkeypatch):
-    """A factor repeated within one identity at one sample is summed once,
-    the distinct factors sharing an (argument, scale) in one kernel call,
-    and with no theta cache every theta_values call reaches the kernel."""
+    """A factor repeated within one identity at one sample is summed once.
+    Each sample index of all identities is one theta_groups call, which
+    makes one kernel call per truncation radius among its groups, and each
+    kernel call sums its rows one GRID_POINTS slice at a time."""
     expected = [r.as_json() for r in verify_catalog(2, 0)]
-    counts = {"characteristics": 0, "theta_values": 0, "lattice_sum": 0}
-    values, kernel = identity_catalog.theta_values, theta_core.lattice_sum
+    counts = {"characteristics": 0, "theta_groups": 0, "radius_classes": 0,
+              "lattice_sum": 0, "window_sums": 0}
+    groups_fn = identity_catalog.theta_groups
+    kernel, window = theta_core.lattice_sum, backends._window_sums
 
-    def counted_values(chars, *args):
-        chars = tuple(chars)
-        counts["characteristics"] += len(chars)
-        counts["theta_values"] += 1
-        return values(chars, *args)
+    def counted_groups(groups, *args):
+        groups = list(groups)
+        counts["theta_groups"] += 1
+        counts["radius_classes"] += len({
+            truncation_radius(chars[0], z, tau) for chars, z, tau in groups})
+        return groups_fn(groups, *args)
 
-    def counted_kernel(*args):
+    def counted_kernel(a2, *args):
         counts["lattice_sum"] += 1
-        return kernel(*args)
+        counts["characteristics"] += len(a2)
+        return kernel(a2, *args)
 
-    monkeypatch.setattr(identity_catalog, "theta_values", counted_values)
+    def counted_window(*args):
+        counts["window_sums"] += 1
+        return window(*args)
+
+    monkeypatch.setattr(identity_catalog, "theta_groups", counted_groups)
     monkeypatch.setattr(theta_core, "lattice_sum", counted_kernel)
-    clear_theta_cache()
+    monkeypatch.setattr(backends, "_window_sums", counted_window)
     rows = verify_catalog(2, 0)
-    assert counts == {"characteristics": 3216, "theta_values": 1232,
-                      "lattice_sum": 1232}
+    assert counts == {"characteristics": 3216, "theta_groups": 2,
+                      "radius_classes": 31, "lattice_sum": 31,
+                      "window_sums": 73}
     assert [r.as_json() for r in rows] == expected
+
+
+def _factor_by_factor(idty, s: SampleAssignment):
+    """The row of (idty, s) with every factor summed by its own theta_eval
+    call, the sides assembled in the catalog's order."""
+    taus = {Scale.BASE: s.tau, Scale.DOUBLED: double_periods(s.tau)}
+
+    def side(terms) -> complex:
+        total = 0j
+        for t in terms:
+            prod = t.coefficient
+            for f in t.factors:
+                prod *= theta_eval(f.ch, f.arg.select(s.p1, s.p2),
+                                   taus[f.scale])
+            total += prod
+        return total
+
+    pol = PrecisionPolicy()
+    return ResidualReport.compare(idty.id, s.seed, side(idty.lhs),
+                                  side(idty.rhs), pol.rel_tol, pol.abs_tol)
+
+
+def test_failures_inside_a_block_stay_with_their_sample(monkeypatch):
+    """One verify_catalog block holds three hand-built samples: C1's on a
+    lattice so thin that no radius up to 60 meets the tail target, 2e8's
+    with |Im z| = 20 at p1 + p2, whose sum overflows, and D1's on a thin
+    lattice whose base constants share that overflowing group's radius and
+    so its kernel call.  The failed rows carry evaluate_identity's error
+    text; every other row equals a factor-by-factor evaluation byte for
+    byte."""
+    far = (EvalPoint(0.1 + 10j, -0.2 + 0.05j),
+           EvalPoint(-0.3 + 10j, 0.1 - 0.05j))
+    partner = PeriodMatrix(0.1 + 0.0047j, -0.2 + 2j, 0.05 + 0j)
+    hand_built = {
+        "C1": SampleAssignment(PeriodMatrix(0.1 + 0.003j, -0.2 + 2j, 0j),
+                               P1, P2, seed=0),
+        "2e8": SampleAssignment(TAU, *far, seed=0),
+        "D1": SampleAssignment(partner, P1, P2, seed=0),
+    }
+    ch = ThetaCharacteristic.of(0, 0, 0, 0)
+    assert truncation_radius(ch, far[0] + far[1], TAU) == 51
+    assert truncation_radius(ch, ORIGIN, partner) == 51
+    drawn = identity_catalog.assignment_stream
+
+    def stream(seed, label):
+        if label in hand_built:
+            return iter([hand_built[label]])
+        return drawn(seed, label)
+
+    monkeypatch.setattr(identity_catalog, "assignment_stream", stream)
+    ids = ["2e36.r1", "2e4.0000", "2e5.0000", "2e8", "B1", "C1", "C5", "D1",
+           "D5"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = verify_catalog(1, 0, catalog=[BY_ID[i] for i in ids])
+        assert [r.identity_id for r in rows] == ids
+        for row in rows:
+            idty = BY_ID[row.identity_id]
+            s = hand_built.get(idty.id) or assignments_for(0, idty.id, 1)[0]
+            if not row.error:
+                assert (json.dumps(row.as_json())
+                        == json.dumps(_factor_by_factor(idty, s).as_json()))
+                continue
+            with pytest.raises((RadiusExceeded, NonFiniteSum)) as info:
+                evaluate_identity(idty, s)
+            assert row.error == f"{type(info.value).__name__}: {info.value}"
+            assert not row.passed
+    assert {r.identity_id: r.error.split(":")[0] for r in rows if r.error} \
+        == {"2e8": "NonFiniteSum", "C1": "RadiusExceeded"}
 
 
 def test_report_json_schema():

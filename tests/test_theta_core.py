@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,11 +32,13 @@ from hypertheta import (
     double_periods,
     is_odd,
     theta_eval,
+    theta_groups,
     theta_values,
     truncation_radius,
 )
 from hypertheta.addition import _law_tables
-from hypertheta.backends import lattice_sum
+from hypertheta.backends import GRID_POINTS, lattice_sum
+from hypertheta.sampling import sample_tau
 
 TAU_E = PeriodMatrix(1j, 1j, 0j)
 TAU_G = PeriodMatrix(0.3 + 1.1j, -0.2 + 1.4j, 0.15 + 0.25j)
@@ -181,6 +184,53 @@ def test_theta_values_names_the_first_overflowing_characteristic():
     with pytest.raises(NonFiniteSum, match=r"theta\[1 0; 1 1\]"):
         theta_values(chars, EvalPoint(0.2 + 20j, 0), TAU_G)
     assert theta_values([], Z_G, TAU_G) == []
+
+
+def _mixed_periods(rng, count: int) -> list[PeriodMatrix]:
+    """count period matrices: draws of the sampling family, every third one
+    a thin lattice with lambda_min in [0.06, 0.3] at a random slant."""
+    return [_thin_tau(rng.uniform(0.06, 0.3), angle=rng.uniform(0, math.pi))
+            if i % 3 == 0 else sample_tau(rng) for i in range(count)]
+
+
+@pytest.mark.parametrize("radius", range(2, 14))
+def test_lattice_sum_with_tau_per_row_equals_scalar_calls(radius):
+    """One kernel call with a period matrix per row gives each row's scalar
+    call bit for bit, with half and integer offsets, |Im z| <= 0.6, and
+    enough rows to cross two GRID_POINTS slice boundaries."""
+    rng = np.random.default_rng(radius)
+    rows = 2 * (GRID_POINTS // (2 * radius + 1) ** 2) + 3
+    taus = _mixed_periods(rng, rows)
+    a2, c2 = rng.integers(0, 4, (2, rows)) / 4
+    xs, ys = (rng.uniform(-1, 1, (2, rows))
+              + 1j * rng.uniform(-0.6, 0.6, (2, rows)))
+    t1, t2, t12 = (np.array([getattr(t, name) for t in taus])
+                   for name in ("tau1", "tau2", "tau12"))
+    batch = lattice_sum(a2, c2, xs, ys, t1, t2, t12, radius).tolist()
+    scalar = [lattice_sum(*row, radius) for row in zip(
+        *(v.tolist() for v in (a2, c2, xs, ys, t1, t2, t12)))]
+    assert batch == scalar
+
+
+def test_theta_groups_equal_theta_values_bit_for_bit():
+    """Groups at their own (z, tau), several sharing a radius and so a
+    kernel call with tau per row, give exactly theta_values' values per
+    group, and those are exactly theta_eval's; a group without
+    characteristics gives []."""
+    rng = np.random.default_rng(11)
+    groups = [([_UNREDUCED_CHARS[j] for j in rng.choice(
+                   len(_UNREDUCED_CHARS), rng.integers(1, 17))],
+               EvalPoint(*(complex(rng.uniform(-0.5, 0.5),
+                                   rng.uniform(-0.6, 0.6)) for _ in "xy")),
+               tau) for tau in _mixed_periods(rng, 60)]
+    groups.append(([], Z_G, TAU_G))
+    radii = [truncation_radius(chars[0], z, tau)
+             for chars, z, tau in groups[:-1]]
+    assert len(set(radii)) < len(radii) - 40
+    got = theta_groups(groups)
+    assert got == [theta_values(*group) for group in groups]
+    assert got[:-1] == [[theta_eval(ch, z, tau) for ch in chars]
+                        for chars, z, tau in groups[:-1]]
 
 
 def test_exactly_six_odd_characteristics_vanish_at_origin():
