@@ -36,22 +36,31 @@ import math
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import NamedTuple
 
-from .sampling import SampleAssignment, assignment_stream
+import numpy as np
+
+from .sampling import Draws, SampleAssignment, draw_stream
 from .theta_core import (
     DEFAULT_POLICY,
     ORIGIN,
     EvalPoint,
+    NonFiniteSum,
     PeriodMatrix,
     PrecisionPolicy,
+    RadiusExceeded,
     Scale,
     ThetaCharacteristic,
     double_periods,
-    theta_groups,
+    kernel_rows,
+    lambda_min,
+    radius_for,
+    sums_by_radius,
     theta_values,
+    truncation_radius,
+    valid_periods,
 )
 
 ENV_CATALOG = "HYPERTHETA_CATALOG"
@@ -106,6 +115,15 @@ class ThetaFactor:
     ch: ThetaCharacteristic
     arg: ArgSelector
     scale: Scale
+
+    @cached_property
+    def _code(self) -> int:
+        """What decides the factor's value, as one integer: its group code
+        ((coeff1 + 1)*4 + coeff2 + 1)*2 + doubled, times 1024, plus the
+        characteristic's _code; computed once per object."""
+        group = ((self.arg.coeff1 + 1) * 4 + self.arg.coeff2 + 1) * 2 \
+            + (self.scale is Scale.DOUBLED)
+        return group * 1024 + self.ch._code
 
     def as_json(self) -> dict:
         return {"ch": self.ch.as_json(), "arg": self.arg.as_json(),
@@ -918,80 +936,163 @@ def evaluate_identity(idty: Identity, s: SampleAssignment,
                       pol: PrecisionPolicy = DEFAULT_POLICY) -> ResidualReport:
     """Compute both sides by direct summation and report the residual.
 
-    The one-pair case of the evaluation verify_catalog runs: each distinct
+    The one-pair case of verify_catalog's block evaluation: each distinct
     factor of the sample is summed once, for lhs and rhs together; a
     factor's value is decided by its reduced characteristic (_kernel),
-    argument selector and scale.  The distinct factors sharing one
-    (argument, scale) form one theta_groups group, the groups in order of
-    first appearance, and the first group whose radius is exceeded or whose
-    sum overflows raises its exception here.  Nothing is kept between
-    calls.  OnePoint identities ignore p2 and ConstantsOnly identities
-    ignore both points by construction (their selectors never touch the
-    ignored point).
+    argument selector and scale.  Of the factors' (argument, scale) groups,
+    in order of first appearance, the first whose inputs are invalid, whose
+    radius is exceeded or whose sum overflows raises its exception here.
+    No theta value is kept between calls.  OnePoint identities ignore p2 and
+    ConstantsOnly identities ignore both points by construction (their
+    selectors never touch the ignored point).
     """
-    (row,) = _evaluate([(_plan(idty), s)], pol)
+    (row,) = _evaluate(_compile([idty]), Draws.of([s]), s.seed, pol)
     if isinstance(row, Exception):
         raise row
     return row
 
 
-class _Plan(NamedTuple):
-    """The distinct factors of an identity, grouped by (argument, scale) in
-    order of first appearance, and each side's terms as (coefficient,
-    positions of its factors in the groups' values laid end to end)."""
+class _Program(NamedTuple):
+    """Identities compiled to flat arrays.  A group is one distinct
+    (argument, scale) of an identity's factors and a row one distinct
+    reduced characteristic of a group (one ThetaFactor._code), both in
+    order of first appearance; each side's terms are (coefficient, rows of
+    its factors)."""
 
-    idty: Identity
-    groups: list[tuple[ArgSelector, Scale, tuple[ThetaCharacteristic, ...]]]
-    lhs: list[tuple[complex, list[int]]]
-    rhs: list[tuple[complex, list[int]]]
-
-
-def _plan(idty: Identity) -> _Plan:
-    """The factor groups and indexed sides of one identity; a factor is
-    decided by its reduced characteristic (_kernel), argument and scale."""
-    keyed: dict[tuple, dict] = {}
-    for t in (*idty.lhs, *idty.rhs):
-        for f in t.factors:
-            group = keyed.setdefault((f.arg, f.scale), {})
-            group.setdefault(f.ch._kernel, f.ch)
-    position = {key: i for i, key in enumerate(
-        (kernel, arg, scale) for (arg, scale), chars in keyed.items()
-        for kernel in chars)}
-
-    def indexed(terms) -> list[tuple[complex, list[int]]]:
-        return [(t.coefficient,
-                 [position[f.ch._kernel, f.arg, f.scale] for f in t.factors])
-                for t in terms]
-
-    return _Plan(idty, [(arg, scale, tuple(chars.values()))
-                        for (arg, scale), chars in keyed.items()],
-                 indexed(idty.lhs), indexed(idty.rhs))
+    identities: list[Identity]
+    first_group: list[int]      # per identity, then the number of groups
+    draw: np.ndarray            # (G,) the identity, so the draw, of a group
+    coeffs: np.ndarray          # (2, G) the argument's coefficients of p1, p2
+    scale: np.ndarray           # (G,) 0 for base, 1 for doubled periods
+    first_row: list[int]        # (G,)
+    group: np.ndarray           # (R,) the group of a row
+    offsets: np.ndarray         # (4, R) a/2, c/2, b/2, d/2 of the reduced form
+    phase: np.ndarray           # (R,) the reduction phase
+    chars: list[ThetaCharacteristic]   # (R,) as first written
+    sides: list[tuple[list, list]]     # per identity: lhs, rhs terms
 
 
-def _evaluate(pairs, pol: PrecisionPolicy) -> list:
-    """For each (plan, sample) pair, its ResidualReport or the exception of
-    its first failing factor group; the factor groups of all pairs are
-    summed together by one theta_groups call."""
-    groups = []
-    for plan, s in pairs:
-        taus = {Scale.BASE: s.tau, Scale.DOUBLED: double_periods(s.tau)}
-        groups.extend((chars, arg.select(s.p1, s.p2), taus[scale])
-                      for arg, scale, chars in plan.groups)
-    results = iter(theta_groups(groups, pol))
-    rows = []
-    for plan, s in pairs:
-        values: list[complex] = []
-        error = None
-        for _ in plan.groups:
-            sums = next(results)
-            if not isinstance(sums, Exception):
-                values += sums
-            elif error is None:
-                error = sums
-        rows.append(error if error is not None else ResidualReport.compare(
-            plan.idty.id, s.seed, _side(plan.lhs, values),
-            _side(plan.rhs, values), pol.rel_tol, pol.abs_tol))
-    return rows
+def _compile(identities: list[Identity]) -> _Program:
+    """One pass over the identities' factors, keyed by their integer
+    _code; the arrays are decoded from the codes at the end."""
+    first_group, draw, groups, first_row = [], [], [], []
+    group, codes, chars, sides = [], [], [], []
+    for i, idty in enumerate(identities):
+        first_group.append(len(draw))
+        seen_groups: dict[int, int] = {}
+        seen_rows: dict[int, int] = {}
+        indexed = ([], [])
+        for terms, out in zip((idty.lhs, idty.rhs), indexed):
+            for t in terms:
+                positions = []
+                for f in t.factors:
+                    code = f._code
+                    row = seen_rows.setdefault(code, len(codes))
+                    if row == len(codes):
+                        g = seen_groups.setdefault(code >> 10, len(draw))
+                        if g == len(draw):
+                            draw.append(i)
+                            groups.append(code >> 10)
+                            first_row.append(row)
+                        group.append(g)
+                        codes.append(code)
+                        chars.append(f.ch)
+                    positions.append(row)
+                out.append((t.coefficient, positions))
+        sides.append(indexed)
+    first_group.append(len(draw))
+    groups = np.array(groups, dtype=int)
+    offsets, phase = kernel_rows(np.array(codes, dtype=int) & 1023)
+    return _Program(identities, first_group, np.array(draw, dtype=int),
+                    np.array([(groups >> 3) - 1, (groups >> 1 & 3) - 1],
+                             dtype=complex),
+                    groups & 1, first_row, np.array(group, dtype=int),
+                    offsets, phase, chars, sides)
+
+
+class _Block(NamedTuple):
+    """One draw of each identity of a program, per group: the argument
+    (x, y), the periods, and the certified radius, 0 where the group fails
+    before summing, with its exception in errors."""
+
+    x: np.ndarray
+    y: np.ndarray
+    tau1: np.ndarray
+    tau2: np.ndarray
+    tau12: np.ndarray
+    radius: np.ndarray
+    errors: dict[int, Exception]
+
+
+def _block(prog: _Program, d: Draws, pol: PrecisionPolicy) -> _Block:
+    """Arguments, periods and radii of all groups.  The periods of each
+    draw, base and doubled, and the arguments are checked once, as arrays;
+    a group that fails the check gets truncation_radius's exception on its
+    own PeriodMatrix and EvalPoint, so its error text is the scalar one."""
+    g, c1, c2 = prog.draw, *prog.coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = c1 * d.x1[g] + c2 * d.x2[g]
+        y = c1 * d.y1[g] + c2 * d.y2[g]
+        periods = [np.stack((t, 2 * t)) for t in (d.tau1, d.tau2, d.tau12)]
+        valid = (valid_periods(*periods)[prog.scale, g]
+                 & np.isfinite(x) & np.isfinite(y))
+    # lambda_min and the radius stay math arithmetic, which numpy's log and
+    # hypot do not reproduce bit for bit: lambda_min once per draw and scale.
+    lam = np.array([list(map(lambda_min, *(t[k].imag.tolist()
+                                           for t in periods)))
+                    for k in (0, 1)])[prog.scale, g].tolist()
+    rho = np.maximum(np.abs(x.imag), np.abs(y.imag)).tolist()
+    tau1, tau2, tau12 = (t[prog.scale, g] for t in periods)
+
+    def scalar_radius(k: int) -> int:
+        tau = PeriodMatrix(complex(tau1[k]), complex(tau2[k]),
+                           complex(tau12[k]), list(Scale)[prog.scale[k]])
+        return truncation_radius(prog.chars[prog.first_row[k]],
+                                 EvalPoint(complex(x[k]), complex(y[k])),
+                                 tau, pol.eps_tail, pol.max_radius)
+
+    radii, errors = [], {}
+    for k, ok in enumerate(valid.tolist()):
+        try:
+            radii.append(radius_for(lam[k], rho[k], pol.eps_tail,
+                                    pol.max_radius) if ok
+                         else scalar_radius(k))
+        except (ValueError, ArithmeticError, RadiusExceeded) as exc:
+            radii.append(0)
+            errors[k] = exc
+    return _Block(x, y, tau1, tau2, tau12, np.array(radii, dtype=int), errors)
+
+
+def _evaluate(prog: _Program, d: Draws, index: int,
+              pol: PrecisionPolicy) -> list:
+    """For each identity of prog at its row of d, its ResidualReport, or the
+    exception of its first failing group.  The rows of all groups that
+    reach summation go to one sums_by_radius call; the side products and
+    the comparison stay Python arithmetic, in the catalog's order."""
+    b = _block(prog, d, pol)
+    radius = b.radius[prog.group]
+    rows = np.flatnonzero(radius)
+    g = prog.group[rows]
+    a2, c2, b2, d2 = prog.offsets[:, rows]
+    sums = sums_by_radius(a2, c2, b.x[g] + b2, b.y[g] + d2, b.tau1[g],
+                          b.tau2[g], b.tau12[g], radius[rows])
+    errors = b.errors
+    for k in np.flatnonzero(~np.isfinite(sums)).tolist():
+        errors.setdefault(int(g[k]), NonFiniteSum(
+            f"theta{prog.chars[rows[k]]} sum overflows to {complex(sums[k])}"))
+    values = np.zeros(len(prog.group), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values[rows] = sums * prog.phase[rows]
+    values = values.tolist()
+    out = []
+    for i, (idty, (lhs, rhs)) in enumerate(zip(prog.identities, prog.sides)):
+        first, stop = prog.first_group[i:i + 2]
+        error = next((errors[k] for k in range(first, stop) if k in errors),
+                     None) if errors else None
+        out.append(error if error is not None else ResidualReport.compare(
+            idty.id, index, _side(lhs, values), _side(rhs, values),
+            pol.rel_tol, pol.abs_tol))
+    return out
 
 
 def _side(terms, values: list[complex]) -> complex:
@@ -1012,29 +1113,33 @@ def verify_catalog(n_samples: int = 100, seed: int = 0,
                    only: set[str] | None = None) -> list[ResidualReport]:
     """Evaluate every identity at n_samples fresh draws.
 
-    One sample index of every identity is evaluated at a time, all its
-    factor groups summed together (one kernel call per truncation radius),
-    so the values held at once do not grow with n_samples.  Per-sample
-    errors (e.g. RadiusExceeded on an extreme draw) become failed report
-    rows instead of aborting the run, and leave the other rows of the block
-    unchanged.  Reports come out sorted by identity id then sample index,
-    so the output is a pure function of (catalog, n_samples, seed, pol).
+    The selected identities are compiled once into flat arrays (_compile).
+    Then one sample index of all of them is evaluated at a time, as
+    arrays: their draws (draw_stream), each (argument, scale) group's
+    argument, periods and certified radius, and one kernel call per radius
+    (sums_by_radius), so the values held at once do not grow with
+    n_samples.  Per-sample errors (e.g. RadiusExceeded on an extreme draw)
+    become failed report rows instead of aborting the run, and leave the
+    other rows of the block unchanged.  Reports come out sorted by identity
+    id then sample index, so the output is a pure function of (catalog,
+    n_samples, seed, pol).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if catalog is None:
         catalog = build_catalog()
-    plans = [_plan(i) for i in sorted(
-        (i for i in catalog if selected(i.id, only)), key=lambda i: i.id)]
-    streams = [assignment_stream(seed, p.idty.id) for p in plans]
-    per_identity: list[list[ResidualReport]] = [[] for _ in plans]
-    for _ in range(n_samples):
-        block = [(plan, next(draws)) for plan, draws in zip(plans, streams)]
-        for (plan, s), row, out in zip(block, _evaluate(block, pol),
-                                       per_identity):
+    identities = sorted((i for i in catalog if selected(i.id, only)),
+                        key=lambda i: i.id)
+    prog = _compile(identities)
+    draws = draw_stream(seed, [i.id for i in identities])
+    per_identity: list[list[ResidualReport]] = [[] for _ in identities]
+    for index in range(n_samples):
+        for idty, row, out in zip(identities,
+                                  _evaluate(prog, next(draws), index, pol),
+                                  per_identity):
             if isinstance(row, Exception):
                 row = ResidualReport(
-                    plan.idty.id, s.seed, complex("nan"), complex("nan"),
+                    idty.id, index, complex("nan"), complex("nan"),
                     math.inf, math.inf, False,
                     error=f"{type(row).__name__}: {row}")
             out.append(row)

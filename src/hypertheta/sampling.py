@@ -16,10 +16,10 @@ filtered run (--only) sees exactly the same samples as a full run.
 from __future__ import annotations
 
 import hashlib
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import count, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,23 +61,42 @@ def _between(lo: float, hi: float, u: float) -> float:
     return lo + (hi - lo) * u
 
 
-def _tau(u) -> PeriodMatrix:
-    """The period matrix of six uniforms: Im tau1, Im tau2, Im tau12, then
-    Re tau1, Re tau2, Re tau12."""
+def _tau_entries(u):
+    """(Re, Im) of tau1, tau2 and tau12 from six uniforms, or from six
+    arrays of them: Im tau1, Im tau2, Im tau12, then Re tau1, Re tau2,
+    Re tau12.  The one map of both the scalar and the array draws."""
     im1, im2 = (_between(*TAU_IM_DIAG, v) for v in u[:2])
-    margin = math.sqrt(im1 * im2 - TAU_DET_FLOOR)
+    margin = np.sqrt(im1 * im2 - TAU_DET_FLOOR)
     im12 = _between(-margin, margin, u[2])
     re1, re2, re12 = (_between(*TAU_RE, v) for v in u[3:6])
-    tau = PeriodMatrix(complex(re1, im1), complex(re2, im2), complex(re12, im12))
+    return (re1, im1), (re2, im2), (re12, im12)
+
+
+def _point_entries(u):
+    """(Re, Im) of x and y from four uniforms, or from four arrays of them:
+    Re x, Re y, Im x, Im y."""
+    re_x, re_y = (_between(*POINT_RE, v) for v in u[:2])
+    im_x, im_y = (_between(*POINT_IM, v) for v in u[2:4])
+    return (re_x, im_x), (re_y, im_y)
+
+
+def _tau(u) -> PeriodMatrix:
+    """The period matrix of six uniforms (_tau_entries)."""
+    tau = PeriodMatrix(*(complex(re, im) for re, im in _tau_entries(u)))
     tau.validate()
     return tau
 
 
 def _point(u) -> EvalPoint:
-    """The point of four uniforms: Re x, Re y, Im x, Im y."""
-    re_x, re_y = (_between(*POINT_RE, v) for v in u[:2])
-    im_x, im_y = (_between(*POINT_IM, v) for v in u[2:4])
-    return EvalPoint(complex(re_x, im_x), complex(re_y, im_y))
+    """The point of four uniforms (_point_entries)."""
+    return EvalPoint(*(complex(re, im) for re, im in _point_entries(u)))
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """complex(re, im) per element."""
+    out = re.astype(complex)
+    out.imag = im
+    return out
 
 
 def sample_tau(rng: np.random.Generator) -> PeriodMatrix:
@@ -97,6 +116,40 @@ def assignment_stream(root_seed: int,
     for i in count():
         u = rng.random(14).tolist()
         yield SampleAssignment(_tau(u[:6]), _point(u[6:10]), _point(u[10:]), i)
+
+
+class Draws(NamedTuple):
+    """Drawn (tau, p1 = (x1, y1), p2 = (x2, y2)) triples as complex arrays,
+    one row per draw."""
+
+    tau1: np.ndarray
+    tau2: np.ndarray
+    tau12: np.ndarray
+    x1: np.ndarray
+    y1: np.ndarray
+    x2: np.ndarray
+    y2: np.ndarray
+
+    @classmethod
+    def of(cls, samples) -> "Draws":
+        """The rows of SampleAssignments, in order."""
+        return cls(*(np.array(column, dtype=complex) for column in zip(*(
+            (s.tau.tau1, s.tau.tau2, s.tau.tau12, s.p1.x, s.p1.y, s.p2.x,
+             s.p2.y) for s in samples))))
+
+
+def draw_stream(root_seed: int, labels) -> Iterator[Draws]:
+    """The draws of all labels at sample 0, 1, ... without end, one row per
+    label: each row is what assignment_stream(root_seed, label) yields at
+    that sample, bit for bit, from the same generator and the same map."""
+    rngs = [make_rng(root_seed, label) for label in labels]
+    u = np.empty((len(rngs), 14))
+    while True:
+        for rng, row in zip(rngs, u):
+            rng.random(out=row)
+        yield Draws(*(_complex(re, im) for re, im in (
+            *_tau_entries(u.T[:6]), *_point_entries(u.T[6:10]),
+            *_point_entries(u.T[10:]))))
 
 
 def assignments_for(root_seed: int, label: str, n: int) -> list[SampleAssignment]:

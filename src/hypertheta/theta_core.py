@@ -111,6 +111,14 @@ class ThetaCharacteristic:
         reduced, q = self._reduction()
         return (*(k / 4 for k in reduced), _PHASES[q])
 
+    @cached_property
+    def _code(self) -> int:
+        """reduce() as one integer, two bits per doubled reduced entry and
+        two for q: (((a0*4 + c0)*4 + b0)*4 + d0)*4 + q; kernel_rows
+        decodes it."""
+        (ka, kc, kb, kd), q = self._reduction()
+        return (((ka * 4 + kc) * 4 + kb) * 4 + kd) * 4 + q
+
     def reduce(self) -> tuple["ThetaCharacteristic", complex]:
         """Canonical form with entries in [0, 2) and the exact phase unit:
         theta[self](z; tau) = phase * theta[reduced](z; tau) for all z, tau."""
@@ -129,6 +137,13 @@ class ThetaCharacteristic:
         def fmt(e: Fraction) -> str:
             return str(e.numerator) if e.denominator == 1 else f"{e.numerator}/2"
         return f"[{fmt(self.a)} {fmt(self.c)}; {fmt(self.b)} {fmt(self.d)}]"
+
+
+def kernel_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets (a0/2, c0/2, b0/2, d0/2), shape (4, R), and the phases
+    of characteristics given by their _code: per row, their _kernel."""
+    offsets = (codes >> np.array([[8], [6], [4], [2]])) & 3
+    return offsets / 4, np.array(_PHASES)[codes & 3]
 
 
 def is_odd(ch: ThetaCharacteristic) -> bool:
@@ -180,9 +195,7 @@ class PeriodMatrix:
     @property
     def lambda_min(self) -> float:
         """Smallest eigenvalue of the 2x2 imaginary part."""
-        i1, i2, i12 = self.tau1.imag, self.tau2.imag, self.tau12.imag
-        half_tr = 0.5 * (i1 + i2)
-        return half_tr - math.hypot(0.5 * (i1 - i2), i12)
+        return lambda_min(self.tau1.imag, self.tau2.imag, self.tau12.imag)
 
     def as_json(self) -> dict:
         return {"tau1": _c2j(self.tau1), "tau2": _c2j(self.tau2),
@@ -192,6 +205,19 @@ class PeriodMatrix:
     def from_json(cls, obj) -> "PeriodMatrix":
         return cls(_j2c(obj["tau1"]), _j2c(obj["tau2"]), _j2c(obj["tau12"]),
                    Scale(obj.get("scale", "base")))
+
+
+def lambda_min(i1: float, i2: float, i12: float) -> float:
+    """Smallest eigenvalue of [[i1, i12], [i12, i2]]."""
+    return 0.5 * (i1 + i2) - math.hypot(0.5 * (i1 - i2), i12)
+
+
+def valid_periods(tau1, tau2, tau12) -> np.ndarray:
+    """Per row of period arrays, whether PeriodMatrix(...).validate() would
+    pass, by the same comparisons."""
+    i1, i2, i12 = tau1.imag, tau2.imag, tau12.imag
+    return (np.isfinite(tau1) & np.isfinite(tau2) & np.isfinite(tau12)
+            & (i1 > 0) & (i2 > 0) & (i1 * i2 - i12 * i12 > 0))
 
 
 def double_periods(tau: PeriodMatrix) -> PeriodMatrix:
@@ -252,17 +278,34 @@ DEFAULT_POLICY = PrecisionPolicy()
 def truncation_radius(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
                       eps_tail: float = DEFAULT_POLICY.eps_tail,
                       max_radius: int = DEFAULT_POLICY.max_radius) -> int:
-    """Smallest square-window radius whose neglected tail is below eps_tail.
+    """Smallest square-window radius whose neglected tail is below eps_tail:
+    tau and z validated, then radius_for(lambda_min of tau, rho of z).
+
+    The radius does not depend on the characteristic: the lower-row shift
+    is real and drops out of the modulus, and the upper-row offsets the
+    lattice kernel sums are reduced to [0, 1).  So theta_values computes
+    one radius for all its characteristics, and the catalog's block path
+    (identity_catalog.verify_catalog) validates each draw once and calls
+    radius_for for each of its (argument, periods) groups directly.
+    """
+    tau.validate()
+    z.validate()
+    return radius_for(tau.lambda_min, max(abs(z.x.imag), abs(z.y.imag)),
+                      eps_tail, max_radius)
+
+
+_LOG2 = math.log(2.0)
+
+
+def radius_for(lam: float, rho: float,
+               eps_tail: float = DEFAULT_POLICY.eps_tail,
+               max_radius: int = DEFAULT_POLICY.max_radius) -> int:
+    """The certified radius for periods whose Im part has smallest
+    eigenvalue lam, at a point with rho = max(|Im x|, |Im y|).
 
     Bound used.  Every term satisfies |term| <= f(M)*f(N) with
-    f(t) = exp(-pi*lam*t^2 + 2*pi*rho*|t|), where lam is the smallest
-    eigenvalue of Im(tau) and rho = max(|Im x|, |Im y|).  The radius does
-    not depend on the characteristic: the lower-row shift is real and
-    drops out of the modulus, and the upper-row offsets the lattice kernel
-    sums are reduced to [0, 1), so theta_eval passes ch as given and
-    theta_groups computes one radius per (z, tau) group, for all the
-    group's characteristics, then sums the groups that share a radius in
-    one kernel call.  Writing t* = rho/lam for the maximiser of f:
+    f(t) = exp(-pi*lam*t^2 + 2*pi*rho*|t|).  Writing t* = rho/lam for the
+    maximiser of f:
 
       * one full index line sums to at most
         S = 2*exp(pi*rho^2/lam) * (t* + 2 + 1/sqrt(lam))
@@ -275,19 +318,16 @@ def truncation_radius(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
         so tail(R) <= 2 * S * T1(R).
 
     The scan starts at max(2, ceil(t*+1)) and the bound is monotone in R,
-    so shrinking eps_tail can only grow the returned radius.
+    so shrinking eps_tail can only grow the returned radius.  Raises
+    RadiusExceeded when no radius up to max_radius meets the target.
     """
-    tau.validate()
-    z.validate()
-    lam = tau.lambda_min
-    rho = max(abs(z.x.imag), abs(z.y.imag))
     t_star = rho / lam
-    log_s = math.log(2.0) + math.pi * rho * rho / lam \
+    log_s = _LOG2 + math.pi * rho * rho / lam \
         + math.log(t_star + 2.0 + 1.0 / math.sqrt(lam))
-    log_target = math.log(eps_tail) - math.log(2.0) - log_s
+    log_target = math.log(eps_tail) - _LOG2 - log_s
     radius = max(2, math.ceil(t_star + 1.0))
     while radius <= max_radius:
-        log_t1 = math.log(2.0) - math.pi * lam * radius * radius \
+        log_t1 = _LOG2 - math.pi * lam * radius * radius \
             + 2.0 * math.pi * rho * radius \
             + math.log1p(1.0 / (2.0 * math.pi * (lam * radius - rho)))
         if log_t1 < log_target:
@@ -321,73 +361,32 @@ def theta_values(chars, z: EvalPoint, tau: PeriodMatrix,
     """[theta_eval(ch, z, tau, pol) for ch in chars], bit for bit, from one
     truncation radius and one kernel call: the radius does not depend on
     the characteristic.  Raises NonFiniteSum naming the first
-    characteristic, in the order given, whose sum overflows.  The
-    one-group case of theta_groups."""
-    (values,) = theta_groups([(chars, z, tau)], pol)
-    if isinstance(values, Exception):
-        raise values
-    return values
-
-
-def theta_groups(groups, pol: PrecisionPolicy = DEFAULT_POLICY) -> list:
-    """theta_values(chars, z, tau, pol) for each (chars, z, tau) of groups,
-    bit for bit; where that call would raise RadiusExceeded, NonFiniteSum
-    or an invalid-input error, the exception stands in place of its values.
-
-    Each group is summed at its own truncation radius, and the groups that
-    share a radius are summed in one kernel call, with tau given per row
-    when the call holds more than one group.  Each window is reduced on its
-    own, so a group's values do not depend on the others in its call, and
-    a group that fails leaves the others' values untouched.
-    """
-    groups = [(tuple(chars), z, tau) for chars, z, tau in groups]
-    out: list = [[] for _ in groups]
-    classes: dict[int, list[int]] = {}
-    for g, (chars, z, tau) in enumerate(groups):
-        if not chars:
-            continue
-        try:
-            radius = truncation_radius(chars[0], z, tau, pol.eps_tail,
-                                       pol.max_radius)
-        except (ValueError, ArithmeticError, RadiusExceeded) as exc:
-            out[g] = exc
-            continue
-        classes.setdefault(radius, []).append(g)
-    for radius, members in classes.items():
-        a2, c2, xs, ys, phases, taus = [], [], [], [], [], []
-        for g in members:
-            chars, z, tau = groups[g]
-            ka, kc, kb, kd, ph = zip(*(ch._kernel for ch in chars))
-            a2 += ka
-            c2 += kc
-            xs += [z.x + b for b in kb]
-            ys += [z.y + d for d in kd]
-            phases += ph
-            taus += [(tau.tau1, tau.tau2, tau.tau12)] * len(chars)
-        periods = (taus[0] if len(members) == 1
-                   else (np.array(t) for t in zip(*taus)))
-        sums = lattice_sum(np.array(a2), np.array(c2), np.array(xs),
-                           np.array(ys), *periods, radius).tolist()
-        # Any non-finite sum makes the total non-finite; a total that
-        # overflows from finite sums only costs the per-value check.
-        overflowed = not _finite(sum(sums))
-        start = 0
-        for g in members:
-            chars = groups[g][0]
-            stop = start + len(chars)
-            out[g] = _phased(chars, sums[start:stop], phases[start:stop],
-                             overflowed)
-            start = stop
-    return out
-
-
-def _phased(chars, sums, phases, overflowed: bool):
-    """The theta values of summed characteristics, each sum times its
-    reduction phase; where some sum of the kernel call overflowed,
-    NonFiniteSum naming the first of chars, in the order given, whose sum
-    is not finite."""
-    if overflowed:
+    characteristic, in the order given, whose sum overflows."""
+    chars = tuple(chars)
+    if not chars:
+        return []
+    radius = truncation_radius(chars[0], z, tau, pol.eps_tail, pol.max_radius)
+    a2, c2, b2, d2, phases = zip(*(ch._kernel for ch in chars))
+    sums = lattice_sum(np.array(a2), np.array(c2), z.x + np.array(b2),
+                       z.y + np.array(d2), tau.tau1, tau.tau2, tau.tau12,
+                       radius).tolist()
+    # Any non-finite sum makes the total non-finite; a total that overflows
+    # from finite sums only costs the per-value check.
+    if not _finite(sum(sums)):
         for ch, value in zip(chars, sums):
             if not _finite(value):
-                return NonFiniteSum(f"theta{ch} sum overflows to {value}")
+                raise NonFiniteSum(f"theta{ch} sum overflows to {value}")
     return [phase * value for phase, value in zip(phases, sums)]
+
+
+def sums_by_radius(a2, c2, xs, ys, tau1, tau2, tau12, radii) -> np.ndarray:
+    """lattice_sum of every row (arrays of shape (C,), tau given per row) at
+    its own radius, bit for bit: the rows that share a radius are summed in
+    one kernel call.  Each window is reduced on its own, so a row's sum
+    does not depend on the other rows of its call."""
+    sums = np.empty(len(radii), dtype=complex)
+    for radius in set(radii.tolist()):
+        rows = np.flatnonzero(radii == radius)
+        sums[rows] = lattice_sum(a2[rows], c2[rows], xs[rows], ys[rows],
+                                 tau1[rows], tau2[rows], tau12[rows], radius)
+    return sums

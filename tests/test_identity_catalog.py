@@ -11,6 +11,7 @@ coefficients rather than passing vacuously.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from hypertheta import (
     ORIGIN,
+    ArgSelector,
     Domain,
     EvalPoint,
     Identity,
@@ -52,7 +54,7 @@ from hypertheta.identity_catalog import (
     catalog_as_json,
     catalog_sha256,
 )
-from hypertheta.sampling import make_rng, sample_tau
+from hypertheta.sampling import Draws, draw_stream, make_rng, sample_tau
 
 CAT = build_catalog()
 BY_ID = {i.id: i for i in CAT}
@@ -348,21 +350,19 @@ def test_verify_catalog_deterministic():
 
 def test_each_distinct_factor_summed_once_per_sample(monkeypatch):
     """A factor repeated within one identity at one sample is summed once.
-    Each sample index of all identities is one theta_groups call, which
-    makes one kernel call per truncation radius among its groups, and each
+    Each sample index of all identities is one sums_by_radius call, which
+    makes one kernel call per truncation radius among its rows, and each
     kernel call sums its rows one GRID_POINTS slice at a time."""
     expected = [r.as_json() for r in verify_catalog(2, 0)]
-    counts = {"characteristics": 0, "theta_groups": 0, "radius_classes": 0,
+    counts = {"characteristics": 0, "blocks": 0, "radius_classes": 0,
               "lattice_sum": 0, "window_sums": 0}
-    groups_fn = identity_catalog.theta_groups
+    by_radius = identity_catalog.sums_by_radius
     kernel, window = theta_core.lattice_sum, backends._window_sums
 
-    def counted_groups(groups, *args):
-        groups = list(groups)
-        counts["theta_groups"] += 1
-        counts["radius_classes"] += len({
-            truncation_radius(chars[0], z, tau) for chars, z, tau in groups})
-        return groups_fn(groups, *args)
+    def counted_by_radius(*args):
+        counts["blocks"] += 1
+        counts["radius_classes"] += len(set(args[-1].tolist()))
+        return by_radius(*args)
 
     def counted_kernel(a2, *args):
         counts["lattice_sum"] += 1
@@ -373,14 +373,40 @@ def test_each_distinct_factor_summed_once_per_sample(monkeypatch):
         counts["window_sums"] += 1
         return window(*args)
 
-    monkeypatch.setattr(identity_catalog, "theta_groups", counted_groups)
+    monkeypatch.setattr(identity_catalog, "sums_by_radius", counted_by_radius)
     monkeypatch.setattr(theta_core, "lattice_sum", counted_kernel)
     monkeypatch.setattr(backends, "_window_sums", counted_window)
     rows = verify_catalog(2, 0)
-    assert counts == {"characteristics": 3216, "theta_groups": 2,
+    assert counts == {"characteristics": 3216, "blocks": 2,
                       "radius_classes": 31, "lattice_sum": 31,
                       "window_sums": 73}
     assert [r.as_json() for r in rows] == expected
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_block_radii_equal_truncation_radius(seed):
+    """Every (argument, scale) group of a block, over all identities, gets
+    what the scalar path gives its draw: the argument of
+    ArgSelector.select (by repr), tau or double_periods(tau), and the
+    radius truncation_radius(chars[0], z, tau)."""
+    ids = sorted(BY_ID)
+    prog = identity_catalog._compile([BY_ID[i] for i in ids])
+    block = identity_catalog._block(prog, next(draw_stream(seed, ids)),
+                                    PrecisionPolicy())
+    assert not block.errors
+    samples = [assignments_for(seed, i, 1)[0] for i in ids]
+    coeffs = prog.coeffs.real.astype(int).T.tolist()
+    for g, (i, (c1, c2), doubled) in enumerate(zip(
+            prog.draw.tolist(), coeffs, prog.scale.tolist())):
+        s = samples[i]
+        z = ArgSelector(c1, c2).select(s.p1, s.p2)
+        tau = double_periods(s.tau) if doubled else s.tau
+        assert (repr([complex(block.x[g]), complex(block.y[g])])
+                == repr([z.x, z.y]))
+        assert ([complex(t[g]) for t in (block.tau1, block.tau2, block.tau12)]
+                == [tau.tau1, tau.tau2, tau.tau12])
+        assert block.radius[g] == truncation_radius(
+            prog.chars[prog.first_row[g]], z, tau)
 
 
 def _factor_by_factor(idty, s: SampleAssignment):
@@ -404,33 +430,35 @@ def _factor_by_factor(idty, s: SampleAssignment):
 
 
 def test_failures_inside_a_block_stay_with_their_sample(monkeypatch):
-    """One verify_catalog block holds three hand-built samples: C1's on a
+    """One verify_catalog block holds four hand-built samples: C1's on a
     lattice so thin that no radius up to 60 meets the tail target, 2e8's
-    with |Im z| = 20 at p1 + p2, whose sum overflows, and D1's on a thin
+    with |Im z| = 20 at p1 + p2, whose sum overflows, D1's on a thin
     lattice whose base constants share that overflowing group's radius and
-    so its kernel call.  The failed rows carry evaluate_identity's error
-    text; every other row equals a factor-by-factor evaluation byte for
-    byte."""
+    so its kernel call, and 2e4.0000's with a non-finite p1.  The failed
+    rows carry evaluate_identity's error text, the non-finite point's as
+    the scalar point check words it; every other row equals a
+    factor-by-factor evaluation byte for byte."""
     far = (EvalPoint(0.1 + 10j, -0.2 + 0.05j),
            EvalPoint(-0.3 + 10j, 0.1 - 0.05j))
     partner = PeriodMatrix(0.1 + 0.0047j, -0.2 + 2j, 0.05 + 0j)
+    broken = EvalPoint(complex(math.inf, 0.1), 0.2j)
     hand_built = {
         "C1": SampleAssignment(PeriodMatrix(0.1 + 0.003j, -0.2 + 2j, 0j),
                                P1, P2, seed=0),
         "2e8": SampleAssignment(TAU, *far, seed=0),
         "D1": SampleAssignment(partner, P1, P2, seed=0),
+        "2e4.0000": SampleAssignment(TAU, broken, P2, seed=0),
     }
     ch = ThetaCharacteristic.of(0, 0, 0, 0)
     assert truncation_radius(ch, far[0] + far[1], TAU) == 51
     assert truncation_radius(ch, ORIGIN, partner) == 51
-    drawn = identity_catalog.assignment_stream
 
-    def stream(seed, label):
-        if label in hand_built:
-            return iter([hand_built[label]])
-        return drawn(seed, label)
+    def stream(seed, labels):
+        yield Draws.of([hand_built.get(label)
+                        or assignments_for(seed, label, 1)[0]
+                        for label in labels])
 
-    monkeypatch.setattr(identity_catalog, "assignment_stream", stream)
+    monkeypatch.setattr(identity_catalog, "draw_stream", stream)
     ids = ["2e36.r1", "2e4.0000", "2e5.0000", "2e8", "B1", "C1", "C5", "D1",
            "D5"]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -443,12 +471,19 @@ def test_failures_inside_a_block_stay_with_their_sample(monkeypatch):
                 assert (json.dumps(row.as_json())
                         == json.dumps(_factor_by_factor(idty, s).as_json()))
                 continue
-            with pytest.raises((RadiusExceeded, NonFiniteSum)) as info:
+            with pytest.raises((RadiusExceeded, NonFiniteSum,
+                                ValueError)) as info:
                 evaluate_identity(idty, s)
             assert row.error == f"{type(info.value).__name__}: {info.value}"
             assert not row.passed
     assert {r.identity_id: r.error.split(":")[0] for r in rows if r.error} \
-        == {"2e8": "NonFiniteSum", "C1": "RadiusExceeded"}
+        == {"2e8": "NonFiniteSum", "C1": "RadiusExceeded",
+            "2e4.0000": "ValueError"}
+    assert rows[1].error == (
+        "ValueError: non-finite evaluation point "
+        f"{ArgSelector(1, 1).select(broken, P2)}")
+    assert rows[1].error.endswith("EvalPoint(x=(inf+nanj), "
+                                  "y=(0.29+0.09000000000000001j))")
 
 
 def test_report_json_schema():

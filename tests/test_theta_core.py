@@ -32,13 +32,13 @@ from hypertheta import (
     double_periods,
     is_odd,
     theta_eval,
-    theta_groups,
     theta_values,
     truncation_radius,
 )
 from hypertheta.addition import _law_tables
 from hypertheta.backends import GRID_POINTS, lattice_sum
 from hypertheta.sampling import sample_tau
+from hypertheta.theta_core import kernel_rows, sums_by_radius
 
 TAU_E = PeriodMatrix(1j, 1j, 0j)
 TAU_G = PeriodMatrix(0.3 + 1.1j, -0.2 + 1.4j, 0.15 + 0.25j)
@@ -178,6 +178,16 @@ def test_theta_values_equal_theta_eval_bit_for_bit(z, tau, radius):
                                                for ch in chars]
 
 
+def test_kernel_rows_decode_each_code_to_its_kernel():
+    """The integer code of every characteristic [k/2], k in [-3, 4],
+    decodes to exactly its _kernel offsets and phase."""
+    offsets, phases = kernel_rows(np.array([ch._code
+                                            for ch in _UNREDUCED_CHARS]))
+    assert ([(*row, phase) for row, phase in zip(offsets.T.tolist(),
+                                                 phases.tolist())]
+            == [ch._kernel for ch in _UNREDUCED_CHARS])
+
+
 def test_theta_values_names_the_first_overflowing_characteristic():
     chars = [ThetaCharacteristic.of(1, 0, 1, 1),
              ThetaCharacteristic.of(0, 0, 0, 0)]
@@ -212,25 +222,32 @@ def test_lattice_sum_with_tau_per_row_equals_scalar_calls(radius):
     assert batch == scalar
 
 
-def test_theta_groups_equal_theta_values_bit_for_bit():
-    """Groups at their own (z, tau), several sharing a radius and so a
-    kernel call with tau per row, give exactly theta_values' values per
-    group, and those are exactly theta_eval's; a group without
-    characteristics gives []."""
+def test_sums_by_radius_equal_theta_values_bit_for_bit():
+    """Rows of groups at their own (z, tau) and radius, many groups sharing
+    a radius and so a kernel call with tau per row, times their reduction
+    phases, give exactly theta_values' values per group, and those are
+    exactly theta_eval's."""
     rng = np.random.default_rng(11)
     groups = [([_UNREDUCED_CHARS[j] for j in rng.choice(
                    len(_UNREDUCED_CHARS), rng.integers(1, 17))],
                EvalPoint(*(complex(rng.uniform(-0.5, 0.5),
                                    rng.uniform(-0.6, 0.6)) for _ in "xy")),
                tau) for tau in _mixed_periods(rng, 60)]
-    groups.append(([], Z_G, TAU_G))
-    radii = [truncation_radius(chars[0], z, tau)
-             for chars, z, tau in groups[:-1]]
+    radii = [truncation_radius(chars[0], z, tau) for chars, z, tau in groups]
     assert len(set(radii)) < len(radii) - 40
-    got = theta_groups(groups)
-    assert got == [theta_values(*group) for group in groups]
-    assert got[:-1] == [[theta_eval(ch, z, tau) for ch in chars]
-                        for chars, z, tau in groups[:-1]]
+    rows = [(*ch._kernel, z, tau, radius)
+            for (chars, z, tau), radius in zip(groups, radii) for ch in chars]
+    a2, c2, b2, d2, phase = (np.array(v) for v in zip(*(r[:5] for r in rows)))
+    xs = np.array([r[5].x for r in rows]) + b2
+    ys = np.array([r[5].y for r in rows]) + d2
+    t1, t2, t12 = (np.array([getattr(r[6], name) for r in rows])
+                   for name in ("tau1", "tau2", "tau12"))
+    got = (sums_by_radius(a2, c2, xs, ys, t1, t2, t12,
+                          np.array([r[7] for r in rows])) * phase).tolist()
+    want = [value for group in groups for value in theta_values(*group)]
+    assert got == want
+    assert want == [theta_eval(ch, z, tau) for chars, z, tau in groups
+                    for ch in chars]
 
 
 def test_exactly_six_odd_characteristics_vanish_at_origin():
