@@ -20,26 +20,30 @@ three layers, running the identity catalog's own rows:
      factors and the common homogeneity scale cancel, leaving exactly
      F[a c;b d](z1+z2).
 
-The law runs in two modes sharing layers 2-3.  Reduced mode (add_algebraic,
-add_vector) builds the doubled values out of the fifteen quotients and the
-constants alone and never evaluates a theta series at a new argument.
-Direct mode (add_direct) instead sums every doubled theta at (2z; doubled
-periods) from scratch.  verify_addition checks reduced mode against direct
-summation at z1+z2 and cross-checks the two modes against each other.
+The law runs in two modes sharing layers 2-3.  Reduced mode (add_vector)
+builds the doubled values out of the fifteen quotients and the constants
+alone and never evaluates a theta series at a new argument.  Direct mode
+(add_direct) instead sums every doubled theta at (2z; doubled periods) from
+scratch.  verify_addition checks reduced mode against direct summation at
+z1+z2 and cross-checks the two modes against each other.
+
+Rows C1..C28 and B1..B19 are the law's only source: its constants are
+the ones the C rows read (constant_chars), and its guard against a
+degenerate tau is the C rows' own lhs coefficients (near_singular).  It
+reads none of D1..D16, whose root forms identity_catalog checks.
 
 Direct sums share one kernel call per (z, tau) through theta_values:
-constants_vector sums the sixteen constants the rows read in one call,
-f_vector the normalizer and then the fifteen numerators, and
-doubled_values_direct the twenty-eight doubled values in one, so a
-verify_addition sample makes nine kernel calls.  The root forms of D1..D16
-are checked in identity_catalog, not on this path.
+constants_vector sums the sixteen constants in one call, f_vector the
+normalizer and then the fifteen numerators, and doubled_values_direct the
+twenty-eight doubled values in one, so a verify_addition sample makes nine
+kernel calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 from .identity_catalog import (
@@ -95,31 +99,10 @@ A_LABELS: dict[str, tuple] = {f"A{k + 1}": ch for k, ch in enumerate(A_ORDER)}
 _BASE = ThetaCharacteristic.of(*BASE_CHAR)
 _A_CHARS = tuple(ThetaCharacteristic.of(*ch) for ch in A_ORDER)
 
-# Constant names and the root-form rows whose targets are their
-# doubled-period characteristics.
-ROOT_IDS: dict[str, str] = {
-    "m00": "D1", "m01": "D2", "m10": "D3", "m11": "D4",
-    "alpha": "D5", "beta": "D6", "gamma": "D7", "delta": "D8",
-    "xi": "D9", "zeta": "D10", "p": "D11", "q": "D12",
-    "r": "D13", "t": "D14", "s": "D15", "w": "D16",
-}
-
 # The catalog rows the law runs: C1..C28 solve each doubled theta at 2z,
 # B1..B19 pair doubled values at 2*z1 and 2*z2 into duplication products.
 SOLVED_IDS = tuple(f"C{n}" for n in range(1, 29))
 PAIRING_IDS = tuple(f"B{n}" for n in range(1, 20))
-
-
-@dataclass(frozen=True)
-class HyperellipticValue:
-    """One quotient value F[ch](z) = theta[ch](z) / theta[0 0;0 0](z)."""
-
-    ch: ThetaCharacteristic
-    value: complex
-
-    def as_json(self) -> dict:
-        return {"ch": self.ch.as_json(),
-                "value": {"re": self.value.real, "im": self.value.imag}}
 
 
 @dataclass(frozen=True)
@@ -153,11 +136,6 @@ class FVector:
             return 1.0 + 0j
         return self.values[A_ORDER.index(key)]
 
-    def full_mapping(self) -> dict[tuple, complex]:
-        out = {BASE_CHAR: 1.0 + 0j}
-        out.update(zip(A_ORDER, self.values))
-        return out
-
     def as_json(self) -> dict:
         out = {f"A{k + 1}": {"re": v.real, "im": v.imag}
                for k, v in enumerate(self.values)}
@@ -170,48 +148,53 @@ class FVector:
 
 @dataclass(frozen=True)
 class ConstantsVector:
-    """The sixteen doubled-period theta constants the addition law reads at
-    one tau, keyed by name (m00 .. w), each lattice-summed once.  The six
-    odd constants vanish identically and are not stored."""
+    """The sixteen doubled-period theta constants the solved rows read at
+    one tau, in constant_chars() order, each lattice-summed once.  Indexing
+    takes a characteristic or a 4-tuple, as FVector's does.  The six odd
+    constants vanish identically and no row reads them."""
 
     tau: PeriodMatrix
-    values: dict[str, complex]
+    values: tuple[complex, ...]
 
-    def __getitem__(self, name: str) -> complex:
-        return self.values[name]
+    def __getitem__(self, ch) -> complex:
+        return self.values[list(_law_tables()[0]).index(FVector._key(ch))]
+
+    @cached_property
+    def _solved_rows(self) -> tuple[tuple, ...]:
+        """The solved rows C1..C28 at this tau, computed once: per row, its
+        id, its lhs coefficient and its rhs terms as (coeff * constants,
+        chA index, chB index)."""
+        _, _, products, solved, _ = _law_tables()
+        values = [math.prod((self.values[i] for i in factors), start=1)
+                  for factors in products]
+        return tuple((ident, sum(c * values[i] for c, i in lhs),
+                      [(c * values[i], a, b) for c, i, a, b in rhs])
+                     for ident, lhs, rhs in solved)
 
     def near_singular(self, threshold: float = DIVISOR_THRESHOLD) -> tuple[str, ...]:
-        """Names of assembly denominators too close to zero at this tau."""
-        k = self.values
-        dens = {
-            "alpha^2-beta^2": k["alpha"] ** 2 - k["beta"] ** 2,
-            "gamma^2-delta^2": k["gamma"] ** 2 - k["delta"] ** 2,
-            "xi^2-zeta^2": k["xi"] ** 2 - k["zeta"] ** 2,
-            "p^2-q^2": k["p"] ** 2 - k["q"] ** 2,
-        }
-        for name in ("m00", "m01", "m10", "m11", "r", "s", "t", "w"):
-            dens[name] = k[name]
-        return tuple(sorted(n for n, v in dens.items() if abs(v) < threshold))
+        """Ids of the solved rows whose lhs coefficient is too close to zero
+        at this tau: the rows add_vector refuses."""
+        return tuple(ident for ident, den, _ in self._solved_rows
+                     if abs(den) < threshold)
 
     def as_json(self) -> dict:
         return {"tau": self.tau.as_json(),
-                "values": {n: {"re": v.real, "im": v.imag}
-                           for n, v in self.values.items()}}
+                "values": {str(ch): {"re": v.real, "im": v.imag}
+                           for ch, v in zip(constant_chars(), self.values)}}
 
 
 # --------------------------------------------------------------------------
 # direct evaluation of quotients and constants
 
 def f_eval(ch, z: EvalPoint, tau: PeriodMatrix,
-           pol: PrecisionPolicy = DEFAULT_POLICY) -> HyperellipticValue:
+           pol: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     """F[ch](z) by direct summation of numerator and normalizer."""
     if not isinstance(ch, ThetaCharacteristic):
         ch = ThetaCharacteristic.of(*ch)
     den = theta_eval(_BASE, z, tau, pol)
     if abs(den) < DIVISOR_THRESHOLD:
         raise DivisorHit(f"theta[0 0;0 0]({z.x:.4g}, {z.y:.4g}) = {den:.3e}")
-    num = theta_eval(ch, z, tau, pol)
-    return HyperellipticValue(ch, num / den)
+    return theta_eval(ch, z, tau, pol) / den
 
 
 def f_vector(z: EvalPoint, tau: PeriodMatrix,
@@ -226,29 +209,17 @@ def f_vector(z: EvalPoint, tau: PeriodMatrix,
     return FVector(vals, point=z, tau=tau)
 
 
-@lru_cache(maxsize=1)
-def _constant_chars() -> dict[str, ThetaCharacteristic]:
-    """Constant name -> doubled-period characteristic, read once from the
-    targets of the built-in root-form rows D1..D16."""
-    by_id = {i.id: i for i in build_catalog()}
-    chars = {}
-    for name, d_id in ROOT_IDS.items():
-        form = by_id[d_id].root_form
-        if form is None:
-            raise ValueError(f"{d_id} has no root form to read a constant from")
-        chars[name] = ThetaCharacteristic.from_json(form["target"])
-    if len(set(chars.values())) != len(chars):
-        raise ValueError("two constants share a characteristic")
-    return chars
+def constant_chars() -> tuple[ThetaCharacteristic, ...]:
+    """The doubled-period constants rows C1..C28 read, in first-read order."""
+    return tuple(_law_tables()[0].values())
 
 
 def constants_vector(tau: PeriodMatrix,
                      pol: PrecisionPolicy = DEFAULT_POLICY) -> ConstantsVector:
-    """The sixteen doubled constants at tau, each summed once at the origin
-    and doubled periods, all in one theta_values call."""
-    chars = _constant_chars()
-    values = theta_values(chars.values(), ORIGIN, double_periods(tau), pol)
-    return ConstantsVector(tau, dict(zip(chars, values)))
+    """The constants the solved rows read at tau, each summed once at the
+    origin and doubled periods, all in one theta_values call."""
+    return ConstantsVector(tau, tuple(theta_values(
+        constant_chars(), ORIGIN, double_periods(tau), pol)))
 
 
 # --------------------------------------------------------------------------
@@ -272,7 +243,7 @@ _PAIRING_RHS = ((ARG_2P1, Scale.DOUBLED), (ARG_2P2, Scale.DOUBLED))
 
 
 def _read(term: IdentityTerm, shape: tuple, ident: str) -> tuple:
-    """(coefficient, keys of the factors away from the origin, names of the
+    """(coefficient, keys of the factors away from the origin, keys of the
     doubled-period constants) of a term whose factors away from the origin
     have the (argument, scale) `shape`."""
     moving = [f for f in term.factors if f.arg != ARG_ORIGIN]
@@ -280,13 +251,12 @@ def _read(term: IdentityTerm, shape: tuple, ident: str) -> tuple:
     if (tuple((f.arg, f.scale) for f in moving) != shape
             or any(f.scale is not Scale.DOUBLED for f in consts)):
         raise ValueError(f"{ident} does not have the shape the law reads")
-    names = {ch: name for name, ch in _constant_chars().items()}
     return (term.coefficient, tuple(FVector._key(f.ch) for f in moving),
-            tuple(names[f.ch] for f in consts))
+            tuple(FVector._key(f.ch) for f in consts))
 
 
 @lru_cache(maxsize=1)
-def _law_tables() -> tuple[dict, tuple, tuple, tuple]:
+def _law_tables() -> tuple[dict, dict, tuple, tuple, tuple]:
     """Catalog rows C1..C28 and B1..B19 in index form, compiled once from
     the catalog builder.
 
@@ -301,16 +271,24 @@ def _law_tables() -> tuple[dict, tuple, tuple, tuple]:
         theta[sum](z1+z2) * theta[diff](z1-z2)
             = sum of coeff * Theta[x](2*z1) * Theta[y](2*z2).
 
-    Returns (targets, products, solved, pairings): the characteristic each
-    solved row gives, as key -> ThetaCharacteristic; the distinct products
-    of named constants the rows use; per solved row, a label, its lhs terms
-    (coeff, products index) and its rhs terms (coeff, products index, chA
-    and chB _POINT_CHARS index); per pairing row, (sum, diff) and its rhs
-    terms (coeff / lhs coeff, x and y targets index).
+    Returns (constants, targets, products, solved, pairings): as key ->
+    ThetaCharacteristic, the constants in the order the solved rows first
+    read them and the doubled theta each solved row gives; the distinct
+    products of constants, as tuples of constants indices; per solved row,
+    its id, its lhs terms (coeff, products index) and its rhs terms (coeff,
+    products index, chA and chB _POINT_CHARS index); per pairing row, (sum,
+    diff) and its rhs terms (coeff / lhs coeff, x and y targets index).
     """
     by_id = {i.id: i for i in build_catalog()}
+    constants: dict[tuple, int] = {}
     products: dict[tuple, int] = {}
     targets, solved, pairings = [], [], []
+
+    def product(keys: tuple) -> int:
+        factors = tuple(constants.setdefault(key, len(constants))
+                        for key in keys)
+        return products.setdefault(factors, len(products))
+
     for ident in SOLVED_IDS:
         lhs = [_read(t, _SOLVED_LHS, ident) for t in by_id[ident].lhs]
         rhs = [_read(t, _SOLVED_RHS, ident) for t in by_id[ident].rhs]
@@ -318,41 +296,38 @@ def _law_tables() -> tuple[dict, tuple, tuple, tuple]:
             raise ValueError(f"{ident} does not solve for one doubled theta")
         targets.append(lhs[0][1][0])
         solved.append((
-            f"lhs coefficient of {ident}",
-            tuple((c, products.setdefault(names, len(products)))
-                  for c, _, names in lhs),
-            tuple((c, products.setdefault(names, len(products)),
+            ident,
+            tuple((c, product(keys)) for c, _, keys in lhs),
+            tuple((c, product(keys),
                    _POINT_CHARS.index(a), _POINT_CHARS.index(b))
-                  for c, (a, b), names in rhs)))
+                  for c, (a, b), keys in rhs)))
     for ident in PAIRING_IDS:
-        ((c0, pair, names),) = [_read(t, _PAIRING_LHS, ident)
-                                for t in by_id[ident].lhs]
+        ((c0, pair, keys),) = [_read(t, _PAIRING_LHS, ident)
+                               for t in by_id[ident].lhs]
         rhs = [_read(t, _PAIRING_RHS, ident) for t in by_id[ident].rhs]
-        if names or any(more for _, _, more in rhs):
+        if keys or any(more for _, _, more in rhs):
             raise ValueError(f"{ident}: constants in a pairing row")
         pairings.append((pair, tuple(
             (c / c0, targets.index(x), targets.index(y))
             for c, (x, y), _ in rhs)))
-    return ({key: ThetaCharacteristic.of(*key) for key in targets},
+    return ({key: ThetaCharacteristic.of(*key) for key in constants},
+            {key: ThetaCharacteristic.of(*key) for key in targets},
             tuple(products), tuple(solved), tuple(pairings))
 
 
-def _solved_weights(k: ConstantsVector) -> list[tuple]:
-    """The solved rows at one tau: per row, its lhs coefficient and its rhs
-    terms as (coeff * constants, chA index, chB index).  Raises
-    DegenerateDenominator when an lhs coefficient vanishes."""
-    _, products, solved, _ = _law_tables()
-    values = [math.prod((k[name] for name in names), start=1)
-              for names in products]
-    return [(_guard(sum(c * values[i] for c, i in lhs), label),
-             [(c * values[i], a, b) for c, i, a, b in rhs])
-            for label, lhs, rhs in solved]
+def _solved_weights(k: ConstantsVector) -> tuple[tuple, ...]:
+    """k's solved rows; raises DegenerateDenominator at a vanishing lhs."""
+    for ident, den, _ in k._solved_rows:
+        if abs(den) < DIVISOR_THRESHOLD:
+            raise DegenerateDenominator(
+                f"lhs coefficient of {ident} = {den:.3e}")
+    return k._solved_rows
 
 
-def _doubled(v: tuple, weights: list[tuple]) -> list[complex]:
+def _doubled(v: tuple, weights: tuple[tuple, ...]) -> list[complex]:
     """Doubled values in row order from point values in _POINT_CHARS order."""
     out = []
-    for den, terms in weights:
+    for _, den, terms in weights:
         acc = 0j
         for w, a, b in terms:
             acc += w * v[a] * v[b]
@@ -374,14 +349,14 @@ def doubled_values(point_vals: Mapping[tuple, complex],
     input vector.
     """
     v = tuple(point_vals[ch] for ch in _POINT_CHARS)
-    return dict(zip(_law_tables()[0], _doubled(v, _solved_weights(k))))
+    return dict(zip(_law_tables()[1], _doubled(v, _solved_weights(k))))
 
 
 def _pairings(d1: list[complex], d2: list[complex]) -> dict[tuple, complex]:
     """theta[sum](z1+z2) * theta[diff](z1-z2), keyed by (sum, diff), from
     doubled values at 2*z1 and 2*z2 in row order (catalog rows B1..B19)."""
     out: dict[tuple, complex] = {}
-    for pair, terms in _law_tables()[3]:
+    for pair, terms in _law_tables()[4]:
         acc = 0j
         for coeff, x, y in terms:
             acc += coeff * d1[x] * d2[y]
@@ -432,19 +407,11 @@ def add_vector(f1: FVector, f2: FVector, k: ConstantsVector) -> FVector:
     return FVector(_assemble(d1, d2), point=_summed_point(f1, f2), tau=k.tau)
 
 
-def add_algebraic(ch, f1: FVector, f2: FVector,
-                  consts: ConstantsVector) -> HyperellipticValue:
-    """Reduced-mode value of one quotient at the summed argument."""
-    if not isinstance(ch, ThetaCharacteristic):
-        ch = ThetaCharacteristic.of(*ch)
-    return HyperellipticValue(ch, add_vector(f1, f2, consts)[ch])
-
-
 def doubled_values_direct(z: EvalPoint, tau: PeriodMatrix,
                           pol: PrecisionPolicy = DEFAULT_POLICY) -> dict:
     """The twenty-eight doubled values by fresh summation at (2z; 2*tau),
     in the order of rows C1..C28, all in one theta_values call."""
-    targets = _law_tables()[0]
+    targets = _law_tables()[1]
     return dict(zip(targets, theta_values(targets.values(), z.scaled(2),
                                           double_periods(tau), pol)))
 

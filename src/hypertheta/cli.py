@@ -257,7 +257,7 @@ def cmd_eval(args) -> int:
     try:
         radius = truncation_radius(ch, z, tau, pol.eps_tail, pol.max_radius)
         if args.ratio:
-            value = f_eval(ch, z, tau, pol).value
+            value = f_eval(ch, z, tau, pol)
             label = f"F{ch}"
         else:
             value = theta_eval(ch, z, tau, pol)

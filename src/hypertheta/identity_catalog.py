@@ -276,8 +276,6 @@ _RIEMANN = ((1, 1, 1, 1),
 def riemann_matrix():
     """The symmetric 4x4 matrix with M @ M = 4*I that interchanges squared
     base thetas and doubled-theta products (rows/columns ordered per _ORDER)."""
-    import numpy as np
-
     return np.array(_RIEMANN, dtype=int)
 
 

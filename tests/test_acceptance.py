@@ -202,11 +202,11 @@ def test_primary_riemann_matrix():
     forward = M @ v_sq
     worst = 0.0
     for idx, (a, c) in enumerate(_ORDER):
-        direct = (4 * k[f"m{a}{c}"]
+        direct = (4 * k[(a, c, 0, 0)]
                   * theta_eval(ThetaCharacteristic.of(a, c, 0, 0), twice, dbl))
         worst = max(worst, abs(forward[idx] - direct) / abs(direct))
     directs = np.array(
-        [4 * k[f"m{a}{c}"]
+        [4 * k[(a, c, 0, 0)]
          * theta_eval(ThetaCharacteristic.of(a, c, 0, 0), twice, dbl)
          for a, c in _ORDER])
     recovered = M @ directs / 4.0

@@ -1,6 +1,6 @@
 """Addition-law tests.
 
-Reduced-mode composition (add_vector / add_algebraic) is validated against
+Reduced-mode composition (add_vector) is validated against
 direct summation at the sum point and against direct mode (add_direct,
 which sums every doubled theta from scratch); its algebraic properties
 (identity element, commutativity, associativity, degree-2 homogeneity of
@@ -32,10 +32,9 @@ from hypertheta.addition import (
     DegenerateDenominator,
     DivisorHit,
     FVector,
-    HyperellipticValue,
-    add_algebraic,
     add_direct,
     add_vector,
+    constant_chars,
     constants_vector,
     doubled_values,
     doubled_values_direct,
@@ -80,11 +79,9 @@ def test_a_order_covers_all_nonbase_characteristics():
 def test_f_eval_matches_ratio_of_sums():
     ch = ThetaCharacteristic.of(1, 0, 1, 1)
     got = f_eval(ch, Z1, TAU)
-    assert isinstance(got, HyperellipticValue)
-    assert got.ch == ch
     num = theta_eval(ch, Z1, TAU)
     den = theta_eval(ThetaCharacteristic.of(0, 0, 0, 0), Z1, TAU)
-    assert rel(got.value, num / den) < 1e-14
+    assert rel(got, num / den) < 1e-14
 
 
 def test_f_vector_indexing():
@@ -92,8 +89,8 @@ def test_f_vector_indexing():
     assert f[(0, 0, 0, 0)] == 1.0 + 0j
     assert f[ThetaCharacteristic.of(0, 1, 1, 0)] == f.values[
         A_ORDER.index((0, 1, 1, 0))]
-    mapping = f.full_mapping()
-    assert len(mapping) == 16
+    assert [f[ch] for ch in ((0, 0, 0, 0),) + A_ORDER] == [1.0 + 0j,
+                                                          *f.values]
     assert f.point == Z1 and f.tau == TAU
     obj = f.as_json()
     assert set(obj) == {f"A{k}" for k in range(1, 16)} | {"point", "tau"}
@@ -106,11 +103,21 @@ def test_fvector_rejects_wrong_length():
 
 # --------------------------------------------------------------- constants
 
+def _root_form_targets() -> dict[str, ThetaCharacteristic]:
+    """Row id -> target characteristic of each built-in row with a root
+    form (D1..D16)."""
+    return {i.id: ThetaCharacteristic.from_json(i.root_form["target"])
+            for i in identity_catalog.build_catalog()
+            if i.root_form is not None}
+
+
 def test_constants_direct_vs_resolved(k):
     """The law reads the summed constants; their root forms resolve, at the
     same tau, in identity_catalog's sign search."""
     assert k.near_singular() == ()
-    for d_id in addition.ROOT_IDS.values():
+    d_ids = list(_root_form_targets())
+    assert d_ids == [f"D{n}" for n in range(1, 17)]
+    for d_id in d_ids:
         _, record = identity_catalog.resolve_sign(d_id, TAU)
         assert record["rel_error"] < 1e-10
 
@@ -136,8 +143,9 @@ def _counted_kernel(monkeypatch, *modules) -> dict:
 
 
 def test_constants_sum_each_constant_once(monkeypatch):
-    """The 16 doubled constants, each summed once in one kernel call, and
-    no sign search."""
+    """The 16 doubled constants the solved rows read, each summed once in
+    one kernel call, and no sign search.  They are the targets of the
+    D1..D16 root forms, though the law reads none of those rows."""
     def boom(*args, **kwargs):
         raise AssertionError("match_signs on the constants path")
 
@@ -145,9 +153,13 @@ def test_constants_sum_each_constant_once(monkeypatch):
     monkeypatch.setattr(identity_catalog, "match_signs", boom)
     kv = constants_vector(TAU)
     (chars,) = seen["theta_values"]
+    assert chars == constant_chars()
     assert len(chars) == len(set(chars)) == 16
+    assert set(chars) == set(_root_form_targets().values())
     assert seen["lattice_sum"] == 1
-    assert set(kv.values) == set(addition.ROOT_IDS)
+    assert len(kv.values) == 16
+    for ch, value in zip(chars, kv.values):
+        assert kv[ch] == value
 
 
 def test_f_vector_divisor_hit_sums_no_numerator(monkeypatch):
@@ -180,7 +192,7 @@ def test_constants_at_diagonal_tau_do_not_warn():
         kv = constants_vector(tau)
     zeta = theta_eval(ThetaCharacteristic.of(1, 1, 1, 1), ORIGIN,
                       double_periods(tau))
-    assert kv["zeta"] == zeta
+    assert kv[(1, 1, 1, 1)] == zeta
 
 
 def test_theta_eval_and_law_never_call_reduce(monkeypatch):
@@ -202,9 +214,10 @@ def test_theta_eval_and_law_never_call_reduce(monkeypatch):
 def test_constants_match_doubled_thetas(k):
     dbl = double_periods(TAU)
     m11 = theta_eval(ThetaCharacteristic.of(1, 1, 0, 0), ORIGIN, dbl)
-    assert rel(k["m11"], m11) < 1e-14
-    pp = theta_eval(ThetaCharacteristic.of("1/2", "1/2", 0, 0), ORIGIN, dbl)
-    assert rel(k["p"], pp) < 1e-14
+    assert rel(k[(1, 1, 0, 0)], m11) < 1e-14
+    half = ThetaCharacteristic.of("1/2", "1/2", 0, 0)
+    pp = theta_eval(half, ORIGIN, dbl)
+    assert rel(k[half], pp) < 1e-14
 
 
 # ------------------------------------------------------------ doubling core
@@ -240,17 +253,6 @@ def test_addition_matches_direct_summation(k):
     direct = f_vector(Z1 + Z2, TAU)
     assert worst(alg, direct) < 1e-8
     assert alg.point == Z1 + Z2 and alg.tau == TAU
-
-
-def test_add_algebraic_single_characteristic(k):
-    f1, f2 = f_vector(Z1, TAU), f_vector(Z2, TAU)
-    full = add_vector(f1, f2, k)
-    for label, ch in A_LABELS.items():
-        got = add_algebraic(ch, f1, f2, k)
-        assert isinstance(got, HyperellipticValue)
-        assert got.value == full[ch], label
-    trivial = add_algebraic((0, 0, 0, 0), f1, f2, k)
-    assert trivial.value == 1.0 + 0j
 
 
 def test_addition_matches_direct_on_random_draws():
@@ -316,6 +318,22 @@ def test_degenerate_denominator_when_sum_hits_divisor():
     f1, f2 = f_vector(z1, tau), f_vector(z2, tau)  # the points themselves are fine
     with pytest.raises(DegenerateDenominator):
         add_vector(f1, f2, kv)
+
+
+def test_near_singular_names_the_row_add_vector_refuses():
+    """With the [0 0;0 0] constant set to 0, C1's lhs coefficient vanishes:
+    the guard names that row alone, and add_vector refuses that row."""
+    tau = sample_tau(make_rng(3, "addition-unit"))
+    kv = constants_vector(tau)
+    assert kv.near_singular() == ()
+    values = list(kv.values)
+    values[constant_chars().index(ThetaCharacteristic.of(0, 0, 0, 0))] = 0j
+    zeroed = dataclasses.replace(kv, values=tuple(values))
+    assert zeroed.near_singular() == ("C1",)
+    f1, f2 = f_vector(Z1, tau), f_vector(Z2, tau)
+    add_vector(f1, f2, kv)
+    with pytest.raises(DegenerateDenominator, match=r"of C1 = "):
+        add_vector(f1, f2, zeroed)
 
 
 # ---------------------------------------------------------------- verifier

@@ -3,7 +3,10 @@
 import dataclasses
 import hashlib
 import json
+import re
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -94,7 +97,28 @@ def test_eval_ratio_prints_quotient(capsys):
     out = capsys.readouterr().out
     assert out.startswith("F[1 0; 1 0]")
     assert _printed_value(out) == pytest.approx(
-        f_eval((1, 0, 1, 0), z, tau).value, rel=1e-15)
+        f_eval((1, 0, 1, 0), z, tau), rel=1e-15)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples_run_as_documented(capsys):
+    """Each `$ hypertheta eval` example in README.md prints the line shown
+    under it, and the Python quick start runs."""
+    text = README.read_text()
+    lines = text.splitlines()
+    examples = [(line.removeprefix("$ hypertheta "), lines[n + 1])
+                for n, line in enumerate(lines)
+                if line.startswith("$ hypertheta eval ")]
+    assert len(examples) == 2
+    for argv, shown in examples:
+        assert main(shlex.split(argv)) == 0
+        assert capsys.readouterr().out == shown + "\n"
+    (quick_start,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    namespace: dict = {}
+    exec(quick_start, namespace)
+    assert len(namespace["f12"].values) == 15
 
 
 @pytest.mark.parametrize("argv,code", [
