@@ -171,11 +171,11 @@ class ConstantsVector:
                       [(c * values[i], a, b) for c, i, a, b in rhs])
                      for ident, lhs, rhs in solved)
 
-    def near_singular(self, threshold: float = DIVISOR_THRESHOLD) -> tuple[str, ...]:
-        """Ids of the solved rows whose lhs coefficient is too close to zero
-        at this tau: the rows add_vector refuses."""
+    def near_singular(self) -> tuple[str, ...]:
+        """Ids of the solved rows whose lhs coefficient is below
+        DIVISOR_THRESHOLD at this tau: the rows add_vector refuses."""
         return tuple(ident for ident, den, _ in self._solved_rows
-                     if abs(den) < threshold)
+                     if abs(den) < DIVISOR_THRESHOLD)
 
     def as_json(self) -> dict:
         return {"tau": self.tau.as_json(),

@@ -13,9 +13,10 @@ parallelism never reorders output), and the RunReport carries a
 determinism hash over everything except wall time, the output path and
 the worker count.
 
-Exit codes: 0 all pass; 2 numeric failures; 3 configuration/parse errors.
-`eval` additionally distinguishes InvalidPeriod (4), RadiusExceeded (5),
-DivisorHit (6) and NonFiniteSum (7).
+Exit codes: 0 all pass; 2 numeric failures; 3 configuration/parse errors,
+a non-finite `--z`, a negative seed or a non-positive or non-finite
+tolerance.  `eval` additionally distinguishes InvalidPeriod (4),
+RadiusExceeded (5), DivisorHit (6) and NonFiniteSum (7).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -154,6 +155,11 @@ def _parse_tau(text: str) -> PeriodMatrix:
     return PeriodMatrix(*vals)
 
 
+def _parse_only(text: str) -> tuple[str, ...] | None:
+    """--only as comma-separated ids; None (no override) when it names none."""
+    return tuple(s.strip() for s in text.split(",") if s.strip()) or None
+
+
 def _tau_family() -> dict:
     return {"im_diag": list(TAU_IM_DIAG), "re": list(TAU_RE),
             "det_floor": TAU_DET_FLOOR,
@@ -162,11 +168,14 @@ def _tau_family() -> dict:
 
 @dataclass
 class VerificationConfig:
+    """verify's settings: the keys of a --config file and, under the same
+    names, the dests of the flags that override them."""
+
     seed: int = 0
     n_samples: int = 100
-    eps_tail: float = 1e-14
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
+    eps_tail: float = DEFAULT_POLICY.eps_tail
+    rel_tol: float = DEFAULT_POLICY.rel_tol
+    abs_tol: float = DEFAULT_POLICY.abs_tol
     only: tuple[str, ...] = ()
     output_path: str = ""
     output_format: str = "json-lines"
@@ -183,10 +192,11 @@ class VerificationConfig:
                     value, (float, int) if want is float else want):
                 raise ValueError(f"config field {f.name!r} must be "
                                  f"{want.__name__}, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("--seed must be >= 0")
         if self.n_samples < 1:
             raise ValueError("--samples must be >= 1")
-        if not all(t > 0 for t in (self.eps_tail, self.rel_tol, self.abs_tol)):
-            raise ValueError("tolerances must be positive")
+        self.policy()  # raises on a tolerance not positive and finite
         if self.output_format not in ("json-lines", "csv"):
             raise ValueError(f"unknown format {self.output_format!r}")
         if self.jobs < 1:
@@ -197,12 +207,7 @@ class VerificationConfig:
                                abs_tol=self.abs_tol)
 
     def as_json(self) -> dict:
-        return {"seed": self.seed, "n_samples": self.n_samples,
-                "eps_tail": self.eps_tail, "rel_tol": self.rel_tol,
-                "abs_tol": self.abs_tol, "only": list(self.only),
-                "output_path": self.output_path,
-                "output_format": self.output_format, "jobs": self.jobs,
-                "tau_family": _tau_family()}
+        return {**asdict(self), "tau_family": _tau_family()}
 
     @classmethod
     def from_args(cls, args) -> "VerificationConfig":
@@ -213,27 +218,11 @@ class VerificationConfig:
             if not isinstance(base, dict):
                 raise ValueError(f"config file {args.config} must hold a "
                                  "JSON object")
-        cfg = cls(**{k: v for k, v in base.items()
-                     if k in cls.__dataclass_fields__})
-        # flags win over the config file
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.samples is not None:
-            cfg.n_samples = args.samples
-        if args.eps_tail is not None:
-            cfg.eps_tail = args.eps_tail
-        if args.rel_tol is not None:
-            cfg.rel_tol = args.rel_tol
-        if args.abs_tol is not None:
-            cfg.abs_tol = args.abs_tol
-        if args.only:
-            cfg.only = tuple(s.strip() for s in args.only.split(",") if s.strip())
-        if args.format:
-            cfg.output_format = args.format
-        if args.out:
-            cfg.output_path = args.out
-        if args.jobs is not None:
-            cfg.jobs = args.jobs
+        names = [f.name for f in fields(cls)]
+        cfg = cls(**{k: v for k, v in base.items() if k in names})
+        for name in names:  # flags win over the config file
+            if getattr(args, name) is not None:
+                setattr(cfg, name, getattr(args, name))
         if isinstance(cfg.only, list):
             cfg.only = tuple(cfg.only)
         return cfg
@@ -242,19 +231,21 @@ class VerificationConfig:
 # --------------------------------------------------------------------------
 # eval
 
+# eval's failures and their exit codes, most specific first (InvalidPeriod
+# is a ValueError).
+_EVAL_EXIT_CODES = {InvalidPeriod: EXIT_INVALID_PERIOD,
+                    RadiusExceeded: EXIT_RADIUS, DivisorHit: EXIT_DIVISOR,
+                    NonFiniteSum: EXIT_NONFINITE, ValueError: EXIT_CONFIG,
+                    ZeroDivisionError: EXIT_CONFIG}
+
+
 @_quiet_overflow
 def cmd_eval(args) -> int:
     try:
         ch = _parse_char(args.char)
         z = _parse_point(args.z)
         tau = _parse_tau(args.tau)
-        pol = PrecisionPolicy(
-            eps_tail=args.eps_tail if args.eps_tail is not None
-            else DEFAULT_POLICY.eps_tail)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        pol = PrecisionPolicy(eps_tail=args.eps_tail)
         radius = truncation_radius(ch, z, tau, pol.eps_tail, pol.max_radius)
         if args.ratio:
             value = f_eval(ch, z, tau, pol)
@@ -262,18 +253,10 @@ def cmd_eval(args) -> int:
         else:
             value = theta_eval(ch, z, tau, pol)
             label = f"theta{ch}"
-    except InvalidPeriod as exc:
+    except tuple(_EVAL_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_PERIOD
-    except RadiusExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RADIUS
-    except DivisorHit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVISOR
-    except NonFiniteSum as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONFINITE
+        return next(code for kind, code in _EVAL_EXIT_CODES.items()
+                    if isinstance(exc, kind))
     print(f"{label}({z.x}, {z.y}) = "
           f"{value.real:+.17e}{value.imag:+.17e}j   [radius {radius}]")
     return EXIT_OK
@@ -582,21 +565,24 @@ def _build_parser() -> _Parser:
                         help="t1,t2,t12 complex or six reals")
     p_eval.add_argument("--ratio", action="store_true",
                         help="print the quotient by theta[0 0;0 0] instead")
-    p_eval.add_argument("--eps-tail", type=float, default=None)
+    p_eval.add_argument("--eps-tail", type=float,
+                        default=DEFAULT_POLICY.eps_tail)
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
     p_verify.add_argument("--config", default="",
                           help="JSON config file (flags win)")
+    # dest = the VerificationConfig field each flag overrides
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--samples", type=int, default=None)
+    p_verify.add_argument("--samples", dest="n_samples", type=int,
+                          default=None)
     p_verify.add_argument("--eps-tail", type=float, default=None)
     p_verify.add_argument("--rel-tol", type=float, default=None)
     p_verify.add_argument("--abs-tol", type=float, default=None)
-    p_verify.add_argument("--only", default="",
+    p_verify.add_argument("--only", type=_parse_only, default=None,
                           help="comma-separated ids or id families")
-    p_verify.add_argument("--format", choices=("json-lines", "csv"),
-                          default=None)
-    p_verify.add_argument("--out", default="",
+    p_verify.add_argument("--format", dest="output_format",
+                          choices=("json-lines", "csv"), default=None)
+    p_verify.add_argument("--out", dest="output_path", default=None,
                           help="write rows here instead of stdout")
     p_verify.add_argument("--jobs", type=int, default=None,
                           help="parallel workers for the catalog suite")

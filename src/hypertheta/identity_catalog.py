@@ -372,6 +372,25 @@ _GA, _DE = (0, 0, 1, 0), (0, 1, 1, 0)
 _XI, _ZE = (0, 0, 1, 1), (1, 1, 1, 1)
 
 
+def _radicands(consts) -> tuple:
+    """The base-period products X = theta[cA]*theta[0 0;0 0] and
+    Y = theta[cB]*theta[cB upper;0 0] of a doubled-constant pair (cA, cB),
+    with (cA +- cB)^2 = X +- Y at the origin."""
+    cA, cB = consts
+    return (cA, (0, 0, 0, 0)), (cB, (*cB[:2], 0, 0))
+
+
+# The base products the connector families are solved through, as
+# (theta[chA], theta[chB]) pairs: X, Y, X', Y' of the P/Q family, and
+# theta[u; b d] * theta[0 0; b d] of the R/S (u = (0, 1), lower rows
+# transposed) and T/U (u = (1, 0)) families, each in the order of its four
+# one-point rows (2e47-2e50, 2e59-2e62, 2e70-2e73).
+_PQ_PRODUCTS = (((1, 1, 0, 0), (0, 0, 0, 0)), ((0, 1, 0, 0), (1, 0, 0, 0)),
+                ((1, 1, 1, 0), (0, 0, 1, 0)), ((1, 0, 1, 0), (0, 1, 1, 0)))
+_RS_PRODUCTS = tuple(((0, 1, b, d), (0, 0, b, d)) for d, b in _ORDER)
+_TU_PRODUCTS = tuple(((1, 0, b, d), (0, 0, b, d)) for b, d in _ORDER)
+
+
 def _pair_term(coeff, chA, chB, arg=ARG_P1, extra=None) -> IdentityTerm:
     """coeff * theta[chA](arg) * theta[chB](arg) (* extra constant factor)."""
     factors = [_base(*chA, arg), _base(*chB, arg)]
@@ -492,24 +511,16 @@ def _build_2e_series(cat: list[Identity]) -> None:
 
     cat.extend(_constants_pair(
         "2e37", (_AL, _BE),
-        X=((0, 0, 0, 1), (0, 0, 0, 0)), Y=((1, 0, 0, 1), (1, 0, 0, 0)),
         note="component form: X = alpha^2 + beta^2, Y = 2*alpha*beta"))
-    cat.extend(_pm_squares(
-        "2e38", (_AL, _BE),
-        X=((0, 0, 0, 1), (0, 0, 0, 0)), Y=((1, 0, 0, 1), (1, 0, 0, 0)),
-        note="(alpha +- beta)^2 = X +- Y"))
-    cat.extend(_pm_squares(
-        "2e39", (_GA, _DE),
-        X=((0, 0, 1, 0), (0, 0, 0, 0)), Y=((0, 1, 1, 0), (0, 1, 0, 0)),
-        note="(gamma +- delta)^2 = X +- Y"))
+    cat.extend(_pm_squares("2e38", (_AL, _BE),
+                           note="(alpha +- beta)^2 = X +- Y"))
+    cat.extend(_pm_squares("2e39", (_GA, _DE),
+                           note="(gamma +- delta)^2 = X +- Y"))
     cat.extend(_constants_pair(
         "2e40", (_XI, _ZE),
-        X=((0, 0, 1, 1), (0, 0, 0, 0)), Y=((1, 1, 1, 1), (1, 1, 0, 0)),
         note="component form: X = xi^2 + zeta^2, Y = 2*xi*zeta"))
-    cat.extend(_pm_squares(
-        "2e41", (_XI, _ZE),
-        X=((0, 0, 1, 1), (0, 0, 0, 0)), Y=((1, 1, 1, 1), (1, 1, 0, 0)),
-        note="(xi +- zeta)^2 = X +- Y"))
+    cat.extend(_pm_squares("2e41", (_XI, _ZE),
+                           note="(xi +- zeta)^2 = X +- Y"))
 
 
 def _partner(u, shift) -> tuple:
@@ -556,34 +567,34 @@ def _inverse_rows(family, lower, consts, shift, uppers,
     return rows
 
 
-def _constants_pair(base_id, consts, X, Y, note) -> list[Identity]:
-    """The two component equations theta-product = cA^2 + cB^2 and
-    theta-product = 2*cA*cB at the origin."""
+def _constants_pair(base_id, consts, note) -> list[Identity]:
+    """The two component equations X = cA^2 + cB^2 and Y = 2*cA*cB at the
+    origin (X, Y the pair's _radicands)."""
     cA, cB = consts
+    X, Y = _radicands(consts)
     r1 = Identity(
-        f"{base_id}.r1",
-        (_term(1, _theta0(*X[0]), _theta0(*X[1])),),
+        f"{base_id}.r1", (_pair_term(1, *X, ARG_ORIGIN),),
         (_term(1, _konst(*cA), _konst(*cA)),
          _term(1, _konst(*cB), _konst(*cB))),
         Domain.CONSTANTS_ONLY, note=note)
     r2 = Identity(
-        f"{base_id}.r2",
-        (_term(1, _theta0(*Y[0]), _theta0(*Y[1])),),
+        f"{base_id}.r2", (_pair_term(1, *Y, ARG_ORIGIN),),
         (_term(2, _konst(*cA), _konst(*cB)),),
         Domain.CONSTANTS_ONLY, note=note)
     return [r1, r2]
 
 
-def _pm_squares(base_id, consts, X, Y, note) -> list[Identity]:
-    """(cA +- cB)^2 = theta-product X +- theta-product Y at the origin."""
+def _pm_squares(base_id, consts, note) -> list[Identity]:
+    """(cA +- cB)^2 = X +- Y at the origin (X, Y the pair's _radicands)."""
     cA, cB = consts
+    X, Y = _radicands(consts)
     out = []
     for tag, sign in (("plus", 1), ("minus", -1)):
         lhs = (_term(1, _konst(*cA), _konst(*cA)),
                _term(2 * sign, _konst(*cA), _konst(*cB)),
                _term(1, _konst(*cB), _konst(*cB)))
-        rhs = (_term(1, _theta0(*X[0]), _theta0(*X[1])),
-               _term(sign, _theta0(*Y[0]), _theta0(*Y[1])))
+        rhs = (_pair_term(1, *X, ARG_ORIGIN),
+               _pair_term(sign, *Y, ARG_ORIGIN))
         out.append(Identity(f"{base_id}.{tag}", lhs, rhs,
                             Domain.CONSTANTS_ONLY, note=note))
     return out
@@ -601,17 +612,29 @@ def _half_konst(upper) -> ThetaFactor:
 def _connector_onepoint(ident, lhs_pair, entries, note, flags=()) -> Identity:
     """theta[..](u,v)*theta[..](u,v) = sum of coeff * Theta[half](2u,2v)
     * half-characteristic constant."""
-    lhs = (_pair_term(1, lhs_pair[0], lhs_pair[1]),)
+    lhs = (_pair_term(1, *lhs_pair),)
     rhs = tuple(
         _term(coeff, _half_dbl(name, ARG_2P1), _half_konst(const))
         for coeff, name, const in entries)
     return Identity(ident, lhs, rhs, Domain.ONE_POINT, note=note, flags=flags)
 
 
+def _connector_constants(ident, pair, c1, c2, sign, note,
+                         flags=()) -> Identity:
+    """A base product at the origin = 2*(c1^2 + sign*c2^2) in
+    half-characteristic constants."""
+    rhs = (_term(2, _half_konst(c1), _half_konst(c1)),
+           _term(2 * sign, _half_konst(c2), _half_konst(c2)))
+    return Identity(ident, (_pair_term(1, *pair, ARG_ORIGIN),), rhs,
+                    Domain.CONSTANTS_ONLY, note=note, flags=flags)
+
+
 def _build_connectors(cat: list[Identity]) -> None:
     P, Q, Qp, Pp = _D_NAMES
     R, Rp, S, Sp = _B_NAMES
     T, Tp, U, Up = _C_NAMES
+    X, Y, Xp, Yp = _PQ_PRODUCTS
+    rs, tu = _RS_PRODUCTS, _TU_PRODUCTS
 
     cat.append(_connector_product(
         (1, 1), _D_NAMES, "2e42",
@@ -619,38 +642,28 @@ def _build_connectors(cat: list[Identity]) -> None:
              "(+-1/2, +-1/2) characteristics"))
 
     cat.append(_connector_onepoint(
-        "2e47", ((1, 1, 0, 0), (0, 0, 0, 0)),
-        ((1, P, _P), (1, Pp, _P), (1, Q, _Q), (1, Qp, _Q)),
+        "2e47", X, ((1, P, _P), (1, Pp, _P), (1, Q, _Q), (1, Qp, _Q)),
         note="(P+P')p + (Q+Q')q"))
     cat.append(_connector_onepoint(
-        "2e48", ((0, 1, 0, 0), (1, 0, 0, 0)),
-        ((1, Q, _P), (1, Qp, _P), (1, P, _Q), (1, Pp, _Q)),
+        "2e48", Y, ((1, Q, _P), (1, Qp, _P), (1, P, _Q), (1, Pp, _Q)),
         note="(Q+Q')p + (P+P')q"))
     cat.append(_connector_onepoint(
-        "2e49", ((1, 1, 1, 0), (0, 0, 1, 0)),
-        ((1j, P, _P), (-1j, Pp, _P), (1j, Q, _Q), (-1j, Qp, _Q)),
+        "2e49", Xp, ((1j, P, _P), (-1j, Pp, _P), (1j, Q, _Q), (-1j, Qp, _Q)),
         note="i(P-P')p + i(Q-Q')q"))
     cat.append(_connector_onepoint(
-        "2e50", ((1, 0, 1, 0), (0, 1, 1, 0)),
-        ((1j, P, _Q), (-1j, Pp, _Q), (1j, Q, _P), (-1j, Qp, _P)),
+        "2e50", Yp, ((1j, P, _Q), (-1j, Pp, _Q), (1j, Q, _P), (-1j, Qp, _P)),
         note="i(P-P')q + i(Q-Q')p"))
 
+    cat.append(_connector_constants("2e51", X, _P, _Q, 1,
+                                    note="2(p^2 + q^2)"))
     cat.append(Identity(
-        "2e51",
-        (_term(1, _theta0(1, 1, 0, 0), _theta0(0, 0, 0, 0)),),
-        (_term(2, _half_konst(_P), _half_konst(_P)),
-         _term(2, _half_konst(_Q), _half_konst(_Q))),
-        Domain.CONSTANTS_ONLY, note="2(p^2 + q^2)"))
-    cat.append(Identity(
-        "2e52",
-        (_term(1, _theta0(0, 1, 0, 0), _theta0(1, 0, 0, 0)),),
+        "2e52", (_pair_term(1, *Y, ARG_ORIGIN),),
         (_term(4, _half_konst(_P), _half_konst(_Q)),),
         Domain.CONSTANTS_ONLY, note="4pq"))
     for tag, sign in (("plus", 1), ("minus", -1)):
         cat.append(Identity(
             f"2e53.{tag}",
-            (_term(1, _theta0(1, 1, 0, 0), _theta0(0, 0, 0, 0)),
-             _term(sign, _theta0(0, 1, 0, 0), _theta0(1, 0, 0, 0))),
+            (_pair_term(1, *X, ARG_ORIGIN), _pair_term(sign, *Y, ARG_ORIGIN)),
             (_term(2, _half_konst(_P), _half_konst(_P)),
              _term(4 * sign, _half_konst(_P), _half_konst(_Q)),
              _term(2, _half_konst(_Q), _half_konst(_Q))),
@@ -664,75 +677,55 @@ def _build_connectors(cat: list[Identity]) -> None:
         note="connector product [0 1;0 0] x [0 0;0 0] over the (0|1, +-1/2) "
              "characteristics"))
     cat.append(_connector_onepoint(
-        "2e59", ((0, 1, 0, 0), (0, 0, 0, 0)),
-        ((1, R, _R), (1, Rp, _R), (1, S, _S), (1, Sp, _S)),
+        "2e59", rs[0], ((1, R, _R), (1, Rp, _R), (1, S, _S), (1, Sp, _S)),
         note="(R+R')r + (S+S')s; second lhs factor printed at the origin, "
              "encoded at (u,v)",
         flags=("arg-misprint",)))
     cat.append(_connector_onepoint(
-        "2e60", ((0, 1, 1, 0), (0, 0, 1, 0)),
-        ((1, R, _R), (1, Rp, _R), (-1, S, _S), (-1, Sp, _S)),
+        "2e60", rs[1], ((1, R, _R), (1, Rp, _R), (-1, S, _S), (-1, Sp, _S)),
         note="(R+R')r - (S+S')s; same printed-origin slip as 2e59",
         flags=("arg-misprint",)))
     cat.append(_connector_onepoint(
-        "2e61", ((0, 1, 0, 1), (0, 0, 0, 1)),
+        "2e61", rs[2],
         ((1j, R, _R), (-1j, Rp, _R), (1j, S, _S), (-1j, Sp, _S)),
         note="i(R-R')r + i(S-S')s"))
     cat.append(_connector_onepoint(
-        "2e62", ((0, 1, 1, 1), (0, 0, 1, 1)),
+        "2e62", rs[3],
         ((1j, R, _R), (-1j, Rp, _R), (-1j, S, _S), (1j, Sp, _S)),
         note="i(R-R')r - i(S-S')s"))
-    cat.append(Identity(
-        "2e63",
-        (_term(1, _theta0(0, 1, 0, 0), _theta0(0, 0, 0, 0)),),
-        (_term(2, _half_konst(_R), _half_konst(_R)),
-         _term(2, _half_konst(_S), _half_konst(_S))),
-        Domain.CONSTANTS_ONLY, note="2(r^2 + s^2)"))
-    cat.append(Identity(
-        "2e64",
-        (_term(1, _theta0(0, 1, 1, 0), _theta0(0, 0, 1, 0)),),
-        (_term(2, _half_konst(_R), _half_konst(_R)),
-         _term(-2, _half_konst(_S), _half_konst(_S))),
-        Domain.CONSTANTS_ONLY, note="2(r^2 - s^2)"))
+    cat.append(_connector_constants("2e63", rs[0], _R, _S, 1,
+                                    note="2(r^2 + s^2)"))
+    cat.append(_connector_constants("2e64", rs[1], _R, _S, -1,
+                                    note="2(r^2 - s^2)"))
 
     cat.append(_connector_product(
         (1, 0), _C_NAMES, "2e65",
         note="connector product [1 0;0 0] x [0 0;0 0] over the (+-1/2, 0|1) "
              "characteristics"))
     cat.append(_connector_onepoint(
-        "2e70", ((1, 0, 0, 0), (0, 0, 0, 0)),
-        ((1, T, _T), (1, Tp, _T), (1, U, _W), (1, Up, _W)),
+        "2e70", tu[0], ((1, T, _T), (1, Tp, _T), (1, U, _W), (1, Up, _W)),
         note="(T+T')t + (U+U')w; second lhs factor printed at the origin, "
              "encoded at (u,v)",
         flags=("arg-misprint",)))
     cat.append(_connector_onepoint(
-        "2e71", ((1, 0, 0, 1), (0, 0, 0, 1)),
-        ((1, T, _T), (1, Tp, _T), (-1, U, _W), (-1, Up, _W)),
+        "2e71", tu[1], ((1, T, _T), (1, Tp, _T), (-1, U, _W), (-1, Up, _W)),
         note="(T+T')t - (U+U')w; same printed-origin slip as 2e70",
         flags=("arg-misprint",)))
     cat.append(_connector_onepoint(
-        "2e72", ((1, 0, 1, 0), (0, 0, 1, 0)),
+        "2e72", tu[2],
         ((1j, T, _T), (-1j, Tp, _T), (1j, U, _W), (-1j, Up, _W)),
         note="i(T-T')t + i(U-U')w"))
     cat.append(_connector_onepoint(
-        "2e73", ((1, 0, 1, 1), (0, 0, 1, 1)),
+        "2e73", tu[3],
         ((1j, T, _T), (-1j, Tp, _T), (-1j, U, _W), (1j, Up, _W)),
         note="i(T-T')t - i(U-U')w"))
-    cat.append(Identity(
-        "2e74",
-        (_term(1, _theta0(1, 0, 0, 0), _theta0(0, 0, 0, 0)),),
-        (_term(2, _half_konst(_T), _half_konst(_T)),
-         _term(2, _half_konst(_W), _half_konst(_W))),
-        Domain.CONSTANTS_ONLY,
+    cat.append(_connector_constants(
+        "2e74", tu[0], _T, _W, 1,
         note="2(t^2 + w^2); first squared constant printed with transposed "
              "upper row, encoded as [1/2 0;0 0]",
         flags=("char-misprint",)))
-    cat.append(Identity(
-        "2e75",
-        (_term(1, _theta0(1, 0, 0, 1), _theta0(0, 0, 0, 1)),),
-        (_term(2, _half_konst(_T), _half_konst(_T)),
-         _term(-2, _half_konst(_W), _half_konst(_W))),
-        Domain.CONSTANTS_ONLY, note="2(t^2 - w^2)"))
+    cat.append(_connector_constants("2e75", tu[1], _T, _W, -1,
+                                    note="2(t^2 - w^2)"))
 
 
 def _build_b_series(cat: list[Identity]) -> None:
@@ -768,10 +761,7 @@ def _build_c_series(cat: list[Identity]) -> None:
 
     # C17..C20: the connector system solved for P, P', Q, Q'.
     P, Q, Qp, Pp = _D_NAMES
-    X = ((1, 1, 0, 0), (0, 0, 0, 0))
-    Y = ((0, 1, 0, 0), (1, 0, 0, 0))
-    Xp = ((1, 1, 1, 0), (0, 0, 1, 0))
-    Yp = ((1, 0, 1, 0), (0, 1, 1, 0))
+    X, Y, Xp, Yp = _PQ_PRODUCTS
     # 2*name*(p^2 - q^2) = s*(X*big - Y*small) + i_sign*i*(X'*big - Y'*small);
     # for Q and Q' the roles of p and q interchange and the base products
     # swap sign.
@@ -782,10 +772,10 @@ def _build_c_series(cat: list[Identity]) -> None:
                      _half_konst(_P), _half_konst(_P)),
                _term(-2, _half_dbl(name, ARG_2P1),
                      _half_konst(_Q), _half_konst(_Q)))
-        rhs = (_pair_term(s, X[0], X[1], extra=_half_konst(big)),
-               _pair_term(-s, Y[0], Y[1], extra=_half_konst(small)),
-               _pair_term(i_sign * 1j, Xp[0], Xp[1], extra=_half_konst(big)),
-               _pair_term(-i_sign * 1j, Yp[0], Yp[1], extra=_half_konst(small)))
+        rhs = (_pair_term(s, *X, extra=_half_konst(big)),
+               _pair_term(-s, *Y, extra=_half_konst(small)),
+               _pair_term(i_sign * 1j, *Xp, extra=_half_konst(big)),
+               _pair_term(-i_sign * 1j, *Yp, extra=_half_konst(small)))
         cat.append(Identity(ident, lhs, rhs, Domain.ONE_POINT,
                             note=f"{label}(p^2-q^2) solved form"))
 
@@ -793,17 +783,12 @@ def _build_c_series(cat: list[Identity]) -> None:
     # combinations of the four base products.
     R, Rp, S, Sp = _B_NAMES
     T, Tp, U, Up = _C_NAMES
-    # theta[u; b d] * theta[0 0; b d], lower rows transposed for u = (0, 1).
-    rs = tuple(((0, 1, b, d), (0, 0, b, d)) for d, b in _ORDER)
-    tu = tuple(((1, 0, b, d), (0, 0, b, d)) for b, d in _ORDER)
+    rs, tu = _RS_PRODUCTS, _TU_PRODUCTS
 
     def four_solved(ident, name, const, prods, s2, i_sign, note):
-        first, second, third, fourth = prods
         lhs = (_term(4, _half_dbl(name, ARG_2P1), _half_konst(const)),)
-        rhs = (_pair_term(1, first[0], first[1]),
-               _pair_term(s2, second[0], second[1]),
-               _pair_term(i_sign * 1j, third[0], third[1]),
-               _pair_term(i_sign * s2 * 1j, fourth[0], fourth[1]))
+        rhs = tuple(_pair_term(c, *pair) for c, pair in zip(
+            (1, s2, i_sign * 1j, i_sign * s2 * 1j), prods))
         return Identity(ident, lhs, rhs, Domain.ONE_POINT, note=note)
 
     cat.append(four_solved("C21", R, _R, rs, +1, -1, "4Rr solved"))
@@ -842,64 +827,54 @@ def _build_d_series(cat: list[Identity]) -> None:
             note="squared form of the printed root expression",
             root_form=_root_form(V, "1/2", root, [1])))
 
-    # D5..D10: nested two-radical pairs; squared sign-free form
-    # 4 v^4 - 4 X v^2 + Y^2 = 0, encoded as 4 v^4 + Y^2 = 4 X v^2.
-    pairs = (("D5", "D6", _AL, _BE,
-              ((0, 0, 0, 1), (0, 0, 0, 0)), ((1, 0, 0, 1), (1, 0, 0, 0))),
-             ("D7", "D8", _GA, _DE,
-              ((0, 0, 1, 0), (0, 0, 0, 0)), ((0, 1, 1, 0), (0, 1, 0, 0))),
-             ("D9", "D10", _XI, _ZE,
-              ((0, 0, 1, 1), (0, 0, 0, 0)), ((1, 1, 1, 1), (1, 1, 0, 0))))
-    for idA, idB, tgtA, tgtB, X, Y in pairs:
-        roots = [[_root_spec(1, X[0], X[1]), _root_spec(1, Y[0], Y[1])],
-                 [_root_spec(1, X[0], X[1]), _root_spec(-1, Y[0], Y[1])]]
-        for ident, tgt, printed in ((idA, tgtA, [1, 1]), (idB, tgtB, [1, -1])):
-            V = _konst(*tgt)
-            lhs = (_term(4, V, V, V, V),
-                   _term(1, _theta0(*Y[0]), _theta0(*Y[1]),
-                         _theta0(*Y[0]), _theta0(*Y[1])))
-            rhs = (_term(4, _theta0(*X[0]), _theta0(*X[1]), V, V),)
-            cat.append(Identity(
-                ident, lhs, rhs, Domain.CONSTANTS_ONLY,
-                note="sign-free quartic for a two-radical constant",
-                root_form=_root_form(tgt, "1/2", roots, printed)))
+    # D5..D10: nested two-radical pairs, prefactor 1/2.
+    for idA, idB, consts in (("D5", "D6", (_AL, _BE)),
+                             ("D7", "D8", (_GA, _DE)),
+                             ("D9", "D10", (_XI, _ZE))):
+        for ident, tgt, printed in ((idA, consts[0], [1, 1]),
+                                    (idB, consts[1], [1, -1])):
+            cat.append(_quartic(
+                ident, tgt, 2, "1/2", _radicands(consts), printed,
+                "sign-free quartic for a two-radical constant"))
 
-    # D11/D12: 16 v^4 - 8 X v^2 + Y^2 = 0 with prefactor 1/(2*sqrt(2)).
-    X = ((1, 1, 0, 0), (0, 0, 0, 0))
-    Y = ((0, 1, 0, 0), (1, 0, 0, 0))
-    roots = [[_root_spec(1, X[0], X[1]), _root_spec(1, Y[0], Y[1])],
-             [_root_spec(1, X[0], X[1]), _root_spec(-1, Y[0], Y[1])]]
+    # D11/D12: the same with prefactor 1/(2*sqrt(2)).
     for ident, tgt, printed in (("D11", _P, [1, -1]), ("D12", _Q, [1, 1])):
-        V = _half_konst(tgt)
-        lhs = (_term(16, V, V, V, V),
-               _term(1, _theta0(*Y[0]), _theta0(*Y[1]),
-                     _theta0(*Y[0]), _theta0(*Y[1])))
-        rhs = (_term(8, _theta0(*X[0]), _theta0(*X[1]), V, V),)
-        cat.append(Identity(
-            ident, lhs, rhs, Domain.CONSTANTS_ONLY,
-            note="sign-free quartic for a half-characteristic constant",
-            root_form=_root_form((tgt[0], tgt[1], 0, 0), "1/(2*sqrt(2))",
-                                 roots, printed)))
+        cat.append(_quartic(
+            ident, (*tgt, 0, 0), 4, "1/(2*sqrt(2))", _PQ_PRODUCTS[:2],
+            printed, "sign-free quartic for a half-characteristic constant"))
 
     # D13..D16: single radicals, 4 v^2 = X +- X'.
-    singles = (("D13", _R, ((0, 1, 0, 0), (0, 0, 0, 0)),
-                ((0, 1, 1, 0), (0, 0, 1, 0)), 1),
-               ("D14", _T, ((1, 0, 0, 0), (0, 0, 0, 0)),
-                ((1, 0, 0, 1), (0, 0, 0, 1)), 1),
-               ("D15", _S, ((0, 1, 0, 0), (0, 0, 0, 0)),
-                ((0, 1, 1, 0), (0, 0, 1, 0)), -1),
-               ("D16", _W, ((1, 0, 0, 0), (0, 0, 0, 0)),
-                ((1, 0, 0, 1), (0, 0, 0, 1)), -1))
-    for ident, tgt, X, Xp, sign in singles:
+    for ident, tgt, prods, sign in (("D13", _R, _RS_PRODUCTS, 1),
+                                    ("D14", _T, _TU_PRODUCTS, 1),
+                                    ("D15", _S, _RS_PRODUCTS, -1),
+                                    ("D16", _W, _TU_PRODUCTS, -1)):
+        X, Xp = prods[:2]
         V = _half_konst(tgt)
         lhs = (_term(4, V, V),)
-        rhs = (_term(1, _theta0(*X[0]), _theta0(*X[1])),
-               _term(sign, _theta0(*Xp[0]), _theta0(*Xp[1])))
-        root = [[_root_spec(1, X[0], X[1]), _root_spec(sign, Xp[0], Xp[1])]]
+        rhs = (_pair_term(1, *X, ARG_ORIGIN),
+               _pair_term(sign, *Xp, ARG_ORIGIN))
+        root = [[_root_spec(1, *X), _root_spec(sign, *Xp)]]
         cat.append(Identity(
             ident, lhs, rhs, Domain.CONSTANTS_ONLY,
             note="squared form of the printed single-radical expression",
-            root_form=_root_form((tgt[0], tgt[1], 0, 0), "1/2", root, [1])))
+            root_form=_root_form((*tgt, 0, 0), "1/2", root, [1])))
+
+
+def _quartic(ident, target, k, prefactor, radicands, printed,
+             note) -> Identity:
+    """The sign-free squared form of the two-radical doubled constant
+    V = theta[target]: w = k*V^2 solves w^2 - 2*X*w + Y^2 = 0, encoded as
+    k^2 V^4 + Y^2 = 2k X V^2; the root form is
+    V = prefactor * (sqrt(X + Y) +- sqrt(X - Y))."""
+    X, Y = radicands
+    V = _konst(*target)
+    lhs = (_term(k * k, V, V, V, V),
+           _term(1, *(_theta0(*ch) for ch in Y + Y)))
+    rhs = (_term(2 * k, _theta0(*X[0]), _theta0(*X[1]), V, V),)
+    roots = [[_root_spec(1, *X), _root_spec(1, *Y)],
+             [_root_spec(1, *X), _root_spec(-1, *Y)]]
+    return Identity(ident, lhs, rhs, Domain.CONSTANTS_ONLY, note=note,
+                    root_form=_root_form(target, prefactor, roots, printed))
 
 
 @lru_cache(maxsize=1)

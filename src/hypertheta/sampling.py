@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import count, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -80,18 +79,6 @@ def _point_entries(u):
     return (re_x, im_x), (re_y, im_y)
 
 
-def _tau(u) -> PeriodMatrix:
-    """The period matrix of six uniforms (_tau_entries)."""
-    tau = PeriodMatrix(*(complex(re, im) for re, im in _tau_entries(u)))
-    tau.validate()
-    return tau
-
-
-def _point(u) -> EvalPoint:
-    """The point of four uniforms (_point_entries)."""
-    return EvalPoint(*(complex(re, im) for re, im in _point_entries(u)))
-
-
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """complex(re, im) per element."""
     out = re.astype(complex)
@@ -100,22 +87,17 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def sample_tau(rng: np.random.Generator) -> PeriodMatrix:
-    return _tau(rng.random(6).tolist())
+    """The period matrix of six uniforms (_tau_entries)."""
+    tau = PeriodMatrix(*(complex(re, im) for re, im
+                         in _tau_entries(rng.random(6).tolist())))
+    tau.validate()
+    return tau
 
 
 def sample_point(rng: np.random.Generator) -> EvalPoint:
-    return _point(rng.random(4).tolist())
-
-
-def assignment_stream(root_seed: int,
-                      label: str) -> Iterator[SampleAssignment]:
-    """Draws of (tau, p1, p2) without end, sample i labelled i, from one
-    block of 14 uniforms per sample: tau first, then p1, p2 (order is part
-    of the API: changing it would silently change every pinned report)."""
-    rng = make_rng(root_seed, label)
-    for i in count():
-        u = rng.random(14).tolist()
-        yield SampleAssignment(_tau(u[:6]), _point(u[6:10]), _point(u[10:]), i)
+    """The point of four uniforms (_point_entries)."""
+    return EvalPoint(*(complex(re, im) for re, im
+                       in _point_entries(rng.random(4).tolist())))
 
 
 class Draws(NamedTuple):
@@ -140,8 +122,10 @@ class Draws(NamedTuple):
 
 def draw_stream(root_seed: int, labels) -> Iterator[Draws]:
     """The draws of all labels at sample 0, 1, ... without end, one row per
-    label: each row is what assignment_stream(root_seed, label) yields at
-    that sample, bit for bit, from the same generator and the same map."""
+    label, from one block of 14 uniforms per label and sample: tau first,
+    then p1, p2 (order is part of the API: changing it would silently
+    change every pinned report).  Row k is what sample_tau, sample_point,
+    sample_point draw from make_rng(root_seed, labels[k]), bit for bit."""
     rngs = [make_rng(root_seed, label) for label in labels]
     u = np.empty((len(rngs), 14))
     while True:
@@ -153,5 +137,12 @@ def draw_stream(root_seed: int, labels) -> Iterator[Draws]:
 
 
 def assignments_for(root_seed: int, label: str, n: int) -> list[SampleAssignment]:
-    """The first n draws of assignment_stream(root_seed, label)."""
-    return list(islice(assignment_stream(root_seed, label), n))
+    """The first n rows draw_stream(root_seed, [label]) yields, sample i
+    labelled i."""
+    rows = draw_stream(root_seed, [label])
+    out = []
+    for i in range(n):
+        tau1, tau2, tau12, x1, y1, x2, y2 = (complex(c[0]) for c in next(rows))
+        out.append(SampleAssignment(PeriodMatrix(tau1, tau2, tau12),
+                                    EvalPoint(x1, y1), EvalPoint(x2, y2), i))
+    return out

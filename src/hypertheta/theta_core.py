@@ -208,8 +208,11 @@ class PeriodMatrix:
 
 
 def lambda_min(i1: float, i2: float, i12: float) -> float:
-    """Smallest eigenvalue of [[i1, i12], [i12, i2]]."""
-    return 0.5 * (i1 + i2) - math.hypot(0.5 * (i1 - i2), i12)
+    """Smallest eigenvalue of [[i1, i12], [i12, i2]], as the determinant
+    over the largest one: the difference of half the trace and the hypot
+    cancels when the eigenvalues are far apart."""
+    return (i1 * i2 - i12 * i12) / (0.5 * (i1 + i2)
+                                    + math.hypot(0.5 * (i1 - i2), i12))
 
 
 def valid_periods(tau1, tau2, tau12) -> np.ndarray:
@@ -266,8 +269,9 @@ class PrecisionPolicy:
     abs_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not (self.eps_tail > 0 and self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not all(0 < t < math.inf
+                   for t in (self.eps_tail, self.rel_tol, self.abs_tol)):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_radius < 1:
             raise ValueError("max_radius must be >= 1")
 
@@ -319,20 +323,20 @@ def radius_for(lam: float, rho: float,
 
     The scan starts at max(2, ceil(t*+1)) and the bound is monotone in R,
     so shrinking eps_tail can only grow the returned radius.  Raises
-    RadiusExceeded when no radius up to max_radius meets the target.
+    RadiusExceeded when no radius up to max_radius meets the target, also
+    when lam has rounded to 0 or the scan would start past max_radius.
     """
-    t_star = rho / lam
-    log_s = _LOG2 + math.pi * rho * rho / lam \
-        + math.log(t_star + 2.0 + 1.0 / math.sqrt(lam))
-    log_target = math.log(eps_tail) - _LOG2 - log_s
-    radius = max(2, math.ceil(t_star + 1.0))
-    while radius <= max_radius:
-        log_t1 = _LOG2 - math.pi * lam * radius * radius \
-            + 2.0 * math.pi * rho * radius \
-            + math.log1p(1.0 / (2.0 * math.pi * (lam * radius - rho)))
-        if log_t1 < log_target:
-            return radius
-        radius += 1
+    t_star = rho / lam if lam > 0 else math.inf
+    if t_star + 1.0 <= max_radius:
+        log_s = _LOG2 + math.pi * rho * rho / lam \
+            + math.log(t_star + 2.0 + 1.0 / math.sqrt(lam))
+        log_target = math.log(eps_tail) - _LOG2 - log_s
+        for radius in range(max(2, math.ceil(t_star + 1.0)), max_radius + 1):
+            log_t1 = _LOG2 - math.pi * lam * radius * radius \
+                + 2.0 * math.pi * rho * radius \
+                + math.log1p(1.0 / (2.0 * math.pi * (lam * radius - rho)))
+            if log_t1 < log_target:
+                return radius
     raise RadiusExceeded(
         f"tail target {eps_tail} unreachable within radius {max_radius} "
         f"(lambda_min={lam:.3g}, rho={rho:.3g})")

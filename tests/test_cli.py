@@ -135,10 +135,28 @@ def test_readme_examples_run_as_documented(capsys):
     (["eval", "--ratio", "--char", "1,0,1,0",
       "--z", "0.5+0.55i,0.07+0.02i", "--tau", "1.1i,1.3i,0"],
      EXIT_DIVISOR),
+    (["eval", "--char", "0,0,0,0", "--z", "nan,0", "--tau", "i,i,0"],
+     EXIT_CONFIG),
+    (["eval", "--char", "0,0,0,0", "--z", "0,0", "--tau", "i,i,0",
+      "--eps-tail", "inf"], EXIT_CONFIG),
+    (["eval", "--char", "0,0,0,0", "--z", "0,0", "--tau", "1e300i,1e-300i,0"],
+     EXIT_RADIUS),
 ])
 def test_eval_exit_codes(argv, code, capsys):
     assert main(argv) == code
-    assert capsys.readouterr().err  # reason goes to stderr
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_far_apart_eigenvalues_keep_the_radius(capsys):
+    """Im tau = diag(1e20, 1) has lambda_min 1, as diag(1, 1) has: the same
+    radius at the same point, where half the trace minus the hypot would
+    cancel to 0."""
+    radii = []
+    for tau in ("1e20i,i,0", "i,i,0"):
+        assert main(["eval", "--char", "0,0,0,0", "--z", "0.3+0.2i,0.1-0.25i",
+                     "--tau", tau]) == 0
+        radii.append(capsys.readouterr().out.rsplit("[radius", 1)[1])
+    assert radii[0] == radii[1]
 
 
 @pytest.mark.parametrize("ratio", [[], ["--ratio"]])
@@ -340,7 +358,11 @@ def test_verify_rejects_bad_config(capsys):
     assert main(["verify", "--samples", "0"]) == EXIT_CONFIG
     assert "samples" in capsys.readouterr().err
     assert main(["verify", "--rel-tol", "-1"]) == EXIT_CONFIG
-    capsys.readouterr()
+    assert "tolerances" in capsys.readouterr().err
+    assert main(["verify", "--rel-tol", "inf"]) == EXIT_CONFIG
+    assert "tolerances" in capsys.readouterr().err
+    assert main(["verify", "--seed=-1"]) == EXIT_CONFIG
+    assert "seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("body, named", [

@@ -38,7 +38,7 @@ from hypertheta import (
 from hypertheta.addition import _law_tables
 from hypertheta.backends import GRID_POINTS, lattice_sum
 from hypertheta.sampling import sample_tau
-from hypertheta.theta_core import kernel_rows, sums_by_radius
+from hypertheta.theta_core import kernel_rows, radius_for, sums_by_radius
 
 TAU_E = PeriodMatrix(1j, 1j, 0j)
 TAU_G = PeriodMatrix(0.3 + 1.1j, -0.2 + 1.4j, 0.15 + 0.25j)
@@ -393,6 +393,9 @@ def test_radius_exceeded():
     with pytest.raises(RadiusExceeded):
         truncation_radius(ThetaCharacteristic.of(0, 0, 0, 0), ORIGIN, TAU_G,
                           eps_tail=1e-30, max_radius=4)
+    for lam in (0.0, 1e-300):  # a lambda_min that rounded to (nearly) 0
+        with pytest.raises(RadiusExceeded):
+            radius_for(lam, 0.25)
 
 
 def test_policy_validation():
@@ -400,6 +403,9 @@ def test_policy_validation():
         PrecisionPolicy(eps_tail=0.0)
     with pytest.raises(ValueError):
         PrecisionPolicy(max_radius=0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            PrecisionPolicy(rel_tol=bad)
 
 
 def test_characteristic_coercion():
@@ -427,3 +433,5 @@ def test_lambda_min_matches_eigenvalue():
                    [TAU_G.tau12.imag, TAU_G.tau2.imag]])
     assert math.isclose(TAU_G.lambda_min, min(np.linalg.eigvalsh(im)),
                         rel_tol=1e-12)
+    # half the trace minus the hypot would cancel to 0 here
+    assert PeriodMatrix(1e20j, 1j, 0j).lambda_min == 1.0
