@@ -56,11 +56,11 @@ from .theta_core import (
     double_periods,
     kernel_rows,
     lambda_min,
-    radius_for,
     sums_by_radius,
     theta_values,
     truncation_radius,
     valid_periods,
+    window_for,
 )
 
 ENV_CATALOG = "HYPERTHETA_CATALOG"
@@ -985,8 +985,9 @@ def _compile(identities: list[Identity]) -> _Program:
 
 class _Block(NamedTuple):
     """One draw of each identity of a program, per group: the argument
-    (x, y), the periods, and the certified radius, 0 where the group fails
-    before summing, with its exception in errors."""
+    (x, y), the periods, and the certified radius and drop floor
+    (window_for), radius 0 where the group fails before summing, with its
+    exception in errors."""
 
     x: np.ndarray
     y: np.ndarray
@@ -994,14 +995,16 @@ class _Block(NamedTuple):
     tau2: np.ndarray
     tau12: np.ndarray
     radius: np.ndarray
+    floor: np.ndarray
     errors: dict[int, Exception]
 
 
 def _block(prog: _Program, d: Draws, pol: PrecisionPolicy) -> _Block:
-    """Arguments, periods and radii of all groups.  The periods of each
-    draw, base and doubled, and the arguments are checked once, as arrays;
-    a group that fails the check gets truncation_radius's exception on its
-    own PeriodMatrix and EvalPoint, so its error text is the scalar one."""
+    """Arguments, periods, radii and floors of all groups.  The periods of
+    each draw, base and doubled, and the arguments are checked once, as
+    arrays; a group that fails the check gets truncation_radius's
+    exception on its own PeriodMatrix and EvalPoint, so its error text is
+    the scalar one."""
     g, c1, c2 = prog.draw, *prog.coeffs
     with np.errstate(over="ignore", invalid="ignore"):
         x = c1 * d.x1[g] + c2 * d.x2[g]
@@ -1024,16 +1027,19 @@ def _block(prog: _Program, d: Draws, pol: PrecisionPolicy) -> _Block:
                                  EvalPoint(complex(x[k]), complex(y[k])),
                                  tau, pol.eps_tail, pol.max_radius)
 
-    radii, errors = [], {}
+    radii, floors, errors = [], [], {}
     for k, ok in enumerate(valid.tolist()):
         try:
-            radii.append(radius_for(lam[k], rho[k], pol.eps_tail,
-                                    pol.max_radius) if ok
-                         else scalar_radius(k))
+            radius, floor = (window_for(lam[k], rho[k], pol.eps_tail,
+                                        pol.max_radius) if ok
+                             else (scalar_radius(k), -math.inf))
         except (ValueError, ArithmeticError, RadiusExceeded) as exc:
-            radii.append(0)
+            radius, floor = 0, -math.inf
             errors[k] = exc
-    return _Block(x, y, tau1, tau2, tau12, np.array(radii, dtype=int), errors)
+        radii.append(radius)
+        floors.append(floor)
+    return _Block(x, y, tau1, tau2, tau12, np.array(radii, dtype=int),
+                  np.array(floors), errors)
 
 
 def _evaluate(prog: _Program, d: Draws, index: int,
@@ -1048,7 +1054,8 @@ def _evaluate(prog: _Program, d: Draws, index: int,
     g = prog.group[rows]
     a2, c2, b2, d2 = prog.offsets[:, rows]
     sums = sums_by_radius(a2, c2, b.x[g] + b2, b.y[g] + d2, b.tau1[g],
-                          b.tau2[g], b.tau12[g], radius[rows])
+                          b.tau2[g], b.tau12[g], radius[rows],
+                          floors=b.floor[g])
     errors = b.errors
     for k in np.flatnonzero(~np.isfinite(sums)).tolist():
         errors.setdefault(int(g[k]), NonFiniteSum(

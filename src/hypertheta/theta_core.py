@@ -8,7 +8,12 @@ The central object is
                             + 2*pi*i*( (m+a/2)*(x+b/2) + (n+c/2)*(y+d/2) ) )
 
 evaluated by truncated lattice summation over a square window
-max(|m|, |n|) <= R, with R chosen from a rigorous tail bound.  The
+max(|m|, |n|) <= R, with R chosen from a rigorous tail bound T(R) <
+eps_tail.  Within the window only the terms that the unused slack
+eps_tail - T(R) cannot absorb are exponentiated: a term whose log-modulus
+is below log((eps_tail - T(R)) / (2R+1)^2) is set to 0, so the dropped
+terms and the tail together stay below eps_tail (window_for,
+backends.lattice_sum).  The
 characteristic quadruple is written [a c; b d]: upper row (a, c), lower
 row (b, d), column pairing (a, b) and (c, d).  Entries are exact
 rationals with denominator 1 or 2.
@@ -188,7 +193,8 @@ class PeriodMatrix:
             if not _finite(t):
                 raise InvalidPeriod(f"non-finite period entry in {self}")
         i1, i2, i12 = self.tau1.imag, self.tau2.imag, self.tau12.imag
-        if i1 <= 0 or i2 <= 0 or i1 * i2 - i12 * i12 <= 0:
+        j1, j2, j12, _ = _unit_scaled(i1, i2, i12)
+        if i1 <= 0 or i2 <= 0 or j1 * j2 - j12 * j12 <= 0:
             raise InvalidPeriod(
                 f"Im part not positive definite: Im tau1={i1}, Im tau2={i2}, Im tau12={i12}")
 
@@ -207,20 +213,39 @@ class PeriodMatrix:
                    Scale(obj.get("scale", "base")))
 
 
+def _unit_scaled(i1: float, i2: float, i12: float):
+    """(i1, i2, i12, 1.0), or, where i1*i2 - i12^2 overflows (entries above
+    about 1e154), the entries times the exact power of two s that brings
+    the largest into [0.5, 1), and s.  Scaling by s rounds nothing, so the
+    determinant keeps its sign; entries whose products do not overflow
+    are returned as they are, so no value moves.  A non-finite entry has
+    frexp exponent 0, so s = 1."""
+    if math.isfinite(i1 * i2 - i12 * i12):
+        return i1, i2, i12, 1.0
+    s = math.ldexp(1.0, -math.frexp(max(abs(i1), abs(i2), abs(i12)))[1])
+    return i1 * s, i2 * s, i12 * s, s
+
+
 def lambda_min(i1: float, i2: float, i12: float) -> float:
     """Smallest eigenvalue of [[i1, i12], [i12, i2]], as the determinant
     over the largest one: the difference of half the trace and the hypot
-    cancels when the eigenvalues are far apart."""
+    cancels when the eigenvalues are far apart.  Entries whose products
+    overflow are scaled by an exact power of two first (_unit_scaled)."""
+    i1, i2, i12, s = _unit_scaled(i1, i2, i12)
     return (i1 * i2 - i12 * i12) / (0.5 * (i1 + i2)
-                                    + math.hypot(0.5 * (i1 - i2), i12))
+                                    + math.hypot(0.5 * (i1 - i2), i12)) / s
 
 
 def valid_periods(tau1, tau2, tau12) -> np.ndarray:
     """Per row of period arrays, whether PeriodMatrix(...).validate() would
-    pass, by the same comparisons."""
+    pass, by the same comparisons on the same scaled entries."""
     i1, i2, i12 = tau1.imag, tau2.imag, tau12.imag
+    top = np.maximum(np.maximum(abs(i1), abs(i2)), abs(i12))
+    s = np.where(np.isfinite(i1 * i2 - i12 * i12), 1.0,
+                 np.ldexp(1.0, -np.frexp(top)[1]))
+    j1, j2, j12 = i1 * s, i2 * s, i12 * s
     return (np.isfinite(tau1) & np.isfinite(tau2) & np.isfinite(tau12)
-            & (i1 > 0) & (i2 > 0) & (i1 * i2 - i12 * i12 > 0))
+            & (i1 > 0) & (i2 > 0) & (j1 * j2 - j12 * j12 > 0))
 
 
 def double_periods(tau: PeriodMatrix) -> PeriodMatrix:
@@ -290,22 +315,40 @@ def truncation_radius(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
     lattice kernel sums are reduced to [0, 1).  So theta_values computes
     one radius for all its characteristics, and the catalog's block path
     (identity_catalog.verify_catalog) validates each draw once and calls
-    radius_for for each of its (argument, periods) groups directly.
+    window_for for each of its (argument, periods) groups directly.
     """
+    return truncation_window(z, tau, eps_tail, max_radius)[0]
+
+
+def truncation_window(z: EvalPoint, tau: PeriodMatrix,
+                      eps_tail: float = DEFAULT_POLICY.eps_tail,
+                      max_radius: int = DEFAULT_POLICY.max_radius
+                      ) -> tuple[int, float]:
+    """truncation_radius and the drop floor of its window, from one
+    window_for scan: what theta_eval and theta_values sum with."""
     tau.validate()
     z.validate()
-    return radius_for(tau.lambda_min, max(abs(z.x.imag), abs(z.y.imag)),
+    return window_for(tau.lambda_min, max(abs(z.x.imag), abs(z.y.imag)),
                       eps_tail, max_radius)
 
 
 _LOG2 = math.log(2.0)
+
+# Subtracted from the drop floor.  It covers the rounding of exp and of the
+# floor's logs (a few ulps), and an absolute error of up to 1e-6 in a
+# computed exponent's real part, that is exponent pieces up to about 1e8
+# in modulus, so that a dropped term is below the floor also in exact
+# arithmetic.
+FLOOR_MARGIN = 1e-6
 
 
 def radius_for(lam: float, rho: float,
                eps_tail: float = DEFAULT_POLICY.eps_tail,
                max_radius: int = DEFAULT_POLICY.max_radius) -> int:
     """The certified radius for periods whose Im part has smallest
-    eigenvalue lam, at a point with rho = max(|Im x|, |Im y|).
+    eigenvalue lam, at a point with rho = max(|Im x|, |Im y|): the radius
+    of window_for(lam, rho, eps_tail, max_radius), whose scan also gives
+    the drop floor below.
 
     Bound used.  Every term satisfies |term| <= f(M)*f(N) with
     f(t) = exp(-pi*lam*t^2 + 2*pi*rho*|t|).  Writing t* = rho/lam for the
@@ -319,24 +362,45 @@ def radius_for(lam: float, rho: float,
         since |m + delta| >= |m| - 1 >= R for the reduced offsets
         delta in [0, 1),
       * the region max(|m|,|n|) > R is covered by two such lines,
-        so tail(R) <= 2 * S * T1(R).
+        so tail(R) <= T(R) = 2 * S * T1(R).
 
-    The scan starts at max(2, ceil(t*+1)) and the bound is monotone in R,
-    so shrinking eps_tail can only grow the returned radius.  Raises
-    RadiusExceeded when no radius up to max_radius meets the target, also
-    when lam has rounded to 0 or the scan would start past max_radius.
+    The scan starts at max(2, ceil(t*+1)) and returns the first R with
+    T(R) < eps_tail; the bound is monotone in R, so shrinking eps_tail can
+    only grow the radius.  Raises RadiusExceeded when no radius up to
+    max_radius meets the target, also when lam has rounded to 0 or the
+    scan would start past max_radius.
+
+    Drop floor.  floor = log((eps_tail - T(R)) / (2R+1)^2) - FLOOR_MARGIN.
+    The kernel sets to 0 each term of the window whose log-modulus is below
+    it (backends.lattice_sum).  At most (2R+1)^2 terms are dropped, each
+    below (eps_tail - T(R)) / (2R+1)^2, so the dropped terms and the tail
+    outside the window together stay below eps_tail.
     """
+    return window_for(lam, rho, eps_tail, max_radius)[0]
+
+
+def window_for(lam: float, rho: float,
+               eps_tail: float = DEFAULT_POLICY.eps_tail,
+               max_radius: int = DEFAULT_POLICY.max_radius
+               ) -> tuple[int, float]:
+    """(R, floor): the radius radius_for returns and the drop floor its
+    docstring derives, from one scan."""
     t_star = rho / lam if lam > 0 else math.inf
     if t_star + 1.0 <= max_radius:
+        log_eps = math.log(eps_tail)
         log_s = _LOG2 + math.pi * rho * rho / lam \
             + math.log(t_star + 2.0 + 1.0 / math.sqrt(lam))
-        log_target = math.log(eps_tail) - _LOG2 - log_s
+        log_target = log_eps - _LOG2 - log_s
         for radius in range(max(2, math.ceil(t_star + 1.0)), max_radius + 1):
             log_t1 = _LOG2 - math.pi * lam * radius * radius \
                 + 2.0 * math.pi * rho * radius \
                 + math.log1p(1.0 / (2.0 * math.pi * (lam * radius - rho)))
             if log_t1 < log_target:
-                return radius
+                # 1 - T(R)/eps_tail, with T(R)/eps_tail = exp(log_t1 -
+                # log_target) < 1; expm1 keeps it positive.
+                slack = -math.expm1(log_t1 - log_target)
+                return radius, (log_eps + math.log(slack) - FLOOR_MARGIN
+                                - 2.0 * math.log(2 * radius + 1))
     raise RadiusExceeded(
         f"tail target {eps_tail} unreachable within radius {max_radius} "
         f"(lambda_min={lam:.3g}, rho={rho:.3g})")
@@ -349,12 +413,13 @@ def clear_theta_cache() -> None:
 
 def theta_eval(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
                pol: PrecisionPolicy = DEFAULT_POLICY) -> complex:
-    """Truncated lattice sum for theta[ch](z; tau), tail below pol.eps_tail;
-    raises NonFiniteSum where the terms overflow."""
+    """Truncated lattice sum for theta[ch](z; tau), tail and dropped terms
+    together below pol.eps_tail; raises NonFiniteSum where the terms
+    overflow."""
     a2, c2, b2, d2, phase = ch._kernel
-    radius = truncation_radius(ch, z, tau, pol.eps_tail, pol.max_radius)
+    radius, floor = truncation_window(z, tau, pol.eps_tail, pol.max_radius)
     value = lattice_sum(a2, c2, z.x + b2, z.y + d2,
-                        tau.tau1, tau.tau2, tau.tau12, radius)
+                        tau.tau1, tau.tau2, tau.tau12, radius, floor=floor)
     if not _finite(value):
         raise NonFiniteSum(f"theta{ch} sum overflows to {value}")
     return phase * value
@@ -363,17 +428,17 @@ def theta_eval(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
 def theta_values(chars, z: EvalPoint, tau: PeriodMatrix,
                  pol: PrecisionPolicy = DEFAULT_POLICY) -> list[complex]:
     """[theta_eval(ch, z, tau, pol) for ch in chars], bit for bit, from one
-    truncation radius and one kernel call: the radius does not depend on
-    the characteristic.  Raises NonFiniteSum naming the first
+    truncation window and one kernel call: the radius and floor do not
+    depend on the characteristic.  Raises NonFiniteSum naming the first
     characteristic, in the order given, whose sum overflows."""
     chars = tuple(chars)
     if not chars:
         return []
-    radius = truncation_radius(chars[0], z, tau, pol.eps_tail, pol.max_radius)
+    radius, floor = truncation_window(z, tau, pol.eps_tail, pol.max_radius)
     a2, c2, b2, d2, phases = zip(*(ch._kernel for ch in chars))
     sums = lattice_sum(np.array(a2), np.array(c2), z.x + np.array(b2),
                        z.y + np.array(d2), tau.tau1, tau.tau2, tau.tau12,
-                       radius).tolist()
+                       radius, floor=floor).tolist()
     # Any non-finite sum makes the total non-finite; a total that overflows
     # from finite sums only costs the per-value check.
     if not _finite(sum(sums)):
@@ -383,14 +448,16 @@ def theta_values(chars, z: EvalPoint, tau: PeriodMatrix,
     return [phase * value for phase, value in zip(phases, sums)]
 
 
-def sums_by_radius(a2, c2, xs, ys, tau1, tau2, tau12, radii) -> np.ndarray:
-    """lattice_sum of every row (arrays of shape (C,), tau given per row) at
-    its own radius, bit for bit: the rows that share a radius are summed in
-    one kernel call.  Each window is reduced on its own, so a row's sum
-    does not depend on the other rows of its call."""
+def sums_by_radius(a2, c2, xs, ys, tau1, tau2, tau12, radii, *,
+                   floors) -> np.ndarray:
+    """lattice_sum of every row (arrays of shape (C,), tau and floor given
+    per row) at its own radius, bit for bit: the rows that share a radius
+    are summed in one kernel call.  Each window is reduced on its own, so a
+    row's sum does not depend on the other rows of its call."""
     sums = np.empty(len(radii), dtype=complex)
     for radius in set(radii.tolist()):
         rows = np.flatnonzero(radii == radius)
         sums[rows] = lattice_sum(a2[rows], c2[rows], xs[rows], ys[rows],
-                                 tau1[rows], tau2[rows], tau12[rows], radius)
+                                 tau1[rows], tau2[rows], tau12[rows], radius,
+                                 floor=floors[rows])
     return sums

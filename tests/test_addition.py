@@ -132,9 +132,9 @@ def _counted_kernel(monkeypatch, *modules) -> dict:
         seen["theta_values"].append(chars)
         return theta_core.theta_values(chars, *args)
 
-    def kernel(*args):
+    def kernel(*args, **kwargs):
         seen["lattice_sum"] += 1
-        return lattice_sum(*args)
+        return lattice_sum(*args, **kwargs)
 
     for module in modules:
         monkeypatch.setattr(module, "theta_values", values)
@@ -209,6 +209,25 @@ def test_theta_eval_and_law_never_call_reduce(monkeypatch):
         theta_eval(fresh, Z1, TAU)
         theta_eval(fresh, Z1.scaled(2), double_periods(TAU))
     assert verify_addition(1, 0).all_passed
+
+
+@pytest.mark.parametrize("seed", [3, 361])
+def test_fragile_benchmark_draws_pass(seed):
+    """addition-law sub-seeds of the benchmark whose path rows sit nearest
+    the 1e-9 tolerance: sample 6 of seed 3 (A3.path 2.9e-10) and sample 3
+    of seed 361 (A3.path 1.3e-10).  Value moves of the kernel must not
+    push them over."""
+    assert verify_addition(10, seed).all_passed
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: the lower-row (1 1) quotients read C13-C16, which "
+    "cancel on this draw; A11.path reads 5.6e-9 against 1e-9"))
+def test_benchmark_draw_7177_passes():
+    """Sample 5 of sub-seed 7177 (addition-law, bench seed 897) fails the
+    path rows of A3, A7, A11 and A15."""
+    run = verify_addition(10, 7177)
+    assert all(r.passed for r in run.reports if r.sample_index == 5)
 
 
 def test_constants_match_doubled_thetas(k):

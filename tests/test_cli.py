@@ -17,6 +17,7 @@ from hypertheta.cli import (
     EXIT_FAILED,
     EXIT_INVALID_PERIOD,
     EXIT_NONFINITE,
+    EXIT_OK,
     EXIT_RADIUS,
     main,
 )
@@ -141,10 +142,15 @@ def test_readme_examples_run_as_documented(capsys):
       "--eps-tail", "inf"], EXIT_CONFIG),
     (["eval", "--char", "0,0,0,0", "--z", "0,0", "--tau", "1e300i,1e-300i,0"],
      EXIT_RADIUS),
+    # det Im tau overflows unless Im tau is scaled: singular, then definite
+    (["eval", "--char", "0,0,0,0", "--z", "0,0",
+      "--tau", "1e200i,1e200i,1e200i"], EXIT_INVALID_PERIOD),
+    (["eval", "--char", "0,0,0,0", "--z", "0,0",
+      "--tau", "1e200i,1e200i,0.99e200i"], EXIT_OK),
 ])
 def test_eval_exit_codes(argv, code, capsys):
     assert main(argv) == code
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith("error: ") == (code != EXIT_OK)
 
 
 def test_eval_far_apart_eigenvalues_keep_the_radius(capsys):
@@ -212,9 +218,9 @@ def test_verify_small_run_is_byte_pinned(tmp_path, capsys):
     assert code == 0
     assert report["total_rows"] == report["passed_rows"] == 474
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "9c52113a1a800d24e546e1b47d6e7f558d5b44d56c6f3315d8b03b42716fab18")
+        "c637556ea7e0504b05a6d999e0fa7be025c0c51475514c5ed13c4344c96f9ec6")
     assert report["determinism_hash"] == (
-        "1d33524a6e5a58cba923c2cb39064c19db7fc4d97a5bc087671e02ea444b65d8")
+        "88d27d51b015ca177a33ecf61a42d45c661e31bbb51deb359a73087e151738c8")
 
 
 def test_sign_details_sum_each_constant_once_per_draw(monkeypatch):
@@ -229,9 +235,9 @@ def test_sign_details_sum_each_constant_once_per_draw(monkeypatch):
 
     kernel_calls = []
 
-    def kernel(*args):
+    def kernel(*args, **kwargs):
         kernel_calls.append(args)
-        return lattice_sum(*args)
+        return lattice_sum(*args, **kwargs)
 
     monkeypatch.setattr(identity_catalog, "theta_values", counted)
     monkeypatch.setattr(theta_core, "lattice_sum", kernel)

@@ -359,15 +359,15 @@ def test_each_distinct_factor_summed_once_per_sample(monkeypatch):
     by_radius = identity_catalog.sums_by_radius
     kernel, window = theta_core.lattice_sum, backends._window_sums
 
-    def counted_by_radius(*args):
+    def counted_by_radius(*args, **kwargs):
         counts["blocks"] += 1
         counts["radius_classes"] += len(set(args[-1].tolist()))
-        return by_radius(*args)
+        return by_radius(*args, **kwargs)
 
-    def counted_kernel(a2, *args):
+    def counted_kernel(a2, *args, **kwargs):
         counts["lattice_sum"] += 1
         counts["characteristics"] += len(a2)
-        return kernel(a2, *args)
+        return kernel(a2, *args, **kwargs)
 
     def counted_window(*args):
         counts["window_sums"] += 1

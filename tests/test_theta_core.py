@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypertheta import (
+    DEFAULT_POLICY,
     EvalPoint,
     HalfIntegerParityUndefined,
     InvalidPeriod,
@@ -36,9 +37,16 @@ from hypertheta import (
     truncation_radius,
 )
 from hypertheta.addition import _law_tables
-from hypertheta.backends import GRID_POINTS, lattice_sum
+from hypertheta.backends import GRID_POINTS, exponents, lattice_sum
 from hypertheta.sampling import sample_tau
-from hypertheta.theta_core import kernel_rows, radius_for, sums_by_radius
+from hypertheta.theta_core import (
+    kernel_rows,
+    radius_for,
+    sums_by_radius,
+    truncation_window,
+    valid_periods,
+    window_for,
+)
 
 TAU_E = PeriodMatrix(1j, 1j, 0j)
 TAU_G = PeriodMatrix(0.3 + 1.1j, -0.2 + 1.4j, 0.15 + 0.25j)
@@ -135,18 +143,53 @@ def _mp_theta(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
         return complex(total)
 
 
-@pytest.mark.parametrize("lam_min", [0.07, 0.14])
-def test_thin_lattices_match_a_30_digit_sum(lam_min):
-    """Away from the sampling family (det Im tau = 0.2, small lambda_min),
-    with half, unreduced and odd characteristics."""
+def _rounding_scale(ch: ThetaCharacteristic, z: EvalPoint,
+                    tau: PeriodMatrix, radius: int) -> float:
+    """sum |term| * (1 + pi * sum |exponent piece|) over the window of
+    _mp_theta, in floats: the scale of the rounding error of a
+    double-precision sum of those terms."""
+    a, c, b, d = (float(e) for e in ch.entries)
+    k = np.arange(-radius, radius + 1)
+    M, N = np.meshgrid(k + a / 2, k + c / 2, indexing="ij")
+    pieces = (tau.tau1 * M * M, tau.tau2 * N * N, 2 * tau.tau12 * M * N,
+              2 * M * (z.x + b / 2), 2 * N * (z.y + d / 2))
+    term = np.abs(np.exp(1j * np.pi * sum(pieces)))
+    return float((term * (1 + np.pi * sum(map(np.abs, pieces)))).sum())
+
+
+# At lambda_min 0.01 (_thin_tau) this Im x = 0.17 gets the certified
+# radius max_radius; at Im x = 0.18 no radius up to it meets the target.
+Z_GUARD = EvalPoint(0.21 + 0.17j, -0.34 + 0.05j)
+
+
+@pytest.mark.parametrize("lam_min, z, chars", [
+    (0.07, Z_G, ("1/2 -1/2 0 0", "3 -1 5/2 2", "1 1 1 1")),
+    (0.14, Z_G, ("1/2 -1/2 0 0", "3 -1 5/2 2", "1 1 1 1")),
+    (0.01, Z_G, ("3 -1 5/2 2",)),
+    (0.01, Z_GUARD, ("1/2 -1/2 0 0",)),
+], ids=["0.07", "0.14", "0.01", "0.01-guard"])
+def test_thin_lattices_match_a_30_digit_sum(lam_min, z, chars):
+    """Away from the sampling family (det Im tau = 0.2, small lambda_min,
+    down to 0.01 with the radius at max_radius), with half, unreduced and
+    odd characteristics.  At the default eps_tail and at 1e-6, where the
+    neglected tail and the dropped terms outweigh rounding, each value is
+    within eps_tail plus a rounding allowance of 8 ulps of the terms'
+    rounding scale; from lambda_min 0.07 up, also within 1e-13 relative."""
     tau = _thin_tau(lam_min)
     assert math.isclose(tau.lambda_min, lam_min, rel_tol=1e-12)
-    for ch in (ThetaCharacteristic.of("1/2", "-1/2", 0, 0),
-               ThetaCharacteristic.of(3, -1, "5/2", 2),
-               ThetaCharacteristic.of(1, 1, 1, 1)):
-        radius = truncation_radius(ch, Z_G, tau) + 3
-        want = _mp_theta(ch, Z_G, tau, radius)
-        assert abs(theta_eval(ch, Z_G, tau) - want) <= 1e-13 * abs(want)
+    for ch in (ThetaCharacteristic.of(*entries.split()) for entries in chars):
+        radius = truncation_radius(ch, z, tau) + 3
+        want = _mp_theta(ch, z, tau, radius)
+        scale = _rounding_scale(ch, z, tau, radius)
+        for eps_tail in (DEFAULT_POLICY.eps_tail, 1e-6):
+            got = theta_eval(ch, z, tau, PrecisionPolicy(eps_tail=eps_tail))
+            assert abs(got - want) <= eps_tail + 8 * 2.0 ** -53 * scale
+        if lam_min >= 0.07:
+            assert abs(theta_eval(ch, z, tau) - want) <= 1e-13 * abs(want)
+    if z is Z_GUARD:
+        assert truncation_radius(ch, z, tau) == DEFAULT_POLICY.max_radius
+        with pytest.raises(RadiusExceeded):
+            truncation_radius(ch, EvalPoint(0.21 + 0.18j, 0j), tau)
 
 
 _INTEGER_CHARS = [ThetaCharacteristic.of(*e)
@@ -235,19 +278,64 @@ def test_sums_by_radius_equal_theta_values_bit_for_bit():
                tau) for tau in _mixed_periods(rng, 60)]
     radii = [truncation_radius(chars[0], z, tau) for chars, z, tau in groups]
     assert len(set(radii)) < len(radii) - 40
-    rows = [(*ch._kernel, z, tau, radius)
-            for (chars, z, tau), radius in zip(groups, radii) for ch in chars]
+    floors = [truncation_window(z, tau)[1] for chars, z, tau in groups]
+    rows = [(*ch._kernel, z, tau, radius, floor)
+            for (chars, z, tau), radius, floor in zip(groups, radii, floors)
+            for ch in chars]
     a2, c2, b2, d2, phase = (np.array(v) for v in zip(*(r[:5] for r in rows)))
     xs = np.array([r[5].x for r in rows]) + b2
     ys = np.array([r[5].y for r in rows]) + d2
     t1, t2, t12 = (np.array([getattr(r[6], name) for r in rows])
                    for name in ("tau1", "tau2", "tau12"))
     got = (sums_by_radius(a2, c2, xs, ys, t1, t2, t12,
-                          np.array([r[7] for r in rows])) * phase).tolist()
+                          np.array([r[7] for r in rows]),
+                          floors=np.array([r[8] for r in rows]))
+           * phase).tolist()
     want = [value for group in groups for value in theta_values(*group)]
     assert got == want
     assert want == [theta_eval(ch, z, tau) for chars, z, tau in groups
                     for ch in chars]
+
+
+def _tail_bound(lam: float, rho: float, radius: int) -> float:
+    """T(R) = 2 * S * T1(R), the bound radius_for's docstring derives."""
+    t_star = rho / lam
+    s = 2 * math.exp(math.pi * rho * rho / lam) * (t_star + 2
+                                                    + 1 / math.sqrt(lam))
+    t1 = 2 * math.exp(-math.pi * lam * radius * radius
+                      + 2 * math.pi * rho * radius) * (
+        1 + 1 / (2 * math.pi * (lam * radius - rho)))
+    return 2 * s * t1
+
+
+@pytest.mark.parametrize("eps_tail", [1e-14, 1e-6])
+@pytest.mark.parametrize("z, tau", [(Z_G, TAU_G), (Z_G, _thin_tau(0.01)),
+                                    (Z_GUARD, _thin_tau(0.01))])
+def test_dropped_terms_stay_below_the_unused_slack(z, tau, eps_tail):
+    """At the floor of its window, every characteristic's sum differs from
+    the full-window sum (floor -inf) by at most eps_tail - T(R); and each
+    pruned sum is, bit for bit, the pairwise sum of the full window's
+    terms with those whose exponent has real part below the floor (some
+    of them) set to 0."""
+    lam, rho = tau.lambda_min, max(abs(z.x.imag), abs(z.y.imag))
+    radius, floor = window_for(lam, rho, eps_tail)
+    assert radius == radius_for(lam, rho, eps_tail)
+    slack = eps_tail - _tail_bound(lam, rho, radius)
+    assert 0 < slack and floor > -math.inf
+    a2, c2, b2, d2, _ = (np.array(v) for v in zip(*(
+        ch._kernel for ch in _UNREDUCED_CHARS[::97])))
+    args = (a2, c2, z.x + b2, z.y + d2, tau.tau1, tau.tau2, tau.tau12, radius)
+    pruned = lattice_sum(*args, floor=floor)
+    full = lattice_sum(*args)
+    assert np.abs(pruned - full).max() <= slack
+    grid = exponents(np.arange(-radius, radius + 1.0), a2[:, None],
+                     c2[:, None], args[2][:, None], args[3][:, None],
+                     *args[4:7])
+    terms = np.exp(grid)
+    dropped = grid.real < floor
+    assert dropped.any()
+    terms[dropped] = 0
+    assert terms.sum(axis=(-2, -1)).tolist() == pruned.tolist()
 
 
 def test_exactly_six_odd_characteristics_vanish_at_origin():
@@ -435,3 +523,22 @@ def test_lambda_min_matches_eigenvalue():
                         rel_tol=1e-12)
     # half the trace minus the hypot would cancel to 0 here
     assert PeriodMatrix(1e20j, 1j, 0j).lambda_min == 1.0
+    # i1*i2 - i12^2 overflows unless Im tau is scaled first
+    assert math.isclose(PeriodMatrix(1e200j, 1e200j, 0.99e200j).lambda_min,
+                        0.01e200, rel_tol=1e-12)
+
+
+def test_validation_survives_overflowing_determinants():
+    """Entries whose products overflow: validate and valid_periods agree
+    that a singular Im tau is invalid and a definite one valid."""
+    taus = [PeriodMatrix(1e200j, 1e200j, 1e200j),
+            PeriodMatrix(1e200j, 1e200j, 0.99e200j),
+            PeriodMatrix(1e300j, 1e-300j, 0j)]
+    with pytest.raises(InvalidPeriod):
+        taus[0].validate()
+    taus[1].validate()
+    taus[2].validate()
+    with np.errstate(over="ignore", invalid="ignore"):
+        valid = valid_periods(*(np.array([getattr(t, name) for t in taus])
+                                for name in ("tau1", "tau2", "tau12")))
+    assert valid.tolist() == [False, True, True]
