@@ -58,8 +58,7 @@ from .theta_core import (
     lambda_min,
     sums_by_radius,
     theta_values,
-    truncation_radius,
-    valid_periods,
+    truncation_window,
     window_for,
 )
 
@@ -937,7 +936,6 @@ class _Program(NamedTuple):
     draw: np.ndarray            # (G,) the identity, so the draw, of a group
     coeffs: np.ndarray          # (2, G) the argument's coefficients of p1, p2
     scale: np.ndarray           # (G,) 0 for base, 1 for doubled periods
-    first_row: list[int]        # (G,)
     group: np.ndarray           # (R,) the group of a row
     offsets: np.ndarray         # (4, R) a/2, c/2, b/2, d/2 of the reduced form
     phase: np.ndarray           # (R,) the reduction phase
@@ -948,7 +946,7 @@ class _Program(NamedTuple):
 def _compile(identities: list[Identity]) -> _Program:
     """One pass over the identities' factors, keyed by their integer
     _code; the arrays are decoded from the codes at the end."""
-    first_group, draw, groups, first_row = [], [], [], []
+    first_group, draw, groups = [], [], []
     group, codes, chars, sides = [], [], [], []
     for i, idty in enumerate(identities):
         first_group.append(len(draw))
@@ -966,7 +964,6 @@ def _compile(identities: list[Identity]) -> _Program:
                         if g == len(draw):
                             draw.append(i)
                             groups.append(code >> 10)
-                            first_row.append(row)
                         group.append(g)
                         codes.append(code)
                         chars.append(f.ch)
@@ -979,7 +976,7 @@ def _compile(identities: list[Identity]) -> _Program:
     return _Program(identities, first_group, np.array(draw, dtype=int),
                     np.array([(groups >> 3) - 1, (groups >> 1 & 3) - 1],
                              dtype=complex),
-                    groups & 1, first_row, np.array(group, dtype=int),
+                    groups & 1, np.array(group, dtype=int),
                     offsets, phase, chars, sides)
 
 
@@ -1001,30 +998,28 @@ class _Block(NamedTuple):
 
 def _block(prog: _Program, d: Draws, pol: PrecisionPolicy) -> _Block:
     """Arguments, periods, radii and floors of all groups.  The periods of
-    each draw, base and doubled, and the arguments are checked once, as
-    arrays; a group that fails the check gets truncation_radius's
-    exception on its own PeriodMatrix and EvalPoint, so its error text is
-    the scalar one."""
+    each draw, base and doubled, are checked once, by lambda_min, whose NaN
+    marks invalid periods, and the arguments as arrays; a group that fails
+    a check gets truncation_window's exception on its own PeriodMatrix and
+    EvalPoint, so its error text is the scalar one."""
     g, c1, c2 = prog.draw, *prog.coeffs
     with np.errstate(over="ignore", invalid="ignore"):
         x = c1 * d.x1[g] + c2 * d.x2[g]
         y = c1 * d.y1[g] + c2 * d.y2[g]
         periods = [np.stack((t, 2 * t)) for t in (d.tau1, d.tau2, d.tau12)]
-        valid = (valid_periods(*periods)[prog.scale, g]
-                 & np.isfinite(x) & np.isfinite(y))
     # lambda_min and the radius stay math arithmetic, which numpy's log and
     # hypot do not reproduce bit for bit: lambda_min once per draw and scale.
-    lam = np.array([list(map(lambda_min, *(t[k].imag.tolist()
-                                           for t in periods)))
-                    for k in (0, 1)])[prog.scale, g].tolist()
+    lam = np.array([list(map(lambda_min, *(t[k].tolist() for t in periods)))
+                    for k in (0, 1)])[prog.scale, g]
+    valid = ~np.isnan(lam) & np.isfinite(x) & np.isfinite(y)
+    lam = lam.tolist()
     rho = np.maximum(np.abs(x.imag), np.abs(y.imag)).tolist()
     tau1, tau2, tau12 = (t[prog.scale, g] for t in periods)
 
-    def scalar_radius(k: int) -> int:
+    def scalar_window(k: int) -> tuple[int, float]:
         tau = PeriodMatrix(complex(tau1[k]), complex(tau2[k]),
                            complex(tau12[k]), list(Scale)[prog.scale[k]])
-        return truncation_radius(prog.chars[prog.first_row[k]],
-                                 EvalPoint(complex(x[k]), complex(y[k])),
+        return truncation_window(EvalPoint(complex(x[k]), complex(y[k])),
                                  tau, pol.eps_tail, pol.max_radius)
 
     radii, floors, errors = [], [], {}
@@ -1032,7 +1027,7 @@ def _block(prog: _Program, d: Draws, pol: PrecisionPolicy) -> _Block:
         try:
             radius, floor = (window_for(lam[k], rho[k], pol.eps_tail,
                                         pol.max_radius) if ok
-                             else (scalar_radius(k), -math.inf))
+                             else scalar_window(k))
         except (ValueError, ArithmeticError, RadiusExceeded) as exc:
             radius, floor = 0, -math.inf
             errors[k] = exc

@@ -24,6 +24,7 @@ double_periods(tau) = (2*tau1, 2*tau2, 2*tau12).
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -167,10 +168,6 @@ class Scale(enum.Enum):
     DOUBLED = "doubled"
 
 
-def _finite(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
-
-
 def _c2j(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
@@ -188,20 +185,24 @@ class PeriodMatrix:
     tau12: complex
     scale: Scale = Scale.BASE
 
-    def validate(self) -> None:
-        for t in (self.tau1, self.tau2, self.tau12):
-            if not _finite(t):
+    def validate(self) -> float:
+        """lambda_min of valid periods; where it is NaN, raises
+        InvalidPeriod naming the failed condition."""
+        lam = self.lambda_min
+        if math.isnan(lam):
+            entries = (self.tau1, self.tau2, self.tau12)
+            if not all(map(cmath.isfinite, entries)):
                 raise InvalidPeriod(f"non-finite period entry in {self}")
-        i1, i2, i12 = self.tau1.imag, self.tau2.imag, self.tau12.imag
-        j1, j2, j12, _ = _unit_scaled(i1, i2, i12)
-        if i1 <= 0 or i2 <= 0 or j1 * j2 - j12 * j12 <= 0:
+            i1, i2, i12 = self.tau1.imag, self.tau2.imag, self.tau12.imag
             raise InvalidPeriod(
                 f"Im part not positive definite: Im tau1={i1}, Im tau2={i2}, Im tau12={i12}")
+        return lam
 
     @property
     def lambda_min(self) -> float:
-        """Smallest eigenvalue of the 2x2 imaginary part."""
-        return lambda_min(self.tau1.imag, self.tau2.imag, self.tau12.imag)
+        """Smallest eigenvalue of the 2x2 imaginary part, NaN where the
+        matrix is invalid (lambda_min below)."""
+        return lambda_min(self.tau1, self.tau2, self.tau12)
 
     def as_json(self) -> dict:
         return {"tau1": _c2j(self.tau1), "tau2": _c2j(self.tau2),
@@ -213,39 +214,32 @@ class PeriodMatrix:
                    Scale(obj.get("scale", "base")))
 
 
-def _unit_scaled(i1: float, i2: float, i12: float):
-    """(i1, i2, i12, 1.0), or, where i1*i2 - i12^2 overflows (entries above
-    about 1e154), the entries times the exact power of two s that brings
-    the largest into [0.5, 1), and s.  Scaling by s rounds nothing, so the
+def lambda_min(tau1: complex, tau2: complex, tau12: complex) -> float:
+    """Smallest eigenvalue of the Im part of the periods, or NaN where they
+    are invalid: an entry not finite, or the Im part not positive definite.
+    This is the one validity test; PeriodMatrix.validate raises where it
+    gives NaN, and the catalog's blocks (identity_catalog._block) read it
+    per draw.
+
+    The eigenvalue is the determinant over the largest one: the difference
+    of half the trace and the hypot cancels when the eigenvalues are far
+    apart.  Where i1*i2 - i12^2 overflows (entries above about 1e154), the
+    entries are first multiplied by the exact power of two s that brings
+    the largest into [0.5, 1).  Scaling by s rounds nothing, so the
     determinant keeps its sign; entries whose products do not overflow
-    are returned as they are, so no value moves.  A non-finite entry has
-    frexp exponent 0, so s = 1."""
-    if math.isfinite(i1 * i2 - i12 * i12):
-        return i1, i2, i12, 1.0
-    s = math.ldexp(1.0, -math.frexp(max(abs(i1), abs(i2), abs(i12)))[1])
-    return i1 * s, i2 * s, i12 * s, s
-
-
-def lambda_min(i1: float, i2: float, i12: float) -> float:
-    """Smallest eigenvalue of [[i1, i12], [i12, i2]], as the determinant
-    over the largest one: the difference of half the trace and the hypot
-    cancels when the eigenvalues are far apart.  Entries whose products
-    overflow are scaled by an exact power of two first (_unit_scaled)."""
-    i1, i2, i12, s = _unit_scaled(i1, i2, i12)
-    return (i1 * i2 - i12 * i12) / (0.5 * (i1 + i2)
-                                    + math.hypot(0.5 * (i1 - i2), i12)) / s
-
-
-def valid_periods(tau1, tau2, tau12) -> np.ndarray:
-    """Per row of period arrays, whether PeriodMatrix(...).validate() would
-    pass, by the same comparisons on the same scaled entries."""
+    are used as they are, so no value moves."""
+    if not (cmath.isfinite(tau1) and cmath.isfinite(tau2)
+            and cmath.isfinite(tau12)):
+        return math.nan
     i1, i2, i12 = tau1.imag, tau2.imag, tau12.imag
-    top = np.maximum(np.maximum(abs(i1), abs(i2)), abs(i12))
-    s = np.where(np.isfinite(i1 * i2 - i12 * i12), 1.0,
-                 np.ldexp(1.0, -np.frexp(top)[1]))
-    j1, j2, j12 = i1 * s, i2 * s, i12 * s
-    return (np.isfinite(tau1) & np.isfinite(tau2) & np.isfinite(tau12)
-            & (i1 > 0) & (i2 > 0) & (j1 * j2 - j12 * j12 > 0))
+    det, s = i1 * i2 - i12 * i12, 1.0
+    if not math.isfinite(det):
+        s = math.ldexp(1.0, -math.frexp(max(abs(i1), abs(i2), abs(i12)))[1])
+        i1, i2, i12 = i1 * s, i2 * s, i12 * s
+        det = i1 * i2 - i12 * i12
+    if i1 <= 0 or i2 <= 0 or det <= 0:
+        return math.nan
+    return det / (0.5 * (i1 + i2) + math.hypot(0.5 * (i1 - i2), i12)) / s
 
 
 def double_periods(tau: PeriodMatrix) -> PeriodMatrix:
@@ -263,7 +257,7 @@ class EvalPoint:
     y: complex = 0j
 
     def validate(self) -> None:
-        if not (_finite(self.x) and _finite(self.y)):
+        if not (cmath.isfinite(self.x) and cmath.isfinite(self.y)):
             raise ValueError(f"non-finite evaluation point {self}")
 
     def __add__(self, other: "EvalPoint") -> "EvalPoint":
@@ -307,16 +301,13 @@ DEFAULT_POLICY = PrecisionPolicy()
 def truncation_radius(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
                       eps_tail: float = DEFAULT_POLICY.eps_tail,
                       max_radius: int = DEFAULT_POLICY.max_radius) -> int:
-    """Smallest square-window radius whose neglected tail is below eps_tail:
-    tau and z validated, then radius_for(lambda_min of tau, rho of z).
-
-    The radius does not depend on the characteristic: the lower-row shift
-    is real and drops out of the modulus, and the upper-row offsets the
-    lattice kernel sums are reduced to [0, 1).  So theta_values computes
-    one radius for all its characteristics, and the catalog's block path
-    (identity_catalog.verify_catalog) validates each draw once and calls
-    window_for for each of its (argument, periods) groups directly.
-    """
+    """The radius of truncation_window(z, tau, eps_tail, max_radius).  ch
+    is not read: the radius does not depend on the characteristic (the
+    lower-row shift is real and drops out of the modulus, and the
+    upper-row offsets the kernel sums are reduced to [0, 1)).  Kept for
+    eval's printed radius and for the benchmark, which call it in this
+    form; the evaluators take their windows from truncation_window and
+    window_for."""
     return truncation_window(z, tau, eps_tail, max_radius)[0]
 
 
@@ -324,11 +315,12 @@ def truncation_window(z: EvalPoint, tau: PeriodMatrix,
                       eps_tail: float = DEFAULT_POLICY.eps_tail,
                       max_radius: int = DEFAULT_POLICY.max_radius
                       ) -> tuple[int, float]:
-    """truncation_radius and the drop floor of its window, from one
-    window_for scan: what theta_eval and theta_values sum with."""
-    tau.validate()
+    """window_for at tau's lambda_min and rho = max(|Im x|, |Im y|) of z,
+    after tau and then z are validated: the radius and drop floor that
+    theta_eval and theta_values sum with."""
+    lam = tau.validate()
     z.validate()
-    return window_for(tau.lambda_min, max(abs(z.x.imag), abs(z.y.imag)),
+    return window_for(lam, max(abs(z.x.imag), abs(z.y.imag)),
                       eps_tail, max_radius)
 
 
@@ -342,13 +334,13 @@ _LOG2 = math.log(2.0)
 FLOOR_MARGIN = 1e-6
 
 
-def radius_for(lam: float, rho: float,
+def window_for(lam: float, rho: float,
                eps_tail: float = DEFAULT_POLICY.eps_tail,
-               max_radius: int = DEFAULT_POLICY.max_radius) -> int:
-    """The certified radius for periods whose Im part has smallest
-    eigenvalue lam, at a point with rho = max(|Im x|, |Im y|): the radius
-    of window_for(lam, rho, eps_tail, max_radius), whose scan also gives
-    the drop floor below.
+               max_radius: int = DEFAULT_POLICY.max_radius
+               ) -> tuple[int, float]:
+    """(R, floor): the certified radius for periods whose Im part has
+    smallest eigenvalue lam, at a point with rho = max(|Im x|, |Im y|), and
+    the drop floor of its window, from one scan.
 
     Bound used.  Every term satisfies |term| <= f(M)*f(N) with
     f(t) = exp(-pi*lam*t^2 + 2*pi*rho*|t|).  Writing t* = rho/lam for the
@@ -376,15 +368,6 @@ def radius_for(lam: float, rho: float,
     below (eps_tail - T(R)) / (2R+1)^2, so the dropped terms and the tail
     outside the window together stay below eps_tail.
     """
-    return window_for(lam, rho, eps_tail, max_radius)[0]
-
-
-def window_for(lam: float, rho: float,
-               eps_tail: float = DEFAULT_POLICY.eps_tail,
-               max_radius: int = DEFAULT_POLICY.max_radius
-               ) -> tuple[int, float]:
-    """(R, floor): the radius radius_for returns and the drop floor its
-    docstring derives, from one scan."""
     t_star = rho / lam if lam > 0 else math.inf
     if t_star + 1.0 <= max_radius:
         log_eps = math.log(eps_tail)
@@ -420,7 +403,7 @@ def theta_eval(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
     radius, floor = truncation_window(z, tau, pol.eps_tail, pol.max_radius)
     value = lattice_sum(a2, c2, z.x + b2, z.y + d2,
                         tau.tau1, tau.tau2, tau.tau12, radius, floor=floor)
-    if not _finite(value):
+    if not cmath.isfinite(value):
         raise NonFiniteSum(f"theta{ch} sum overflows to {value}")
     return phase * value
 
@@ -441,9 +424,9 @@ def theta_values(chars, z: EvalPoint, tau: PeriodMatrix,
                        radius, floor=floor).tolist()
     # Any non-finite sum makes the total non-finite; a total that overflows
     # from finite sums only costs the per-value check.
-    if not _finite(sum(sums)):
+    if not cmath.isfinite(sum(sums)):
         for ch, value in zip(chars, sums):
-            if not _finite(value):
+            if not cmath.isfinite(value):
                 raise NonFiniteSum(f"theta{ch} sum overflows to {value}")
     return [phase * value for phase, value in zip(phases, sums)]
 

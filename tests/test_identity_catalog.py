@@ -25,6 +25,7 @@ from hypertheta import (
     EvalPoint,
     Identity,
     IdentityTerm,
+    InvalidPeriod,
     NoConsistentSign,
     NonFiniteSum,
     PeriodMatrix,
@@ -54,6 +55,7 @@ from hypertheta.identity_catalog import (
     catalog_as_json,
     catalog_sha256,
 )
+from hypertheta.theta_core import truncation_window
 from hypertheta.sampling import Draws, draw_stream, make_rng, sample_tau
 
 CAT = build_catalog()
@@ -388,7 +390,7 @@ def test_block_radii_equal_truncation_radius(seed):
     """Every (argument, scale) group of a block, over all identities, gets
     what the scalar path gives its draw: the argument of
     ArgSelector.select (by repr), tau or double_periods(tau), and the
-    radius truncation_radius(chars[0], z, tau)."""
+    radius and drop floor truncation_window(z, tau)."""
     ids = sorted(BY_ID)
     prog = identity_catalog._compile([BY_ID[i] for i in ids])
     block = identity_catalog._block(prog, next(draw_stream(seed, ids)),
@@ -405,8 +407,7 @@ def test_block_radii_equal_truncation_radius(seed):
                 == repr([z.x, z.y]))
         assert ([complex(t[g]) for t in (block.tau1, block.tau2, block.tau12)]
                 == [tau.tau1, tau.tau2, tau.tau12])
-        assert block.radius[g] == truncation_radius(
-            prog.chars[prog.first_row[g]], z, tau)
+        assert (block.radius[g], block.floor[g]) == truncation_window(z, tau)
 
 
 def _factor_by_factor(idty, s: SampleAssignment):
@@ -430,14 +431,15 @@ def _factor_by_factor(idty, s: SampleAssignment):
 
 
 def test_failures_inside_a_block_stay_with_their_sample(monkeypatch):
-    """One verify_catalog block holds four hand-built samples: C1's on a
+    """One verify_catalog block holds five hand-built samples: C1's on a
     lattice so thin that no radius up to 60 meets the tail target, 2e8's
     with |Im z| = 20 at p1 + p2, whose sum overflows, D1's on a thin
     lattice whose base constants share that overflowing group's radius and
-    so its kernel call, and 2e4.0000's with a non-finite p1.  The failed
-    rows carry evaluate_identity's error text, the non-finite point's as
-    the scalar point check words it; every other row equals a
-    factor-by-factor evaluation byte for byte."""
+    so its kernel call, 2e4.0000's with a non-finite p1, and 2e5.0000's
+    with Im tau = diag(-2, 0), whose lambda_min formula would divide 0 by
+    0.  The failed rows carry evaluate_identity's error text, the
+    non-finite point's as the scalar point check words it; every other row
+    equals a factor-by-factor evaluation byte for byte."""
     far = (EvalPoint(0.1 + 10j, -0.2 + 0.05j),
            EvalPoint(-0.3 + 10j, 0.1 - 0.05j))
     partner = PeriodMatrix(0.1 + 0.0047j, -0.2 + 2j, 0.05 + 0j)
@@ -448,6 +450,8 @@ def test_failures_inside_a_block_stay_with_their_sample(monkeypatch):
         "2e8": SampleAssignment(TAU, *far, seed=0),
         "D1": SampleAssignment(partner, P1, P2, seed=0),
         "2e4.0000": SampleAssignment(TAU, broken, P2, seed=0),
+        "2e5.0000": SampleAssignment(PeriodMatrix(-2j, 0j, 0j), P1, P2,
+                                     seed=0),
     }
     ch = ThetaCharacteristic.of(0, 0, 0, 0)
     assert truncation_radius(ch, far[0] + far[1], TAU) == 51
@@ -478,7 +482,9 @@ def test_failures_inside_a_block_stay_with_their_sample(monkeypatch):
             assert not row.passed
     assert {r.identity_id: r.error.split(":")[0] for r in rows if r.error} \
         == {"2e8": "NonFiniteSum", "C1": "RadiusExceeded",
-            "2e4.0000": "ValueError"}
+            "2e4.0000": "ValueError", "2e5.0000": "InvalidPeriod"}
+    assert rows[2].error == ("InvalidPeriod: Im part not positive definite: "
+                             "Im tau1=-2.0, Im tau2=0.0, Im tau12=0.0")
     assert rows[1].error == (
         "ValueError: non-finite evaluation point "
         f"{ArgSelector(1, 1).select(broken, P2)}")
@@ -503,6 +509,20 @@ def test_radius_errors_become_failed_reports():
     assert not reports[0].passed
     assert "RadiusExceeded" in reports[0].error
     assert reports[0].as_json()["abs_residual"] is None
+
+
+@pytest.mark.parametrize("tau", [PeriodMatrix(-2j, 0j, 0j),
+                                 PeriodMatrix(0j, 0j, 0j)],
+                         ids=["diag(-2,0)", "zero"])
+def test_singular_im_tau_is_an_invalid_period(tau):
+    """Periods whose Im part has no positive eigenvalue, where the
+    eigenvalue formula's denominator is 0, fail the validity test before
+    any lambda_min is formed: InvalidPeriod with the scalar text."""
+    with pytest.raises(InvalidPeriod) as info:
+        evaluate_identity(CAT[0], SampleAssignment(tau, P1, P2, seed=0))
+    i1, i2, i12 = tau.tau1.imag, tau.tau2.imag, tau.tau12.imag
+    assert str(info.value) == ("Im part not positive definite: "
+                               f"Im tau1={i1}, Im tau2={i2}, Im tau12={i12}")
 
 
 # ------------------------------------------------------------ serialization

@@ -36,15 +36,14 @@ from hypertheta import (
     theta_values,
     truncation_radius,
 )
+from hypertheta import identity_catalog
 from hypertheta.addition import _law_tables
 from hypertheta.backends import GRID_POINTS, exponents, lattice_sum
-from hypertheta.sampling import sample_tau
+from hypertheta.sampling import Draws, SampleAssignment, sample_tau
 from hypertheta.theta_core import (
     kernel_rows,
-    radius_for,
     sums_by_radius,
     truncation_window,
-    valid_periods,
     window_for,
 )
 
@@ -298,7 +297,7 @@ def test_sums_by_radius_equal_theta_values_bit_for_bit():
 
 
 def _tail_bound(lam: float, rho: float, radius: int) -> float:
-    """T(R) = 2 * S * T1(R), the bound radius_for's docstring derives."""
+    """T(R) = 2 * S * T1(R), the bound window_for's docstring derives."""
     t_star = rho / lam
     s = 2 * math.exp(math.pi * rho * rho / lam) * (t_star + 2
                                                     + 1 / math.sqrt(lam))
@@ -319,7 +318,6 @@ def test_dropped_terms_stay_below_the_unused_slack(z, tau, eps_tail):
     of them) set to 0."""
     lam, rho = tau.lambda_min, max(abs(z.x.imag), abs(z.y.imag))
     radius, floor = window_for(lam, rho, eps_tail)
-    assert radius == radius_for(lam, rho, eps_tail)
     slack = eps_tail - _tail_bound(lam, rho, radius)
     assert 0 < slack and floor > -math.inf
     a2, c2, b2, d2, _ = (np.array(v) for v in zip(*(
@@ -483,7 +481,7 @@ def test_radius_exceeded():
                           eps_tail=1e-30, max_radius=4)
     for lam in (0.0, 1e-300):  # a lambda_min that rounded to (nearly) 0
         with pytest.raises(RadiusExceeded):
-            radius_for(lam, 0.25)
+            window_for(lam, 0.25)
 
 
 def test_policy_validation():
@@ -529,8 +527,9 @@ def test_lambda_min_matches_eigenvalue():
 
 
 def test_validation_survives_overflowing_determinants():
-    """Entries whose products overflow: validate and valid_periods agree
-    that a singular Im tau is invalid and a definite one valid."""
+    """Entries whose products overflow: validate and the catalog's block
+    check agree that a singular Im tau is invalid and a definite one
+    valid (the last one then exceeds the radius, as eval's exit 5 does)."""
     taus = [PeriodMatrix(1e200j, 1e200j, 1e200j),
             PeriodMatrix(1e200j, 1e200j, 0.99e200j),
             PeriodMatrix(1e300j, 1e-300j, 0j)]
@@ -538,7 +537,9 @@ def test_validation_survives_overflowing_determinants():
         taus[0].validate()
     taus[1].validate()
     taus[2].validate()
-    with np.errstate(over="ignore", invalid="ignore"):
-        valid = valid_periods(*(np.array([getattr(t, name) for t in taus])
-                                for name in ("tau1", "tau2", "tau12")))
-    assert valid.tolist() == [False, True, True]
+    prog = identity_catalog._compile(identity_catalog.build_catalog()[:1])
+    errors = [identity_catalog._block(
+        prog, Draws.of([SampleAssignment(t, ORIGIN, ORIGIN, seed=0)]),
+        DEFAULT_POLICY).errors for t in taus]
+    assert [{type(e) for e in errs.values()} for errs in errors] \
+        == [{InvalidPeriod}, set(), {RadiusExceeded}]

@@ -1,13 +1,19 @@
-"""The benchmark's span tracer (bench/tracing.py) wraps public hypertheta
-names by attribute and raises when one is gone.  The benchmark's own tests
-are not collected here, so this guard runs its install/uninstall cycle
+"""The benchmark (bench/) reaches hypertheta in two ways: its span tracer
+(bench/tracing.py) wraps public names by attribute and raises when one is
+gone, and bench/run.py calls some names directly.  The benchmark's own
+tests are not collected here, so these guards run the tracer's
+install/uninstall cycle, and each direct call in the form run.py makes it,
 against the package as it stands."""
 
 import importlib.util
+import json
+import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-from hypertheta import addition, identity_catalog
+import hypertheta
+from hypertheta import addition, cli, identity_catalog, theta_core
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -30,3 +36,25 @@ def test_every_traced_name_exists_and_is_restored():
                 identity_catalog.resolve_sign) == originals
     finally:
         del sys.modules[spec.name]
+
+
+def test_every_name_the_benchmark_calls_directly_exists(tmp_path, capsys):
+    """bench/run.py's direct calls, with its argument forms: theta-eval's
+    inputs, op and reference radius, the row workloads' calls and the
+    set-up probe."""
+    theta_core.clear_theta_cache()
+    ch = theta_core.ThetaCharacteristic.of(*(Fraction(k, 2) for k in
+                                             (-3, 1, 4, 0)))
+    z = theta_core.EvalPoint(complex(0.1, 0.2), complex(0.0, 0.05))
+    tau = theta_core.PeriodMatrix(*(complex(t) for t in (1.1j, 1.4j, 0.2j)))
+    assert math.isfinite(abs(theta_core.theta_eval(ch, z, tau)))
+    assert theta_core.truncation_radius(ch, z, tau) >= 2
+    assert len(addition.verify_addition(1, 0).reports) == 30
+    assert (len(identity_catalog.load_catalog())
+            == len(identity_catalog.build_catalog()) == 200)
+    out = tmp_path / "rows.jsonl"
+    assert cli.main(["verify", "--seed", "0", "--samples", "1", "--jobs",
+                     "1", "--only", "2e5.0000", "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["total_rows"] == out.read_bytes().count(b"\n") >= 1
+    assert isinstance(hypertheta.BACKEND_NAME, str)
