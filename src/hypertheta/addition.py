@@ -34,9 +34,9 @@ reads none of D1..D16, whose root forms identity_catalog checks.
 
 Direct sums share one kernel call per (z, tau) through theta_values:
 constants_vector sums the sixteen constants in one call, f_vector the
-normalizer and the fifteen numerators, sixteen values, in one, and
-doubled_values_direct the twenty-eight doubled values in one, so a
-verify_addition sample makes six kernel calls.
+normalizer and then the fifteen numerators, and doubled_values_direct the
+twenty-eight doubled values in one, so a verify_addition sample makes nine
+kernel calls.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from .theta_core import (
     Scale,
     ThetaCharacteristic,
     double_periods,
+    theta_eval,
     theta_values,
 )
 
@@ -185,30 +186,27 @@ class ConstantsVector:
 # --------------------------------------------------------------------------
 # direct evaluation of quotients and constants
 
-def _quotients(chars, z: EvalPoint, tau: PeriodMatrix,
-               pol: PrecisionPolicy) -> list[complex]:
-    """theta[ch](z) / theta[0 0;0 0](z) for each ch of chars, normalizer
-    and numerators summed in one theta_values call; raises DivisorHit where
-    the normalizer vanishes to DIVISOR_THRESHOLD."""
-    den, *nums = theta_values((_BASE, *chars), z, tau, pol)
-    if abs(den) < DIVISOR_THRESHOLD:
-        raise DivisorHit(f"theta[0 0;0 0]({z.x:.4g}, {z.y:.4g}) = {den:.3e}")
-    return [v / den for v in nums]
-
-
 def f_eval(ch, z: EvalPoint, tau: PeriodMatrix,
            pol: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     """F[ch](z) by direct summation of numerator and normalizer."""
     if not isinstance(ch, ThetaCharacteristic):
         ch = ThetaCharacteristic.of(*ch)
-    return _quotients((ch,), z, tau, pol)[0]
+    den = theta_eval(_BASE, z, tau, pol)
+    if abs(den) < DIVISOR_THRESHOLD:
+        raise DivisorHit(f"theta[0 0;0 0]({z.x:.4g}, {z.y:.4g}) = {den:.3e}")
+    return theta_eval(ch, z, tau, pol) / den
 
 
 def f_vector(z: EvalPoint, tau: PeriodMatrix,
              pol: PrecisionPolicy = DEFAULT_POLICY) -> FVector:
-    """All fifteen quotients at z by direct summation, normalizer and
-    numerators in one kernel call."""
-    return FVector(tuple(_quotients(_A_CHARS, z, tau, pol)), point=z, tau=tau)
+    """All fifteen quotients at z by direct summation: the normalizer
+    first, so DivisorHit is raised before any numerator is summed, then the
+    fifteen numerators in one theta_values call."""
+    den = theta_eval(_BASE, z, tau, pol)
+    if abs(den) < DIVISOR_THRESHOLD:
+        raise DivisorHit(f"theta[0 0;0 0]({z.x:.4g}, {z.y:.4g}) = {den:.3e}")
+    vals = tuple(v / den for v in theta_values(_A_CHARS, z, tau, pol))
+    return FVector(vals, point=z, tau=tau)
 
 
 def constant_chars() -> tuple[ThetaCharacteristic, ...]:

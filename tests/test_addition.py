@@ -162,28 +162,25 @@ def test_constants_sum_each_constant_once(monkeypatch):
         assert kv[ch] == value
 
 
-def test_f_vector_divisor_hit_makes_one_kernel_call(monkeypatch):
+def test_f_vector_divisor_hit_sums_no_numerator(monkeypatch):
     """At a zero of the normalizer, f_vector raises after the one kernel
-    call that sums the normalizer and the fifteen numerators."""
+    call that sums it."""
     seen = _counted_kernel(monkeypatch, addition)
     tau = PeriodMatrix(1.1j, 1.3j, 0j)
     with pytest.raises(DivisorHit):
         f_vector(EvalPoint((1 + tau.tau1) / 2, 0.07 + 0.02j), tau)
-    (chars,) = seen["theta_values"]
-    assert chars == (ThetaCharacteristic.of(0, 0, 0, 0),
-                     *(ThetaCharacteristic.of(*ch) for ch in A_ORDER))
-    assert seen["lattice_sum"] == 1
+    assert seen == {"theta_values": [], "lattice_sum": 1}
 
 
-def test_verify_addition_sample_makes_six_kernel_calls(monkeypatch):
-    """One sample: the constants (1), three f_vector (1 each) and the two
+def test_verify_addition_sample_makes_nine_kernel_calls(monkeypatch):
+    """One sample: the constants (1), three f_vector (2 each) and the two
     doubled-value sets of direct mode (1 each)."""
     seen = _counted_kernel(monkeypatch, addition)
     run = verify_addition(1, 0)
     assert (run.tau_redraws, run.point_redraws) == (0, 0)
-    assert seen["lattice_sum"] == 6
+    assert seen["lattice_sum"] == 9
     assert ([len(chars) for chars in seen["theta_values"]]
-            == [16] * 4 + [28] * 2)
+            == [16] + [15] * 3 + [28] * 2)
 
 
 def test_constants_at_diagonal_tau_do_not_warn():

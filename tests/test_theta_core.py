@@ -42,6 +42,7 @@ from hypertheta.backends import GRID_POINTS, exponents, lattice_sum
 from hypertheta.sampling import Draws, SampleAssignment, sample_tau
 from hypertheta.theta_core import (
     kernel_rows,
+    lambda_min,
     sums_by_radius,
     truncation_window,
     window_for,
@@ -524,6 +525,12 @@ def test_lambda_min_matches_eigenvalue():
     # i1*i2 - i12^2 overflows unless Im tau is scaled first
     assert math.isclose(PeriodMatrix(1e200j, 1e200j, 0.99e200j).lambda_min,
                         0.01e200, rel_tol=1e-12)
+    # invalid periods give NaN, the one validity test validate reads
+    for periods in [(complex("nan"), 1j, 0j), (1j, complex("inf"), 0j),
+                    (-2j, 0j, 0j), (0j, 0j, 0j), (1j, 1j, 1j),
+                    (1e200j, 1e200j, 1e200j)]:
+        assert math.isnan(lambda_min(*periods)), periods
+        assert math.isnan(PeriodMatrix(*periods).lambda_min), periods
 
 
 def test_validation_survives_overflowing_determinants():

@@ -5,6 +5,7 @@ tests are not collected here, so these guards run the tracer's
 install/uninstall cycle, and each direct call in the form run.py makes it,
 against the package as it stands."""
 
+import contextlib
 import importlib.util
 import json
 import math
@@ -18,12 +19,20 @@ from hypertheta import addition, cli, identity_catalog, theta_core
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
-def test_every_traced_name_exists_and_is_restored():
+@contextlib.contextmanager
+def _tracing():
     spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = tracing  # dataclasses resolve it by name
     try:
         spec.loader.exec_module(tracing)
+        yield tracing
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_every_traced_name_exists_and_is_restored():
+    with _tracing() as tracing:
         originals = (addition.constants_vector, identity_catalog.resolve_sign)
         tracer = tracing.Tracer()
         tracer.install()
@@ -34,8 +43,20 @@ def test_every_traced_name_exists_and_is_restored():
             tracer.uninstall()
         assert (addition.constants_vector,
                 identity_catalog.resolve_sign) == originals
-    finally:
-        del sys.modules[spec.name]
+
+
+def test_the_addition_law_reaches_theta_eval():
+    """The benchmark's traced verify-full and addition-law runs require
+    theta_core.theta_eval calls > 0 (bench/test_bench.py); on both, only
+    the addition law's normalizer (f_vector, f_eval) makes them."""
+    with _tracing() as tracing:
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            addition.verify_addition(1, 0)
+        finally:
+            tracer.uninstall()
+        assert tracer.summary()["theta_core.theta_eval"]["calls"] > 0
 
 
 def test_every_name_the_benchmark_calls_directly_exists(tmp_path, capsys):
