@@ -111,13 +111,9 @@ class FVector:
 
     F[0 0;0 0] is identically 1 and is not stored; indexing by the base
     characteristic returns 1 so the vector acts like all sixteen values.
-    `point` and `tau` record where the vector was computed (None for purely
-    algebraic products whose argument was never materialized).
     """
 
     values: tuple[complex, ...]
-    point: EvalPoint | None = None
-    tau: PeriodMatrix | None = None
 
     def __post_init__(self) -> None:
         if len(self.values) != 15:
@@ -136,24 +132,14 @@ class FVector:
             return 1.0 + 0j
         return self.values[A_ORDER.index(key)]
 
-    def as_json(self) -> dict:
-        out = {f"A{k + 1}": {"re": v.real, "im": v.imag}
-               for k, v in enumerate(self.values)}
-        if self.point is not None:
-            out["point"] = self.point.as_json()
-        if self.tau is not None:
-            out["tau"] = self.tau.as_json()
-        return out
-
 
 @dataclass(frozen=True)
 class ConstantsVector:
-    """The sixteen doubled-period theta constants the solved rows read at
-    one tau, in constant_chars() order, each lattice-summed once.  Indexing
-    takes a characteristic or a 4-tuple, as FVector's does.  The six odd
-    constants vanish identically and no row reads them."""
+    """The values of the sixteen doubled-period theta constants the solved
+    rows read at one tau, in constant_chars() order, each summed once.
+    Indexing takes a characteristic or a 4-tuple, as FVector's does.  The
+    six odd constants vanish identically and no row reads them."""
 
-    tau: PeriodMatrix
     values: tuple[complex, ...]
 
     def __getitem__(self, ch) -> complex:
@@ -176,11 +162,6 @@ class ConstantsVector:
         DIVISOR_THRESHOLD at this tau: the rows add_vector refuses."""
         return tuple(ident for ident, den, _ in self._solved_rows
                      if abs(den) < DIVISOR_THRESHOLD)
-
-    def as_json(self) -> dict:
-        return {"tau": self.tau.as_json(),
-                "values": {str(ch): {"re": v.real, "im": v.imag}
-                           for ch, v in zip(constant_chars(), self.values)}}
 
 
 # --------------------------------------------------------------------------
@@ -206,7 +187,7 @@ def f_vector(z: EvalPoint, tau: PeriodMatrix,
     if abs(den) < DIVISOR_THRESHOLD:
         raise DivisorHit(f"theta[0 0;0 0]({z.x:.4g}, {z.y:.4g}) = {den:.3e}")
     vals = tuple(v / den for v in theta_values(_A_CHARS, z, tau, pol))
-    return FVector(vals, point=z, tau=tau)
+    return FVector(vals)
 
 
 def constant_chars() -> tuple[ThetaCharacteristic, ...]:
@@ -218,7 +199,7 @@ def constants_vector(tau: PeriodMatrix,
                      pol: PrecisionPolicy = DEFAULT_POLICY) -> ConstantsVector:
     """The constants the solved rows read at tau, each summed once at the
     origin and doubled periods, all in one theta_values call."""
-    return ConstantsVector(tau, tuple(theta_values(
+    return ConstantsVector(tuple(theta_values(
         constant_chars(), ORIGIN, double_periods(tau), pol)))
 
 
@@ -387,12 +368,6 @@ def _assemble(d1: list[complex], d2: list[complex]) -> tuple[complex, ...]:
     return tuple(out)
 
 
-def _summed_point(f1: FVector, f2: FVector) -> EvalPoint | None:
-    if f1.point is None or f2.point is None:
-        return None
-    return f1.point + f2.point
-
-
 def add_vector(f1: FVector, f2: FVector, k: ConstantsVector) -> FVector:
     """Reduced mode: quotients at z1 + z2 from quotients at z1 and z2.
 
@@ -404,7 +379,7 @@ def add_vector(f1: FVector, f2: FVector, k: ConstantsVector) -> FVector:
     weights = _solved_weights(k)
     d1 = _doubled((1 + 0j, *f1.values), weights)
     d2 = _doubled((1 + 0j, *f2.values), weights)
-    return FVector(_assemble(d1, d2), point=_summed_point(f1, f2), tau=k.tau)
+    return FVector(_assemble(d1, d2))
 
 
 def doubled_values_direct(z: EvalPoint, tau: PeriodMatrix,
@@ -422,8 +397,7 @@ def add_direct(z1: EvalPoint, z2: EvalPoint, tau: PeriodMatrix,
     thetas, bypassing the functional relations and constants entirely."""
     d1 = doubled_values_direct(z1, tau, pol)
     d2 = doubled_values_direct(z2, tau, pol)
-    return FVector(_assemble(list(d1.values()), list(d2.values())),
-                   point=z1 + z2, tau=tau)
+    return FVector(_assemble(list(d1.values()), list(d2.values())))
 
 
 # --------------------------------------------------------------------------

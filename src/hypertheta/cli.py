@@ -14,7 +14,7 @@ determinism hash over everything except wall time, the output path and
 the worker count.
 
 Exit codes: 0 all pass; 2 numeric failures; 3 configuration/parse errors,
-a non-finite `--z`, a negative seed or a non-positive or non-finite
+a malformed catalog file, a non-finite `--z`, a negative seed or a bad
 tolerance.  `eval` additionally distinguishes InvalidPeriod (4),
 RadiusExceeded (5), DivisorHit (6) and NonFiniteSum (7).
 """
@@ -129,30 +129,16 @@ def _parse_char(text: str) -> ThetaCharacteristic:
     return ThetaCharacteristic.of(*(Fraction(p) for p in parts))
 
 
-def _parse_point(text: str) -> EvalPoint:
-    """--z as two complex tokens 'x,y' or four reals 'x_re,x_im,y_re,y_im'."""
+def _parse_complexes(text: str, n: int, flag: str) -> list[complex]:
+    """n complex tokens, or 2n reals read as (re, im) pairs."""
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) == 2:
-        return EvalPoint(_parse_complex(parts[0]), _parse_complex(parts[1]))
-    if len(parts) == 4:
+    if len(parts) == n:
+        return [_parse_complex(p) for p in parts]
+    if len(parts) == 2 * n:
         re = [float(p) for p in parts]
-        return EvalPoint(complex(re[0], re[1]), complex(re[2], re[3]))
-    raise ValueError(f"--z wants 2 complex or 4 real entries, got {len(parts)}")
-
-
-def _parse_tau(text: str) -> PeriodMatrix:
-    """--tau as three complex tokens 't1,t2,t12' or six reals."""
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) == 3:
-        vals = [_parse_complex(p) for p in parts]
-    elif len(parts) == 6:
-        re = [float(p) for p in parts]
-        vals = [complex(re[0], re[1]), complex(re[2], re[3]),
-                complex(re[4], re[5])]
-    else:
-        raise ValueError(
-            f"--tau wants 3 complex or 6 real entries, got {len(parts)}")
-    return PeriodMatrix(*vals)
+        return [complex(r, i) for r, i in zip(re[::2], re[1::2])]
+    raise ValueError(f"{flag} wants {n} complex or {2 * n} real entries, "
+                     f"got {len(parts)}")
 
 
 def _parse_only(text: str) -> tuple[str, ...] | None:
@@ -243,8 +229,8 @@ _EVAL_EXIT_CODES = {InvalidPeriod: EXIT_INVALID_PERIOD,
 def cmd_eval(args) -> int:
     try:
         ch = _parse_char(args.char)
-        z = _parse_point(args.z)
-        tau = _parse_tau(args.tau)
+        z = EvalPoint(*_parse_complexes(args.z, 2, "--z"))
+        tau = PeriodMatrix(*_parse_complexes(args.tau, 3, "--tau"))
         pol = PrecisionPolicy(eps_tail=args.eps_tail)
         radius = truncation_radius(ch, z, tau, pol.eps_tail, pol.max_radius)
         if args.ratio:
@@ -383,7 +369,7 @@ def cmd_verify(args) -> int:
         cfg = VerificationConfig.from_args(args)
         cfg.validate()
         catalog = load_catalog()
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1229,11 +1229,29 @@ def catalog_as_json(catalog: list[Identity]) -> dict:
 
 
 def identities_from_json(obj: dict) -> list[Identity]:
-    body = obj["identities"]
-    if obj.get("sha256") != _sha256(body):
-        raise ValueError("catalog content hash mismatch (file corrupted or "
-                         "hand-edited)")
-    return [Identity.from_json(entry) for entry in body]
+    """A catalog file's identities.  A hash mismatch, a missing key, a wrong
+    type or a root form the sign search cannot read raises ValueError."""
+    try:
+        body = obj["identities"]
+        if obj.get("sha256") != _sha256(body):
+            raise ValueError("catalog content hash mismatch (file corrupted "
+                             "or hand-edited)")
+        catalog = [Identity.from_json(entry) for entry in body]
+        texts = [t for i in catalog for t in (i.id, i.note, *i.flags)]
+        if not all(isinstance(t, str) for t in texts):
+            raise TypeError("ids, notes and flags must be text")
+        for form in (i.root_form for i in catalog if i.root_form):
+            if form["prefactor"] not in _PREFACTORS:
+                raise ValueError(f"unknown prefactor {form['prefactor']!r}")
+            terms = [term for root in form["roots"] for term in root]
+            signs = [*form["printed_signs"], *(sign for sign, _, _ in terms)]
+            if not all(isinstance(sign, (int, float)) for sign in signs):
+                raise TypeError(f"root form signs {signs} are not numbers")
+            for ch in (form["target"], *(c for _, *cs in terms for c in cs)):
+                ThetaCharacteristic.from_json(ch)
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed catalog: {exc!r}") from exc
+    return catalog
 
 
 def catalog_sha256(catalog: list[Identity]) -> str:

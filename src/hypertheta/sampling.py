@@ -40,10 +40,6 @@ class SampleAssignment:
     p2: EvalPoint
     seed: int
 
-    def as_json(self) -> dict:
-        return {"tau": self.tau.as_json(), "p1": self.p1.as_json(),
-                "p2": self.p2.as_json(), "seed": self.seed}
-
 
 def child_seed(root_seed: int, label: str) -> np.random.SeedSequence:
     """Deterministic per-label seed stream under a common root seed."""

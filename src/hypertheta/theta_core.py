@@ -168,14 +168,6 @@ class Scale(enum.Enum):
     DOUBLED = "doubled"
 
 
-def _c2j(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
-
-
-def _j2c(obj) -> complex:
-    return complex(obj["re"], obj["im"])
-
-
 @dataclass(frozen=True)
 class PeriodMatrix:
     """(tau1, tau2, tau12) with positive-definite imaginary part."""
@@ -203,15 +195,6 @@ class PeriodMatrix:
         """Smallest eigenvalue of the 2x2 imaginary part, NaN where the
         matrix is invalid (lambda_min below)."""
         return lambda_min(self.tau1, self.tau2, self.tau12)
-
-    def as_json(self) -> dict:
-        return {"tau1": _c2j(self.tau1), "tau2": _c2j(self.tau2),
-                "tau12": _c2j(self.tau12), "scale": self.scale.value}
-
-    @classmethod
-    def from_json(cls, obj) -> "PeriodMatrix":
-        return cls(_j2c(obj["tau1"]), _j2c(obj["tau2"]), _j2c(obj["tau12"]),
-                   Scale(obj.get("scale", "base")))
 
 
 def lambda_min(tau1: complex, tau2: complex, tau12: complex) -> float:
@@ -263,18 +246,8 @@ class EvalPoint:
     def __add__(self, other: "EvalPoint") -> "EvalPoint":
         return EvalPoint(self.x + other.x, self.y + other.y)
 
-    def __sub__(self, other: "EvalPoint") -> "EvalPoint":
-        return EvalPoint(self.x - other.x, self.y - other.y)
-
     def scaled(self, k: float) -> "EvalPoint":
         return EvalPoint(k * self.x, k * self.y)
-
-    def as_json(self) -> dict:
-        return {"x": _c2j(self.x), "y": _c2j(self.y)}
-
-    @classmethod
-    def from_json(cls, obj) -> "EvalPoint":
-        return cls(_j2c(obj["x"]), _j2c(obj["y"]))
 
 
 ORIGIN = EvalPoint(0j, 0j)

@@ -90,6 +90,34 @@ def test_eval_real_component_flag_forms_agree(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("z, tau", [
+    ("0.21,-0.12,-0.34,0.05", "0.3+1.1i,-0.2+1.4i,0.15+0.25i"),
+    ("0.21-0.12i,-0.34+0.05i", "0.3,1.1,-0.2,1.4,0.15,0.25"),
+])
+def test_eval_real_forms_print_the_complex_forms_line(z, tau, capsys):
+    """Four reals for --z and six for --tau are (re, im) pairs: each mix
+    of the real and complex forms prints the complex forms' line."""
+    argv = ["eval", "--char", "1,0,1,0", "--z", "0.21-0.12i,-0.34+0.05i",
+            "--tau", "0.3+1.1i,-0.2+1.4i,0.15+0.25i"]
+    assert main(argv) == EXIT_OK
+    want = capsys.readouterr().out
+    assert main([*argv[:3], "--z", z, "--tau", tau]) == EXIT_OK
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("z, tau, message", [
+    ("0", "i,i,0", "--z wants 2 complex or 4 real entries, got 1"),
+    ("0,0,0", "i,i,0", "--z wants 2 complex or 4 real entries, got 3"),
+    ("0,0", "i,i", "--tau wants 3 complex or 6 real entries, got 2"),
+    ("0,0", "i,i,0,0,0", "--tau wants 3 complex or 6 real entries, got 5"),
+])
+def test_eval_wrong_entry_counts_name_both_forms(z, tau, message, capsys):
+    assert main(["eval", "--char", "0,0,0,0", "--z", z,
+                 "--tau", tau]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_eval_ratio_prints_quotient(capsys):
     tau = PeriodMatrix(1.1j, 1.3j, 0)
     z = EvalPoint(0.21 - 0.12j, 0.1)
@@ -479,6 +507,50 @@ def test_verify_reports_failed_sign_search_of_override(tmp_path,
     errors = [d for d in report["sign_resolutions"] if "error" in d]
     assert [d["id"] for d in errors] == ["D13"] * 3
     assert "D13" in err
+
+
+def _d1_form(**changes):
+    """An edit of D1 that replaces those keys of its root form."""
+    return lambda i: dataclasses.replace(
+        i, root_form={**i.root_form, **changes})
+
+
+_ZERO = [[0, 1]] * 4
+_MALFORMED_D1 = {
+    "unknown prefactor": _d1_form(prefactor="1/3"),
+    "no roots": lambda i: dataclasses.replace(i, root_form={
+        k: v for k, v in i.root_form.items() if k != "roots"}),
+    "text sign": _d1_form(roots=[[["1", _ZERO, _ZERO]]]),
+    "unparsed radicand": _d1_form(roots=[[[1, _ZERO[:3], _ZERO]]]),
+    "zero denominator": _d1_form(target=[[1, 0]] * 4),
+    "number id": lambda i: dataclasses.replace(i, id=1),
+}
+
+
+@pytest.mark.parametrize("kind", ["no identities", *_MALFORMED_D1])
+@pytest.mark.parametrize("argv", [
+    ["list"], ["verify", "--samples", "1", "--only", "D1"]],
+    ids=["list", "verify"])
+def test_malformed_catalog_file_exits_with_config_code(kind, argv, tmp_path,
+                                                       monkeypatch, capsys):
+    """A catalog file without identities, or hashed correctly but with a
+    value of the wrong type or a root form the sign search cannot read, is
+    rejected at load by every command: exit 3 and one error line, before
+    any row or report."""
+    path = tmp_path / "catalog.json"
+    if kind == "no identities":
+        path.write_text(json.dumps({"version": "1", "sha256": "x"}))
+    else:
+        save_catalog([_MALFORMED_D1[kind](i) if i.id == "D1" else i
+                      for i in build_catalog()], str(path))
+    monkeypatch.setenv(ENV_CATALOG, str(path))
+    out = tmp_path / "rows.jsonl"
+    extra = ["--out", str(out)] if argv[0] == "verify" else []
+    assert main([*argv, *extra]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
 
 
 def test_list_text_inventory(capsys):
