@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -344,9 +345,7 @@ def _sign_resolution_details(d_ids: list[str], seed: int,
 
 def _rows_to_text(rows: list[ResidualReport], fmt: str) -> str:
     if fmt == "json-lines":
-        return "".join(
-            json.dumps(r.as_json(), sort_keys=True, separators=(",", ":"))
-            + "\n" for r in rows)
+        return "".join(map(ResidualReport.json_line, rows))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "sample", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
@@ -537,7 +536,10 @@ def cmd_list(args) -> int:
 
 # --------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command line's parser, built on first use and kept for the
+    process: parse_args leaves it unchanged."""
     parser = _Parser(prog="hypertheta",
                      description="genus-2 theta identity harness")
     sub = parser.add_subparsers(dest="command", required=True)

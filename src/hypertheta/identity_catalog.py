@@ -37,7 +37,8 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import accumulate, product
+from json.encoder import encode_basestring_ascii as _quoted
 from typing import NamedTuple
 
 import numpy as np
@@ -170,6 +171,12 @@ class Identity:
     # constant, consumed by match_signs (present on D1..D16 only).
     root_form: dict | None = None
 
+    @cached_property
+    def _compiled(self) -> "_Fragment":
+        """The identity as _compile reads it (_fragment); built once per
+        object, so a catalog loaded anew is compiled anew."""
+        return _fragment(self)
+
     def as_json(self) -> dict:
         obj = {"id": self.id,
                "domain": self.domain.value,
@@ -228,6 +235,34 @@ class ResidualReport:
                 "abs_residual": num(self.abs_residual),
                 "rel_residual": num(self.rel_residual),
                 "pass": self.passed, "error": self.error}
+
+    def json_line(self) -> str:
+        """as_json as one line of JSON, byte for byte what
+        json.dumps(as_json(), sort_keys=True, separators=(",", ":")) + "\\n"
+        gives: keys sorted, no spaces, floats by float.__repr__, non-finite
+        values as null, strings with ASCII escapes."""
+        return (f'{{"abs_residual":{_json_float(self.abs_residual)},'
+                f'"error":{_quoted(self.error)},'
+                f'"id":{_quoted(self.identity_id)},'
+                f'"lhs":{_json_complex(self.lhs_value)},'
+                f'"pass":{"true" if self.passed else "false"},'
+                f'"rel_residual":{_json_float(self.rel_residual)},'
+                f'"rhs":{_json_complex(self.rhs_value)},'
+                f'"sample":{self.sample_index}}}\n')
+
+
+def _json_float(x: float) -> str:
+    """x as json.dumps writes it (numpy's float64 too), null if not finite."""
+    return float.__repr__(x) if math.isfinite(x) else "null"
+
+
+def _json_complex(z: complex) -> str:
+    """{"re": z.real, "im": z.imag} as json.dumps writes it with sorted
+    keys, null unless both parts are finite."""
+    if math.isfinite(z.real) and math.isfinite(z.imag):
+        return (f'{{"im":{float.__repr__(z.imag)},'
+                f'"re":{float.__repr__(z.real)}}}')
+    return "null"
 
 
 # --------------------------------------------------------------------------
@@ -924,15 +959,52 @@ def evaluate_identity(idty: Identity, s: SampleAssignment,
     return row
 
 
+class _Fragment(NamedTuple):
+    """One identity compiled.  A group is one distinct (argument, scale) of
+    its factors and a row one distinct reduced characteristic of a group
+    (one ThetaFactor._code), both in order of first appearance; each side's
+    terms are (coefficient, rows of its factors).  Groups and rows are
+    numbered from 0 within the identity."""
+
+    groups: tuple[int, ...]     # per group, its code (ThetaFactor._code >> 10)
+    group: tuple[int, ...]      # per row, its group
+    codes: tuple[int, ...]      # per row, its ThetaFactor._code
+    chars: tuple[ThetaCharacteristic, ...]   # per row, as first written
+    sides: tuple[tuple, tuple]  # lhs, rhs terms
+
+
+def _fragment(idty: Identity) -> _Fragment:
+    """One pass over the identity's factors, keyed by their integer _code."""
+    groups, group, codes, chars = [], [], [], []
+    seen_groups: dict[int, int] = {}
+    seen_rows: dict[int, int] = {}
+    sides = ([], [])
+    for terms, out in zip((idty.lhs, idty.rhs), sides):
+        for t in terms:
+            positions = []
+            for f in t.factors:
+                code = f._code
+                row = seen_rows.setdefault(code, len(codes))
+                if row == len(codes):
+                    g = seen_groups.setdefault(code >> 10, len(groups))
+                    if g == len(groups):
+                        groups.append(code >> 10)
+                    group.append(g)
+                    codes.append(code)
+                    chars.append(f.ch)
+                positions.append(row)
+            out.append((t.coefficient, tuple(positions)))
+    return _Fragment(tuple(groups), tuple(group), tuple(codes), tuple(chars),
+                     (tuple(sides[0]), tuple(sides[1])))
+
+
 class _Program(NamedTuple):
-    """Identities compiled to flat arrays.  A group is one distinct
-    (argument, scale) of an identity's factors and a row one distinct
-    reduced characteristic of a group (one ThetaFactor._code), both in
-    order of first appearance; each side's terms are (coefficient, rows of
-    its factors)."""
+    """Identities compiled to flat arrays: their fragments (_Fragment) one
+    after another, groups and rows numbered across all of them."""
 
     identities: list[Identity]
     first_group: list[int]      # per identity, then the number of groups
+    first_row: list[int]        # per identity, then the number of rows
     draw: np.ndarray            # (G,) the identity, so the draw, of a group
     coeffs: np.ndarray          # (2, G) the argument's coefficients of p1, p2
     scale: np.ndarray           # (G,) 0 for base, 1 for doubled periods
@@ -940,44 +1012,29 @@ class _Program(NamedTuple):
     offsets: np.ndarray         # (4, R) a/2, c/2, b/2, d/2 of the reduced form
     phase: np.ndarray           # (R,) the reduction phase
     chars: list[ThetaCharacteristic]   # (R,) as first written
-    sides: list[tuple[list, list]]     # per identity: lhs, rhs terms
 
 
 def _compile(identities: list[Identity]) -> _Program:
-    """One pass over the identities' factors, keyed by their integer
-    _code; the arrays are decoded from the codes at the end."""
-    first_group, draw, groups = [], [], []
-    group, codes, chars, sides = [], [], [], []
-    for i, idty in enumerate(identities):
-        first_group.append(len(draw))
-        seen_groups: dict[int, int] = {}
-        seen_rows: dict[int, int] = {}
-        indexed = ([], [])
-        for terms, out in zip((idty.lhs, idty.rhs), indexed):
-            for t in terms:
-                positions = []
-                for f in t.factors:
-                    code = f._code
-                    row = seen_rows.setdefault(code, len(codes))
-                    if row == len(codes):
-                        g = seen_groups.setdefault(code >> 10, len(draw))
-                        if g == len(draw):
-                            draw.append(i)
-                            groups.append(code >> 10)
-                        group.append(g)
-                        codes.append(code)
-                        chars.append(f.ch)
-                    positions.append(row)
-                out.append((t.coefficient, positions))
-        sides.append(indexed)
-    first_group.append(len(draw))
-    groups = np.array(groups, dtype=int)
-    offsets, phase = kernel_rows(np.array(codes, dtype=int) & 1023)
-    return _Program(identities, first_group, np.array(draw, dtype=int),
+    """The identities' fragments, each compiled once per Identity object
+    (Identity._compiled), concatenated: a fragment's group numbers are
+    shifted by its first group; the arrays are decoded from the codes."""
+    fragments = [idty._compiled for idty in identities]
+    first_group = list(accumulate((len(f.groups) for f in fragments),
+                                  initial=0))
+    first_row = list(accumulate((len(f.codes) for f in fragments),
+                                initial=0))
+    starts = np.array(first_group[:-1], dtype=int)
+    draw = np.repeat(np.arange(len(fragments)), np.diff(first_group))
+    group = np.repeat(starts, np.diff(first_row)) + np.array(
+        [g for f in fragments for g in f.group], dtype=int)
+    groups = np.array([c for f in fragments for c in f.groups], dtype=int)
+    offsets, phase = kernel_rows(
+        np.array([c for f in fragments for c in f.codes], dtype=int) & 1023)
+    return _Program(identities, first_group, first_row, draw,
                     np.array([(groups >> 3) - 1, (groups >> 1 & 3) - 1],
                              dtype=complex),
-                    groups & 1, np.array(group, dtype=int),
-                    offsets, phase, chars, sides)
+                    groups & 1, group, offsets, phase,
+                    [ch for f in fragments for ch in f.chars])
 
 
 class _Block(NamedTuple):
@@ -1060,19 +1117,24 @@ def _evaluate(prog: _Program, d: Draws, index: int,
         values[rows] = sums * prog.phase[rows]
     values = values.tolist()
     out = []
-    for i, (idty, (lhs, rhs)) in enumerate(zip(prog.identities, prog.sides)):
+    for i, idty in enumerate(prog.identities):
         first, stop = prog.first_group[i:i + 2]
         error = next((errors[k] for k in range(first, stop) if k in errors),
                      None) if errors else None
-        out.append(error if error is not None else ResidualReport.compare(
-            idty.id, index, _side(lhs, values), _side(rhs, values),
-            pol.rel_tol, pol.abs_tol))
+        if error is not None:
+            out.append(error)
+            continue
+        lhs, rhs = idty._compiled.sides
+        own = values[prog.first_row[i]:prog.first_row[i + 1]]
+        out.append(ResidualReport.compare(idty.id, index, _side(lhs, own),
+                                          _side(rhs, own), pol.rel_tol,
+                                          pol.abs_tol))
     return out
 
 
 def _side(terms, values: list[complex]) -> complex:
-    """One side of an identity: each coefficient times its factors' values,
-    in the catalog's order, summed."""
+    """One side of an identity: each coefficient times its factors' values
+    (the identity's own rows), in the catalog's order, summed."""
     total = 0j
     for coefficient, indices in terms:
         prod = coefficient
@@ -1088,7 +1150,8 @@ def verify_catalog(n_samples: int = 100, seed: int = 0,
                    only: set[str] | None = None) -> list[ResidualReport]:
     """Evaluate every identity at n_samples fresh draws.
 
-    The selected identities are compiled once into flat arrays (_compile).
+    The selected identities' compiled fragments are concatenated into flat
+    arrays (_compile); each Identity object is compiled once.
     Then one sample index of all of them is evaluated at a time, as
     arrays: their draws (draw_stream), each (argument, scale) group's
     argument, periods and certified radius, and one kernel call per radius

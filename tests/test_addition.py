@@ -227,6 +227,20 @@ def test_benchmark_draw_7177_passes():
     assert all(r.passed for r in run.reports if r.sample_index == 5)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 2: the lower-row (1 1) quotients read C13-C16, whose "
+    "rhs cancels about 2e5-fold on these draws"))
+@pytest.mark.parametrize("n_samples, seed", [(1, 400858), (1, 11256),
+                                             (10, 4878)])
+def test_known_failing_draws_pass(n_samples, seed):
+    """Draws on which the addition law misses its tolerances today: 400858
+    at 1.2e-7 to 4.4e-7 (A3, A7, A11, A15 and their path rows), 11256 at
+    3.6e-9 (A7.path, A11.path), sample 1 of 4878 at 3.5e-9 (A7.path) and
+    2.8e-9 (A11.path)."""
+    run = verify_addition(n_samples, seed)
+    assert run.all_passed
+
+
 def test_constants_match_doubled_thetas(k):
     dbl = double_periods(TAU)
     m11 = theta_eval(ThetaCharacteristic.of(1, 1, 0, 0), ORIGIN, dbl)

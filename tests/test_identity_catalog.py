@@ -10,6 +10,7 @@ coefficients rather than passing vacuously.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -383,6 +384,41 @@ def test_each_distinct_factor_summed_once_per_sample(monkeypatch):
                       "radius_classes": 31, "lattice_sum": 31,
                       "window_sums": 73}
     assert [r.as_json() for r in rows] == expected
+
+
+def test_each_identity_is_compiled_once(monkeypatch):
+    """verify_catalog compiles each Identity object once: a second call on
+    the same catalog, an --only subset of it and evaluate_identity build
+    no fragment again, and give the rows of the built-in catalog.  A copy
+    of the catalog (new objects, same ids) is compiled anew."""
+    built = []
+
+    def counted(idty):
+        built.append(idty.id)
+        return fragment(idty)
+
+    want = [r.as_json() for r in verify_catalog(1, 5)]
+    fragment = identity_catalog._fragment
+    monkeypatch.setattr(identity_catalog, "_fragment", counted)
+    copy = identity_catalog.identities_from_json(catalog_as_json(CAT))
+    assert [r.as_json() for r in verify_catalog(1, 5, catalog=copy)] == want
+    assert sorted(built) == sorted(BY_ID)
+    built.clear()
+    assert [r.as_json() for r in verify_catalog(1, 5, catalog=copy)] == want
+    verify_catalog(1, 5, catalog=copy, only={"2e5", "C17"})
+    evaluate_identity(copy[0], SAMPLE)
+    assert built == []
+    assert verify_catalog(1, 5, catalog=copy, only={"none"}) == []
+
+
+def test_evaluate_identity_rows_are_pinned():
+    """evaluate_identity of every identity at its own seeded draw keeps
+    its bytes: a one-identity program is that identity's fragment."""
+    lines = [json.dumps(evaluate_identity(idty, assignments_for(
+        7, idty.id, 1)[0]).as_json(), sort_keys=True, separators=(",", ":"))
+        + "\n" for idty in CAT]
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "8d8578d5c094b208051e6326ff0aabc28e87e60d8ab1fd08c4e37af6f530d5c4")
 
 
 @pytest.mark.parametrize("seed", range(3))
