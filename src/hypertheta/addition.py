@@ -35,8 +35,11 @@ reads none of D1..D16, whose root forms identity_catalog checks.
 Direct sums share one kernel call per (z, tau) through theta_values:
 constants_vector sums the sixteen constants in one call, f_vector the
 normalizer and then the fifteen numerators, and doubled_values_direct the
-twenty-eight doubled values in one, so a verify_addition sample makes nine
-kernel calls.
+twenty-eight doubled values in one.  verify_addition sums a whole block of
+samples at once: each sample's 117 series (the constants, the numerators
+at z1, z2 and z1+z2, the doubled values at 2*z1 and 2*z2) go to one
+sums_by_radius call for the block, and only the three normalizers of a
+sample are summed on their own, by theta_eval.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Mapping
+
+import numpy as np
 
 from .identity_catalog import (
     ARG_2P1,
@@ -67,8 +72,10 @@ from .theta_core import (
     Scale,
     ThetaCharacteristic,
     double_periods,
+    sums_by_radius,
     theta_eval,
     theta_values,
+    truncation_window,
 )
 
 DIVISOR_THRESHOLD = 1e-10
@@ -167,14 +174,22 @@ class ConstantsVector:
 # --------------------------------------------------------------------------
 # direct evaluation of quotients and constants
 
+def _normalizer(z: EvalPoint, tau: PeriodMatrix,
+                pol: PrecisionPolicy) -> complex:
+    """theta[0 0;0 0](z) by theta_eval; raises DivisorHit where it
+    vanishes to DIVISOR_THRESHOLD."""
+    den = theta_eval(_BASE, z, tau, pol)
+    if abs(den) < DIVISOR_THRESHOLD:
+        raise DivisorHit(f"theta[0 0;0 0]({z.x:.4g}, {z.y:.4g}) = {den:.3e}")
+    return den
+
+
 def f_eval(ch, z: EvalPoint, tau: PeriodMatrix,
            pol: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     """F[ch](z) by direct summation of numerator and normalizer."""
     if not isinstance(ch, ThetaCharacteristic):
         ch = ThetaCharacteristic.of(*ch)
-    den = theta_eval(_BASE, z, tau, pol)
-    if abs(den) < DIVISOR_THRESHOLD:
-        raise DivisorHit(f"theta[0 0;0 0]({z.x:.4g}, {z.y:.4g}) = {den:.3e}")
+    den = _normalizer(z, tau, pol)
     return theta_eval(ch, z, tau, pol) / den
 
 
@@ -183,9 +198,7 @@ def f_vector(z: EvalPoint, tau: PeriodMatrix,
     """All fifteen quotients at z by direct summation: the normalizer
     first, so DivisorHit is raised before any numerator is summed, then the
     fifteen numerators in one theta_values call."""
-    den = theta_eval(_BASE, z, tau, pol)
-    if abs(den) < DIVISOR_THRESHOLD:
-        raise DivisorHit(f"theta[0 0;0 0]({z.x:.4g}, {z.y:.4g}) = {den:.3e}")
+    den = _normalizer(z, tau, pol)
     vals = tuple(v / den for v in theta_values(_A_CHARS, z, tau, pol))
     return FVector(vals)
 
@@ -422,6 +435,138 @@ def _quotient_rows(label_suffix: str, sample: int, got: FVector,
             for idx, (a, b) in enumerate(zip(got.values, want.values))]
 
 
+# Most samples one block draws ahead, so the arrays a block holds (117 rows
+# per sample) do not grow with n_samples.
+_BLOCK_SAMPLES = 64
+
+
+@lru_cache(maxsize=1)
+def _block_rows() -> tuple:
+    """The kernel rows of one sample, compiled once: offsets a2, c2, b2, d2
+    as arrays and phases as a list, 117 entries; per row the window it is
+    summed in; and the rows where each window's run ends.  The windows, in
+    row order: the constants at the origin (doubled periods), the
+    numerators at z1, z2 and z1+z2 (base periods), the doubled values at
+    2*z1 and 2*z2 (doubled periods)."""
+    constants, targets = _law_tables()[:2]
+    tables = (tuple(constants.values()), _A_CHARS, _A_CHARS, _A_CHARS,
+              tuple(targets.values()), tuple(targets.values()))
+    a2, c2, b2, d2, phases = zip(*(ch._kernel for chars in tables
+                                   for ch in chars))
+    sizes = [len(chars) for chars in tables]
+    window = np.repeat(np.arange(len(tables)), sizes)
+    ends = np.cumsum(sizes).tolist()
+    return (np.array(a2), np.array(c2), np.array(b2), np.array(d2),
+            list(phases), window, ends)
+
+
+def _one_sample(rng: np.random.Generator,
+                pol: PrecisionPolicy) -> tuple[tuple, int, int]:
+    """One sample drawn and checked on its own: (reduced, direct12,
+    direct_mode) with its tau and point redraws.  Draws that hit a divisor
+    or a degenerate denominator are redrawn and counted."""
+    tau_redraws = 0
+    point_redraws = 0
+    for _ in range(20):
+        tau = sample_tau(rng)
+        k = constants_vector(tau, pol)
+        if not k.near_singular():
+            break
+        tau_redraws += 1
+    else:  # pragma: no cover - the draw family keeps taus well away
+        raise RuntimeError("could not draw a nondegenerate period matrix")
+
+    for _ in range(50):
+        z1, z2 = sample_point(rng), sample_point(rng)
+        try:
+            f1, f2 = f_vector(z1, tau, pol), f_vector(z2, tau, pol)
+            direct12 = f_vector(z1 + z2, tau, pol)
+            reduced = add_vector(f1, f2, k)
+            direct_mode = add_direct(z1, z2, tau, pol)
+        except (DivisorHit, DegenerateDenominator):
+            point_redraws += 1
+            continue
+        break
+    else:  # pragma: no cover
+        raise RuntimeError("could not draw points clear of the divisor")
+    return (reduced, direct12, direct_mode), tau_redraws, point_redraws
+
+
+def _finish(values: list, tau: PeriodMatrix, z1: EvalPoint, z2: EvalPoint,
+            pol: PrecisionPolicy):
+    """(reduced, direct12, direct_mode) of a sample from its summed block
+    rows, split by window, bit for bit as _one_sample computes them; None
+    where _one_sample would redraw or raise."""
+    constants, at_z1, at_z2, at_sum, at_2z1, at_2z2 = values
+    k = ConstantsVector(tuple(constants))
+    if k.near_singular():
+        return None
+    quotients = []
+    try:
+        for z, numerators in ((z1, at_z1), (z2, at_z2), (z1 + z2, at_sum)):
+            den = _normalizer(z, tau, pol)
+            quotients.append(FVector(tuple(v / den for v in numerators)))
+        f1, f2, direct12 = quotients
+        return (add_vector(f1, f2, k), direct12,
+                FVector(_assemble(at_2z1, at_2z2)))
+    except ArithmeticError:  # DivisorHit, NonFiniteSum, DegenerateDenominator
+        return None
+
+
+def _block(rng: np.random.Generator, count: int,
+           pol: PrecisionPolicy) -> tuple[list, dict | None]:
+    """Up to count samples drawn ahead, assuming no redraw, and finished in
+    order from one sums_by_radius call: the outputs of the samples finished,
+    and the RNG state before the first sample not finished (None when all
+    count are).  That sample is the first whose drawing or windowing raises,
+    or whose sums are not all finite, or which _finish refuses."""
+    a2, c2, b2, d2, phases, window, ends = _block_rows()
+    states, draws, cells = [], [], []
+    for _ in range(count):
+        states.append(rng.bit_generator.state)
+        try:
+            tau = sample_tau(rng)
+            z1, z2 = sample_point(rng), sample_point(rng)
+            dbl = double_periods(tau)
+            sample = [
+                (z.x, z.y, t.tau1, t.tau2, t.tau12,
+                 *truncation_window(z, t, pol.eps_tail, pol.max_radius))
+                for z, t in ((ORIGIN, dbl), (z1, tau), (z2, tau),
+                             (z1 + z2, tau), (z1.scaled(2), dbl),
+                             (z2.scaled(2), dbl))]
+        except Exception:
+            # _one_sample replays this draw and raises what it raises, or
+            # redraws first; nothing is raised from a draw made ahead.
+            break
+        draws.append((tau, z1, z2))
+        cells.extend(sample)
+    n = len(draws)
+    if not n:
+        return [], states[0]
+
+    # Per row, the index of its sample's window in cells.
+    at = (len(ends) * np.arange(n)[:, None] + window).ravel()
+    x, y, tau1, tau2, tau12, radii, floors = (np.array(column)[at]
+                                              for column in zip(*cells))
+    sums = sums_by_radius(np.tile(a2, n), np.tile(c2, n),
+                          x + np.tile(b2, n), y + np.tile(d2, n),
+                          tau1, tau2, tau12, radii, floors=floors)
+    finite = np.isfinite(sums).reshape(n, -1).all(axis=1).tolist()
+    sums = sums.tolist()
+    size = ends[-1]
+    done = []
+    for j, (tau, z1, z2) in enumerate(draws):
+        row = j * size
+        values = [p * v for p, v in zip(phases, sums[row:row + size])]
+        out = finite[j] and _finish(
+            [values[lo:hi] for lo, hi in zip([0, *ends], ends)],
+            tau, z1, z2, pol)
+        if not out:
+            return done, states[j]
+        done.append(out)
+    return done, (states[n] if n < count else None)
+
+
 def verify_addition(n_samples: int = 100, seed: int = 0,
                     pol: PrecisionPolicy = DEFAULT_POLICY) -> AdditionRun:
     """Check the algebraic law against direct summation at fresh draws.
@@ -432,35 +577,37 @@ def verify_addition(n_samples: int = 100, seed: int = 0,
     same assembly fed with independently summed doubled thetas (tolerance
     1e-9).  Draws that hit a divisor or a degenerate denominator are
     redrawn and counted, never silently dropped.
+
+    Samples are drawn ahead in blocks of up to _BLOCK_SAMPLES, assuming no
+    redraw, with the RNG state before each sample kept.  Every series of a
+    block but the normalizers (117 rows per sample, each window from
+    truncation_window) is summed in one sums_by_radius call, and the
+    samples are finished in order with the law's own code; the normalizers
+    are scalar theta_eval calls, three per sample.  The first sample that
+    would redraw or raise (a sum not finite, near-singular constants, a
+    normalizer below DIVISOR_THRESHOLD, a DegenerateDenominator, or an
+    error while drawing or windowing ahead) gets the RNG state from before
+    it back and runs on its own (_one_sample, through constants_vector,
+    f_vector, add_vector and add_direct), and a new block starts after it.
+    So the rows, the redraws and the exceptions are bit for bit those of
+    drawing and checking one sample at a time.
     """
     rng = make_rng(seed, "addition")
     reports: list[ResidualReport] = []
     tau_redraws = 0
     point_redraws = 0
-    for idx in range(n_samples):
-        for _ in range(20):
-            tau = sample_tau(rng)
-            k = constants_vector(tau, pol)
-            if not k.near_singular():
-                break
-            tau_redraws += 1
-        else:  # pragma: no cover - the draw family keeps taus well away
-            raise RuntimeError("could not draw a nondegenerate period matrix")
-
-        for _ in range(50):
-            z1, z2 = sample_point(rng), sample_point(rng)
-            try:
-                f1, f2 = f_vector(z1, tau, pol), f_vector(z2, tau, pol)
-                direct12 = f_vector(z1 + z2, tau, pol)
-                reduced = add_vector(f1, f2, k)
-                direct_mode = add_direct(z1, z2, tau, pol)
-            except (DivisorHit, DegenerateDenominator):
-                point_redraws += 1
-                continue
-            break
-        else:  # pragma: no cover
-            raise RuntimeError("could not draw points clear of the divisor")
-
+    outputs: list[tuple] = []
+    while len(outputs) < n_samples:
+        done, state = _block(
+            rng, min(_BLOCK_SAMPLES, n_samples - len(outputs)), pol)
+        outputs.extend(done)
+        if state is not None:
+            rng.bit_generator.state = state
+            out, taus, points = _one_sample(rng, pol)
+            outputs.append(out)
+            tau_redraws += taus
+            point_redraws += points
+    for idx, (reduced, direct12, direct_mode) in enumerate(outputs):
         reports.extend(_quotient_rows("", idx, reduced, direct12,
                                       CONSISTENCY_TOL))
         reports.extend(_quotient_rows(".path", idx, reduced, direct_mode,

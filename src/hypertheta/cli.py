@@ -91,7 +91,12 @@ ELLIPTIC_TOL = 1e-10
 # An overflowing lattice sum is reported as NonFiniteSum (a failed row, or
 # exit 7), so numpy's own overflow warnings would only repeat it on stderr.
 # Set once per command, not per kernel call: entering np.errstate costs
-# about 1 us, a few per cent of a small theta_eval.
+# about 1 us, a few per cent of a small theta_eval.  theta_eval and
+# theta_values enter it themselves only where the window's bound admits an
+# overflow (theta_core._summed); eval keeps it because at periods near the
+# largest float (--tau 1e307i,1e307i,0) forming the exponents overflows
+# although the sum is finite, and verify because the catalog's blocks
+# call the kernel directly.
 _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 

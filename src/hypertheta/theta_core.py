@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -291,13 +292,45 @@ def truncation_window(z: EvalPoint, tau: PeriodMatrix,
     """window_for at tau's lambda_min and rho = max(|Im x|, |Im y|) of z,
     after tau and then z are validated: the radius and drop floor that
     theta_eval and theta_values sum with."""
+    return _window(z, tau, eps_tail, max_radius)[:2]
+
+
+def _window(z: EvalPoint, tau: PeriodMatrix, eps_tail: float,
+            max_radius: int) -> tuple[int, float, bool]:
+    """truncation_window's radius and floor, and whether the window's own
+    bound admits an overflow: every term has log-modulus at most
+    2*pi*rho^2/lam (window_for's f(t) at its peak, once per index), so
+    the (2R+1)^2 terms and their sum stay finite unless that bound plus
+    2*log(2R+1) reaches log of the largest float.  Below rho^2/lam = 100
+    that needs 2*log(2R+1) > 81, a radius above 1e17, so ordinary windows
+    are cleared by one comparison."""
     lam = tau.validate()
     z.validate()
-    return window_for(lam, max(abs(z.x.imag), abs(z.y.imag)),
-                      eps_tail, max_radius)
+    rho = max(abs(z.x.imag), abs(z.y.imag))
+    radius, floor = window_for(lam, rho, eps_tail, max_radius)
+    return radius, floor, (rho * rho >= 100.0 * lam
+                           and 2.0 * math.pi * rho * rho / lam
+                           + 2.0 * math.log(2 * radius + 1) >= _LOG_MAX)
+
+
+def _summed(z: EvalPoint, tau: PeriodMatrix, pol: PrecisionPolicy,
+            a2, c2, b2, d2):
+    """lattice_sum of the offsets (a2, c2, b2, d2) at (z, tau) in its
+    window.  Where the window admits an overflow it sums under
+    np.errstate: the callers raise NonFiniteSum for it, so numpy's
+    warnings would only repeat that.  Entering np.errstate costs about
+    2 us, so the other windows do not."""
+    radius, floor, loud = _window(z, tau, pol.eps_tail, pol.max_radius)
+    if not loud:
+        return lattice_sum(a2, c2, z.x + b2, z.y + d2, tau.tau1, tau.tau2,
+                           tau.tau12, radius, floor=floor)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return lattice_sum(a2, c2, z.x + b2, z.y + d2, tau.tau1, tau.tau2,
+                           tau.tau12, radius, floor=floor)
 
 
 _LOG2 = math.log(2.0)
+_LOG_MAX = math.log(sys.float_info.max)
 
 # Subtracted from the drop floor.  It covers the rounding of exp and of the
 # floor's logs (a few ulps), and an absolute error of up to 1e-6 in a
@@ -373,9 +406,7 @@ def theta_eval(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
     together below pol.eps_tail; raises NonFiniteSum where the terms
     overflow."""
     a2, c2, b2, d2, phase = ch._kernel
-    radius, floor = truncation_window(z, tau, pol.eps_tail, pol.max_radius)
-    value = lattice_sum(a2, c2, z.x + b2, z.y + d2,
-                        tau.tau1, tau.tau2, tau.tau12, radius, floor=floor)
+    value = _summed(z, tau, pol, a2, c2, b2, d2)
     if not cmath.isfinite(value):
         raise NonFiniteSum(f"theta{ch} sum overflows to {value}")
     return phase * value
@@ -390,11 +421,9 @@ def theta_values(chars, z: EvalPoint, tau: PeriodMatrix,
     chars = tuple(chars)
     if not chars:
         return []
-    radius, floor = truncation_window(z, tau, pol.eps_tail, pol.max_radius)
     a2, c2, b2, d2, phases = zip(*(ch._kernel for ch in chars))
-    sums = lattice_sum(np.array(a2), np.array(c2), z.x + np.array(b2),
-                       z.y + np.array(d2), tau.tau1, tau.tau2, tau.tau12,
-                       radius, floor=floor).tolist()
+    sums = _summed(z, tau, pol, np.array(a2), np.array(c2), np.array(b2),
+                   np.array(d2)).tolist()
     # Any non-finite sum makes the total non-finite; a total that overflows
     # from finite sums only costs the per-value check.
     if not cmath.isfinite(sum(sums)):

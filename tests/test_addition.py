@@ -13,6 +13,8 @@ x = (1 + tau1)/2.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import warnings
 
 import pytest
@@ -44,8 +46,13 @@ from hypertheta.addition import (
 )
 from hypertheta import addition, identity_catalog, theta_core
 from hypertheta.backends import lattice_sum
-from hypertheta.identity_catalog import IdentityTerm, verify_catalog
+from hypertheta.identity_catalog import (
+    IdentityTerm,
+    ResidualReport,
+    verify_catalog,
+)
 from hypertheta.sampling import make_rng, sample_point, sample_tau
+from hypertheta.theta_core import DEFAULT_POLICY, PrecisionPolicy
 
 TAU = PeriodMatrix(0.3 + 1.1j, -0.2 + 1.4j, 0.15 + 0.25j)
 Z1 = EvalPoint(0.21 - 0.12j, -0.34 + 0.05j)
@@ -169,15 +176,31 @@ def test_f_vector_divisor_hit_sums_no_numerator(monkeypatch):
     assert seen == {"theta_values": [], "lattice_sum": 1}
 
 
-def test_verify_addition_sample_makes_nine_kernel_calls(monkeypatch):
-    """One sample: the constants (1), three f_vector (2 each) and the two
-    doubled-value sets of direct mode (1 each)."""
+def test_verify_addition_sums_a_block_in_one_kernel_batch(monkeypatch):
+    """Ten samples without a redraw: 30 normalizer theta_eval calls (three
+    per sample) and one sums_by_radius call of 117 rows per sample, so the
+    lattice_sum calls are 30 plus the block's distinct radii."""
     seen = _counted_kernel(monkeypatch, addition)
-    run = verify_addition(1, 0)
+    normalizers = []
+    batches = []
+
+    def normalizer(ch, *args):
+        normalizers.append(ch)
+        return theta_core.theta_eval(ch, *args)
+
+    def by_radius(*args, floors):
+        batches.append(args[-1])  # the radii
+        return theta_core.sums_by_radius(*args, floors=floors)
+
+    monkeypatch.setattr(addition, "theta_eval", normalizer)
+    monkeypatch.setattr(addition, "sums_by_radius", by_radius)
+    run = verify_addition(10, 7208)
     assert (run.tau_redraws, run.point_redraws) == (0, 0)
-    assert seen["lattice_sum"] == 9
-    assert ([len(chars) for chars in seen["theta_values"]]
-            == [16] + [15] * 3 + [28] * 2)
+    assert normalizers == [ThetaCharacteristic.of(0, 0, 0, 0)] * 30
+    (radii,) = batches
+    assert len(radii) == 1170
+    assert seen["theta_values"] == []
+    assert seen["lattice_sum"] == 30 + len(set(radii.tolist()))
 
 
 def test_constants_at_diagonal_tau_do_not_warn():
@@ -383,6 +406,98 @@ def test_verify_addition_structure_and_determinism():
     other = verify_addition(n_samples=3, seed=22)
     assert [r.as_json() for r in other.reports] != [
         r.as_json() for r in run.reports]
+
+
+def _one_at_a_time(n_samples: int, seed: int,
+                   pol: PrecisionPolicy = DEFAULT_POLICY) -> AdditionRun:
+    """The verifier drawing and checking one sample at a time through the
+    public per-point functions: the oracle of the block."""
+    rng = make_rng(seed, "addition")
+    reports, tau_redraws, point_redraws = [], 0, 0
+    for idx in range(n_samples):
+        while True:
+            tau = sample_tau(rng)
+            kv = constants_vector(tau, pol)
+            if not kv.near_singular():
+                break
+            tau_redraws += 1
+        while True:
+            z1, z2 = sample_point(rng), sample_point(rng)
+            try:
+                f1, f2 = f_vector(z1, tau, pol), f_vector(z2, tau, pol)
+                direct12 = f_vector(z1 + z2, tau, pol)
+                reduced = add_vector(f1, f2, kv)
+                direct_mode = add_direct(z1, z2, tau, pol)
+            except (DivisorHit, DegenerateDenominator):
+                point_redraws += 1
+                continue
+            break
+        for suffix, want, tol in (("", direct12, addition.CONSISTENCY_TOL),
+                                  (".path", direct_mode, addition.PATH_TOL)):
+            reports.extend(
+                ResidualReport.compare(f"A{k + 1}{suffix}", idx, a, b, tol,
+                                       DEFAULT_POLICY.abs_tol)
+                for k, (a, b) in enumerate(zip(reduced.values,
+                                               want.values)))
+    return AdditionRun(reports, n_samples, tau_redraws, point_redraws)
+
+
+def _outputs(run: AdditionRun) -> tuple:
+    return ([r.as_json() for r in run.reports], run.tau_redraws,
+            run.point_redraws)
+
+
+def _dump(cases) -> str:
+    """sha256 of the rows and redraws of verify_addition(n, seed) per case."""
+    out = []
+    for n_samples, seed in cases:
+        rows, tau_redraws, point_redraws = _outputs(
+            verify_addition(n_samples, seed))
+        out.append({"seed": seed, "rows": rows, "tau_redraws": tau_redraws,
+                    "point_redraws": point_redraws})
+    return hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", range(7208, 7216))
+def test_block_equals_one_sample_at_a_time(seed):
+    """The items of the benchmark's addition-law workload at seed 901."""
+    assert _outputs(verify_addition(10, seed)) == _outputs(
+        _one_at_a_time(10, seed))
+
+
+def test_block_replays_redraws_one_sample_at_a_time(monkeypatch):
+    """At a divisor threshold of 0.05, seed 3 redraws 7 taus and 1 point
+    pair inside its blocks: each such sample is replayed from the RNG state
+    before it, and the rows and redraws stay those of the oracle."""
+    monkeypatch.setattr(addition, "DIVISOR_THRESHOLD", 0.05)
+    run = verify_addition(20, 3)
+    assert (run.tau_redraws, run.point_redraws) == (7, 1)
+    assert _outputs(run) == _outputs(_one_at_a_time(20, 3))
+
+
+def test_block_raises_what_one_sample_at_a_time_raises():
+    """max_radius 6 fails at a sample after the first of seed 0: the same
+    exception, with the same text, as the oracle's."""
+    pol = PrecisionPolicy(max_radius=6)
+    assert verify_addition(1, 0, pol).all_passed
+    with pytest.raises(theta_core.RadiusExceeded) as oracle:
+        _one_at_a_time(10, 0, pol)
+    with pytest.raises(theta_core.RadiusExceeded) as got:
+        verify_addition(10, 0, pol)
+    assert type(got.value) is type(oracle.value)
+    assert str(got.value) == str(oracle.value)
+
+
+def test_addition_outputs_are_pinned(monkeypatch):
+    """Rows and redraws of the addition suite, pinned: seeds 0-79, the
+    benchmark items of seed 901, and the 0.05-threshold redraw case."""
+    assert _dump([(10, s) for s in range(80)]) == (
+        "45138984d8ab78cb0bc2139326e01a04c08a6797facc643448a534df496bc3cb")
+    assert _dump([(10, s) for s in range(7208, 7216)]) == (
+        "d5091734a929a474e853912bb974b403bf6d9d6f4bab150b6ce10a1bf0192cd0")
+    monkeypatch.setattr(addition, "DIVISOR_THRESHOLD", 0.05)
+    assert _dump([(20, 3)]) == (
+        "8d3cde9ea97c7eb778d0c934faaf80b47a0451c766411f333ea3dc4c2681d590")
 
 
 def test_wrong_sign_in_a_solved_row_fails_catalog_and_law(monkeypatch):

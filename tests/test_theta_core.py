@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -231,9 +232,13 @@ def test_kernel_rows_decode_each_code_to_its_kernel():
 
 
 def test_theta_values_names_the_first_overflowing_characteristic():
+    """It raises without numpy's overflow warnings (raised here as errors),
+    which would only repeat the exception."""
     chars = [ThetaCharacteristic.of(1, 0, 1, 1),
              ThetaCharacteristic.of(0, 0, 0, 0)]
-    with pytest.raises(NonFiniteSum, match=r"theta\[1 0; 1 1\]"):
+    with warnings.catch_warnings(), \
+            pytest.raises(NonFiniteSum, match=r"theta\[1 0; 1 1\]"):
+        warnings.simplefilter("error", RuntimeWarning)
         theta_values(chars, EvalPoint(0.2 + 20j, 0), TAU_G)
     assert theta_values([], Z_G, TAU_G) == []
 
@@ -469,8 +474,10 @@ def test_theta_eval_validates_tau_and_z_once(monkeypatch):
 
 def test_overflowing_sum_raises_instead_of_returning_nan():
     """At Im z = 20 the terms overflow double precision; the sum is not a
-    value, so theta_eval raises rather than return NaN."""
-    with pytest.raises(NonFiniteSum):
+    value, so theta_eval raises rather than return NaN, and without
+    numpy's overflow warnings (raised here as errors)."""
+    with warnings.catch_warnings(), pytest.raises(NonFiniteSum):
+        warnings.simplefilter("error", RuntimeWarning)
         theta_eval(ThetaCharacteristic.of(0, 0, 0, 0), EvalPoint(0.2 + 20j, 0),
                    TAU_G)
 

@@ -48,7 +48,9 @@ def test_every_traced_name_exists_and_is_restored():
 def test_the_addition_law_reaches_theta_eval():
     """The benchmark's traced verify-full and addition-law runs require
     theta_core.theta_eval calls > 0 (bench/test_bench.py); on both, only
-    the addition law's normalizer (f_vector, f_eval) makes them."""
+    the addition law's normalizers make them: three per sample of
+    verify_addition's block (theta[0 0;0 0] at z1, z2 and z1+z2), and
+    f_vector's and f_eval's where a sample is replayed on its own."""
     with _tracing() as tracing:
         tracer = tracing.Tracer()
         tracer.install()
