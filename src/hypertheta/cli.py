@@ -88,15 +88,10 @@ EXIT_NONFINITE = 7
 
 ELLIPTIC_TOL = 1e-10
 
-# An overflowing lattice sum is reported as NonFiniteSum (a failed row, or
-# exit 7), so numpy's own overflow warnings would only repeat it on stderr.
-# Set once per command, not per kernel call: entering np.errstate costs
-# about 1 us, a few per cent of a small theta_eval.  theta_eval and
-# theta_values enter it themselves only where the window's bound admits an
-# overflow (theta_core._summed); eval keeps it because at periods near the
-# largest float (--tau 1e307i,1e307i,0) forming the exponents overflows
-# although the sum is finite, and verify because the catalog's blocks
-# call the kernel directly.
+# An overflowing lattice sum is reported as NonFiniteSum (a failed row), so
+# numpy's overflow warnings would only repeat it.  verify sets it once, as
+# the catalog's blocks call the kernel directly; eval needs none, since
+# theta_eval enters it where the window admits an overflow (_window).
 _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -231,7 +226,6 @@ _EVAL_EXIT_CODES = {InvalidPeriod: EXIT_INVALID_PERIOD,
                     ZeroDivisionError: EXIT_CONFIG}
 
 
-@_quiet_overflow
 def cmd_eval(args) -> int:
     try:
         ch = _parse_char(args.char)
@@ -327,16 +321,16 @@ def _sign_resolution_details(d_ids: list[str], seed: int,
                              pol: PrecisionPolicy,
                              catalog: list[Identity]) -> list[dict]:
     """match_signs records for the selected ids' root forms in `catalog` at
-    3 tau draws, each distinct constant of the forms summed once per draw;
-    a failed sign search is recorded with its error."""
-    forms = {i.id: i.root_form for i in catalog
-             if i.id in d_ids and i.root_form}
+    3 tau draws, each distinct constant of the forms summed once per draw
+    (root_constants); a failed sign search is recorded with its error."""
+    entries = {i.id: i for i in catalog if i.id in d_ids and i.root_form}
     rng = make_rng(seed, "sign-resolution")
+    taus = [sample_tau(rng) for _ in range(3)]
     details = []
-    for trial in range(3):
-        direct, base = root_constants([*forms.values()], sample_tau(rng), pol)
+    for trial, (direct, base) in enumerate(
+            root_constants([*entries.values()], taus, pol)):
         for d_id in sorted(d_ids):
-            form = forms[d_id]
+            form = entries[d_id].root_form
             try:
                 value, record = match_signs(
                     d_id, form, direct[_json_key(form["target"])], base)

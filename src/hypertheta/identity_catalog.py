@@ -58,9 +58,8 @@ from .theta_core import (
     kernel_rows,
     lambda_min,
     sums_by_radius,
-    theta_values,
     truncation_window,
-    window_for,
+    windows_for,
 )
 
 ENV_CATALOG = "HYPERTHETA_CATALOG"
@@ -176,6 +175,16 @@ class Identity:
         """The identity as _compile reads it (_fragment); built once per
         object, so a catalog loaded anew is compiled anew."""
         return _fragment(self)
+
+    @cached_property
+    def _roots(self) -> tuple[dict, dict]:
+        """The root form's target and radicands, each a dict of parsed
+        characteristics keyed by _json_key; parsed once per object."""
+        form = self.root_form
+        radicands = [c for root in form["roots"] for _, *p in root for c in p]
+        return tuple({_json_key(c): ThetaCharacteristic.from_json(c)
+                      for c in chars}
+                     for chars in ([form["target"]], radicands))
 
     def as_json(self) -> dict:
         obj = {"id": self.id,
@@ -1040,7 +1049,7 @@ def _compile(identities: list[Identity]) -> _Program:
 class _Block(NamedTuple):
     """One draw of each identity of a program, per group: the argument
     (x, y), the periods, and the certified radius and drop floor
-    (window_for), radius 0 where the group fails before summing, with its
+    (windows_for), radius 0 where the group fails before summing, with its
     exception in errors."""
 
     x: np.ndarray
@@ -1056,42 +1065,33 @@ class _Block(NamedTuple):
 def _block(prog: _Program, d: Draws, pol: PrecisionPolicy) -> _Block:
     """Arguments, periods, radii and floors of all groups.  The periods of
     each draw, base and doubled, are checked once, by lambda_min, whose NaN
-    marks invalid periods, and the arguments as arrays; a group that fails
-    a check gets truncation_window's exception on its own PeriodMatrix and
-    EvalPoint, so its error text is the scalar one."""
+    marks invalid periods, and the arguments as arrays, and windowed by one
+    windows_for call; a group that fails a check or the radius gets
+    truncation_window's exception on its own PeriodMatrix and EvalPoint."""
     g, c1, c2 = prog.draw, *prog.coeffs
     with np.errstate(over="ignore", invalid="ignore"):
         x = c1 * d.x1[g] + c2 * d.x2[g]
         y = c1 * d.y1[g] + c2 * d.y2[g]
         periods = [np.stack((t, 2 * t)) for t in (d.tau1, d.tau2, d.tau12)]
-    # lambda_min and the radius stay math arithmetic, which numpy's log and
-    # hypot do not reproduce bit for bit: lambda_min once per draw and scale.
+    # lambda_min stays math arithmetic, which numpy's hypot does not
+    # reproduce bit for bit: once per draw and scale.
     lam = np.array([list(map(lambda_min, *(t[k].tolist() for t in periods)))
                     for k in (0, 1)])[prog.scale, g]
     valid = ~np.isnan(lam) & np.isfinite(x) & np.isfinite(y)
-    lam = lam.tolist()
-    rho = np.maximum(np.abs(x.imag), np.abs(y.imag)).tolist()
+    rho = np.maximum(np.abs(x.imag), np.abs(y.imag))
     tau1, tau2, tau12 = (t[prog.scale, g] for t in periods)
-
-    def scalar_window(k: int) -> tuple[int, float]:
+    radii, floors = windows_for(lam, rho, pol.eps_tail, pol.max_radius)
+    radii[~valid], floors[~valid], errors = 0, -math.inf, {}
+    for k in np.flatnonzero(radii == 0).tolist():
         tau = PeriodMatrix(complex(tau1[k]), complex(tau2[k]),
                            complex(tau12[k]), list(Scale)[prog.scale[k]])
-        return truncation_window(EvalPoint(complex(x[k]), complex(y[k])),
-                                 tau, pol.eps_tail, pol.max_radius)
-
-    radii, floors, errors = [], [], {}
-    for k, ok in enumerate(valid.tolist()):
         try:
-            radius, floor = (window_for(lam[k], rho[k], pol.eps_tail,
-                                        pol.max_radius) if ok
-                             else scalar_window(k))
+            radii[k], floors[k] = truncation_window(
+                EvalPoint(complex(x[k]), complex(y[k])), tau, pol.eps_tail,
+                pol.max_radius)
         except (ValueError, ArithmeticError, RadiusExceeded) as exc:
-            radius, floor = 0, -math.inf
             errors[k] = exc
-        radii.append(radius)
-        floors.append(floor)
-    return _Block(x, y, tau1, tau2, tau12, np.array(radii, dtype=int),
-                  np.array(floors), errors)
+    return _Block(x, y, tau1, tau2, tau12, radii, floors, errors)
 
 
 def _evaluate(prog: _Program, d: Draws, index: int,
@@ -1255,26 +1255,37 @@ def resolve_sign(d_id: str, tau: PeriodMatrix,
     entry = next((i for i in catalog if i.id == d_id and i.root_form), None)
     if entry is None:
         raise KeyError(f"no root form under id {d_id!r}")
-    form = entry.root_form
-    direct, base = root_constants([form], tau, pol)
-    return match_signs(d_id, form, direct[_json_key(form["target"])], base)
+    ((direct, base),) = root_constants([entry], [tau], pol)
+    return match_signs(d_id, entry.root_form,
+                       direct[_json_key(entry.root_form["target"])], base)
 
 
-def root_constants(forms: list[dict], tau: PeriodMatrix,
-                   pol: PrecisionPolicy = DEFAULT_POLICY) -> tuple[dict, dict]:
-    """Each distinct doubled target and base-period radicand constant of
-    the root forms, summed once at tau, as two dicts keyed by _json_key:
-    the values match_signs reads.  One theta_values call per dict."""
-    targets = {_json_key(f["target"]): f["target"] for f in forms}
-    radicands = {_json_key(ch): ch for f in forms for root in f["roots"]
-                 for _, *pair in root for ch in pair}
-
-    def summed(chars: dict, periods: PeriodMatrix) -> dict:
-        return dict(zip(chars, theta_values(
-            [ThetaCharacteristic.from_json(ch) for ch in chars.values()],
-            ORIGIN, periods, pol)))
-
-    return summed(targets, double_periods(tau)), summed(radicands, tau)
+def root_constants(identities: list[Identity], taus: list[PeriodMatrix],
+                   pol: PrecisionPolicy = DEFAULT_POLICY) -> list[tuple]:
+    """Per tau, the distinct doubled targets and base radicands of the root
+    forms as two dicts keyed by _json_key (match_signs' values), all summed
+    in one sums_by_radius call, bit for bit as theta_values sums them; the
+    first that overflows, per tau targets first, raises NonFiniteSum."""
+    targets = {k: ch for i in identities for k, ch in i._roots[0].items()}
+    radicands = {k: ch for i in identities for k, ch in i._roots[1].items()}
+    groups = [(p, chars) for tau in taus for p, chars in (
+        (double_periods(tau), targets), (tau, radicands))]
+    chars = [ch for _, group in groups for ch in group.values()]
+    a2, c2, b2, d2, phases = zip(*(ch._kernel for ch in chars))
+    per_group = [(p.tau1, p.tau2, p.tau12, *truncation_window(
+        ORIGIN, p, pol.eps_tail, pol.max_radius)) for p, _ in groups]
+    *columns, floors = (np.repeat(v, [len(group) for _, group in groups])
+                        for v in zip(*per_group))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = sums_by_radius(np.array(a2), np.array(c2), np.array(b2) + 0j,
+                              np.array(d2) + 0j, *columns,
+                              floors=floors).tolist()
+    for ch, value in zip(chars, sums):
+        if not cmath.isfinite(value):
+            raise NonFiniteSum(f"theta{ch} sum overflows to {value}")
+    values = iter([phase * value for phase, value in zip(phases, sums)])
+    return [(dict(zip(targets, values)), dict(zip(radicands, values)))
+            for _ in taus]
 
 
 # --------------------------------------------------------------------------
@@ -1303,15 +1314,15 @@ def identities_from_json(obj: dict) -> list[Identity]:
         texts = [t for i in catalog for t in (i.id, i.note, *i.flags)]
         if not all(isinstance(t, str) for t in texts):
             raise TypeError("ids, notes and flags must be text")
-        for form in (i.root_form for i in catalog if i.root_form):
+        for idty in (i for i in catalog if i.root_form):
+            form = idty.root_form
             if form["prefactor"] not in _PREFACTORS:
                 raise ValueError(f"unknown prefactor {form['prefactor']!r}")
             terms = [term for root in form["roots"] for term in root]
             signs = [*form["printed_signs"], *(sign for sign, _, _ in terms)]
             if not all(isinstance(sign, (int, float)) for sign in signs):
                 raise TypeError(f"root form signs {signs} are not numbers")
-            for ch in (form["target"], *(c for _, *cs in terms for c in cs)):
-                ThetaCharacteristic.from_json(ch)
+            idty._roots  # parses the characteristics, kept for the search
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed catalog: {exc!r}") from exc
     return catalog

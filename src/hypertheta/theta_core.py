@@ -13,7 +13,9 @@ eps_tail.  Within the window only the terms that the unused slack
 eps_tail - T(R) cannot absorb are exponentiated: a term whose log-modulus
 is below log((eps_tail - T(R)) / (2R+1)^2) is set to 0, so the dropped
 terms and the tail together stay below eps_tail (window_for,
-backends.lattice_sum).  The
+backends.lattice_sum).  windows_for runs the same scan over arrays of
+windows, bit for bit: numpy does its IEEE arithmetic, but its logs are
+math's mapped over lists, since numpy's SIMD log is not libm's.  The
 characteristic quadruple is written [a c; b d]: upper row (a, c), lower
 row (b, d), column pairing (a, b) and (c, d).  Entries are exact
 rationals with denominator 1 or 2.
@@ -302,15 +304,23 @@ def _window(z: EvalPoint, tau: PeriodMatrix, eps_tail: float,
     2*pi*rho^2/lam (window_for's f(t) at its peak, once per index), so
     the (2R+1)^2 terms and their sum stay finite unless that bound plus
     2*log(2R+1) reaches log of the largest float.  Below rho^2/lam = 100
-    that needs 2*log(2R+1) > 81, a radius above 1e17, so ordinary windows
-    are cleared by one comparison."""
+    that needs 2*log(2R+1) > 81, a radius above 1e17, so one comparison
+    clears the terms of ordinary windows.  Forming the exponents
+    (backends.exponents) may overflow only where 8*(R+1)^2*(|tau1| + |tau2|
+    + |tau12| + |x| + |y| + 2), above each piece of them, reaches it."""
     lam = tau.validate()
     z.validate()
     rho = max(abs(z.x.imag), abs(z.y.imag))
     radius, floor = window_for(lam, rho, eps_tail, max_radius)
-    return radius, floor, (rho * rho >= 100.0 * lam
-                           and 2.0 * math.pi * rho * rho / lam
-                           + 2.0 * math.log(2 * radius + 1) >= _LOG_MAX)
+    if (rho * rho >= 100.0 * lam and 2.0 * math.pi * rho * rho / lam
+            + 2.0 * math.log(2 * radius + 1) >= _LOG_MAX):
+        return radius, floor, True
+    try:  # abs raises OverflowError for a modulus past the largest float
+        size = (abs(tau.tau1) + abs(tau.tau2) + abs(tau.tau12) + abs(z.x)
+                + abs(z.y) + 2.0)
+    except OverflowError:
+        size = math.inf
+    return radius, floor, 8.0 * (radius + 1) ** 2 * size >= sys.float_info.max
 
 
 def _summed(z: EvalPoint, tau: PeriodMatrix, pol: PrecisionPolicy,
@@ -393,6 +403,51 @@ def window_for(lam: float, rho: float,
     raise RadiusExceeded(
         f"tail target {eps_tail} unreachable within radius {max_radius} "
         f"(lambda_min={lam:.3g}, rho={rho:.3g})")
+
+
+def _mapped(f, values: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(f, values.tolist()), float, len(values))
+
+
+def windows_for(lam: np.ndarray, rho: np.ndarray,
+                eps_tail: float = DEFAULT_POLICY.eps_tail,
+                max_radius: int = DEFAULT_POLICY.max_radius
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """window_for of each (lam, rho) pair as arrays of radii and floors, bit
+    for bit (radius 0, floor -inf where it raises RadiusExceeded): its
+    expressions in its order, one numpy step per radius over the rows not
+    yet settled, math's log, log1p and expm1 mapped over lists."""
+    radii, floors = np.zeros(len(lam), dtype=int), np.full(len(lam), -math.inf)
+    with np.errstate(all="ignore"):
+        t_star = np.where(lam > 0, rho / lam, math.inf)
+        rows = np.flatnonzero(t_star + 1.0 <= max_radius)
+        lam, rho, t_star = lam[rows], rho[rows], t_star[rows]
+        log_eps = math.log(eps_tail)
+        log_s = _LOG2 + math.pi * rho * rho / lam \
+            + _mapped(math.log, t_star + 2.0 + 1.0 / np.sqrt(lam))
+        log_target = log_eps - _LOG2 - log_s
+        pi_lam, pi2_rho = math.pi * lam, 2.0 * math.pi * rho
+        # Each row's next radius; inf once settled at log T1, log (2R+1)^2.
+        nxt = np.maximum(2.0, np.ceil(t_star + 1.0))
+        log_t1, log_terms = np.zeros(rows.size), np.zeros(rows.size)
+        r = nxt.min(initial=math.inf)
+        while r <= max_radius:
+            todo = np.flatnonzero(nxt == r)
+            nxt[todo] = r + 1.0
+            t1 = _LOG2 - pi_lam[todo] * r * r + pi2_rho[todo] * r \
+                + _mapped(math.log1p,
+                          1.0 / (2.0 * math.pi * (lam[todo] * r - rho[todo])))
+            done = t1 < log_target[todo]
+            k = todo[done]
+            nxt[k], log_t1[k] = math.inf, t1[done]
+            log_terms[k] = 2.0 * math.log(2 * r + 1)
+            radii[rows[k]] = r
+            r = nxt.min()
+        k = np.flatnonzero(nxt == math.inf)
+        slack = -_mapped(math.expm1, log_t1[k] - log_target[k])
+        floors[rows[k]] = (log_eps + _mapped(math.log, slack) - FLOOR_MARGIN
+                           - log_terms[k])
+    return radii, floors
 
 
 def clear_theta_cache() -> None:

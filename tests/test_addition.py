@@ -153,7 +153,7 @@ def test_constants_sum_each_constant_once(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("match_signs on the constants path")
 
-    seen = _counted_kernel(monkeypatch, addition, identity_catalog)
+    seen = _counted_kernel(monkeypatch, addition)
     monkeypatch.setattr(identity_catalog, "match_signs", boom)
     kv = constants_vector(TAU)
     (chars,) = seen["theta_values"]

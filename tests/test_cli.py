@@ -6,6 +6,7 @@ import json
 import math
 import re
 import shlex
+import sys
 import warnings
 from pathlib import Path
 
@@ -42,6 +43,7 @@ from hypertheta.theta_core import (
     PeriodMatrix,
     PrecisionPolicy,
     ThetaCharacteristic,
+    double_periods,
     theta_eval,
     theta_values,
 )
@@ -266,29 +268,23 @@ def test_verify_small_run_is_byte_pinned(tmp_path, capsys):
 
 def test_sign_details_sum_each_constant_once_per_draw(monkeypatch):
     """A default verify's sign resolutions sum the 16 targets and 10 base
-    constants once per draw, in two kernel calls per draw (78 sums; 384
-    through resolve_sign), and give the records resolve_sign gives."""
+    constants once per draw, the three draws' 78 sums in one sums_by_radius
+    call (384 through resolve_sign), and give the records resolve_sign
+    gives."""
     calls = []
 
-    def counted(chars, *args):
-        calls.append([(ch, *args) for ch in chars])
-        return theta_values(chars, *args)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return theta_core.sums_by_radius(*args, **kwargs)
 
-    kernel_calls = []
-
-    def kernel(*args, **kwargs):
-        kernel_calls.append(args)
-        return lattice_sum(*args, **kwargs)
-
-    monkeypatch.setattr(identity_catalog, "theta_values", counted)
-    monkeypatch.setattr(theta_core, "lattice_sum", kernel)
+    monkeypatch.setattr(identity_catalog, "sums_by_radius", counted)
     catalog = build_catalog()
     d_ids = sorted(i.id for i in catalog if i.root_form)
     details = cli._sign_resolution_details(d_ids, 0, DEFAULT_POLICY, catalog)
-    summed = [key for call in calls for key in call]
-    assert len(summed) == len(set(summed)) == 3 * 26
-    assert len(calls) == len(kernel_calls) == 3 * 2
-    monkeypatch.setattr(identity_catalog, "theta_values", theta_values)
+    (call,) = calls
+    assert len(call[0]) == 3 * (16 + 10)
+    monkeypatch.setattr(identity_catalog, "sums_by_radius",
+                        theta_core.sums_by_radius)
     rng = make_rng(0, "sign-resolution")
     want = []
     for trial in range(3):
@@ -298,6 +294,91 @@ def test_sign_details_sum_each_constant_once_per_draw(monkeypatch):
             want.append({"trial": trial, **record,
                          "value": {"re": value.real, "im": value.imag}})
     assert details == want
+
+
+def _per_trial_sign_details(d_ids, seed, catalog):
+    """The sign records as one theta_values call per trial and kind of
+    constant gives them: the doubled targets, then the base radicands,
+    each parsed from its JSON, then match_signs per id."""
+    forms = {i.id: i.root_form for i in catalog
+             if i.id in d_ids and i.root_form}
+    key = identity_catalog._json_key
+    rng = make_rng(seed, "sign-resolution")
+    details = []
+    for trial in range(3):
+        tau = sample_tau(rng)
+        targets = {key(f["target"]): f["target"] for f in forms.values()}
+        radicands = {key(ch): ch for f in forms.values()
+                     for root in f["roots"] for _, *pair in root
+                     for ch in pair}
+        direct, base = (dict(zip(chars, theta_values(
+            [ThetaCharacteristic.from_json(ch) for ch in chars.values()],
+            EvalPoint(), periods))) for chars, periods in (
+                (targets, double_periods(tau)), (radicands, tau)))
+        for d_id in sorted(d_ids):
+            form = forms[d_id]
+            try:
+                value, record = identity_catalog.match_signs(
+                    d_id, form, direct[key(form["target"])], base)
+            except identity_catalog.NoConsistentSign as exc:
+                details.append({"trial": trial, "id": d_id, "error": str(exc)})
+                continue
+            details.append({"trial": trial, **record,
+                            "value": {"re": value.real, "im": value.imag}})
+    return details
+
+
+def test_sign_details_equal_the_per_trial_path():
+    """One kernel batch for the three trials gives, bit for bit, the
+    records of summing each trial's constants on their own, seeds 0-49."""
+    catalog = build_catalog()
+    d_ids = sorted(i.id for i in catalog if i.root_form)
+    for seed in range(50):
+        assert (cli._sign_resolution_details(d_ids, seed, DEFAULT_POLICY,
+                                             catalog)
+                == _per_trial_sign_details(d_ids, seed, catalog)), seed
+
+
+def test_verify_sums_the_sign_trials_in_one_kernel_batch(tmp_path,
+                                                         monkeypatch, capsys):
+    """A whole verify run makes one sums_by_radius call for the sign
+    search, whatever its catalog blocks make."""
+    callers = []
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return theta_core.sums_by_radius(*args, **kwargs)
+
+    monkeypatch.setattr(identity_catalog, "sums_by_radius", counted)
+    code, _, report, _ = _run_verify(tmp_path, capsys)
+    assert code == 0
+    assert callers.count("root_constants") == 1
+    assert [d["trial"] for d in report["sign_resolutions"]] == (
+        [0] * 16 + [1] * 16 + [2] * 16)
+
+
+def test_sign_search_overflow_names_the_per_trial_characteristic(
+        monkeypatch):
+    """A sum forced non-finite in trial 1 raises NonFiniteSum naming the
+    characteristic that summing each trial on its own names: its first
+    base radicand with upper entry a = 1."""
+    rng = make_rng(0, "sign-resolution")
+    bad = [sample_tau(rng) for _ in range(2)][1].tau1
+
+    def poisoned(a2, c2, xs, ys, tau1, *args, **kwargs):
+        sums = lattice_sum(a2, c2, xs, ys, tau1, *args, **kwargs)
+        sums[(tau1 == bad) & (a2 == 0.5)] = complex("inf")
+        return sums
+
+    monkeypatch.setattr(theta_core, "lattice_sum", poisoned)
+    catalog = build_catalog()
+    d_ids = sorted(i.id for i in catalog if i.root_form)
+    with pytest.raises(theta_core.NonFiniteSum) as want:
+        _per_trial_sign_details(d_ids, 0, catalog)
+    with pytest.raises(theta_core.NonFiniteSum) as got:
+        cli._sign_resolution_details(d_ids, 0, DEFAULT_POLICY, catalog)
+    assert str(got.value) == str(want.value)
+    assert str(want.value) == "theta[1 0; 0 1] sum overflows to (inf+0j)"
 
 
 def test_verify_reports_are_deterministic(tmp_path, capsys):

@@ -46,6 +46,7 @@ from hypertheta.theta_core import (
     sums_by_radius,
     truncation_window,
     window_for,
+    windows_for,
 )
 
 TAU_E = PeriodMatrix(1j, 1j, 0j)
@@ -480,6 +481,44 @@ def test_overflowing_sum_raises_instead_of_returning_nan():
         warnings.simplefilter("error", RuntimeWarning)
         theta_eval(ThetaCharacteristic.of(0, 0, 0, 0), EvalPoint(0.2 + 20j, 0),
                    TAU_G)
+
+
+def test_exponents_near_the_largest_float_do_not_warn():
+    """At periods near the largest float, forming the exponents overflows
+    although every term, and so the sum, is finite: theta_eval forms them
+    under np.errstate, so numpy warns nothing (raised here as errors)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = theta_eval(ThetaCharacteristic.of(0, 0, 0, 1),
+                           EvalPoint(0.1, 0), PeriodMatrix(1e307j, 1e307j, 0))
+    assert value == 1
+
+
+def test_windows_for_equals_window_for_element_by_element():
+    """windows_for gives every (lam, rho) pair window_for's radius and
+    floor, bit for bit, and radius 0 with floor -inf where window_for
+    raises RadiusExceeded: a seeded sweep of 20,007 pairs, lam from 1e-3
+    to 20, rho = 0 on a fifth of them and t* + 1 at the radius cap on
+    some, over three tail targets and three caps."""
+    rng = np.random.default_rng(22)
+    at_cap = exceeded = 0
+    for eps_tail, max_radius in itertools.product((1e-14, 1e-6, 1e-15),
+                                                  (10, 60, 200)):
+        lam = np.exp(rng.uniform(math.log(1e-3), math.log(20.0), 2223))
+        rho = lam * rng.uniform(0.0, max_radius, lam.size)
+        rho[::5] = 0.0
+        rho[1::40] = lam[1::40] * (max_radius - 1)
+        at_cap += int(np.sum(rho / lam + 1.0 == max_radius))
+        radii, floors = windows_for(lam, rho, eps_tail, max_radius)
+        for pair, got in zip(zip(lam.tolist(), rho.tolist()),
+                             zip(radii.tolist(), floors.tolist())):
+            try:
+                want = window_for(*pair, eps_tail, max_radius)
+            except RadiusExceeded:
+                want = (0, -math.inf)
+                exceeded += 1
+            assert got == want, (pair, eps_tail, max_radius)
+    assert at_cap > 300 and 2000 < exceeded < 15000
 
 
 def test_radius_exceeded():
