@@ -18,9 +18,13 @@ The three input shapes stay because each is the fastest for the caller
 that uses it: scalar offsets for theta_eval, a shared tau for
 theta_values (one (z, tau), many characteristics), and tau per row for
 the catalog's blocks, whose rows come from many draws.  At radius 4
-(numpy, 2-core host, best of 9 repeats) one row takes 32-38 us as a
-scalar call and 43-55 us as a batch of one, and 16 or 28 rows take
-84-118 us with a shared tau and 92-139 us with tau per row.
+(numpy, 2-core host, best of 9 repeats, floor -40) one row takes
+26-31 us as a scalar call and 42-50 us as a batch of one, and 16 or 28
+rows take 80-118 us with a shared tau and 86-144 us with tau per row.
+The index lines m and n enter the products as complex128 (line()): a
+call mixing a float line with complex operands converts it to exactly
+m + 0j but costs about 0.9 us more (1.51 against 0.65 us at 21
+elements), and the scalar call took 34-40 us with such calls.
 
 Drop rule.  A floor, scalar or one per row, names the smallest exponent
 real part (log-modulus) worth exponentiating: a term whose exponent has
@@ -37,6 +41,7 @@ still makes the sum non-finite.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -54,42 +59,63 @@ def lattice_sum(a2, c2, xs, ys, tau1, tau2, tau12, radius: int,
     """The sum over the (2R+1)^2 window, pairwise summation, terms whose
     log-modulus is below floor (a scalar, or one per row) set to 0: a
     complex for scalar offsets, else an array of C sums."""
-    k = np.arange(-radius, radius + 1, dtype=np.float64)
     if not isinstance(a2, np.ndarray):
-        return complex(_window_sums(k, floor, a2, c2, xs, ys, tau1, tau2,
-                                    tau12))
-    rows = [np.broadcast_to(floor, a2.shape)[:, None, None]]
-    rows += [v[:, None] for v in (a2, c2, xs, ys)]
+        return complex(_window_sums(floor, *_cached_line(radius, a2),
+                                    *_cached_line(radius, c2), xs, ys, tau1,
+                                    tau2, tau12))
+    k = np.arange(-radius, radius + 1, dtype=np.float64)
+    rows = [np.broadcast_to(floor, a2.shape)[:, None, None],
+            *line(k + a2[:, None]), *line(k + c2[:, None]), xs[:, None],
+            ys[:, None]]
     shared = (tau1, tau2, tau12)
     if isinstance(tau1, np.ndarray):
         rows += [tau1[:, None], tau2[:, None], tau12[:, None, None]]
         shared = ()
     step = max(1, GRID_POINTS // k.size ** 2)
     if len(a2) <= step:
-        return _window_sums(k, *rows, *shared)
+        return _window_sums(*rows, *shared)
     return np.concatenate([
-        _window_sums(k, *(v[i:i + step] for v in rows), *shared)
+        _window_sums(*(v[i:i + step] for v in rows), *shared)
         for i in range(0, len(a2), step)])
 
 
-def exponents(k, a2, c2, xs, ys, tau1, tau2, tau12):
-    """The exponent of every term of each window, formed in place; offsets
-    of shape (C, 1) give a (C, K, K) grid, scalars one (K, K) grid.
-    Per-row periods come as tau1, tau2 of shape (C, 1) and tau12 of shape
-    (C, 1, 1)."""
-    m = k + a2
-    n = k + c2
-    row = 1j * np.pi * tau1 * m * m + 2j * np.pi * m * xs
-    col = 1j * np.pi * tau2 * n * n + 2j * np.pi * n * ys
+def line(m):
+    """The index line m = k + offset (float) as the two complex lines its
+    exponent products read: m + 0j and 2*pi*i*m, each product bit for bit
+    that of the float line."""
+    m = m.astype(complex)
+    return m, 2j * np.pi * m
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_line(radius: int, offset: float):
+    """line() of a scalar offset, read only.  The kernel offsets take 4
+    values, so 256 entries (0.6 MB at radius 60) hold every line that
+    radii up to 60 use."""
+    lines = line(np.arange(-radius, radius + 1, dtype=np.float64) + offset)
+    for v in lines:
+        v.flags.writeable = False
+    return lines
+
+
+def exponents(m, tm, n, tn, xs, ys, tau1, tau2, tau12):
+    """The exponent of every term of each window, formed in place from the
+    lines (m, 2*pi*i*m) and (n, 2*pi*i*n) of line(): lines of shape (C, K)
+    and offsets of shape (C, 1) give a (C, K, K) grid, lines of shape (K,)
+    and scalars one (K, K) grid.  Per-row periods come as tau1, tau2 of
+    shape (C, 1) and tau12 of shape (C, 1, 1)."""
+    row = 1j * np.pi * tau1 * m * m + tm * xs
+    col = 1j * np.pi * tau2 * n * n + tn * ys
     grid = row[..., :, None] + col[..., None, :]
-    grid += 2j * np.pi * tau12 * (m[..., :, None] * n[..., None, :])
+    grid += 2j * np.pi * tau12 * (
+        m.real[..., :, None] * n.real[..., None, :]).astype(complex)
     return grid
 
 
-def _window_sums(k, floor, *offsets_and_periods):
+def _window_sums(floor, *lines_offsets_and_periods):
     """The sum of each window: exp of the exponents whose real part is not
     below floor (a scalar, or shape (C, 1, 1)), zeros elsewhere."""
-    grid = exponents(k, *offsets_and_periods)
+    grid = exponents(*lines_offsets_and_periods)
     terms = np.zeros_like(grid)
     np.exp(grid, out=terms, where=~(grid.real < floor))
     return terms.sum(axis=(-2, -1))

@@ -108,8 +108,9 @@ class ThetaCharacteristic:
         of 2 folded out of b (d) contributes exp(pi*i*a) (exp(pi*i*c)), that
         is ka (kc) quarter turns, and k // 4 such steps are folded out.
         """
-        ka, kc, kb, kd = (e.numerator * (2 // e.denominator)
-                          for e in self.entries)
+        ka, kc, kb, kd = [n * (2 // d) for n, d in (
+            self.a.as_integer_ratio(), self.c.as_integer_ratio(),
+            self.b.as_integer_ratio(), self.d.as_integer_ratio())]
         q = (ka * (kb // 4) + kc * (kd // 4)) % 4
         return (ka % 4, kc % 4, kb % 4, kd % 4), q
 
@@ -117,8 +118,8 @@ class ThetaCharacteristic:
     def _kernel(self) -> tuple[float, float, float, float, complex]:
         """(a0/2, c0/2, b0/2, d0/2, phase) of reduce(), the offsets as floats;
         computed once per object."""
-        reduced, q = self._reduction()
-        return (*(k / 4 for k in reduced), _PHASES[q])
+        (ka, kc, kb, kd), q = self._reduction()
+        return ka / 4, kc / 4, kb / 4, kd / 4, _PHASES[q]
 
     @cached_property
     def _code(self) -> int:
@@ -372,11 +373,15 @@ def window_for(lam: float, rho: float,
       * the region max(|m|,|n|) > R is covered by two such lines,
         so tail(R) <= T(R) = 2 * S * T1(R).
 
-    The scan starts at max(2, ceil(t*+1)) and returns the first R with
+    The scan returns the first R >= max(2, ceil(t*+1)) with
     T(R) < eps_tail; the bound is monotone in R, so shrinking eps_tail can
     only grow the radius.  Raises RadiusExceeded when no radius up to
     max_radius meets the target, also when lam has rounded to 0 or the
-    scan would start past max_radius.
+    scan would start past max_radius.  log T1(R) exceeds g(R) = log 2 -
+    pi*lam*R^2 + 2*pi*rho*R by a positive log1p term, so no R below the
+    larger root r of g(R) = log_target passes, and the scan starts one
+    below r (a unit for the rounding of r and of the scan), formed as
+    t* + sqrt(t*^2 + (log 2 - log_target)/(pi*lam)), which cannot overflow.
 
     Drop floor.  floor = log((eps_tail - T(R)) / (2R+1)^2) - FLOOR_MARGIN.
     The kernel sets to 0 each term of the window whose log-modulus is below
@@ -390,7 +395,11 @@ def window_for(lam: float, rho: float,
         log_s = _LOG2 + math.pi * rho * rho / lam \
             + math.log(t_star + 2.0 + 1.0 / math.sqrt(lam))
         log_target = log_eps - _LOG2 - log_s
-        for radius in range(max(2, math.ceil(t_star + 1.0)), max_radius + 1):
+        disc = t_star * t_star + (_LOG2 - log_target) / (math.pi * lam)
+        root = t_star + math.sqrt(disc) if disc > 0 else 0.0
+        start = max(2, math.ceil(t_star + 1.0),
+                    math.ceil(min(root, max_radius + 2)) - 1)
+        for radius in range(start, max_radius + 1):
             log_t1 = _LOG2 - math.pi * lam * radius * radius \
                 + 2.0 * math.pi * rho * radius \
                 + math.log1p(1.0 / (2.0 * math.pi * (lam * radius - rho)))
@@ -428,7 +437,10 @@ def windows_for(lam: np.ndarray, rho: np.ndarray,
         log_target = log_eps - _LOG2 - log_s
         pi_lam, pi2_rho = math.pi * lam, 2.0 * math.pi * rho
         # Each row's next radius; inf once settled at log T1, log (2R+1)^2.
-        nxt = np.maximum(2.0, np.ceil(t_star + 1.0))
+        disc = t_star * t_star + (_LOG2 - log_target) / (math.pi * lam)
+        root = np.where(disc > 0, t_star + np.sqrt(disc), 0.0)
+        nxt = np.maximum(np.maximum(2.0, np.ceil(t_star + 1.0)),
+                         np.ceil(np.minimum(root, max_radius + 2.0)) - 1.0)
         log_t1, log_terms = np.zeros(rows.size), np.zeros(rows.size)
         r = nxt.min(initial=math.inf)
         while r <= max_radius:

@@ -38,9 +38,10 @@ from hypertheta import (
 )
 from hypertheta import identity_catalog
 from hypertheta.addition import _law_tables
-from hypertheta.backends import GRID_POINTS, exponents, lattice_sum
+from hypertheta.backends import GRID_POINTS, exponents, lattice_sum, line
 from hypertheta.sampling import Draws, SampleAssignment, sample_tau
 from hypertheta.theta_core import (
+    FLOOR_MARGIN,
     kernel_rows,
     lambda_min,
     sums_by_radius,
@@ -270,6 +271,67 @@ def test_lattice_sum_with_tau_per_row_equals_scalar_calls(radius):
     assert batch == scalar
 
 
+def _scalar_and_batch_of_one(ch, z, tau):
+    """ch's kernel sum at (z, tau) in truncation_window's window, from the
+    scalar kernel (cached lines) and from a batch of one row with tau per
+    row (lines formed per call)."""
+    radius, floor = truncation_window(z, tau)
+    a2, c2, b2, d2, _ = ch._kernel
+    row = (a2, c2, z.x + b2, z.y + d2, tau.tau1, tau.tau2, tau.tau12)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scalar = lattice_sum(*row, radius, floor=floor)
+        batch = lattice_sum(*(np.array([v]) for v in row), radius,
+                            floor=np.array([floor]))
+    return scalar, complex(batch[0])
+
+
+def _parts(value: complex) -> tuple:
+    return value.real, value.imag, *np.signbit([value.real, value.imag])
+
+
+def test_scalar_kernel_equals_a_batch_of_one_to_the_sign_bit():
+    """The scalar kernel and a batch of one with tau per row give the same
+    value and the same sign of both parts: on seeded inputs; at z = 0 and
+    purely imaginary tau, where the sums are exactly real and eval prints
+    the sign of the imaginary zero; for the six odd characteristics at the
+    origin; and at tau = diag(1e307i), where theta_eval gives 1 without a
+    warning.  Where tau1's phase overflows, the exponents are NaN, the
+    kernel keeps them, and theta_eval raises NonFiniteSum."""
+    rng = np.random.default_rng(7)
+    cases = [(rng.choice(_UNREDUCED_CHARS), EvalPoint(*z), tau)
+             for z, tau in zip(
+                 (rng.uniform(-1, 1, (60, 2))
+                  + 1j * rng.uniform(-1.5, 1.5, (60, 2))).tolist(),
+                 _mixed_periods(rng, 60))]
+    imaginary = PeriodMatrix(1.1j, 1.4j, 0.2j)
+    cases += [(ch, ORIGIN, imaginary) for ch in _UNREDUCED_CHARS[::41]]
+    odd = [ch for ch in _UNREDUCED_CHARS if ch.is_integer and is_odd(ch)]
+    cases += [(ch, ORIGIN, tau) for ch in odd for tau in (imaginary, TAU_G)]
+    huge = PeriodMatrix(1e307j, 1e307j, 0)
+    cases += [(ThetaCharacteristic.of(0, 0, 0, 1), EvalPoint(0.1, 0), huge)]
+    zero_imag = 0
+    for ch, z, tau in cases:
+        scalar, batch = _scalar_and_batch_of_one(ch, z, tau)
+        assert _parts(scalar) == _parts(batch), (ch, z, tau)
+        zero_imag += scalar.imag == 0
+    assert zero_imag >= 20
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert theta_eval(ThetaCharacteristic.of(0, 0, 0, 1),
+                          EvalPoint(0.1, 0), huge) == 1
+    phase_overflow = PeriodMatrix(1e308 + 1j, 1j, 0)
+    ch = ThetaCharacteristic.of(0, 0, 0, 0)
+    radius, _ = truncation_window(ORIGIN, phase_overflow)
+    k = np.arange(-radius, radius + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = exponents(*line(k), *line(k), 0j, 0j, 1e308 + 1j, 1j, 0j)
+    assert np.isnan(grid.real).all()
+    scalar, batch = _scalar_and_batch_of_one(ch, ORIGIN, phase_overflow)
+    assert not cmath.isfinite(scalar) and not cmath.isfinite(batch)
+    with pytest.raises(NonFiniteSum):
+        theta_eval(ch, ORIGIN, phase_overflow)
+
+
 def test_sums_by_radius_equal_theta_values_bit_for_bit():
     """Rows of groups at their own (z, tau) and radius, many groups sharing
     a radius and so a kernel call with tau per row, times their reduction
@@ -332,9 +394,9 @@ def test_dropped_terms_stay_below_the_unused_slack(z, tau, eps_tail):
     pruned = lattice_sum(*args, floor=floor)
     full = lattice_sum(*args)
     assert np.abs(pruned - full).max() <= slack
-    grid = exponents(np.arange(-radius, radius + 1.0), a2[:, None],
-                     c2[:, None], args[2][:, None], args[3][:, None],
-                     *args[4:7])
+    k = np.arange(-radius, radius + 1.0)
+    grid = exponents(*line(k + a2[:, None]), *line(k + c2[:, None]),
+                     args[2][:, None], args[3][:, None], *args[4:7])
     terms = np.exp(grid)
     dropped = grid.real < floor
     assert dropped.any()
@@ -519,6 +581,70 @@ def test_windows_for_equals_window_for_element_by_element():
                 exceeded += 1
             assert got == want, (pair, eps_tail, max_radius)
     assert at_cap > 300 and 2000 < exceeded < 15000
+
+
+def _full_scan(lam: float, rho: float, eps_tail: float,
+               max_radius: int) -> tuple[int, float]:
+    """window_for's bound tested at every radius from max(2, ceil(t*+1)),
+    the scan before its start was raised to one below the bound's root."""
+    log2 = math.log(2.0)
+    t_star = rho / lam if lam > 0 else math.inf
+    if t_star + 1.0 <= max_radius:
+        log_eps = math.log(eps_tail)
+        log_s = log2 + math.pi * rho * rho / lam \
+            + math.log(t_star + 2.0 + 1.0 / math.sqrt(lam))
+        log_target = log_eps - log2 - log_s
+        for radius in range(max(2, math.ceil(t_star + 1.0)), max_radius + 1):
+            log_t1 = log2 - math.pi * lam * radius * radius \
+                + 2.0 * math.pi * rho * radius \
+                + math.log1p(1.0 / (2.0 * math.pi * (lam * radius - rho)))
+            if log_t1 < log_target:
+                slack = -math.expm1(log_t1 - log_target)
+                return radius, (log_eps + math.log(slack) - FLOOR_MARGIN
+                                - 2.0 * math.log(2 * radius + 1))
+    raise RadiusExceeded(
+        f"tail target {eps_tail} unreachable within radius {max_radius} "
+        f"(lambda_min={lam:.3g}, rho={rho:.3g})")
+
+
+def _outcome(scan, *args):
+    try:
+        return scan(*args)
+    except RadiusExceeded as exc:
+        return str(exc)
+
+
+def test_window_for_equals_a_full_scan():
+    """window_for starts its scan one below the root of its bound without
+    the log1p term, yet gives the (R, floor) of a scan from
+    max(2, ceil(t*+1)), bit for bit, or the same RadiusExceeded text: a
+    seeded sweep of 6,000 cases, lam from 5e-324 to 1e307 (from 1e-2 to
+    1e4 on half of them, where most radii are found), rho = 0 on a third,
+    t* + 1 at the radius cap on a third and t* up to half the cap on the
+    rest, eps_tail from 1e-300 to 0.5 and caps from 1 to 1000.  Over 1,000
+    cases find their radius past the full scan's first."""
+    rng = np.random.default_rng(23)
+    size = 6000
+    lam = np.exp(rng.uniform(math.log(5e-324), math.log(1e307), size))
+    lam[1::2] = np.exp(rng.uniform(math.log(1e-2), math.log(1e4), size // 2))
+    lam[:4] = (5e-324, 1e-300, 1e300, 1e307)
+    eps_tail = np.exp(rng.uniform(math.log(1e-300), math.log(0.5), size))
+    max_radius = np.exp(rng.uniform(0.0, math.log(1000.5), size)).astype(int)
+    t_star = rng.uniform(0.0, max_radius / 2, size)
+    t_star[::3] = 0.0
+    t_star[1::3] = max_radius[1::3] - 1
+    with np.errstate(over="ignore"):  # rho is kept finite
+        rho = np.minimum(lam * t_star, 1.7e308)
+    found = exceeded = 0
+    for case in zip(lam.tolist(), rho.tolist(), eps_tail.tolist(),
+                    max_radius.tolist()):
+        want = _outcome(_full_scan, *case)
+        assert _outcome(window_for, *case) == want, case
+        if isinstance(want, str):
+            exceeded += 1
+        elif want[0] > max(2, math.ceil(case[1] / case[0] + 1.0)):
+            found += 1
+    assert found > 1000 and exceeded > 2000, (found, exceeded)
 
 
 def test_radius_exceeded():
