@@ -32,7 +32,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +78,24 @@ def _as_frac(value) -> Fraction:
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
+class _memo:
+    """functools.cached_property without its lock: the first access on an
+    object computes the value and stores it in the object's __dict__, which
+    later lookups read first, since this descriptor defines no __set__.
+    cached_property takes a lock on every first access (Python 3.11); two
+    threads racing here both compute the same value."""
+
+    def __init__(self, func) -> None:
+        self.func, self.name = func, func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class ThetaCharacteristic:
     """The quadruple [a c; b d]; all entries multiples of 1/2."""
@@ -114,14 +131,14 @@ class ThetaCharacteristic:
         q = (ka * (kb // 4) + kc * (kd // 4)) % 4
         return (ka % 4, kc % 4, kb % 4, kd % 4), q
 
-    @cached_property
+    @_memo
     def _kernel(self) -> tuple[float, float, float, float, complex]:
         """(a0/2, c0/2, b0/2, d0/2, phase) of reduce(), the offsets as floats;
         computed once per object."""
         (ka, kc, kb, kd), q = self._reduction()
         return ka / 4, kc / 4, kb / 4, kd / 4, _PHASES[q]
 
-    @cached_property
+    @_memo
     def _code(self) -> int:
         """reduce() as one integer, two bits per doubled reduced entry and
         two for q: (((a0*4 + c0)*4 + b0)*4 + d0)*4 + q; kernel_rows
@@ -308,7 +325,9 @@ def _window(z: EvalPoint, tau: PeriodMatrix, eps_tail: float,
     that needs 2*log(2R+1) > 81, a radius above 1e17, so one comparison
     clears the terms of ordinary windows.  Forming the exponents
     (backends.exponents) may overflow only where 8*(R+1)^2*(|tau1| + |tau2|
-    + |tau12| + |x| + |y| + 2), above each piece of them, reaches it."""
+    + |tau12| + |x| + |y| + 2), above each piece of them, reaches it.
+    Only where it admits an overflow does theta_eval test one term of the
+    window (_must_overflow) for an overflow that is certain."""
     lam = tau.validate()
     z.validate()
     rho = max(abs(z.x.imag), abs(z.y.imag))
@@ -324,20 +343,51 @@ def _window(z: EvalPoint, tau: PeriodMatrix, eps_tail: float,
     return radius, floor, 8.0 * (radius + 1) ** 2 * size >= sys.float_info.max
 
 
-def _summed(z: EvalPoint, tau: PeriodMatrix, pol: PrecisionPolicy,
+def _summed(z: EvalPoint, tau: PeriodMatrix, window: tuple[int, float, bool],
             a2, c2, b2, d2):
-    """lattice_sum of the offsets (a2, c2, b2, d2) at (z, tau) in its
-    window.  Where the window admits an overflow it sums under
-    np.errstate: the callers raise NonFiniteSum for it, so numpy's
-    warnings would only repeat that.  Entering np.errstate costs about
-    2 us, so the other windows do not."""
-    radius, floor, loud = _window(z, tau, pol.eps_tail, pol.max_radius)
+    """lattice_sum of the offsets (a2, c2, b2, d2) at (z, tau) in window,
+    _window's (radius, floor, loud).  Where the window admits an overflow
+    it sums under np.errstate: the callers raise NonFiniteSum for it, so
+    numpy's warnings would only repeat that.  Entering np.errstate costs
+    about 2 us, so the other windows do not."""
+    radius, floor, loud = window
     if not loud:
         return lattice_sum(a2, c2, z.x + b2, z.y + d2, tau.tau1, tau.tau2,
                            tau.tau12, radius, floor=floor)
     with np.errstate(over="ignore", invalid="ignore"):
         return lattice_sum(a2, c2, z.x + b2, z.y + d2, tau.tau1, tau.tau2,
                            tau.tau12, radius, floor=floor)
+
+
+def _must_overflow(z: EvalPoint, tau: PeriodMatrix, radius: int,
+                   a2: float, c2: float) -> bool:
+    """Whether the window's term nearest the peak of its Gaussian has a
+    modulus above sqrt(2) times the largest float, for certain.
+
+    The term is v = (m + a2, n + c2), the integers m, n nearest the peak
+    v* = -(Im tau)^-1 Im(x, y) less the offsets, clipped to |m|, |n| <= R.
+    Its log-modulus -pi*v'(Im tau)v - 2*pi*Im(x, y).v is formed here in
+    real arithmetic from five pieces of total modulus s, and in the kernel
+    from complex products; each evaluation errs by a few ulps of s (at
+    most four roundings per piece and four in their sum), far below the
+    margin OVERFLOW_MARGIN*s.  The answer is False where v* is not finite
+    (i1*i2 - i12^2 overflows), and where 2s reaches the largest float, so
+    that no piece of the kernel's real part is known to stay finite."""
+    y1, y2, y12 = tau.tau1.imag, tau.tau2.imag, tau.tau12.imag
+    w1, w2 = z.x.imag, z.y.imag
+    det = y1 * y2 - y12 * y12
+    p1 = (y12 * w2 - y2 * w1) / det - a2
+    p2 = (y12 * w1 - y1 * w2) / det - c2
+    if not (math.isfinite(p1) and math.isfinite(p2)):
+        return False
+    m = min(max(round(p1), -radius), radius) + a2
+    n = min(max(round(p2), -radius), radius) + c2
+    pieces = (math.pi * y1 * m * m, math.pi * y2 * n * n,
+              2.0 * math.pi * y12 * m * n, 2.0 * math.pi * w1 * m,
+              2.0 * math.pi * w2 * n)
+    s = sum(map(abs, pieces))
+    return (2.0 * s < math.inf
+            and -sum(pieces) > _LOG_MAX + 0.5 * _LOG2 + OVERFLOW_MARGIN * s)
 
 
 _LOG2 = math.log(2.0)
@@ -349,6 +399,13 @@ _LOG_MAX = math.log(sys.float_info.max)
 # in modulus, so that a dropped term is below the floor also in exact
 # arithmetic.
 FLOOR_MARGIN = 1e-6
+
+# Relative to the total modulus s of a term's exponent pieces
+# (_must_overflow).  The two evaluations of its log-modulus each err by
+# about 1e-15*s at most; the rest covers the rounding of exp, of _LOG_MAX
+# and of log sqrt(2), about 1e-13, since s exceeds _LOG_MAX wherever the
+# margin decides.
+OVERFLOW_MARGIN = 1e-12
 
 
 def window_for(lam: float, rho: float,
@@ -471,9 +528,26 @@ def theta_eval(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
                pol: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     """Truncated lattice sum for theta[ch](z; tau), tail and dropped terms
     together below pol.eps_tail; raises NonFiniteSum where the terms
-    overflow."""
+    overflow.
+
+    Where the window admits an overflow (_window), one term is tested
+    first, and where its modulus must exceed sqrt(2) times the largest
+    float (_must_overflow) NonFiniteSum is raised without summing.  The
+    sum would raise it too: the term lies in the window, and above the
+    drop floor, which is below log eps_tail and so below log of the
+    largest float; so the kernel exponentiates it.  The kernel's real part
+    of its exponent is above log(sqrt(2) * largest float), since no piece
+    of it can overflow, or NaN where an imaginary piece overflowed.  So
+    one part of its exp is infinite or NaN: the larger of |cos| and |sin|
+    is at least 1/sqrt(2).  A pairwise sum with an infinite or NaN part
+    has a non-finite part.  Only the message differs from the one a sum
+    gives."""
     a2, c2, b2, d2, phase = ch._kernel
-    value = _summed(z, tau, pol, a2, c2, b2, d2)
+    window = _window(z, tau, pol.eps_tail, pol.max_radius)
+    if window[2] and _must_overflow(z, tau, window[0], a2, c2):
+        raise NonFiniteSum(f"theta{ch} sum overflows: a term's modulus "
+                           "exceeds the largest float")
+    value = _summed(z, tau, window, a2, c2, b2, d2)
     if not cmath.isfinite(value):
         raise NonFiniteSum(f"theta{ch} sum overflows to {value}")
     return phase * value
@@ -489,7 +563,8 @@ def theta_values(chars, z: EvalPoint, tau: PeriodMatrix,
     if not chars:
         return []
     a2, c2, b2, d2, phases = zip(*(ch._kernel for ch in chars))
-    sums = _summed(z, tau, pol, np.array(a2), np.array(c2), np.array(b2),
+    sums = _summed(z, tau, _window(z, tau, pol.eps_tail, pol.max_radius),
+                   np.array(a2), np.array(c2), np.array(b2),
                    np.array(d2)).tolist()
     # Any non-finite sum makes the total non-finite; a total that overflows
     # from finite sums only costs the per-value check.

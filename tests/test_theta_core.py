@@ -36,7 +36,7 @@ from hypertheta import (
     theta_values,
     truncation_radius,
 )
-from hypertheta import identity_catalog
+from hypertheta import identity_catalog, theta_core
 from hypertheta.addition import _law_tables
 from hypertheta.backends import GRID_POINTS, exponents, lattice_sum, line
 from hypertheta.sampling import Draws, SampleAssignment, sample_tau
@@ -554,6 +554,105 @@ def test_exponents_near_the_largest_float_do_not_warn():
         value = theta_eval(ThetaCharacteristic.of(0, 0, 0, 1),
                            EvalPoint(0.1, 0), PeriodMatrix(1e307j, 1e307j, 0))
     assert value == 1
+
+
+def _overflow_band_inputs(rng) -> list[tuple]:
+    """(family, ch, z, tau) around the certain-overflow test: characteristic
+    entries k/2 with k in [-3, 4], Im tau drawn as the benchmark draws it
+    (lambda_min >= 0.15), and four families of Im z.
+      * the failing band: each |Im z| uniform in 8..20, random signs;
+      * near threshold: Im tau scaled so that the Gaussian's peak, within
+        0.3 of a lattice point of the characteristic's coset, has
+        log-modulus 709..712;
+      * Im tau entries of 1e100: the peak within 0.3 of a lattice point,
+        or, with a and c in 2Z and Im tau12 < 0, at (1/2, 1/2).  There the
+        largest terms are (0, 0), of modulus 1, and (1, 1), whose
+        log-modulus is a difference of pieces of size 1e100, so that it is
+        rounding noise of either sign, and a fixed margin misjudges it."""
+    inputs = []
+    for family in ("band", "near", "huge", "midpoint") * 120:
+        while True:
+            i1, i2 = rng.uniform(0.3, 2.0, 2)
+            i12 = rng.uniform(-0.95, 0.95) * math.sqrt(i1 * i2)
+            if lambda_min(1j * i1, 1j * i2, 1j * i12) >= 0.15:
+                break
+        ks = rng.integers(-3, 5, 4)
+        if family == "midpoint":
+            ks[:2] &= -4
+            i12 = -abs(i12)
+        ch = ThetaCharacteristic.of(*(Fraction(int(k), 2) for k in ks))
+        a2, c2 = ch._kernel[:2]
+        im_tau = np.array([[i1, i12], [i12, i2]])
+        peak = rng.integers(-15, 16, 2) + np.array([a2, c2])
+        if family == "band":
+            im_z = rng.uniform(8.0, 20.0, 2) * rng.choice((-1.0, 1.0), 2)
+        else:
+            if family == "midpoint":
+                peak = np.array([0.5, 0.5])
+            else:
+                peak += rng.uniform(-0.3, 0.3, 2)
+            if family == "near":
+                im_tau *= (rng.uniform(709.0, 712.0)
+                           / (math.pi * peak @ im_tau @ peak))
+            else:
+                im_tau *= 1e100
+            im_z = -im_tau @ peak
+        re = rng.uniform(-0.5, 0.5, 5)
+        inputs.append((family, ch, EvalPoint(complex(re[0], im_z[0]),
+                                             complex(re[1], im_z[1])),
+                       PeriodMatrix(complex(re[2], im_tau[0, 0]),
+                                    complex(re[3], im_tau[1, 1]),
+                                    complex(re[4], im_tau[0, 1]))))
+    return inputs
+
+
+def test_certain_overflow_is_raised_without_summing(monkeypatch):
+    """Where the window admits an overflow and one term must overflow,
+    theta_eval raises NonFiniteSum without a kernel call, and summing that
+    window (_summed) gives a non-finite value, so no finite value is lost.
+    Every input gives a finite value, RadiusExceeded or NonFiniteSum,
+    without numpy's warnings (raised here as errors); the test fires on
+    every peak of modulus exp(1e100) within 0.3 of a lattice point."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[7])
+        return lattice_sum(*args, **kwargs)
+
+    monkeypatch.setattr(theta_core, "lattice_sum", counted)
+    outcomes = {"finite": 0, "summed overflow": 0, "certain": 0,
+                "exceeded": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for family, ch, z, tau in _overflow_band_inputs(
+                np.random.default_rng(24)):
+            del calls[:]
+            try:
+                value = theta_eval(ch, z, tau)
+            except RadiusExceeded:
+                outcomes["exceeded"] += 1
+                continue
+            except NonFiniteSum as exc:
+                value = exc
+            a2, c2, b2, d2, _ = ch._kernel
+            window = theta_core._window(z, tau, DEFAULT_POLICY.eps_tail,
+                                        DEFAULT_POLICY.max_radius)
+            certain = window[2] and theta_core._must_overflow(
+                z, tau, window[0], a2, c2)
+            assert certain or family != "huge"
+            if certain:
+                outcomes["certain"] += 1
+                assert isinstance(value, NonFiniteSum) and calls == []
+                assert "overflows" in str(value) and str(ch) in str(value)
+                assert not cmath.isfinite(
+                    theta_core._summed(z, tau, window, a2, c2, b2, d2))
+            elif isinstance(value, NonFiniteSum):
+                outcomes["summed overflow"] += 1
+                assert calls == [window[0]]
+            else:
+                outcomes["finite"] += 1
+                assert cmath.isfinite(value) and calls == [window[0]]
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_windows_for_equals_window_for_element_by_element():
