@@ -32,21 +32,20 @@ the ones the C rows read (constant_chars), and its guard against a
 degenerate tau is the C rows' own lhs coefficients (near_singular).  It
 reads none of D1..D16, whose root forms identity_catalog checks.
 
-Direct sums share one kernel call per (z, tau) through theta_values:
-constants_vector sums the sixteen constants in one call, f_vector the
-normalizer and then the fifteen numerators, and doubled_values_direct the
-twenty-eight doubled values in one.  verify_addition sums a whole block of
-samples at once: each sample's 117 series (the constants, the numerators
-at z1, z2 and z1+z2, the doubled values at 2*z1 and 2*z2) go to one
-sums_by_radius call for the block, and only the three normalizers of a
-sample are summed on their own, by theta_eval.
+Direct sums take theta_core's one row layout, KernelBatch, so each is
+theta_eval's bit for bit: constants_vector, f_vector's numerators and
+doubled_values_direct are one theta_values call each, and verify_addition
+sums the 117 series of each sample of a block in one batch (_block),
+leaving only a sample's three normalizers to theta_eval.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -67,12 +66,12 @@ from .theta_core import (
     DEFAULT_POLICY,
     ORIGIN,
     EvalPoint,
+    KernelBatch,
     PeriodMatrix,
     PrecisionPolicy,
     Scale,
     ThetaCharacteristic,
     double_periods,
-    sums_by_radius,
     theta_eval,
     theta_values,
     truncation_window,
@@ -441,23 +440,14 @@ _BLOCK_SAMPLES = 64
 
 
 @lru_cache(maxsize=1)
-def _block_rows() -> tuple:
-    """The kernel rows of one sample, compiled once: offsets a2, c2, b2, d2
-    as arrays and phases as a list, 117 entries; per row the window it is
-    summed in; and the rows where each window's run ends.  The windows, in
-    row order: the constants at the origin (doubled periods), the
-    numerators at z1, z2 and z1+z2 (base periods), the doubled values at
-    2*z1 and 2*z2 (doubled periods)."""
+def _block_rows() -> KernelBatch:
+    """The kernel rows of one sample, compiled once: 117 rows in six
+    tables, one per window, in order: the constants at the origin (doubled
+    periods), the numerators at z1, z2 and z1+z2 (base periods), the
+    doubled values at 2*z1 and 2*z2 (doubled periods)."""
     constants, targets = _law_tables()[:2]
-    tables = (tuple(constants.values()), _A_CHARS, _A_CHARS, _A_CHARS,
-              tuple(targets.values()), tuple(targets.values()))
-    a2, c2, b2, d2, phases = zip(*(ch._kernel for chars in tables
-                                   for ch in chars))
-    sizes = [len(chars) for chars in tables]
-    window = np.repeat(np.arange(len(tables)), sizes)
-    ends = np.cumsum(sizes).tolist()
-    return (np.array(a2), np.array(c2), np.array(b2), np.array(d2),
-            list(phases), window, ends)
+    return KernelBatch.of((constants.values(), _A_CHARS, _A_CHARS, _A_CHARS,
+                           targets.values(), targets.values()))
 
 
 def _one_sample(rng: np.random.Generator,
@@ -515,13 +505,13 @@ def _finish(values: list, tau: PeriodMatrix, z1: EvalPoint, z2: EvalPoint,
 
 def _block(rng: np.random.Generator, count: int,
            pol: PrecisionPolicy) -> tuple[list, dict | None]:
-    """Up to count samples drawn ahead, assuming no redraw, and finished in
-    order from one sums_by_radius call: the outputs of the samples finished,
-    and the RNG state before the first sample not finished (None when all
-    count are).  That sample is the first whose drawing or windowing raises,
-    or whose sums are not all finite, or which _finish refuses."""
-    a2, c2, b2, d2, phases, window, ends = _block_rows()
-    states, draws, cells = [], [], []
+    """Up to count samples drawn ahead, assuming no redraw, windowed, and
+    summed in one KernelBatch call, then finished in order: the outputs of
+    the samples finished, and the RNG state before the first sample not
+    finished (None when all count are).  That sample is the first whose
+    drawing or windowing raises, or whose sums are not all finite, or
+    which _finish refuses."""
+    states, draws, windows = [], [], []
     for _ in range(count):
         states.append(rng.bit_generator.state)
         try:
@@ -529,8 +519,7 @@ def _block(rng: np.random.Generator, count: int,
             z1, z2 = sample_point(rng), sample_point(rng)
             dbl = double_periods(tau)
             sample = [
-                (z.x, z.y, t.tau1, t.tau2, t.tau12,
-                 *truncation_window(z, t, pol.eps_tail, pol.max_radius))
+                (z, t, *truncation_window(z, t, pol.eps_tail, pol.max_radius))
                 for z, t in ((ORIGIN, dbl), (z1, tau), (z2, tau),
                              (z1 + z2, tau), (z1.scaled(2), dbl),
                              (z2.scaled(2), dbl))]
@@ -539,32 +528,20 @@ def _block(rng: np.random.Generator, count: int,
             # redraws first; nothing is raised from a draw made ahead.
             break
         draws.append((tau, z1, z2))
-        cells.extend(sample)
-    n = len(draws)
-    if not n:
+        windows.extend(sample)
+    if not draws:
         return [], states[0]
 
-    # Per row, the index of its sample's window in cells.
-    at = (len(ends) * np.arange(n)[:, None] + window).ravel()
-    x, y, tau1, tau2, tau12, radii, floors = (np.array(column)[at]
-                                              for column in zip(*cells))
-    sums = sums_by_radius(np.tile(a2, n), np.tile(c2, n),
-                          x + np.tile(b2, n), y + np.tile(d2, n),
-                          tau1, tau2, tau12, radii, floors=floors)
-    finite = np.isfinite(sums).reshape(n, -1).all(axis=1).tolist()
-    sums = sums.tolist()
-    size = ends[-1]
+    values = _block_rows().values(windows, strict=False)
     done = []
     for j, (tau, z1, z2) in enumerate(draws):
-        row = j * size
-        values = [p * v for p, v in zip(phases, sums[row:row + size])]
-        out = finite[j] and _finish(
-            [values[lo:hi] for lo, hi in zip([0, *ends], ends)],
-            tau, z1, z2, pol)
+        sample = values[6 * j:6 * j + 6]
+        out = (all(map(cmath.isfinite, chain.from_iterable(sample)))
+               and _finish(sample, tau, z1, z2, pol))
         if not out:
             return done, states[j]
         done.append(out)
-    return done, (states[n] if n < count else None)
+    return done, (states[len(draws)] if len(draws) < count else None)
 
 
 def verify_addition(n_samples: int = 100, seed: int = 0,
@@ -580,17 +557,17 @@ def verify_addition(n_samples: int = 100, seed: int = 0,
 
     Samples are drawn ahead in blocks of up to _BLOCK_SAMPLES, assuming no
     redraw, with the RNG state before each sample kept.  Every series of a
-    block but the normalizers (117 rows per sample, each window from
-    truncation_window) is summed in one sums_by_radius call, and the
-    samples are finished in order with the law's own code; the normalizers
-    are scalar theta_eval calls, three per sample.  The first sample that
-    would redraw or raise (a sum not finite, near-singular constants, a
-    normalizer below DIVISOR_THRESHOLD, a DegenerateDenominator, or an
-    error while drawing or windowing ahead) gets the RNG state from before
-    it back and runs on its own (_one_sample, through constants_vector,
-    f_vector, add_vector and add_direct), and a new block starts after it.
-    So the rows, the redraws and the exceptions are bit for bit those of
-    drawing and checking one sample at a time.
+    block but the normalizers (117 per sample) is summed in one KernelBatch
+    call, and the samples are finished in order with the law's own code;
+    the normalizers are theta_eval calls, three per sample.  The first
+    sample that would redraw or raise (a sum not finite, near-singular
+    constants, a normalizer below DIVISOR_THRESHOLD, a
+    DegenerateDenominator, or an error while drawing or windowing ahead)
+    gets the RNG state from before it back and runs on its own
+    (_one_sample, through constants_vector, f_vector, add_vector and
+    add_direct), and a new block starts after it.  So the rows, the
+    redraws and the exceptions are bit for bit those of drawing and
+    checking one sample at a time.
     """
     rng = make_rng(seed, "addition")
     reports: list[ResidualReport] = []

@@ -7,20 +7,15 @@ The kernel computes the truncated double series
 
 with M = m + a2, N = n + c2, where a2, c2 are the (halved) upper
 characteristic entries and xs, ys already include the lower-row shift
-(xs = x + b/2, ys = y + d/2).  Given numpy arrays of shape (C,) for a2,
-c2, xs and ys, one call sums C characteristics that share R; tau1, tau2
-and tau12 are either scalars shared by all rows or arrays of shape (C,),
-one period matrix per row.  Each sum is bit-identical to the scalar call,
-since every term is formed by the same expressions in the same order and
-each window is reduced on its own.
-
-The three input shapes stay because each is the fastest for the caller
-that uses it: scalar offsets for theta_eval, a shared tau for
-theta_values (one (z, tau), many characteristics), and tau per row for
-the catalog's blocks, whose rows come from many draws.  At radius 4
-(numpy, 2-core host, best of 9 repeats, floor -40) one row takes
-26-31 us as a scalar call and 42-50 us as a batch of one, and 16 or 28
-rows take 80-118 us with a shared tau and 86-144 us with tau per row.
+(xs = x + b/2, ys = y + d/2).  It takes two input shapes: scalars, one
+characteristic at one (z, tau), for theta_eval; or numpy arrays of shape
+(C,) for a2, c2, xs, ys, tau1, tau2 and tau12, one period matrix per
+row, for every batch of C rows that share R.  Each row's sum is
+bit-identical to its scalar call, since every term is formed by the same
+expressions in the same order and each window is reduced on its own.
+At radius 4 (numpy, 2-core host, best of 9 repeats, floor -40) one row
+takes 26-31 us as a scalar call and 42-50 us as a batch of one, and 16
+or 28 rows take 86-144 us.
 The index lines m and n enter the products as complex128 (line()): a
 call mixing a float line with complex operands converts it to exactly
 m + 0j but costs about 0.9 us more (1.51 against 0.65 us at 21
@@ -58,7 +53,7 @@ def lattice_sum(a2, c2, xs, ys, tau1, tau2, tau12, radius: int,
                 floor=-math.inf):
     """The sum over the (2R+1)^2 window, pairwise summation, terms whose
     log-modulus is below floor (a scalar, or one per row) set to 0: a
-    complex for scalar offsets, else an array of C sums."""
+    complex for scalar inputs, else an array of C sums."""
     if not isinstance(a2, np.ndarray):
         return complex(_window_sums(floor, *_cached_line(radius, a2),
                                     *_cached_line(radius, c2), xs, ys, tau1,
@@ -66,17 +61,12 @@ def lattice_sum(a2, c2, xs, ys, tau1, tau2, tau12, radius: int,
     k = np.arange(-radius, radius + 1, dtype=np.float64)
     rows = [np.broadcast_to(floor, a2.shape)[:, None, None],
             *line(k + a2[:, None]), *line(k + c2[:, None]), xs[:, None],
-            ys[:, None]]
-    shared = (tau1, tau2, tau12)
-    if isinstance(tau1, np.ndarray):
-        rows += [tau1[:, None], tau2[:, None], tau12[:, None, None]]
-        shared = ()
+            ys[:, None], tau1[:, None], tau2[:, None], tau12[:, None, None]]
     step = max(1, GRID_POINTS // k.size ** 2)
     if len(a2) <= step:
-        return _window_sums(*rows, *shared)
-    return np.concatenate([
-        _window_sums(*(v[i:i + step] for v in rows), *shared)
-        for i in range(0, len(a2), step)])
+        return _window_sums(*rows)
+    return np.concatenate([_window_sums(*(v[i:i + step] for v in rows))
+                           for i in range(0, len(a2), step)])
 
 
 def line(m):

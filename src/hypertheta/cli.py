@@ -35,8 +35,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .addition import A_LABELS, DivisorHit, f_eval, verify_addition
 from .elliptic_so3 import component_residuals, euler_lhs, euler_rhs
@@ -87,12 +85,6 @@ EXIT_DIVISOR = 6
 EXIT_NONFINITE = 7
 
 ELLIPTIC_TOL = 1e-10
-
-# An overflowing lattice sum is reported as NonFiniteSum (a failed row), so
-# numpy's overflow warnings would only repeat it.  verify sets it once, as
-# the catalog's blocks call the kernel directly; eval needs none, since
-# theta_eval enters it where the window admits an overflow (_window).
-_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -361,7 +353,6 @@ def _rows_to_text(rows: list[ResidualReport], fmt: str) -> str:
     return buf.getvalue()
 
 
-@_quiet_overflow
 def cmd_verify(args) -> int:
     try:
         cfg = VerificationConfig.from_args(args)

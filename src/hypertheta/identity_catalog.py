@@ -48,6 +48,7 @@ from .theta_core import (
     DEFAULT_POLICY,
     ORIGIN,
     EvalPoint,
+    KernelBatch,
     NonFiniteSum,
     PeriodMatrix,
     PrecisionPolicy,
@@ -1098,23 +1099,24 @@ def _evaluate(prog: _Program, d: Draws, index: int,
               pol: PrecisionPolicy) -> list:
     """For each identity of prog at its row of d, its ResidualReport, or the
     exception of its first failing group.  The rows of all groups that
-    reach summation go to one sums_by_radius call; the side products and
-    the comparison stay Python arithmetic, in the catalog's order."""
+    reach summation go to one sums_by_radius call, under np.errstate, as
+    an overflow is its group's NonFiniteSum; the side products and the
+    comparison stay Python arithmetic, in the catalog's order."""
     b = _block(prog, d, pol)
     radius = b.radius[prog.group]
     rows = np.flatnonzero(radius)
     g = prog.group[rows]
     a2, c2, b2, d2 = prog.offsets[:, rows]
-    sums = sums_by_radius(a2, c2, b.x[g] + b2, b.y[g] + d2, b.tau1[g],
-                          b.tau2[g], b.tau12[g], radius[rows],
-                          floors=b.floor[g])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = sums_by_radius(a2, c2, b.x[g] + b2, b.y[g] + d2, b.tau1[g],
+                              b.tau2[g], b.tau12[g], radius[rows],
+                              floors=b.floor[g])
+        values = np.zeros(len(prog.group), dtype=complex)
+        values[rows] = sums * prog.phase[rows]
     errors = b.errors
     for k in np.flatnonzero(~np.isfinite(sums)).tolist():
         errors.setdefault(int(g[k]), NonFiniteSum(
             f"theta{prog.chars[rows[k]]} sum overflows to {complex(sums[k])}"))
-    values = np.zeros(len(prog.group), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values[rows] = sums * prog.phase[rows]
     values = values.tolist()
     out = []
     for i, idty in enumerate(prog.identities):
@@ -1263,29 +1265,19 @@ def resolve_sign(d_id: str, tau: PeriodMatrix,
 def root_constants(identities: list[Identity], taus: list[PeriodMatrix],
                    pol: PrecisionPolicy = DEFAULT_POLICY) -> list[tuple]:
     """Per tau, the distinct doubled targets and base radicands of the root
-    forms as two dicts keyed by _json_key (match_signs' values), all summed
-    in one sums_by_radius call, bit for bit as theta_values sums them; the
-    first that overflows, per tau targets first, raises NonFiniteSum."""
+    forms as two dicts keyed by _json_key (match_signs' values): two
+    tables of one KernelBatch, summed at the origin in one call for all
+    taus, so bit for bit theta_values' values; the first that overflows,
+    per tau targets first, raises NonFiniteSum."""
     targets = {k: ch for i in identities for k, ch in i._roots[0].items()}
     radicands = {k: ch for i in identities for k, ch in i._roots[1].items()}
-    groups = [(p, chars) for tau in taus for p, chars in (
-        (double_periods(tau), targets), (tau, radicands))]
-    chars = [ch for _, group in groups for ch in group.values()]
-    a2, c2, b2, d2, phases = zip(*(ch._kernel for ch in chars))
-    per_group = [(p.tau1, p.tau2, p.tau12, *truncation_window(
-        ORIGIN, p, pol.eps_tail, pol.max_radius)) for p, _ in groups]
-    *columns, floors = (np.repeat(v, [len(group) for _, group in groups])
-                        for v in zip(*per_group))
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = sums_by_radius(np.array(a2), np.array(c2), np.array(b2) + 0j,
-                              np.array(d2) + 0j, *columns,
-                              floors=floors).tolist()
-    for ch, value in zip(chars, sums):
-        if not cmath.isfinite(value):
-            raise NonFiniteSum(f"theta{ch} sum overflows to {value}")
-    values = iter([phase * value for phase, value in zip(phases, sums)])
-    return [(dict(zip(targets, values)), dict(zip(radicands, values)))
-            for _ in taus]
+    windows = [(ORIGIN, p, *truncation_window(ORIGIN, p, pol.eps_tail,
+                                              pol.max_radius))
+               for tau in taus for p in (double_periods(tau), tau)]
+    values = iter(KernelBatch.of((targets.values(), radicands.values()))
+                  .values(windows))
+    return [(dict(zip(targets, next(values))),
+             dict(zip(radicands, next(values)))) for _ in taus]
 
 
 # --------------------------------------------------------------------------

@@ -32,6 +32,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -326,8 +327,9 @@ def _window(z: EvalPoint, tau: PeriodMatrix, eps_tail: float,
     clears the terms of ordinary windows.  Forming the exponents
     (backends.exponents) may overflow only where 8*(R+1)^2*(|tau1| + |tau2|
     + |tau12| + |x| + |y| + 2), above each piece of them, reaches it.
-    Only where it admits an overflow does theta_eval test one term of the
-    window (_must_overflow) for an overflow that is certain."""
+    Only there does theta_eval test a term for a certain overflow
+    (_must_overflow) and sum under np.errstate (about 2 us to enter), as
+    NonFiniteSum says what numpy's warnings would."""
     lam = tau.validate()
     z.validate()
     rho = max(abs(z.x.imag), abs(z.y.imag))
@@ -341,22 +343,6 @@ def _window(z: EvalPoint, tau: PeriodMatrix, eps_tail: float,
     except OverflowError:
         size = math.inf
     return radius, floor, 8.0 * (radius + 1) ** 2 * size >= sys.float_info.max
-
-
-def _summed(z: EvalPoint, tau: PeriodMatrix, window: tuple[int, float, bool],
-            a2, c2, b2, d2):
-    """lattice_sum of the offsets (a2, c2, b2, d2) at (z, tau) in window,
-    _window's (radius, floor, loud).  Where the window admits an overflow
-    it sums under np.errstate: the callers raise NonFiniteSum for it, so
-    numpy's warnings would only repeat that.  Entering np.errstate costs
-    about 2 us, so the other windows do not."""
-    radius, floor, loud = window
-    if not loud:
-        return lattice_sum(a2, c2, z.x + b2, z.y + d2, tau.tau1, tau.tau2,
-                           tau.tau12, radius, floor=floor)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return lattice_sum(a2, c2, z.x + b2, z.y + d2, tau.tau1, tau.tau2,
-                           tau.tau12, radius, floor=floor)
 
 
 def _must_overflow(z: EvalPoint, tau: PeriodMatrix, radius: int,
@@ -543,11 +529,17 @@ def theta_eval(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
     has a non-finite part.  Only the message differs from the one a sum
     gives."""
     a2, c2, b2, d2, phase = ch._kernel
-    window = _window(z, tau, pol.eps_tail, pol.max_radius)
-    if window[2] and _must_overflow(z, tau, window[0], a2, c2):
+    radius, floor, loud = _window(z, tau, pol.eps_tail, pol.max_radius)
+    if loud and _must_overflow(z, tau, radius, a2, c2):
         raise NonFiniteSum(f"theta{ch} sum overflows: a term's modulus "
                            "exceeds the largest float")
-    value = _summed(z, tau, window, a2, c2, b2, d2)
+    if not loud:
+        value = lattice_sum(a2, c2, z.x + b2, z.y + d2, tau.tau1, tau.tau2,
+                            tau.tau12, radius, floor=floor)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = lattice_sum(a2, c2, z.x + b2, z.y + d2, tau.tau1,
+                                tau.tau2, tau.tau12, radius, floor=floor)
     if not cmath.isfinite(value):
         raise NonFiniteSum(f"theta{ch} sum overflows to {value}")
     return phase * value
@@ -556,23 +548,14 @@ def theta_eval(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
 def theta_values(chars, z: EvalPoint, tau: PeriodMatrix,
                  pol: PrecisionPolicy = DEFAULT_POLICY) -> list[complex]:
     """[theta_eval(ch, z, tau, pol) for ch in chars], bit for bit, from one
-    truncation window and one kernel call: the radius and floor do not
+    truncation window and one KernelBatch: the radius and floor do not
     depend on the characteristic.  Raises NonFiniteSum naming the first
     characteristic, in the order given, whose sum overflows."""
     chars = tuple(chars)
     if not chars:
         return []
-    a2, c2, b2, d2, phases = zip(*(ch._kernel for ch in chars))
-    sums = _summed(z, tau, _window(z, tau, pol.eps_tail, pol.max_radius),
-                   np.array(a2), np.array(c2), np.array(b2),
-                   np.array(d2)).tolist()
-    # Any non-finite sum makes the total non-finite; a total that overflows
-    # from finite sums only costs the per-value check.
-    if not cmath.isfinite(sum(sums)):
-        for ch, value in zip(chars, sums):
-            if not cmath.isfinite(value):
-                raise NonFiniteSum(f"theta{ch} sum overflows to {value}")
-    return [phase * value for phase, value in zip(phases, sums)]
+    radius, floor = truncation_window(z, tau, pol.eps_tail, pol.max_radius)
+    return KernelBatch.of([chars]).values([(z, tau, radius, floor)])[0]
 
 
 def sums_by_radius(a2, c2, xs, ys, tau1, tau2, tau12, radii, *,
@@ -588,3 +571,50 @@ def sums_by_radius(a2, c2, xs, ys, tau1, tau2, tau12, radii, *,
                                  tau1[rows], tau2[rows], tau12[rows], radius,
                                  floor=floors[rows])
     return sums
+
+
+class KernelBatch(NamedTuple):
+    """Tables (collections) of characteristics compiled once into kernel
+    rows, table after table: per row its characteristic, offsets and
+    reduction phase (_kernel); and the number of rows of each table."""
+
+    chars: tuple[ThetaCharacteristic, ...]
+    offsets: np.ndarray                # (4, C): a2, c2, b2, d2
+    phases: list[complex]
+    sizes: list[int]
+
+    @classmethod
+    def of(cls, tables) -> "KernelBatch":
+        chars = tuple(ch for chars in tables for ch in chars)
+        *offsets, phases = zip(*(ch._kernel for ch in chars))
+        return cls(chars, np.array(offsets), list(phases),
+                   [len(chars) for chars in tables])
+
+    def values(self, windows, strict: bool = True) -> list[list[complex]]:
+        """The values of each table at its windows, one list per window:
+        windows holds one (z, tau, radius, floor) per table per
+        repetition, in table order.  All rows go to one sums_by_radius
+        call under np.errstate and are phased as theta_eval phases them,
+        so each value is theta_eval's bit for bit.  A non-finite sum
+        raises NonFiniteSum naming the first such characteristic, in
+        order, with its unphased sum; with strict False it is kept."""
+        n = len(windows) // len(self.sizes)
+        sizes = self.sizes * n
+        at = np.repeat(np.arange(len(windows)), sizes)
+        x, y, tau1, tau2, tau12, radii, floors = (
+            np.array(column)[at] for column in zip(*(
+                (z.x, z.y, t.tau1, t.tau2, t.tau12, radius, floor)
+                for z, t, radius, floor in windows)))
+        a2, c2, b2, d2 = np.tile(self.offsets, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = sums_by_radius(a2, c2, x + b2, y + d2, tau1, tau2, tau12,
+                                  radii, floors=floors).tolist()
+        # Any non-finite sum makes the total non-finite; a total that
+        # overflows from finite sums only costs the per-value check.
+        if strict and not cmath.isfinite(sum(sums)):
+            for ch, value in zip(self.chars * n, sums):
+                if not cmath.isfinite(value):
+                    raise NonFiniteSum(f"theta{ch} sum overflows to {value}")
+        values = [p * v for p, v in zip(self.phases * n, sums)]
+        ends = np.cumsum([0, *sizes]).tolist()
+        return [values[lo:hi] for lo, hi in zip(ends, ends[1:])]

@@ -183,6 +183,7 @@ def test_verify_addition_sums_a_block_in_one_kernel_batch(monkeypatch):
     seen = _counted_kernel(monkeypatch, addition)
     normalizers = []
     batches = []
+    sums_by_radius = theta_core.sums_by_radius
 
     def normalizer(ch, *args):
         normalizers.append(ch)
@@ -190,10 +191,10 @@ def test_verify_addition_sums_a_block_in_one_kernel_batch(monkeypatch):
 
     def by_radius(*args, floors):
         batches.append(args[-1])  # the radii
-        return theta_core.sums_by_radius(*args, floors=floors)
+        return sums_by_radius(*args, floors=floors)
 
     monkeypatch.setattr(addition, "theta_eval", normalizer)
-    monkeypatch.setattr(addition, "sums_by_radius", by_radius)
+    monkeypatch.setattr(theta_core, "sums_by_radius", by_radius)
     run = verify_addition(10, 7208)
     assert (run.tau_redraws, run.point_redraws) == (0, 0)
     assert normalizers == [ThetaCharacteristic.of(0, 0, 0, 0)] * 30

@@ -272,19 +272,19 @@ def test_sign_details_sum_each_constant_once_per_draw(monkeypatch):
     call (384 through resolve_sign), and give the records resolve_sign
     gives."""
     calls = []
+    sums_by_radius = theta_core.sums_by_radius
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return theta_core.sums_by_radius(*args, **kwargs)
+        return sums_by_radius(*args, **kwargs)
 
-    monkeypatch.setattr(identity_catalog, "sums_by_radius", counted)
+    monkeypatch.setattr(theta_core, "sums_by_radius", counted)
     catalog = build_catalog()
     d_ids = sorted(i.id for i in catalog if i.root_form)
     details = cli._sign_resolution_details(d_ids, 0, DEFAULT_POLICY, catalog)
     (call,) = calls
     assert len(call[0]) == 3 * (16 + 10)
-    monkeypatch.setattr(identity_catalog, "sums_by_radius",
-                        theta_core.sums_by_radius)
+    monkeypatch.setattr(theta_core, "sums_by_radius", sums_by_radius)
     rng = make_rng(0, "sign-resolution")
     want = []
     for trial in range(3):
@@ -342,14 +342,16 @@ def test_sign_details_equal_the_per_trial_path():
 def test_verify_sums_the_sign_trials_in_one_kernel_batch(tmp_path,
                                                          monkeypatch, capsys):
     """A whole verify run makes one sums_by_radius call for the sign
-    search, whatever its catalog blocks make."""
+    search, through KernelBatch.values, whatever its catalog and addition
+    blocks make."""
     callers = []
+    sums_by_radius = theta_core.sums_by_radius
 
     def counted(*args, **kwargs):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return theta_core.sums_by_radius(*args, **kwargs)
+        callers.append(sys._getframe(2).f_code.co_name)
+        return sums_by_radius(*args, **kwargs)
 
-    monkeypatch.setattr(identity_catalog, "sums_by_radius", counted)
+    monkeypatch.setattr(theta_core, "sums_by_radius", counted)
     code, _, report, _ = _run_verify(tmp_path, capsys)
     assert code == 0
     assert callers.count("root_constants") == 1

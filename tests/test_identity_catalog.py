@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -526,6 +527,24 @@ def test_failures_inside_a_block_stay_with_their_sample(monkeypatch):
         f"{ArgSelector(1, 1).select(broken, P2)}")
     assert rows[1].error.endswith("EvalPoint(x=(inf+nanj), "
                                   "y=(0.29+0.09000000000000001j))")
+
+
+def test_an_overflowing_identity_raises_without_warnings(monkeypatch):
+    """At tau = diag(i, i) and p1 = (0, 20i) the sums of 2e5.0000
+    overflow.  evaluate_identity raises NonFiniteSum, and verify_catalog
+    reports it as the row's error, without numpy's warnings (raised here
+    as errors), which would only repeat it."""
+    s = SampleAssignment(PeriodMatrix(1j, 1j, 0j), EvalPoint(0, 20j), ORIGIN,
+                         seed=0)
+    monkeypatch.setattr(identity_catalog, "draw_stream",
+                        lambda seed, labels: iter([Draws.of([s])]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteSum, match=r"theta\[0 0; 0 0\] sum "
+                           r"overflows to \(inf\+0j\)") as info:
+            evaluate_identity(BY_ID["2e5.0000"], s)
+        (row,) = verify_catalog(1, 0, catalog=[BY_ID["2e5.0000"]])
+    assert row.error == f"NonFiniteSum: {info.value}" and not row.passed
 
 
 def test_report_json_schema():

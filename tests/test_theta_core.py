@@ -42,9 +42,9 @@ from hypertheta.backends import GRID_POINTS, exponents, lattice_sum, line
 from hypertheta.sampling import Draws, SampleAssignment, sample_tau
 from hypertheta.theta_core import (
     FLOOR_MARGIN,
+    KernelBatch,
     kernel_rows,
     lambda_min,
-    sums_by_radius,
     truncation_window,
     window_for,
     windows_for,
@@ -210,17 +210,17 @@ _UNREDUCED_CHARS = [ThetaCharacteristic.of(*e) for e in itertools.product(
     (Z_G, _thin_tau(0.022), 30),
 ])
 def test_theta_values_equal_theta_eval_bit_for_bit(z, tau, radius):
-    """One kernel call over many characteristics gives exactly the values
-    of one theta_eval each: the 16 integer characteristics, the 28 targets
-    of the doubled law (half characteristics included) and unreduced
-    entries k/2, k in [-3, 4] (all 4,096 at small radii, which the kernel
-    sums in several slices, every 31st otherwise), up to radius 30 on a
-    thin lattice."""
+    """One kernel call over many characteristics, tau per row, gives
+    exactly the values of one theta_eval each, to the sign bit: the 16
+    integer characteristics, the 28 targets of the doubled law (half
+    characteristics included) and unreduced entries k/2, k in [-3, 4] (all
+    4,096 at small radii, which the kernel sums in several slices, every
+    31st otherwise), up to radius 30 on a thin lattice."""
     assert truncation_radius(_INTEGER_CHARS[0], z, tau) == radius
     unreduced = _UNREDUCED_CHARS if radius <= 4 else _UNREDUCED_CHARS[::31]
     for chars in (_INTEGER_CHARS, list(_law_tables()[0].values()), unreduced):
-        assert theta_values(chars, z, tau) == [theta_eval(ch, z, tau)
-                                               for ch in chars]
+        assert ([_parts(v) for v in theta_values(chars, z, tau)]
+                == [_parts(theta_eval(ch, z, tau)) for ch in chars])
 
 
 def test_kernel_rows_decode_each_code_to_its_kernel():
@@ -332,36 +332,62 @@ def test_scalar_kernel_equals_a_batch_of_one_to_the_sign_bit():
         theta_eval(ch, ORIGIN, phase_overflow)
 
 
-def test_sums_by_radius_equal_theta_values_bit_for_bit():
-    """Rows of groups at their own (z, tau) and radius, many groups sharing
-    a radius and so a kernel call with tau per row, times their reduction
-    phases, give exactly theta_values' values per group, and those are
-    exactly theta_eval's."""
+def test_kernel_batch_equals_theta_values_bit_for_bit():
+    """A KernelBatch of three tables summed at 20 repetitions of windows,
+    each at its own (z, tau) and radius (many sharing a radius and so a
+    kernel call with tau per row; the last repetition repeats the first),
+    gives exactly theta_values' values per window, and those are
+    theta_eval's, to the sign bit."""
     rng = np.random.default_rng(11)
-    groups = [([_UNREDUCED_CHARS[j] for j in rng.choice(
-                   len(_UNREDUCED_CHARS), rng.integers(1, 17))],
-               EvalPoint(*(complex(rng.uniform(-0.5, 0.5),
-                                   rng.uniform(-0.6, 0.6)) for _ in "xy")),
-               tau) for tau in _mixed_periods(rng, 60)]
-    radii = [truncation_radius(chars[0], z, tau) for chars, z, tau in groups]
+    tables = [[_UNREDUCED_CHARS[j] for j in rng.choice(
+        len(_UNREDUCED_CHARS), size)] for size in (1, 16, 7)]
+    windows = []
+    for tau in _mixed_periods(rng, 57):
+        z = EvalPoint(*(complex(rng.uniform(-0.5, 0.5),
+                                rng.uniform(-0.6, 0.6)) for _ in "xy"))
+        windows.append((z, tau, *truncation_window(z, tau)))
+    windows += windows[:3]
+    radii = [radius for _, _, radius, _ in windows]
     assert len(set(radii)) < len(radii) - 40
-    floors = [truncation_window(z, tau)[1] for chars, z, tau in groups]
-    rows = [(*ch._kernel, z, tau, radius, floor)
-            for (chars, z, tau), radius, floor in zip(groups, radii, floors)
-            for ch in chars]
-    a2, c2, b2, d2, phase = (np.array(v) for v in zip(*(r[:5] for r in rows)))
-    xs = np.array([r[5].x for r in rows]) + b2
-    ys = np.array([r[5].y for r in rows]) + d2
-    t1, t2, t12 = (np.array([getattr(r[6], name) for r in rows])
-                   for name in ("tau1", "tau2", "tau12"))
-    got = (sums_by_radius(a2, c2, xs, ys, t1, t2, t12,
-                          np.array([r[7] for r in rows]),
-                          floors=np.array([r[8] for r in rows]))
-           * phase).tolist()
-    want = [value for group in groups for value in theta_values(*group)]
-    assert got == want
-    assert want == [theta_eval(ch, z, tau) for chars, z, tau in groups
-                    for ch in chars]
+    got = KernelBatch.of(tables).values(windows)
+    assert len(got) == len(windows) and got[-3:] == got[:3]
+    for k, (values, (z, tau, _, _)) in enumerate(zip(got, windows)):
+        chars = tables[k % 3]
+        want = theta_values(chars, z, tau)
+        assert [_parts(v) for v in values] == [_parts(v) for v in want]
+        assert want == [theta_eval(ch, z, tau) for ch in chars]
+
+
+def test_kernel_batch_raises_or_keeps_an_overflow():
+    """At z = (0.2 + 15.45i, 0) the sums of some integer characteristics
+    overflow and those of others do not.  A batch raises NonFiniteSum
+    naming the first that overflows in table order, as theta_values names
+    it; with strict False it keeps the non-finite values, where theta_eval
+    raises, and gives theta_eval's values elsewhere.  Neither warns
+    (numpy's warnings raised here as errors)."""
+    edge = EvalPoint(0.2 + 15.45j, 0)
+    tables = (_INTEGER_CHARS[:4], _INTEGER_CHARS[::-1])
+    points = (Z_G, Z_G, edge, edge)
+    windows = [(z, TAU_G, *truncation_window(z, TAU_G)) for z in points]
+    batch = KernelBatch.of(tables)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteSum) as want:
+            theta_values(_INTEGER_CHARS[::-1], edge, TAU_G)
+        with pytest.raises(NonFiniteSum, match=r"theta\[1 1; 1 1\]") as got:
+            batch.values(windows)
+        kept = batch.values(windows, strict=False)
+    assert str(got.value) == str(want.value)
+    outcomes = {"finite": 0, "overflow": 0}
+    for k, (values, z) in enumerate(zip(kept, points)):
+        for ch, value in zip(tables[k % 2], values):
+            try:
+                assert _parts(value) == _parts(theta_eval(ch, z, TAU_G))
+                outcomes["finite"] += 1
+            except NonFiniteSum:
+                assert not cmath.isfinite(value)
+                outcomes["overflow"] += 1
+    assert outcomes == {"finite": 4 + 16 + 4 + 6, "overflow": 10}
 
 
 def _tail_bound(lam: float, rho: float, radius: int) -> float:
@@ -390,13 +416,16 @@ def test_dropped_terms_stay_below_the_unused_slack(z, tau, eps_tail):
     assert 0 < slack and floor > -math.inf
     a2, c2, b2, d2, _ = (np.array(v) for v in zip(*(
         ch._kernel for ch in _UNREDUCED_CHARS[::97])))
-    args = (a2, c2, z.x + b2, z.y + d2, tau.tau1, tau.tau2, tau.tau12, radius)
+    t1, t2, t12 = (np.full(a2.shape, v, dtype=complex)
+                   for v in (tau.tau1, tau.tau2, tau.tau12))
+    args = (a2, c2, z.x + b2, z.y + d2, t1, t2, t12, radius)
     pruned = lattice_sum(*args, floor=floor)
     full = lattice_sum(*args)
     assert np.abs(pruned - full).max() <= slack
     k = np.arange(-radius, radius + 1.0)
     grid = exponents(*line(k + a2[:, None]), *line(k + c2[:, None]),
-                     args[2][:, None], args[3][:, None], *args[4:7])
+                     args[2][:, None], args[3][:, None], t1[:, None],
+                     t2[:, None], t12[:, None, None])
     terms = np.exp(grid)
     dropped = grid.real < floor
     assert dropped.any()
@@ -609,7 +638,8 @@ def _overflow_band_inputs(rng) -> list[tuple]:
 def test_certain_overflow_is_raised_without_summing(monkeypatch):
     """Where the window admits an overflow and one term must overflow,
     theta_eval raises NonFiniteSum without a kernel call, and summing that
-    window (_summed) gives a non-finite value, so no finite value is lost.
+    window (lattice_sum) gives a non-finite value, so no finite value is
+    lost.
     Every input gives a finite value, RadiusExceeded or NonFiniteSum,
     without numpy's warnings (raised here as errors); the test fires on
     every peak of modulus exp(1e100) within 0.3 of a lattice point."""
@@ -644,8 +674,11 @@ def test_certain_overflow_is_raised_without_summing(monkeypatch):
                 outcomes["certain"] += 1
                 assert isinstance(value, NonFiniteSum) and calls == []
                 assert "overflows" in str(value) and str(ch) in str(value)
-                assert not cmath.isfinite(
-                    theta_core._summed(z, tau, window, a2, c2, b2, d2))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    summed = lattice_sum(a2, c2, z.x + b2, z.y + d2,
+                                         tau.tau1, tau.tau2, tau.tau12,
+                                         window[0], floor=window[1])
+                assert not cmath.isfinite(summed)
             elif isinstance(value, NonFiniteSum):
                 outcomes["summed overflow"] += 1
                 assert calls == [window[0]]
