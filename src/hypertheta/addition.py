@@ -32,11 +32,12 @@ the ones the C rows read (constant_chars), and its guard against a
 degenerate tau is the C rows' own lhs coefficients (near_singular).  It
 reads none of D1..D16, whose root forms identity_catalog checks.
 
-Direct sums take theta_core's one row layout, KernelBatch, so each is
+Direct sums take theta_core's one batched path, KernelBatch, so each is
 theta_eval's bit for bit: constants_vector, f_vector's numerators and
 doubled_values_direct are one theta_values call each, and verify_addition
-sums the 117 series of each sample of a block in one batch (_block),
-leaving only a sample's three normalizers to theta_eval.
+windows the six windows of each sample of a block in one
+truncation_windows call and sums their 117 series in one KernelBatch call
+(_block), leaving only a sample's three normalizers to theta_eval.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import accumulate
 from typing import Mapping
 
 import numpy as np
@@ -71,10 +72,11 @@ from .theta_core import (
     PrecisionPolicy,
     Scale,
     ThetaCharacteristic,
+    Windows,
     double_periods,
     theta_eval,
     theta_values,
-    truncation_window,
+    truncation_windows,
 )
 
 DIVISOR_THRESHOLD = 1e-10
@@ -505,39 +507,46 @@ def _finish(values: list, tau: PeriodMatrix, z1: EvalPoint, z2: EvalPoint,
 
 def _block(rng: np.random.Generator, count: int,
            pol: PrecisionPolicy) -> tuple[list, dict | None]:
-    """Up to count samples drawn ahead, assuming no redraw, windowed, and
-    summed in one KernelBatch call, then finished in order: the outputs of
-    the samples finished, and the RNG state before the first sample not
-    finished (None when all count are).  That sample is the first whose
-    drawing or windowing raises, or whose sums are not all finite, or
-    which _finish refuses."""
-    states, draws, windows = [], [], []
+    """Up to count samples drawn ahead, assuming no redraw, windowed by one
+    truncation_windows call, summed in one KernelBatch call, then finished
+    in order: the outputs of the samples finished, and the RNG state before
+    the first sample not finished (None when all count are).  That sample
+    is the first whose drawing raises or one of whose windows fails, or
+    whose sums are not all finite, or which _finish refuses."""
+    states, draws, rows = [], [], []
     for _ in range(count):
         states.append(rng.bit_generator.state)
         try:
             tau = sample_tau(rng)
             z1, z2 = sample_point(rng), sample_point(rng)
             dbl = double_periods(tau)
-            sample = [
-                (z, t, *truncation_window(z, t, pol.eps_tail, pol.max_radius))
-                for z, t in ((ORIGIN, dbl), (z1, tau), (z2, tau),
-                             (z1 + z2, tau), (z1.scaled(2), dbl),
-                             (z2.scaled(2), dbl))]
+            sample = [(z.x, z.y, t.tau1, t.tau2, t.tau12, t is dbl)
+                      for z, t in ((ORIGIN, dbl), (z1, tau), (z2, tau),
+                                   (z1 + z2, tau), (z1.scaled(2), dbl),
+                                   (z2.scaled(2), dbl))]
         except Exception:
             # _one_sample replays this draw and raises what it raises, or
             # redraws first; nothing is raised from a draw made ahead.
             break
         draws.append((tau, z1, z2))
-        windows.extend(sample)
+        rows.extend(sample)
+    if draws:
+        windows, errors = truncation_windows(
+            *map(np.array, zip(*rows)), pol.eps_tail, pol.max_radius)
+        del draws[min(errors, default=len(rows)) // 6:]
     if not draws:
         return [], states[0]
 
-    values = _block_rows().values(windows, strict=False)
+    batch = _block_rows()
+    values = batch.values(Windows(*(v[:6 * len(draws)] for v in windows)),
+                          strict=False)
+    ends = list(accumulate(batch.sizes, initial=0))
     done = []
     for j, (tau, z1, z2) in enumerate(draws):
-        sample = values[6 * j:6 * j + 6]
-        out = (all(map(cmath.isfinite, chain.from_iterable(sample)))
-               and _finish(sample, tau, z1, z2, pol))
+        sample = values[ends[-1] * j:ends[-1] * (j + 1)]
+        out = (all(map(cmath.isfinite, sample))
+               and _finish([sample[lo:hi] for lo, hi in zip(ends, ends[1:])],
+                           tau, z1, z2, pol))
         if not out:
             return done, states[j]
         done.append(out)

@@ -20,6 +20,10 @@ The catalog covers four layers that build on each other:
   * root forms: the D-entries also carry the printed square-root
     expressions, checked by a per-radical sign search (match_signs).
 
+The verifier sums the distinct reduced characteristics of each (argument,
+scale) group, the tables of one KernelBatch, at windows from one
+truncation_windows call per sample: theta_eval's values, bit for bit.
+
 Identity ids are catalog keys; suspected misprints in the source tables are
 encoded in the mathematically coherent reading and flagged (see each
 entry's `flags`), never silently patched: the numeric verification is what
@@ -34,6 +38,7 @@ import hashlib
 import json
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -52,15 +57,11 @@ from .theta_core import (
     NonFiniteSum,
     PeriodMatrix,
     PrecisionPolicy,
-    RadiusExceeded,
     Scale,
     ThetaCharacteristic,
+    Windows,
     double_periods,
-    kernel_rows,
-    lambda_min,
-    sums_by_radius,
-    truncation_window,
-    windows_for,
+    truncation_windows,
 )
 
 ENV_CATALOG = "HYPERTHETA_CATALOG"
@@ -115,15 +116,6 @@ class ThetaFactor:
     ch: ThetaCharacteristic
     arg: ArgSelector
     scale: Scale
-
-    @cached_property
-    def _code(self) -> int:
-        """What decides the factor's value, as one integer: its group code
-        ((coeff1 + 1)*4 + coeff2 + 1)*2 + doubled, times 1024, plus the
-        characteristic's _code; computed once per object."""
-        group = ((self.arg.coeff1 + 1) * 4 + self.arg.coeff2 + 1) * 2 \
-            + (self.scale is Scale.DOUBLED)
-        return group * 1024 + self.ch._code
 
     def as_json(self) -> dict:
         return {"ch": self.ch.as_json(), "arg": self.arg.as_json(),
@@ -953,12 +945,14 @@ def evaluate_identity(idty: Identity, s: SampleAssignment,
                       pol: PrecisionPolicy = DEFAULT_POLICY) -> ResidualReport:
     """Compute both sides by direct summation and report the residual.
 
-    The one-pair case of verify_catalog's block evaluation: each distinct
-    factor of the sample is summed once, for lhs and rhs together; a
-    factor's value is decided by its reduced characteristic (_kernel),
-    argument selector and scale.  Of the factors' (argument, scale) groups,
-    in order of first appearance, the first whose inputs are invalid, whose
-    radius is exceeded or whose sum overflows raises its exception here.
+    The one-pair case of verify_catalog's evaluation (_evaluate): each
+    distinct factor of the sample is summed once, for lhs and rhs
+    together, in one KernelBatch call; a factor's value is decided by its
+    reduced characteristic (_kernel), argument selector and scale.  Of the
+    factors' (argument, scale) groups, in order of first appearance, the
+    first whose inputs are invalid, whose radius is exceeded or whose sum
+    overflows raises its exception here, truncation_window's or
+    theta_eval's class and text.
     No theta value is kept between calls.  OnePoint identities ignore p2 and
     ConstantsOnly identities ignore both points by construction (their
     selectors never touch the ignored point).
@@ -971,153 +965,89 @@ def evaluate_identity(idty: Identity, s: SampleAssignment,
 
 class _Fragment(NamedTuple):
     """One identity compiled.  A group is one distinct (argument, scale) of
-    its factors and a row one distinct reduced characteristic of a group
-    (one ThetaFactor._code), both in order of first appearance; each side's
-    terms are (coefficient, rows of its factors).  Groups and rows are
-    numbered from 0 within the identity."""
+    its factors and a row one distinct reduced characteristic (_kernel) of
+    a group, both in order of first appearance; the rows are numbered group
+    after group, from 0 within the identity, and each side's terms are
+    (coefficient, rows of its factors)."""
 
-    groups: tuple[int, ...]     # per group, its code (ThetaFactor._code >> 10)
-    group: tuple[int, ...]      # per row, its group
-    codes: tuple[int, ...]      # per row, its ThetaFactor._code
-    chars: tuple[ThetaCharacteristic, ...]   # per row, as first written
+    groups: np.ndarray          # (3, g) per group coeff1, coeff2, doubled
+    batch: KernelBatch          # one table per group: its rows
     sides: tuple[tuple, tuple]  # lhs, rhs terms
 
 
 def _fragment(idty: Identity) -> _Fragment:
-    """One pass over the identity's factors, keyed by their integer _code."""
-    groups, group, codes, chars = [], [], [], []
-    seen_groups: dict[int, int] = {}
-    seen_rows: dict[int, int] = {}
-    sides = ([], [])
-    for terms, out in zip((idty.lhs, idty.rhs), sides):
-        for t in terms:
-            positions = []
-            for f in t.factors:
-                code = f._code
-                row = seen_rows.setdefault(code, len(codes))
-                if row == len(codes):
-                    g = seen_groups.setdefault(code >> 10, len(groups))
-                    if g == len(groups):
-                        groups.append(code >> 10)
-                    group.append(g)
-                    codes.append(code)
-                    chars.append(f.ch)
-                positions.append(row)
-            out.append((t.coefficient, tuple(positions)))
-    return _Fragment(tuple(groups), tuple(group), tuple(codes), tuple(chars),
-                     (tuple(sides[0]), tuple(sides[1])))
+    """The identity's factors keyed by argument, scale and _kernel."""
+    tables: dict[tuple, dict] = {}
+    for t in (*idty.lhs, *idty.rhs):
+        for f in t.factors:
+            tables.setdefault((f.arg, f.scale), {}).setdefault(f.ch._kernel,
+                                                               f.ch)
+    rows = {}
+    for group, table in tables.items():
+        for kernel in table:
+            rows[group, kernel] = len(rows)
+    sides = tuple(tuple((t.coefficient, tuple(rows[(f.arg, f.scale),
+                                                    f.ch._kernel]
+                                              for f in t.factors))
+                        for t in terms) for terms in (idty.lhs, idty.rhs))
+    return _Fragment(
+        np.array([(arg.coeff1, arg.coeff2, scale is Scale.DOUBLED)
+                  for arg, scale in tables], dtype=int).T,
+        KernelBatch.of([table.values() for table in tables.values()]), sides)
 
 
 class _Program(NamedTuple):
-    """Identities compiled to flat arrays: their fragments (_Fragment) one
-    after another, groups and rows numbered across all of them."""
+    """Identities compiled: their fragments (_Fragment) one after another,
+    groups and rows numbered across all of them, and one KernelBatch whose
+    tables are the groups'."""
 
     identities: list[Identity]
     first_group: list[int]      # per identity, then the number of groups
-    first_row: list[int]        # per identity, then the number of rows
+    first_row: list[int]        # per group, then the number of rows
     draw: np.ndarray            # (G,) the identity, so the draw, of a group
     coeffs: np.ndarray          # (2, G) the argument's coefficients of p1, p2
     scale: np.ndarray           # (G,) 0 for base, 1 for doubled periods
-    group: np.ndarray           # (R,) the group of a row
-    offsets: np.ndarray         # (4, R) a/2, c/2, b/2, d/2 of the reduced form
-    phase: np.ndarray           # (R,) the reduction phase
-    chars: list[ThetaCharacteristic]   # (R,) as first written
+    batch: KernelBatch
 
 
 def _compile(identities: list[Identity]) -> _Program:
     """The identities' fragments, each compiled once per Identity object
-    (Identity._compiled), concatenated: a fragment's group numbers are
-    shifted by its first group; the arrays are decoded from the codes."""
+    (Identity._compiled), concatenated into one program."""
     fragments = [idty._compiled for idty in identities]
-    first_group = list(accumulate((len(f.groups) for f in fragments),
+    first_group = list(accumulate((len(f.batch.sizes) for f in fragments),
                                   initial=0))
-    first_row = list(accumulate((len(f.codes) for f in fragments),
-                                initial=0))
-    starts = np.array(first_group[:-1], dtype=int)
-    draw = np.repeat(np.arange(len(fragments)), np.diff(first_group))
-    group = np.repeat(starts, np.diff(first_row)) + np.array(
-        [g for f in fragments for g in f.group], dtype=int)
-    groups = np.array([c for f in fragments for c in f.groups], dtype=int)
-    offsets, phase = kernel_rows(
-        np.array([c for f in fragments for c in f.codes], dtype=int) & 1023)
-    return _Program(identities, first_group, first_row, draw,
-                    np.array([(groups >> 3) - 1, (groups >> 1 & 3) - 1],
-                             dtype=complex),
-                    groups & 1, group, offsets, phase,
-                    [ch for f in fragments for ch in f.chars])
-
-
-class _Block(NamedTuple):
-    """One draw of each identity of a program, per group: the argument
-    (x, y), the periods, and the certified radius and drop floor
-    (windows_for), radius 0 where the group fails before summing, with its
-    exception in errors."""
-
-    x: np.ndarray
-    y: np.ndarray
-    tau1: np.ndarray
-    tau2: np.ndarray
-    tau12: np.ndarray
-    radius: np.ndarray
-    floor: np.ndarray
-    errors: dict[int, Exception]
-
-
-def _block(prog: _Program, d: Draws, pol: PrecisionPolicy) -> _Block:
-    """Arguments, periods, radii and floors of all groups.  The periods of
-    each draw, base and doubled, are checked once, by lambda_min, whose NaN
-    marks invalid periods, and the arguments as arrays, and windowed by one
-    windows_for call; a group that fails a check or the radius gets
-    truncation_window's exception on its own PeriodMatrix and EvalPoint."""
-    g, c1, c2 = prog.draw, *prog.coeffs
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = c1 * d.x1[g] + c2 * d.x2[g]
-        y = c1 * d.y1[g] + c2 * d.y2[g]
-        periods = [np.stack((t, 2 * t)) for t in (d.tau1, d.tau2, d.tau12)]
-    # lambda_min stays math arithmetic, which numpy's hypot does not
-    # reproduce bit for bit: once per draw and scale.
-    lam = np.array([list(map(lambda_min, *(t[k].tolist() for t in periods)))
-                    for k in (0, 1)])[prog.scale, g]
-    valid = ~np.isnan(lam) & np.isfinite(x) & np.isfinite(y)
-    rho = np.maximum(np.abs(x.imag), np.abs(y.imag))
-    tau1, tau2, tau12 = (t[prog.scale, g] for t in periods)
-    radii, floors = windows_for(lam, rho, pol.eps_tail, pol.max_radius)
-    radii[~valid], floors[~valid], errors = 0, -math.inf, {}
-    for k in np.flatnonzero(radii == 0).tolist():
-        tau = PeriodMatrix(complex(tau1[k]), complex(tau2[k]),
-                           complex(tau12[k]), list(Scale)[prog.scale[k]])
-        try:
-            radii[k], floors[k] = truncation_window(
-                EvalPoint(complex(x[k]), complex(y[k])), tau, pol.eps_tail,
-                pol.max_radius)
-        except (ValueError, ArithmeticError, RadiusExceeded) as exc:
-            errors[k] = exc
-    return _Block(x, y, tau1, tau2, tau12, radii, floors, errors)
+    batch = KernelBatch.join(f.batch for f in fragments)
+    *coeffs, scale = np.concatenate([f.groups for f in fragments], axis=1)
+    return _Program(identities, first_group,
+                    list(accumulate(batch.sizes, initial=0)),
+                    np.repeat(np.arange(len(fragments)), np.diff(first_group)),
+                    np.array(coeffs, dtype=complex), scale, batch)
 
 
 def _evaluate(prog: _Program, d: Draws, index: int,
               pol: PrecisionPolicy) -> list:
     """For each identity of prog at its row of d, its ResidualReport, or the
-    exception of its first failing group.  The rows of all groups that
-    reach summation go to one sums_by_radius call, under np.errstate, as
-    an overflow is its group's NonFiniteSum; the side products and the
-    comparison stay Python arithmetic, in the catalog's order."""
-    b = _block(prog, d, pol)
-    radius = b.radius[prog.group]
-    rows = np.flatnonzero(radius)
-    g = prog.group[rows]
-    a2, c2, b2, d2 = prog.offsets[:, rows]
+    exception of its first failing group.  Each group's argument and
+    periods are formed as arrays and windowed by one truncation_windows
+    call, and all groups are summed by one KernelBatch call; a group whose
+    window fails is not summed, and a group with a non-finite sum gets the
+    NonFiniteSum of its first such characteristic.  The side products and
+    the comparison stay Python arithmetic, in the catalog's order."""
+    g, c1, c2 = prog.draw, *prog.coeffs
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = sums_by_radius(a2, c2, b.x[g] + b2, b.y[g] + d2, b.tau1[g],
-                              b.tau2[g], b.tau12[g], radius[rows],
-                              floors=b.floor[g])
-        values = np.zeros(len(prog.group), dtype=complex)
-        values[rows] = sums * prog.phase[rows]
-    errors = b.errors
-    for k in np.flatnonzero(~np.isfinite(sums)).tolist():
-        errors.setdefault(int(g[k]), NonFiniteSum(
-            f"theta{prog.chars[rows[k]]} sum overflows to {complex(sums[k])}"))
-    values = values.tolist()
+        x = c1 * d.x1[g] + c2 * d.x2[g]
+        y = c1 * d.y1[g] + c2 * d.y2[g]
+        periods = [np.stack((t, 2 * t))[prog.scale, g]
+                   for t in (d.tau1, d.tau2, d.tau12)]
+    windows, errors = truncation_windows(x, y, *periods, prog.scale,
+                                         pol.eps_tail, pol.max_radius)
+    values = prog.batch.values(windows, strict=False)
+    if not cmath.isfinite(sum(values)):  # a failed window or an overflow
+        for k, value in enumerate(values):
+            if not cmath.isfinite(value):
+                errors.setdefault(bisect_right(prog.first_row, k) - 1,
+                                  NonFiniteSum(f"theta{prog.batch.chars[k]} "
+                                               f"sum overflows to {value}"))
     out = []
     for i, idty in enumerate(prog.identities):
         first, stop = prog.first_group[i:i + 2]
@@ -1127,7 +1057,7 @@ def _evaluate(prog: _Program, d: Draws, index: int,
             out.append(error)
             continue
         lhs, rhs = idty._compiled.sides
-        own = values[prog.first_row[i]:prog.first_row[i + 1]]
+        own = values[prog.first_row[first]:prog.first_row[stop]]
         out.append(ResidualReport.compare(idty.id, index, _side(lhs, own),
                                           _side(rhs, own), pol.rel_tol,
                                           pol.abs_tol))
@@ -1152,12 +1082,13 @@ def verify_catalog(n_samples: int = 100, seed: int = 0,
                    only: set[str] | None = None) -> list[ResidualReport]:
     """Evaluate every identity at n_samples fresh draws.
 
-    The selected identities' compiled fragments are concatenated into flat
-    arrays (_compile); each Identity object is compiled once.
-    Then one sample index of all of them is evaluated at a time, as
-    arrays: their draws (draw_stream), each (argument, scale) group's
-    argument, periods and certified radius, and one kernel call per radius
-    (sums_by_radius), so the values held at once do not grow with
+    The selected identities' compiled fragments are concatenated into one
+    program (_compile), whose KernelBatch has one table per (argument,
+    scale) group; each Identity object is compiled once.  Then one sample
+    index of all of them is evaluated at a time (_evaluate): their draws
+    (draw_stream), each group's argument and periods as arrays, one
+    truncation_windows call and one KernelBatch call, which makes one
+    kernel call per radius, so the values held at once do not grow with
     n_samples.  Per-sample errors (e.g. RadiusExceeded on an extreme draw)
     become failed report rows instead of aborting the run, and leave the
     other rows of the block unchanged.  Reports come out sorted by identity
@@ -1170,6 +1101,8 @@ def verify_catalog(n_samples: int = 100, seed: int = 0,
         catalog = build_catalog()
     identities = sorted((i for i in catalog if selected(i.id, only)),
                         key=lambda i: i.id)
+    if not identities:
+        return []
     prog = _compile(identities)
     draws = draw_stream(seed, [i.id for i in identities])
     per_identity: list[list[ResidualReport]] = [[] for _ in identities]
@@ -1271,13 +1204,12 @@ def root_constants(identities: list[Identity], taus: list[PeriodMatrix],
     per tau targets first, raises NonFiniteSum."""
     targets = {k: ch for i in identities for k, ch in i._roots[0].items()}
     radicands = {k: ch for i in identities for k, ch in i._roots[1].items()}
-    windows = [(ORIGIN, p, *truncation_window(ORIGIN, p, pol.eps_tail,
-                                              pol.max_radius))
-               for tau in taus for p in (double_periods(tau), tau)]
+    windows = Windows.of([(ORIGIN, p) for tau in taus
+                          for p in (double_periods(tau), tau)], pol)
     values = iter(KernelBatch.of((targets.values(), radicands.values()))
                   .values(windows))
-    return [(dict(zip(targets, next(values))),
-             dict(zip(radicands, next(values)))) for _ in taus]
+    return [(dict(zip(targets, values)), dict(zip(radicands, values)))
+            for _ in taus]
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,12 @@ is below log((eps_tail - T(R)) / (2R+1)^2) is set to 0, so the dropped
 terms and the tail together stay below eps_tail (window_for,
 backends.lattice_sum).  windows_for runs the same scan over arrays of
 windows, bit for bit: numpy does its IEEE arithmetic, but its logs are
-math's mapped over lists, since numpy's SIMD log is not libm's.  The
+math's mapped over lists, since numpy's SIMD log is not libm's.
+
+Every batched sum takes one path: truncation_windows windows arrays of
+(z, tau) in one windows_for call, giving each window it refuses
+truncation_window's exception, and KernelBatch sums tables of
+characteristics at such windows, theta_eval's values bit for bit.  The
 characteristic quadruple is written [a c; b d]: upper row (a, c), lower
 row (b, d), column pairing (a, b) and (c, d).  Entries are exact
 rationals with denominator 1 or 2.
@@ -32,6 +37,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product
 from typing import NamedTuple
 
 import numpy as np
@@ -139,14 +145,6 @@ class ThetaCharacteristic:
         (ka, kc, kb, kd), q = self._reduction()
         return ka / 4, kc / 4, kb / 4, kd / 4, _PHASES[q]
 
-    @_memo
-    def _code(self) -> int:
-        """reduce() as one integer, two bits per doubled reduced entry and
-        two for q: (((a0*4 + c0)*4 + b0)*4 + d0)*4 + q; kernel_rows
-        decodes it."""
-        (ka, kc, kb, kd), q = self._reduction()
-        return (((ka * 4 + kc) * 4 + kb) * 4 + kd) * 4 + q
-
     def reduce(self) -> tuple["ThetaCharacteristic", complex]:
         """Canonical form with entries in [0, 2) and the exact phase unit:
         theta[self](z; tau) = phase * theta[reduced](z; tau) for all z, tau."""
@@ -165,13 +163,6 @@ class ThetaCharacteristic:
         def fmt(e: Fraction) -> str:
             return str(e.numerator) if e.denominator == 1 else f"{e.numerator}/2"
         return f"[{fmt(self.a)} {fmt(self.c)}; {fmt(self.b)} {fmt(self.d)}]"
-
-
-def kernel_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The offsets (a0/2, c0/2, b0/2, d0/2), shape (4, R), and the phases
-    of characteristics given by their _code: per row, their _kernel."""
-    offsets = (codes >> np.array([[8], [6], [4], [2]])) & 3
-    return offsets / 4, np.array(_PHASES)[codes & 3]
 
 
 def is_odd(ch: ThetaCharacteristic) -> bool:
@@ -223,8 +214,7 @@ def lambda_min(tau1: complex, tau2: complex, tau12: complex) -> float:
     """Smallest eigenvalue of the Im part of the periods, or NaN where they
     are invalid: an entry not finite, or the Im part not positive definite.
     This is the one validity test; PeriodMatrix.validate raises where it
-    gives NaN, and the catalog's blocks (identity_catalog._block) read it
-    per draw.
+    gives NaN, and truncation_windows reads it per window.
 
     The eigenvalue is the determinant over the largest one: the difference
     of half the trace and the hypot cancels when the eigenvalues are far
@@ -302,7 +292,7 @@ def truncation_radius(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
     upper-row offsets the kernel sums are reduced to [0, 1)).  Kept for
     eval's printed radius and for the benchmark, which call it in this
     form; the evaluators take their windows from truncation_window and
-    window_for."""
+    truncation_windows."""
     return truncation_window(z, tau, eps_tail, max_radius)[0]
 
 
@@ -347,18 +337,22 @@ def _window(z: EvalPoint, tau: PeriodMatrix, eps_tail: float,
 
 def _must_overflow(z: EvalPoint, tau: PeriodMatrix, radius: int,
                    a2: float, c2: float) -> bool:
-    """Whether the window's term nearest the peak of its Gaussian has a
-    modulus above sqrt(2) times the largest float, for certain.
+    """Whether one of the window's four terms around the peak of its
+    Gaussian has a modulus above sqrt(2) times the largest float, for
+    certain.
 
-    The term is v = (m + a2, n + c2), the integers m, n nearest the peak
-    v* = -(Im tau)^-1 Im(x, y) less the offsets, clipped to |m|, |n| <= R.
-    Its log-modulus -pi*v'(Im tau)v - 2*pi*Im(x, y).v is formed here in
-    real arithmetic from five pieces of total modulus s, and in the kernel
-    from complex products; each evaluation errs by a few ulps of s (at
-    most four roundings per piece and four in their sum), far below the
-    margin OVERFLOW_MARGIN*s.  The answer is False where v* is not finite
-    (i1*i2 - i12^2 overflows), and where 2s reaches the largest float, so
-    that no piece of the kernel's real part is known to stay finite."""
+    The terms are v = (m + a2, n + c2) for the four integer corners m, n of
+    the unit cell that holds the peak v* = -(Im tau)^-1 Im(x, y) less the
+    offsets, each clipped to |m|, |n| <= R.  Where Im tau is far from
+    diagonal the rounded peak need not be the largest of them.  A term's
+    log-modulus -pi*v'(Im tau)v - 2*pi*Im(x, y).v is formed here in real
+    arithmetic from five pieces of total modulus s, and in the kernel from
+    complex products; each evaluation errs by a few ulps of s (at most
+    four roundings per piece and four in their sum), far below the margin
+    OVERFLOW_MARGIN*s.  The answer is False where v* is not finite (i1*i2 -
+    i12^2 overflows), and a term counts only where 2s stays below the
+    largest float, so that no piece of the kernel's real part can
+    overflow."""
     y1, y2, y12 = tau.tau1.imag, tau.tau2.imag, tau.tau12.imag
     w1, w2 = z.x.imag, z.y.imag
     det = y1 * y2 - y12 * y12
@@ -366,14 +360,18 @@ def _must_overflow(z: EvalPoint, tau: PeriodMatrix, radius: int,
     p2 = (y12 * w1 - y1 * w2) / det - c2
     if not (math.isfinite(p1) and math.isfinite(p2)):
         return False
-    m = min(max(round(p1), -radius), radius) + a2
-    n = min(max(round(p2), -radius), radius) + c2
-    pieces = (math.pi * y1 * m * m, math.pi * y2 * n * n,
-              2.0 * math.pi * y12 * m * n, 2.0 * math.pi * w1 * m,
-              2.0 * math.pi * w2 * n)
-    s = sum(map(abs, pieces))
-    return (2.0 * s < math.inf
-            and -sum(pieces) > _LOG_MAX + 0.5 * _LOG2 + OVERFLOW_MARGIN * s)
+    for m, n in product((math.floor(p1), math.ceil(p1)),
+                        (math.floor(p2), math.ceil(p2))):
+        m = min(max(m, -radius), radius) + a2
+        n = min(max(n, -radius), radius) + c2
+        pieces = (math.pi * y1 * m * m, math.pi * y2 * n * n,
+                  2.0 * math.pi * y12 * m * n, 2.0 * math.pi * w1 * m,
+                  2.0 * math.pi * w2 * n)
+        s = sum(map(abs, pieces))
+        if (2.0 * s < math.inf and -sum(pieces)
+                > _LOG_MAX + 0.5 * _LOG2 + OVERFLOW_MARGIN * s):
+            return True
+    return False
 
 
 _LOG2 = math.log(2.0)
@@ -516,8 +514,8 @@ def theta_eval(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
     together below pol.eps_tail; raises NonFiniteSum where the terms
     overflow.
 
-    Where the window admits an overflow (_window), one term is tested
-    first, and where its modulus must exceed sqrt(2) times the largest
+    Where the window admits an overflow (_window), four terms are tested
+    first, and where one's modulus must exceed sqrt(2) times the largest
     float (_must_overflow) NonFiniteSum is raised without summing.  The
     sum would raise it too: the term lies in the window, and above the
     drop floor, which is below log eps_tail and so below log of the
@@ -554,23 +552,66 @@ def theta_values(chars, z: EvalPoint, tau: PeriodMatrix,
     chars = tuple(chars)
     if not chars:
         return []
-    radius, floor = truncation_window(z, tau, pol.eps_tail, pol.max_radius)
-    return KernelBatch.of([chars]).values([(z, tau, radius, floor)])[0]
+    return KernelBatch.of([chars]).values(Windows.of([(z, tau)], pol))
 
 
-def sums_by_radius(a2, c2, xs, ys, tau1, tau2, tau12, radii, *,
-                   floors) -> np.ndarray:
-    """lattice_sum of every row (arrays of shape (C,), tau and floor given
-    per row) at its own radius, bit for bit: the rows that share a radius
-    are summed in one kernel call.  Each window is reduced on its own, so a
-    row's sum does not depend on the other rows of its call."""
-    sums = np.empty(len(radii), dtype=complex)
-    for radius in set(radii.tolist()):
-        rows = np.flatnonzero(radii == radius)
-        sums[rows] = lattice_sum(a2[rows], c2[rows], xs[rows], ys[rows],
-                                 tau1[rows], tau2[rows], tau12[rows], radius,
-                                 floor=floors[rows])
-    return sums
+class Windows(NamedTuple):
+    """Windows as arrays, one entry per window: the argument (x, y), the
+    periods, and truncation_window's radius and drop floor, radius 0 and
+    floor -inf where it raises (truncation_windows)."""
+
+    x: np.ndarray
+    y: np.ndarray
+    tau1: np.ndarray
+    tau2: np.ndarray
+    tau12: np.ndarray
+    radius: np.ndarray
+    floor: np.ndarray
+
+    @classmethod
+    def of(cls, pairs, pol: PrecisionPolicy = DEFAULT_POLICY) -> "Windows":
+        """truncation_window of each (z, tau) pair, which raises its
+        exception: for a few windows, where windows_for's fixed cost
+        (about 100 us) would dominate."""
+        return cls(*map(np.array, zip(*(
+            (z.x, z.y, tau.tau1, tau.tau2, tau.tau12,
+             *truncation_window(z, tau, pol.eps_tail, pol.max_radius))
+            for z, tau in pairs))))
+
+
+def truncation_windows(x: np.ndarray, y: np.ndarray, tau1: np.ndarray,
+                       tau2: np.ndarray, tau12: np.ndarray, doubled,
+                       eps_tail: float = DEFAULT_POLICY.eps_tail,
+                       max_radius: int = DEFAULT_POLICY.max_radius
+                       ) -> tuple[Windows, dict[int, Exception]]:
+    """truncation_window of each window, bit for bit, for complex arrays
+    x, y and periods, one entry per window (doubled: whose periods are
+    doubled): the Windows, and by index the exception of each window it
+    refuses, class and text.  The periods are checked by lambda_min (NaN
+    where invalid), the arguments by isfinite, and all are windowed by one
+    windows_for call; only the refused windows go to truncation_window."""
+    # lambda_min, math arithmetic, once per run of windows with equal
+    # periods (a draw's groups of one scale are consecutive).
+    new = np.ones(len(tau1), dtype=bool)
+    new[1:] = ((tau1[1:] != tau1[:-1]) | (tau2[1:] != tau2[:-1])
+               | (tau12[1:] != tau12[:-1]))
+    lam = np.fromiter(map(lambda_min, tau1[new].tolist(), tau2[new].tolist(),
+                          tau12[new].tolist()), float)[np.cumsum(new) - 1]
+    valid = ~np.isnan(lam) & np.isfinite(x) & np.isfinite(y)
+    rho = np.maximum(np.abs(x.imag), np.abs(y.imag))
+    radii, floors = windows_for(lam, rho, eps_tail, max_radius)
+    radii[~valid], floors[~valid], errors = 0, -math.inf, {}
+    for k in np.flatnonzero(radii == 0).tolist():
+        tau = PeriodMatrix(complex(tau1[k]), complex(tau2[k]),
+                           complex(tau12[k]),
+                           Scale.DOUBLED if doubled[k] else Scale.BASE)
+        try:
+            radii[k], floors[k] = truncation_window(
+                EvalPoint(complex(x[k]), complex(y[k])), tau, eps_tail,
+                max_radius)
+        except (ValueError, ArithmeticError, RadiusExceeded) as exc:
+            errors[k] = exc
+    return Windows(x, y, tau1, tau2, tau12, radii, floors), errors
 
 
 class KernelBatch(NamedTuple):
@@ -580,41 +621,52 @@ class KernelBatch(NamedTuple):
 
     chars: tuple[ThetaCharacteristic, ...]
     offsets: np.ndarray                # (4, C): a2, c2, b2, d2
-    phases: list[complex]
+    phases: np.ndarray                 # (C,)
     sizes: list[int]
 
     @classmethod
     def of(cls, tables) -> "KernelBatch":
         chars = tuple(ch for chars in tables for ch in chars)
         *offsets, phases = zip(*(ch._kernel for ch in chars))
-        return cls(chars, np.array(offsets), list(phases),
+        return cls(chars, np.array(offsets), np.array(phases),
                    [len(chars) for chars in tables])
 
-    def values(self, windows, strict: bool = True) -> list[list[complex]]:
-        """The values of each table at its windows, one list per window:
-        windows holds one (z, tau, radius, floor) per table per
-        repetition, in table order.  All rows go to one sums_by_radius
-        call under np.errstate and are phased as theta_eval phases them,
-        so each value is theta_eval's bit for bit.  A non-finite sum
-        raises NonFiniteSum naming the first such characteristic, in
-        order, with its unphased sum; with strict False it is kept."""
-        n = len(windows) // len(self.sizes)
-        sizes = self.sizes * n
-        at = np.repeat(np.arange(len(windows)), sizes)
-        x, y, tau1, tau2, tau12, radii, floors = (
-            np.array(column)[at] for column in zip(*(
-                (z.x, z.y, t.tau1, t.tau2, t.tau12, radius, floor)
-                for z, t, radius, floor in windows)))
+    @classmethod
+    def join(cls, batches) -> "KernelBatch":
+        """The tables of batches, one after another."""
+        batches = list(batches)
+        return cls(tuple(chain.from_iterable(b.chars for b in batches)),
+                   np.concatenate([b.offsets for b in batches], axis=1),
+                   np.concatenate([b.phases for b in batches]),
+                   list(chain.from_iterable(b.sizes for b in batches)))
+
+    def values(self, windows: Windows, strict: bool = True) -> list[complex]:
+        """The values of each table at its windows, window after window:
+        windows holds one window per table per repetition, in table order.
+        The rows that share a radius are summed in one kernel call, under
+        np.errstate, and each window is reduced on its own; the sums are
+        phased by their exact units as theta_eval phases them, so each
+        value is theta_eval's bit for bit.  The rows of a window of radius
+        0 (refused) are not summed and read NaN.  A non-finite sum raises
+        NonFiniteSum naming the first such characteristic, in order, with
+        its unphased sum; with strict False it is kept, unphased."""
+        n = len(windows.radius) // len(self.sizes)
+        at = np.repeat(np.arange(len(windows.radius)), self.sizes * n)
+        x, y, tau1, tau2, tau12, radii, floors = (v[at] for v in windows)
         a2, c2, b2, d2 = np.tile(self.offsets, n)
+        sums = np.full(len(at), complex("nan"))
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = sums_by_radius(a2, c2, x + b2, y + d2, tau1, tau2, tau12,
-                                  radii, floors=floors).tolist()
-        # Any non-finite sum makes the total non-finite; a total that
-        # overflows from finite sums only costs the per-value check.
-        if strict and not cmath.isfinite(sum(sums)):
-            for ch, value in zip(self.chars * n, sums):
-                if not cmath.isfinite(value):
-                    raise NonFiniteSum(f"theta{ch} sum overflows to {value}")
-        values = [p * v for p, v in zip(self.phases * n, sums)]
-        ends = np.cumsum([0, *sizes]).tolist()
-        return [values[lo:hi] for lo, hi in zip(ends, ends[1:])]
+            xs, ys = x + b2, y + d2
+            for radius in set(windows.radius.tolist()) - {0}:
+                rows = np.flatnonzero(radii == radius)
+                sums[rows] = lattice_sum(
+                    a2[rows], c2[rows], xs[rows], ys[rows], tau1[rows],
+                    tau2[rows], tau12[rows], radius, floor=floors[rows])
+            finite = np.isfinite(sums)
+            np.multiply(sums, np.tile(self.phases, n), out=sums, where=finite)
+        values = sums.tolist()
+        if strict and not finite.all():
+            k = int(np.argmin(finite))
+            raise NonFiniteSum(f"theta{self.chars[k % len(self.chars)]} sum "
+                               f"overflows to {values[k]}")
+        return values

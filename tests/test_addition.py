@@ -178,28 +178,29 @@ def test_f_vector_divisor_hit_sums_no_numerator(monkeypatch):
 
 def test_verify_addition_sums_a_block_in_one_kernel_batch(monkeypatch):
     """Ten samples without a redraw: 30 normalizer theta_eval calls (three
-    per sample) and one sums_by_radius call of 117 rows per sample, so the
-    lattice_sum calls are 30 plus the block's distinct radii."""
+    per sample) and one KernelBatch.values call of 117 rows per sample, so
+    the lattice_sum calls are 30 plus the block's distinct radii."""
     seen = _counted_kernel(monkeypatch, addition)
     normalizers = []
     batches = []
-    sums_by_radius = theta_core.sums_by_radius
+    values = theta_core.KernelBatch.values
 
     def normalizer(ch, *args):
         normalizers.append(ch)
         return theta_core.theta_eval(ch, *args)
 
-    def by_radius(*args, floors):
-        batches.append(args[-1])  # the radii
-        return sums_by_radius(*args, floors=floors)
+    def batch(self, windows, **kwargs):
+        out = values(self, windows, **kwargs)
+        batches.append((windows.radius, len(out)))
+        return out
 
     monkeypatch.setattr(addition, "theta_eval", normalizer)
-    monkeypatch.setattr(theta_core, "sums_by_radius", by_radius)
+    monkeypatch.setattr(theta_core.KernelBatch, "values", batch)
     run = verify_addition(10, 7208)
     assert (run.tau_redraws, run.point_redraws) == (0, 0)
     assert normalizers == [ThetaCharacteristic.of(0, 0, 0, 0)] * 30
-    (radii,) = batches
-    assert len(radii) == 1170
+    ((radii, rows),) = batches
+    assert rows == 1170
     assert seen["theta_values"] == []
     assert seen["lattice_sum"] == 30 + len(set(radii.tolist()))
 
@@ -476,17 +477,29 @@ def test_block_replays_redraws_one_sample_at_a_time(monkeypatch):
     assert _outputs(run) == _outputs(_one_at_a_time(20, 3))
 
 
-def test_block_raises_what_one_sample_at_a_time_raises():
-    """max_radius 6 fails at a sample after the first of seed 0: the same
-    exception, with the same text, as the oracle's."""
+def test_block_raises_what_one_sample_at_a_time_raises(monkeypatch):
+    """max_radius 6 fails at a sample after the first of seed 0: the
+    block's windowing refuses a window of sample 1, and the same exception,
+    with the same text, as the oracle's is raised; both are pinned."""
     pol = PrecisionPolicy(max_radius=6)
     assert verify_addition(1, 0, pol).all_passed
     with pytest.raises(theta_core.RadiusExceeded) as oracle:
         _one_at_a_time(10, 0, pol)
+    refused = []
+
+    def windowed(*args):
+        out = theta_core.truncation_windows(*args)
+        refused.append(min(out[1]) // 6)
+        return out
+
+    monkeypatch.setattr(addition, "truncation_windows", windowed)
     with pytest.raises(theta_core.RadiusExceeded) as got:
         verify_addition(10, 0, pol)
+    assert refused == [1]
     assert type(got.value) is type(oracle.value)
-    assert str(got.value) == str(oracle.value)
+    assert str(got.value) == str(oracle.value) == (
+        "tail target 1e-14 unreachable within radius 6 "
+        "(lambda_min=0.387, rho=0.279)")
 
 
 def test_addition_outputs_are_pinned(monkeypatch):

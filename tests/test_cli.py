@@ -268,23 +268,23 @@ def test_verify_small_run_is_byte_pinned(tmp_path, capsys):
 
 def test_sign_details_sum_each_constant_once_per_draw(monkeypatch):
     """A default verify's sign resolutions sum the 16 targets and 10 base
-    constants once per draw, the three draws' 78 sums in one sums_by_radius
-    call (384 through resolve_sign), and give the records resolve_sign
-    gives."""
+    constants once per draw, the three draws' 78 sums in one
+    KernelBatch.values call (384 through resolve_sign), and give the
+    records resolve_sign gives."""
     calls = []
-    sums_by_radius = theta_core.sums_by_radius
+    values = theta_core.KernelBatch.values
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return sums_by_radius(*args, **kwargs)
+        calls.append(values(*args, **kwargs))
+        return calls[-1]
 
-    monkeypatch.setattr(theta_core, "sums_by_radius", counted)
+    monkeypatch.setattr(theta_core.KernelBatch, "values", counted)
     catalog = build_catalog()
     d_ids = sorted(i.id for i in catalog if i.root_form)
     details = cli._sign_resolution_details(d_ids, 0, DEFAULT_POLICY, catalog)
     (call,) = calls
-    assert len(call[0]) == 3 * (16 + 10)
-    monkeypatch.setattr(theta_core, "sums_by_radius", sums_by_radius)
+    assert len(call) == 3 * (16 + 10)
+    monkeypatch.setattr(theta_core.KernelBatch, "values", values)
     rng = make_rng(0, "sign-resolution")
     want = []
     for trial in range(3):
@@ -341,17 +341,16 @@ def test_sign_details_equal_the_per_trial_path():
 
 def test_verify_sums_the_sign_trials_in_one_kernel_batch(tmp_path,
                                                          monkeypatch, capsys):
-    """A whole verify run makes one sums_by_radius call for the sign
-    search, through KernelBatch.values, whatever its catalog and addition
-    blocks make."""
+    """A whole verify run makes one KernelBatch.values call for the sign
+    search, whatever its catalog and addition blocks make."""
     callers = []
-    sums_by_radius = theta_core.sums_by_radius
+    values = theta_core.KernelBatch.values
 
     def counted(*args, **kwargs):
-        callers.append(sys._getframe(2).f_code.co_name)
-        return sums_by_radius(*args, **kwargs)
+        callers.append(sys._getframe(1).f_code.co_name)
+        return values(*args, **kwargs)
 
-    monkeypatch.setattr(theta_core, "sums_by_radius", counted)
+    monkeypatch.setattr(theta_core.KernelBatch, "values", counted)
     code, _, report, _ = _run_verify(tmp_path, capsys)
     assert code == 0
     assert callers.count("root_constants") == 1

@@ -354,19 +354,19 @@ def test_verify_catalog_deterministic():
 
 def test_each_distinct_factor_summed_once_per_sample(monkeypatch):
     """A factor repeated within one identity at one sample is summed once.
-    Each sample index of all identities is one sums_by_radius call, which
-    makes one kernel call per truncation radius among its rows, and each
-    kernel call sums its rows one GRID_POINTS slice at a time."""
+    Each sample index of all identities is one KernelBatch.values call,
+    which makes one kernel call per truncation radius among its windows,
+    and each kernel call sums its rows one GRID_POINTS slice at a time."""
     expected = [r.as_json() for r in verify_catalog(2, 0)]
     counts = {"characteristics": 0, "blocks": 0, "radius_classes": 0,
               "lattice_sum": 0, "window_sums": 0}
-    by_radius = identity_catalog.sums_by_radius
+    values = theta_core.KernelBatch.values
     kernel, window = theta_core.lattice_sum, backends._window_sums
 
-    def counted_by_radius(*args, **kwargs):
+    def counted_values(self, windows, **kwargs):
         counts["blocks"] += 1
-        counts["radius_classes"] += len(set(args[-1].tolist()))
-        return by_radius(*args, **kwargs)
+        counts["radius_classes"] += len(set(windows.radius.tolist()))
+        return values(self, windows, **kwargs)
 
     def counted_kernel(a2, *args, **kwargs):
         counts["lattice_sum"] += 1
@@ -377,7 +377,7 @@ def test_each_distinct_factor_summed_once_per_sample(monkeypatch):
         counts["window_sums"] += 1
         return window(*args)
 
-    monkeypatch.setattr(identity_catalog, "sums_by_radius", counted_by_radius)
+    monkeypatch.setattr(theta_core.KernelBatch, "values", counted_values)
     monkeypatch.setattr(theta_core, "lattice_sum", counted_kernel)
     monkeypatch.setattr(backends, "_window_sums", counted_window)
     rows = verify_catalog(2, 0)
@@ -422,17 +422,32 @@ def test_evaluate_identity_rows_are_pinned():
         "8d8578d5c094b208051e6326ff0aabc28e87e60d8ab1fd08c4e37af6f530d5c4")
 
 
+def _catalog_windows(monkeypatch, prog, draws) -> tuple:
+    """The windows and window errors of each group of prog at draws, as
+    the catalog's one truncation_windows call gives them."""
+    seen = []
+
+    def windowed(*args):
+        seen.append(theta_core.truncation_windows(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(identity_catalog, "truncation_windows", windowed)
+    identity_catalog._evaluate(prog, draws, 0, PrecisionPolicy())
+    (windows_and_errors,) = seen
+    return windows_and_errors
+
+
 @pytest.mark.parametrize("seed", range(3))
-def test_block_radii_equal_truncation_radius(seed):
-    """Every (argument, scale) group of a block, over all identities, gets
+def test_block_radii_equal_truncation_radius(seed, monkeypatch):
+    """Every (argument, scale) group of a sample, over all identities, gets
     what the scalar path gives its draw: the argument of
     ArgSelector.select (by repr), tau or double_periods(tau), and the
     radius and drop floor truncation_window(z, tau)."""
     ids = sorted(BY_ID)
     prog = identity_catalog._compile([BY_ID[i] for i in ids])
-    block = identity_catalog._block(prog, next(draw_stream(seed, ids)),
-                                    PrecisionPolicy())
-    assert not block.errors
+    block, errors = _catalog_windows(monkeypatch, prog,
+                                     next(draw_stream(seed, ids)))
+    assert not errors
     samples = [assignments_for(seed, i, 1)[0] for i in ids]
     coeffs = prog.coeffs.real.astype(int).T.tolist()
     for g, (i, (c1, c2), doubled) in enumerate(zip(

@@ -29,6 +29,7 @@ from hypertheta import (
     PeriodMatrix,
     PrecisionPolicy,
     RadiusExceeded,
+    Scale,
     ThetaCharacteristic,
     double_periods,
     is_odd,
@@ -43,7 +44,7 @@ from hypertheta.sampling import Draws, SampleAssignment, sample_tau
 from hypertheta.theta_core import (
     FLOOR_MARGIN,
     KernelBatch,
-    kernel_rows,
+    Windows,
     lambda_min,
     truncation_window,
     window_for,
@@ -223,16 +224,6 @@ def test_theta_values_equal_theta_eval_bit_for_bit(z, tau, radius):
                 == [_parts(theta_eval(ch, z, tau)) for ch in chars])
 
 
-def test_kernel_rows_decode_each_code_to_its_kernel():
-    """The integer code of every characteristic [k/2], k in [-3, 4],
-    decodes to exactly its _kernel offsets and phase."""
-    offsets, phases = kernel_rows(np.array([ch._code
-                                            for ch in _UNREDUCED_CHARS]))
-    assert ([(*row, phase) for row, phase in zip(offsets.T.tolist(),
-                                                 phases.tolist())]
-            == [ch._kernel for ch in _UNREDUCED_CHARS])
-
-
 def test_theta_values_names_the_first_overflowing_characteristic():
     """It raises without numpy's overflow warnings (raised here as errors),
     which would only repeat the exception."""
@@ -332,6 +323,13 @@ def test_scalar_kernel_equals_a_batch_of_one_to_the_sign_bit():
         theta_eval(ch, ORIGIN, phase_overflow)
 
 
+def _per_window(values: list, tables, windows: int) -> list[list]:
+    """A batch's values split into one list per window."""
+    ends = list(itertools.accumulate(
+        (len(tables[k % len(tables)]) for k in range(windows)), initial=0))
+    return [values[lo:hi] for lo, hi in zip(ends, ends[1:])]
+
+
 def test_kernel_batch_equals_theta_values_bit_for_bit():
     """A KernelBatch of three tables summed at 20 repetitions of windows,
     each at its own (z, tau) and radius (many sharing a radius and so a
@@ -341,17 +339,20 @@ def test_kernel_batch_equals_theta_values_bit_for_bit():
     rng = np.random.default_rng(11)
     tables = [[_UNREDUCED_CHARS[j] for j in rng.choice(
         len(_UNREDUCED_CHARS), size)] for size in (1, 16, 7)]
-    windows = []
+    pairs = []
     for tau in _mixed_periods(rng, 57):
         z = EvalPoint(*(complex(rng.uniform(-0.5, 0.5),
                                 rng.uniform(-0.6, 0.6)) for _ in "xy"))
-        windows.append((z, tau, *truncation_window(z, tau)))
-    windows += windows[:3]
-    radii = [radius for _, _, radius, _ in windows]
+        pairs.append((z, tau))
+    pairs += pairs[:3]
+    windows = Windows.of(pairs)
+    radii = windows.radius.tolist()
+    assert radii == [truncation_window(z, tau)[0] for z, tau in pairs]
     assert len(set(radii)) < len(radii) - 40
-    got = KernelBatch.of(tables).values(windows)
-    assert len(got) == len(windows) and got[-3:] == got[:3]
-    for k, (values, (z, tau, _, _)) in enumerate(zip(got, windows)):
+    got = _per_window(KernelBatch.of(tables).values(windows), tables,
+                      len(pairs))
+    assert len(got) == len(pairs) and got[-3:] == got[:3]
+    for k, (values, (z, tau)) in enumerate(zip(got, pairs)):
         chars = tables[k % 3]
         want = theta_values(chars, z, tau)
         assert [_parts(v) for v in values] == [_parts(v) for v in want]
@@ -368,7 +369,7 @@ def test_kernel_batch_raises_or_keeps_an_overflow():
     edge = EvalPoint(0.2 + 15.45j, 0)
     tables = (_INTEGER_CHARS[:4], _INTEGER_CHARS[::-1])
     points = (Z_G, Z_G, edge, edge)
-    windows = [(z, TAU_G, *truncation_window(z, TAU_G)) for z in points]
+    windows = Windows.of((z, TAU_G) for z in points)
     batch = KernelBatch.of(tables)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -376,7 +377,8 @@ def test_kernel_batch_raises_or_keeps_an_overflow():
             theta_values(_INTEGER_CHARS[::-1], edge, TAU_G)
         with pytest.raises(NonFiniteSum, match=r"theta\[1 1; 1 1\]") as got:
             batch.values(windows)
-        kept = batch.values(windows, strict=False)
+        kept = _per_window(batch.values(windows, strict=False), tables,
+                           len(points))
     assert str(got.value) == str(want.value)
     outcomes = {"finite": 0, "overflow": 0}
     for k, (values, z) in enumerate(zip(kept, points)):
@@ -688,6 +690,87 @@ def test_certain_overflow_is_raised_without_summing(monkeypatch):
     assert min(outcomes.values()) > 0, outcomes
 
 
+def test_certain_overflow_away_from_the_rounded_peak(monkeypatch):
+    """An input of the benchmark's theta-eval workload (seed 0, item 20,
+    op 252) whose Im tau is far from diagonal: the peak less the offsets
+    is (8.47, 3.41), the term at the rounded point (8, 3) need not
+    overflow, but the term at the corner (9, 3) must.  theta_eval raises
+    NonFiniteSum before summing, with the certain-overflow text."""
+    ch = ThetaCharacteristic.of(-1, "-3/2", "3/2", "-3/2")
+    z = EvalPoint(-0.37210546709432557 - 19.489760843332938j,
+                  -0.47046071743115325 - 14.13889687403966j)
+    tau = PeriodMatrix(0.11995928801487998 + 1.8280905489744264j,
+                       -0.06657386463477843 + 1.7901835936912267j,
+                       -0.2598161679282467 + 0.8464435689659099j)
+    radius, _, loud = theta_core._window(z, tau, DEFAULT_POLICY.eps_tail,
+                                         DEFAULT_POLICY.max_radius)
+    assert (radius, loud) == (50, True)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[7])
+        return lattice_sum(*args, **kwargs)
+
+    monkeypatch.setattr(theta_core, "lattice_sum", counted)
+    with pytest.raises(NonFiniteSum) as exc:
+        theta_eval(ch, z, tau)
+    assert str(exc.value) == ("theta[-1 -3/2; 3/2 -3/2] sum overflows: a "
+                              "term's modulus exceeds the largest float")
+    assert calls == []
+
+
+def _refusals() -> list[tuple[EvalPoint, PeriodMatrix]]:
+    """Windows truncation_window refuses, each for its own reason, and a
+    valid window of entries near 1e200; entries complex, as in an array."""
+    inf = math.inf
+    return [
+        (Z_G, PeriodMatrix(1j, 1j, 1j)),              # singular Im tau
+        (Z_G, PeriodMatrix(complex("nan"), 2j, 0j, Scale.DOUBLED)),
+        (Z_G, PeriodMatrix(1j, complex(inf, 1), 0j)),  # non-finite entry
+        (ORIGIN, PeriodMatrix(1e200j, 1e200j, 1e200j)),   # invalid
+        (ORIGIN, PeriodMatrix(1e200j, 1e200j, 0.99e200j)),  # valid
+        (EvalPoint(complex(inf, 0.1), 0.2j), TAU_G),  # finite rho, inf Re x
+        (EvalPoint(0.1 + 0j, complex(0.2, -inf)), TAU_G),
+        (EvalPoint(0j, 100j), TAU_E),                 # RadiusExceeded
+        (ORIGIN, PeriodMatrix(1e300j, 1e-300j, 0j)),  # RadiusExceeded
+    ]
+
+
+def test_truncation_windows_equal_truncation_window():
+    """truncation_windows gives every window truncation_window's radius
+    and floor, bit for bit, and where truncation_window raises, radius 0,
+    floor -inf and its exception, of the same class and text: seeded
+    windows at base and doubled periods with the refusals between them."""
+    rng = np.random.default_rng(25)
+    pairs = []
+    for tau in _mixed_periods(rng, 30):
+        z = EvalPoint(*(complex(rng.uniform(-0.5, 0.5),
+                                rng.uniform(-2.0, 2.0)) for _ in "xy"))
+        pairs += [(z, tau), (z.scaled(2), double_periods(tau))]
+    pairs[5:5] = _refusals()
+    x, y, tau1, tau2, tau12 = (np.array(column, dtype=complex) for column in
+                               zip(*((z.x, z.y, t.tau1, t.tau2, t.tau12)
+                                     for z, t in pairs)))
+    doubled = [t.scale is Scale.DOUBLED for _, t in pairs]
+    windows, errors = theta_core.truncation_windows(x, y, tau1, tau2, tau12,
+                                                    doubled)
+    refused = []
+    for k, (z, tau) in enumerate(pairs):
+        got = (windows.radius[k], float.hex(windows.floor[k]))
+        try:
+            radius, floor = truncation_window(z, tau)
+        except (ValueError, ArithmeticError, RadiusExceeded) as exc:
+            refused.append(type(exc).__name__)
+            assert got == (0, float.hex(-math.inf))
+            assert (type(errors[k]), str(errors[k])) == (type(exc), str(exc))
+            continue
+        assert k not in errors and got == (radius, float.hex(floor))
+    assert refused == ["InvalidPeriod"] * 4 + ["ValueError"] * 2 + [
+        "RadiusExceeded"] * 2
+    assert len(errors) == len(refused)
+    assert "doubled" in str(errors[6])
+
+
 def test_windows_for_equals_window_for_element_by_element():
     """windows_for gives every (lam, rho) pair window_for's radius and
     floor, bit for bit, and radius 0 with floor -inf where window_for
@@ -844,8 +927,19 @@ def test_validation_survives_overflowing_determinants():
     taus[1].validate()
     taus[2].validate()
     prog = identity_catalog._compile(identity_catalog.build_catalog()[:1])
-    errors = [identity_catalog._block(
-        prog, Draws.of([SampleAssignment(t, ORIGIN, ORIGIN, seed=0)]),
-        DEFAULT_POLICY).errors for t in taus]
+    errors = []
+    windows = theta_core.truncation_windows
+
+    def windowed(*args):
+        out = windows(*args)
+        errors.append(out[1])
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identity_catalog, "truncation_windows", windowed)
+        for t in taus:
+            identity_catalog._evaluate(prog, Draws.of(
+                [SampleAssignment(t, ORIGIN, ORIGIN, seed=0)]), 0,
+                DEFAULT_POLICY)
     assert [{type(e) for e in errs.values()} for errs in errors] \
         == [{InvalidPeriod}, set(), {RadiusExceeded}]
