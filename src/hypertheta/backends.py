@@ -32,6 +32,19 @@ its docstring derives it, so that they sum to less than the slack the
 tail bound leaves below eps_tail.
 The default floor -inf keeps every term.  A NaN exponent is kept, so it
 still makes the sum non-finite.
+
+Box.  A scalar call with box=True at radius BOX_RADIUS or more forms the
+exponents and the mask only inside floor_box, the index box of the
+ellipse of terms whose computed log-modulus can reach the floor (a
+median of 12 % of the square for the benchmark's theta-eval windows at
+radius 16 or more).  Their exp goes into that box of a zeroed (2R+1)^2
+grid, which is summed whole as above: every kept term, every zero and
+the pairwise order are unchanged, so the sum is the same bit for bit.
+theta_eval asks for it only where its window is not loud
+(theta_core._window): where forming an exponent may overflow, a real
+part can be NaN outside the box, which the full window keeps and the
+box, formed from Im parts, cannot see.  The batched shape always forms
+the full grid: a box per slice of rows measured slower.
 """
 
 from __future__ import annotations
@@ -48,13 +61,31 @@ BACKEND_NAME = "numpy"
 # a slice of characteristics at a time.
 GRID_POINTS = 8192
 
+# Smallest radius at which a scalar call with box=True forms only the
+# exponents inside floor_box.  theta_eval with the box over without,
+# median of 150 inputs of the benchmark's theta-eval draw per radius, min
+# of 7 interleaved calls each (2-core x86-64 host, numpy 2.4): 1.04 at
+# radius 10, 1.002 at 11, 0.970 at 12, 0.950 at 14, 0.918 at 16.  In the
+# benchmark's stream of fresh calls a box call also slows the call after
+# it (about 4 %), and a gate of 12 read the same as 16 on every theta-eval
+# metric (6 rounds), so the gate keeps that margin.
+BOX_RADIUS = 16
+
 
 def lattice_sum(a2, c2, xs, ys, tau1, tau2, tau12, radius: int,
-                floor=-math.inf):
+                floor=-math.inf, box: bool = False):
     """The sum over the (2R+1)^2 window, pairwise summation, terms whose
     log-modulus is below floor (a scalar, or one per row) set to 0: a
-    complex for scalar inputs, else an array of C sums."""
+    complex for scalar inputs, else an array of C sums.  With box, a
+    scalar call at radius BOX_RADIUS or more forms exponents only inside
+    floor_box, the same sum bit for bit; a caller asks for it only where
+    no exponent of the window can overflow (theta_core._window)."""
     if not isinstance(a2, np.ndarray):
+        if box and radius >= BOX_RADIUS:
+            return complex(_box_sum(
+                floor, floor_box(radius, a2, c2, xs, ys, tau1, tau2, tau12,
+                                 floor), *_cached_line(radius, a2),
+                *_cached_line(radius, c2), xs, ys, tau1, tau2, tau12))
         return complex(_window_sums(floor, *_cached_line(radius, a2),
                                     *_cached_line(radius, c2), xs, ys, tau1,
                                     tau2, tau12))
@@ -109,3 +140,66 @@ def _window_sums(floor, *lines_offsets_and_periods):
     terms = np.zeros_like(grid)
     np.exp(grid, out=terms, where=~(grid.real < floor))
     return terms.sum(axis=(-2, -1))
+
+
+def _box_sum(floor, box, m, tm, n, tn, *offsets_and_periods):
+    """_window_sums of one window whose exponents are formed only inside
+    box, a pair of slices (floor_box), into a zeroed (2R+1)^2 grid: the
+    same kept terms, zeros and pairwise order."""
+    rows, cols = box
+    grid = exponents(m[rows], tm[rows], n[cols], tn[cols],
+                     *offsets_and_periods)
+    terms = np.zeros((m.size, n.size), dtype=complex)
+    np.exp(grid, out=terms[rows, cols], where=~(grid.real < floor))
+    return terms.sum(axis=(-2, -1))
+
+
+def floor_box(radius: int, a2: float, c2: float, xs: complex, ys: complex,
+              tau1: complex, tau2: complex, tau12: complex,
+              floor: float) -> tuple[slice, slice]:
+    """The index box (rows, cols) of the window that holds every term
+    whose computed exponent has real part at least floor, for valid
+    periods; the whole window where the box is not finite.
+
+    With Y = Im tau, w = Im(xs, ys) and v = (M, N) = (m + a2, n + c2), a
+    term's log-modulus is -pi*v'Yv - 2*pi*w.v = -pi*(v + u)'Y(v + u) +
+    pi*w.u with u = Y^-1 w.  The kernel forms it (exponents) from five
+    pieces, pi*Y11*M^2, pi*Y22*N^2, 2*pi*Y12*M*N, 2*pi*w1*M and 2*pi*w2*N,
+    whose moduli sum to at most s = pi*(Y11 + Y22 + 2|Y12|)(R+1)^2 +
+    2*pi*(|w1| + |w2|)(R+1), since |M|, |N| <= R + 1; it errs by a few
+    ulps of s.  So a term whose computed log-modulus reaches floor has
+    (v + u)'Y(v + u) <= r^2 - 1e-6/pi, where r^2 = w.u + (delta - floor)/pi
+    and delta = 1e-9*s + 1e-6, and then |v_k + u_k| <= r*sqrt((Y^-1)_kk)
+    (Cauchy-Schwarz).  The box holds the indices of that range of v that
+    are not negative; slicing clips the stops to the window.
+    Forming the box errs by a few ulps of R + |u| + h (h the half-width),
+    times kappa = Y11*Y22/det Y for the cancellation in det Y.  In the
+    windows theta_eval sums, |u| <= sqrt(2)*rho/lambda_min < sqrt(2)*R
+    (window_for), and a half-width that ends inside the window is below
+    about 4R; there the part 1e-9*s of delta widens it by at least
+    1e-10*kappa*R, four orders more.
+    So each term outside the box is below floor, and set to 0, in the
+    full window too.  This holds only where no exponent overflows: an
+    overflowed real part gives a NaN exponent, which the kernel keeps and
+    the box, formed from Im parts, cannot see."""
+    y1, y2, y12 = tau1.imag, tau2.imag, tau12.imag
+    w1, w2 = xs.imag, ys.imag
+    det = y1 * y2 - y12 * y12
+    u1 = (y2 * w1 - y12 * w2) / det
+    u2 = (y1 * w2 - y12 * w1) / det
+    k = radius + 1.0
+    delta = 1e-9 * math.pi * ((y1 + y2 + 2.0 * abs(y12)) * k * k
+                              + 2.0 * (abs(w1) + abs(w2)) * k) + 1e-6
+    r2 = w1 * u1 + w2 * u2 + (delta - floor) / math.pi
+    if 0.0 < det < math.inf and 0.0 < r2 < math.inf:
+        h1, h2 = (r2 * y2 / det) ** 0.5, (r2 * y1 / det) ** 0.5
+        if h1 + h2 < math.inf:
+            lo1, hi1 = radius - a2 - u1 - h1, radius - a2 - u1 + h1
+            lo2, hi2 = radius - c2 - u2 - h2, radius - c2 - u2 + h2
+            # -(-lo // 1) is ceil(lo), and int(hi) is floor(hi) for hi >=
+            # 0: cheaper than calls to math.ceil, math.floor and max.
+            return (slice(-int(-lo1 // 1) if lo1 > 0 else 0,
+                          int(hi1) + 1 if hi1 >= 0 else 0),
+                    slice(-int(-lo2 // 1) if lo2 > 0 else 0,
+                          int(hi2) + 1 if hi2 >= 0 else 0))
+    return slice(0, 2 * radius + 1), slice(0, 2 * radius + 1)

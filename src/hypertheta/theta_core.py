@@ -525,7 +525,10 @@ def theta_eval(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
     one part of its exp is infinite or NaN: the larger of |cos| and |sin|
     is at least 1/sqrt(2).  A pairwise sum with an infinite or NaN part
     has a non-finite part.  Only the message differs from the one a sum
-    gives."""
+    gives.  Where the window is not loud, a kernel call at radius
+    backends.BOX_RADIUS or more forms only the exponents in the box of
+    terms that can reach the floor (backends.floor_box), the same sum
+    bit for bit."""
     a2, c2, b2, d2, phase = ch._kernel
     radius, floor, loud = _window(z, tau, pol.eps_tail, pol.max_radius)
     if loud and _must_overflow(z, tau, radius, a2, c2):
@@ -533,7 +536,7 @@ def theta_eval(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
                            "exceeds the largest float")
     if not loud:
         value = lattice_sum(a2, c2, z.x + b2, z.y + d2, tau.tau1, tau.tau2,
-                            tau.tau12, radius, floor=floor)
+                            tau.tau12, radius, floor=floor, box=True)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             value = lattice_sum(a2, c2, z.x + b2, z.y + d2, tau.tau1,

@@ -39,7 +39,14 @@ from hypertheta import (
 )
 from hypertheta import identity_catalog, theta_core
 from hypertheta.addition import _law_tables
-from hypertheta.backends import GRID_POINTS, exponents, lattice_sum, line
+from hypertheta.backends import (
+    BOX_RADIUS,
+    GRID_POINTS,
+    exponents,
+    floor_box,
+    lattice_sum,
+    line,
+)
 from hypertheta.sampling import Draws, SampleAssignment, sample_tau
 from hypertheta.theta_core import (
     FLOOR_MARGIN,
@@ -264,13 +271,15 @@ def test_lattice_sum_with_tau_per_row_equals_scalar_calls(radius):
 
 def _scalar_and_batch_of_one(ch, z, tau):
     """ch's kernel sum at (z, tau) in truncation_window's window, from the
-    scalar kernel (cached lines) and from a batch of one row with tau per
-    row (lines formed per call)."""
-    radius, floor = truncation_window(z, tau)
+    scalar kernel (cached lines, and the box where theta_eval takes it)
+    and from a batch of one row with tau per row (lines formed per
+    call)."""
+    radius, floor, loud = theta_core._window(z, tau, DEFAULT_POLICY.eps_tail,
+                                             DEFAULT_POLICY.max_radius)
     a2, c2, b2, d2, _ = ch._kernel
     row = (a2, c2, z.x + b2, z.y + d2, tau.tau1, tau.tau2, tau.tau12)
     with np.errstate(over="ignore", invalid="ignore"):
-        scalar = lattice_sum(*row, radius, floor=floor)
+        scalar = lattice_sum(*row, radius, floor=floor, box=not loud)
         batch = lattice_sum(*(np.array([v]) for v in row), radius,
                             floor=np.array([floor]))
     return scalar, complex(batch[0])
@@ -285,15 +294,32 @@ def test_scalar_kernel_equals_a_batch_of_one_to_the_sign_bit():
     value and the same sign of both parts: on seeded inputs; at z = 0 and
     purely imaginary tau, where the sums are exactly real and eval prints
     the sign of the imaginary zero; for the six odd characteristics at the
-    origin; and at tau = diag(1e307i), where theta_eval gives 1 without a
-    warning.  Where tau1's phase overflows, the exponents are NaN, the
-    kernel keeps them, and theta_eval raises NonFiniteSum."""
+    origin; at tau = diag(1e307i), where theta_eval gives 1 without a
+    warning; and off-centre peaks at radius BOX_RADIUS or more (|Im z|
+    1-2, lambda_min 0.15-0.3), where the scalar kernel sums a box.  Where
+    tau1's phase overflows, the exponents are NaN, the kernel keeps them,
+    and theta_eval raises NonFiniteSum."""
     rng = np.random.default_rng(7)
     cases = [(rng.choice(_UNREDUCED_CHARS), EvalPoint(*z), tau)
              for z, tau in zip(
                  (rng.uniform(-1, 1, (60, 2))
                   + 1j * rng.uniform(-1.5, 1.5, (60, 2))).tolist(),
                  _mixed_periods(rng, 60))]
+    boxed = 0
+    while boxed < 40:
+        tau = _thin_tau(rng.uniform(0.15, 0.3), angle=rng.uniform(0, math.pi))
+        im_z = rng.uniform(1, 2, 2) * rng.choice((-1.0, 1.0), 2)
+        z = EvalPoint(*(rng.uniform(-1, 1, 2) + 1j * im_z).tolist())
+        radius, floor = truncation_window(z, tau)
+        if radius >= BOX_RADIUS:
+            ch = rng.choice(_UNREDUCED_CHARS)
+            a2, c2, b2, d2, _ = ch._kernel
+            rows, cols = floor_box(radius, a2, c2, z.x + b2, z.y + d2,
+                                   tau.tau1, tau.tau2, tau.tau12, floor)
+            window = np.zeros((2 * radius + 1,) * 2)
+            assert window[rows, cols].size < window.size
+            cases.append((ch, z, tau))
+            boxed += 1
     imaginary = PeriodMatrix(1.1j, 1.4j, 0.2j)
     cases += [(ch, ORIGIN, imaginary) for ch in _UNREDUCED_CHARS[::41]]
     odd = [ch for ch in _UNREDUCED_CHARS if ch.is_integer and is_odd(ch)]
@@ -433,6 +459,123 @@ def test_dropped_terms_stay_below_the_unused_slack(z, tau, eps_tail):
     assert dropped.any()
     terms[dropped] = 0
     assert terms.sum(axis=(-2, -1)).tolist() == pruned.tolist()
+
+
+def _box_rows(rng, count: int) -> list[tuple]:
+    """count kernel rows (a2, c2, xs, ys, tau1, tau2, tau12, radius,
+    floor) at windows (_window) that are not loud and have radius
+    BOX_RADIUS or more: Im tau of any shape with |Im tau12| up to
+    0.95*sqrt(Im tau1 * Im tau2), scaled to lambda_min in [0.01, 0.15];
+    each |Im z| coordinate up to the smaller of 0.97*59*lambda_min (the
+    peak inside max_radius) and sqrt(110*lambda_min), about where the
+    window turns loud; the 16 offset pairs (a2, c2) in turn, in runs of
+    16 at eps_tail 1e-14 and 1e-6 alternately."""
+    rows = []
+    while len(rows) < count:
+        i1, i2 = rng.uniform(0.3, 2.0, 2)
+        i12 = rng.uniform(-0.95, 0.95) * math.sqrt(i1 * i2)
+        i1, i2, i12 = np.array([i1, i2, i12]) * (
+            rng.uniform(0.01, 0.15) / lambda_min(1j * i1, 1j * i2, 1j * i12))
+        lam = lambda_min(1j * i1, 1j * i2, 1j * i12)
+        im_z = rng.uniform(-1, 1, 2) * min(0.97 * 59 * lam,
+                                           math.sqrt(110 * lam))
+        re = rng.uniform(-0.5, 0.5, 5)
+        z = EvalPoint(complex(re[0], im_z[0]), complex(re[1], im_z[1]))
+        tau = PeriodMatrix(complex(re[2], i1), complex(re[3], i2),
+                           complex(re[4], i12))
+        eps_tail = (1e-14, 1e-6)[len(rows) // 16 % 2]
+        try:
+            radius, floor, loud = theta_core._window(
+                z, tau, eps_tail, DEFAULT_POLICY.max_radius)
+        except RadiusExceeded:
+            continue
+        if loud or radius < BOX_RADIUS:
+            continue
+        a2, c2 = len(rows) % 4 / 4, len(rows) // 4 % 4 / 4
+        b2, d2 = rng.integers(0, 4, 2) / 4
+        rows.append((a2, c2, z.x + b2, z.y + d2, tau.tau1, tau.tau2,
+                     tau.tau12, radius, floor))
+    return rows
+
+
+def _tip_row(rng, row: tuple) -> tuple:
+    """row with Im(xs, ys) and the floor moved so that a drawn term is the
+    tip, along +-m or +-n, of the ellipse of terms whose log-modulus
+    reaches the floor: the floor is that term's computed log-modulus, so
+    in exact arithmetic the box's end lies on the term's index.  The peak
+    stays inside the window and below log-modulus 450.  Returns the row
+    and (the term's index, its axis k, whether it ends the box upward)."""
+    a2, c2, xs, ys, tau1, tau2, tau12, radius, _ = row
+    im_tau = np.array([[tau1.imag, tau12.imag], [tau12.imag, tau2.imag]])
+    inverse = np.linalg.inv(im_tau)
+    k = rng.integers(2)
+    # x = v + u, the term less the peak, along the column (Im tau)^-1 e_k
+    x = (rng.choice((-1.0, 1.0)) * rng.uniform(0.5, radius / 8)
+         * inverse[:, k] / inverse[k, k])
+    reach = min(radius / 4, 6 / math.sqrt(np.linalg.eigvalsh(im_tau)[-1]))
+    offsets = np.array([a2, c2])
+    v = np.round(x - rng.uniform(-reach, reach, 2) - offsets) + offsets
+    im_z = im_tau @ (x - v)
+    xs, ys = complex(xs.real, im_z[0]), complex(ys.real, im_z[1])
+    index = tuple((v - offsets).astype(int) + radius)
+    assert 0 <= min(index) and max(index) <= 2 * radius
+    grid = _full_grid(a2, c2, xs, ys, tau1, tau2, tau12, radius)
+    return ((a2, c2, xs, ys, tau1, tau2, tau12, radius,
+             float(grid.real[index])), (index, k, x[k] > 0))
+
+
+def _full_grid(a2, c2, xs, ys, tau1, tau2, tau12, radius):
+    """The exponents of the whole window, from uncached lines."""
+    k = np.arange(-radius, radius + 1.0)
+    return exponents(*line(k + a2), *line(k + c2), xs, ys, tau1, tau2, tau12)
+
+
+def test_floor_box_holds_every_term_that_reaches_the_floor():
+    """floor_box holds every term of the full window (exponents) whose
+    real part is at least the floor, and the box path of the scalar
+    kernel gives the full window's sum to the sign bit: on 2,000 seeded
+    rows of _box_rows, and on 800 of them moved so that a term sits on
+    the tip of its ellipse, where the box ends on that term's index.  The
+    boxes hold a fifth of the window or less in most rows.  Where the box
+    is not finite (floor -inf, or Im tau1 * Im tau2 overflowing) it is
+    the whole window."""
+    rng = np.random.default_rng(27)
+    drawn = _box_rows(rng, 2000)
+    cases = [(row, None) for row in drawn] + [
+        _tip_row(rng, row) for row in drawn[::5] + drawn[1::5]]
+    small = 0
+    for (*kernel_row, radius, floor), tip in cases:
+        box = floor_box(radius, *kernel_row, floor)
+        grid = _full_grid(*kernel_row, radius)
+        inside = np.zeros(grid.shape, dtype=bool)
+        inside[box] = True
+        reached = ~(grid.real < floor)
+        assert not (reached & ~inside).any(), kernel_row
+        small += inside.sum() <= 0.2 * inside.size
+        if tip is not None:
+            index, k, upward = tip
+            assert reached[index]
+            assert index[k] == (box[k].stop - 1 if upward
+                                else box[k].start), kernel_row
+        got = lattice_sum(*kernel_row, radius, floor=floor, box=True)
+        want = lattice_sum(*kernel_row, radius, floor=floor)
+        assert _parts(got) == _parts(want), kernel_row
+    assert small > 0.5 * len(cases)
+    # No box where it cannot be formed: floor -inf, and a window that is
+    # not loud at radius 24 whose Im tau1 * Im tau2 overflows (1e309).
+    i12 = math.sqrt(1e303) * math.sqrt(1e6) * (1 - 2.5e-8)
+    thin = PeriodMatrix(0.1 + 1e303j, 0.2 + 1e6j, complex(0, i12))
+    z = EvalPoint(0.1 + 0.3j, 0.2 - 0.1j)
+    radius, floor, loud = theta_core._window(z, thin, DEFAULT_POLICY.eps_tail,
+                                             DEFAULT_POLICY.max_radius)
+    assert (radius, loud) == (24, False)
+    kernel_row = (0.5, 0.0, z.x, z.y, thin.tau1, thin.tau2, thin.tau12)
+    for floor in (floor, -math.inf):
+        assert floor_box(radius, *kernel_row, floor) == (
+            slice(0, 2 * radius + 1),) * 2
+        boxed = lattice_sum(*kernel_row, radius, floor=floor, box=True)
+        assert _parts(boxed) == _parts(
+            lattice_sum(*kernel_row, radius, floor=floor))
 
 
 def test_exactly_six_odd_characteristics_vanish_at_origin():
@@ -717,6 +860,55 @@ def test_certain_overflow_away_from_the_rounded_peak(monkeypatch):
     assert str(exc.value) == ("theta[-1 -3/2; 3/2 -3/2] sum overflows: a "
                               "term's modulus exceeds the largest float")
     assert calls == []
+
+
+def test_a_loud_window_sums_its_whole_square(monkeypatch):
+    """Where forming the exponents may overflow (_window: loud), theta_eval
+    sums the whole window at radius BOX_RADIUS or more as well: a real
+    part that overflows gives NaN exponents, which the kernel keeps and
+    the box of terms that can reach the floor, formed from Im parts only,
+    cannot see.  At Re tau1 = 3.2e306 they lie at |m| >= 18, outside that
+    box (|m| <= 4), where a box sums finite terms only; at Re x = 1e307
+    the imaginary parts overflow.  Both raise the NonFiniteSum of the
+    summed window, without numpy's warnings (raised here as errors); the
+    input of CI's first overflow pin, which _must_overflow catches, makes
+    no kernel call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("box", False))
+        return lattice_sum(*args, **kwargs)
+
+    monkeypatch.setattr(theta_core, "lattice_sum", counted)
+    cases = [
+        (ThetaCharacteristic.of(0, 0, 0, 0), EvalPoint(0.1, 0.2 + 2j),
+         PeriodMatrix(3.2e306 + 2j, 0.3 + 0.15j, 0j), 35, [False],
+         "theta[0 0; 0 0] sum overflows to (nan+nanj)"),
+        (ThetaCharacteristic.of(1, 0, 0, 1),
+         EvalPoint(1e307 + 1.5j, 0.2 - 0.5j),
+         PeriodMatrix(0.1 + 0.15j, 0.3 + 1.2j, 0.05j), 28, [False],
+         "theta[1 0; 0 1] sum overflows to (nan+nanj)"),
+        (ThetaCharacteristic.of(0, 0, 0, 0), EvalPoint(0, 20j), TAU_E, 49, [],
+         "theta[0 0; 0 0] sum overflows: a term's modulus exceeds the "
+         "largest float"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for ch, z, tau, radius, kernel_calls, message in cases:
+            window = theta_core._window(z, tau, DEFAULT_POLICY.eps_tail,
+                                        DEFAULT_POLICY.max_radius)
+            assert (window[0], window[2]) == (radius, True)
+            del calls[:]
+            with pytest.raises(NonFiniteSum) as exc:
+                theta_eval(ch, z, tau)
+            assert str(exc.value) == message and calls == kernel_calls
+    ch, z, tau, *_ = cases[0]
+    a2, c2, b2, d2, _ = ch._kernel
+    radius, floor = truncation_window(z, tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        boxed = lattice_sum(a2, c2, z.x + b2, z.y + d2, tau.tau1, tau.tau2,
+                            tau.tau12, radius, floor=floor, box=True)
+    assert cmath.isfinite(boxed)
 
 
 def _refusals() -> list[tuple[EvalPoint, PeriodMatrix]]:
