@@ -33,13 +33,15 @@ tail bound leaves below eps_tail.
 The default floor -inf keeps every term.  A NaN exponent is kept, so it
 still makes the sum non-finite.
 
-Box.  A scalar call with box=True at radius BOX_RADIUS or more forms the
-exponents and the mask only inside floor_box, the index box of the
-ellipse of terms whose computed log-modulus can reach the floor (a
-median of 12 % of the square for the benchmark's theta-eval windows at
-radius 16 or more).  Their exp goes into that box of a zeroed (2R+1)^2
-grid, which is summed whole as above: every kept term, every zero and
-the pairwise order are unchanged, so the sum is the same bit for bit.
+Box.  A scalar call with box=True at radius BOX_RADIUS or more passes
+floor_box, the index box of the ellipse of terms whose computed
+log-modulus can reach the floor (a median of 12 % of the square for the
+benchmark's theta-eval windows at radius 16 or more), to _window_sums,
+the one routine that exponentiates and sums every window, scalar or
+batched.  It forms the exponents and the mask only inside the box and
+writes their exp into that part of the zeroed (2R+1)^2 grid, which is
+summed whole as above: every kept term, every zero and the pairwise
+order are unchanged, so the sum is the same bit for bit.
 theta_eval asks for it only where its window is not loud
 (theta_core._window): where forming an exponent may overflow, a real
 part can be NaN outside the box, which the full window keeps and the
@@ -81,14 +83,11 @@ def lattice_sum(a2, c2, xs, ys, tau1, tau2, tau12, radius: int,
     floor_box, the same sum bit for bit; a caller asks for it only where
     no exponent of the window can overflow (theta_core._window)."""
     if not isinstance(a2, np.ndarray):
-        if box and radius >= BOX_RADIUS:
-            return complex(_box_sum(
-                floor, floor_box(radius, a2, c2, xs, ys, tau1, tau2, tau12,
-                                 floor), *_cached_line(radius, a2),
-                *_cached_line(radius, c2), xs, ys, tau1, tau2, tau12))
+        bounds = (floor_box(radius, a2, c2, xs, ys, tau1, tau2, tau12, floor)
+                  if box and radius >= BOX_RADIUS else None)
         return complex(_window_sums(floor, *_cached_line(radius, a2),
                                     *_cached_line(radius, c2), xs, ys, tau1,
-                                    tau2, tau12))
+                                    tau2, tau12, box=bounds))
     k = np.arange(-radius, radius + 1, dtype=np.float64)
     rows = [np.broadcast_to(floor, a2.shape)[:, None, None],
             *line(k + a2[:, None]), *line(k + c2[:, None]), xs[:, None],
@@ -133,24 +132,18 @@ def exponents(m, tm, n, tn, xs, ys, tau1, tau2, tau12):
     return grid
 
 
-def _window_sums(floor, *lines_offsets_and_periods):
+def _window_sums(floor, m, tm, n, tn, *offsets_and_periods, box=None):
     """The sum of each window: exp of the exponents whose real part is not
-    below floor (a scalar, or shape (C, 1, 1)), zeros elsewhere."""
-    grid = exponents(*lines_offsets_and_periods)
-    terms = np.zeros_like(grid)
-    np.exp(grid, out=terms, where=~(grid.real < floor))
-    return terms.sum(axis=(-2, -1))
-
-
-def _box_sum(floor, box, m, tm, n, tn, *offsets_and_periods):
-    """_window_sums of one window whose exponents are formed only inside
-    box, a pair of slices (floor_box), into a zeroed (2R+1)^2 grid: the
-    same kept terms, zeros and pairwise order."""
-    rows, cols = box
-    grid = exponents(m[rows], tm[rows], n[cols], tn[cols],
-                     *offsets_and_periods)
-    terms = np.zeros((m.size, n.size), dtype=complex)
-    np.exp(grid, out=terms[rows, cols], where=~(grid.real < floor))
+    below floor (a scalar, or shape (C, 1, 1)), zeros elsewhere.  With box,
+    a pair of slices of one window (floor_box), the exponents are formed
+    only inside it and their exp written into that part of the zeroed
+    window: the same kept terms, zeros and pairwise order."""
+    terms = out = np.zeros(m.shape + n.shape[-1:], dtype=complex)
+    if box is not None:
+        rows, cols = box
+        m, tm, n, tn, out = m[rows], tm[rows], n[cols], tn[cols], terms[box]
+    grid = exponents(m, tm, n, tn, *offsets_and_periods)
+    np.exp(grid, out=out, where=~(grid.real < floor))
     return terms.sum(axis=(-2, -1))
 
 

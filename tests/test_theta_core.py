@@ -963,12 +963,16 @@ def test_truncation_windows_equal_truncation_window():
     assert "doubled" in str(errors[6])
 
 
-def test_windows_for_equals_window_for_element_by_element():
+def test_windows_for_equals_window_for_element_by_element(monkeypatch):
     """windows_for gives every (lam, rho) pair window_for's radius and
     floor, bit for bit, and radius 0 with floor -inf where window_for
     raises RadiusExceeded: a seeded sweep of 20,007 pairs, lam from 1e-3
     to 20, rho = 0 on a fifth of them and t* + 1 at the radius cap on
-    some, over three tail targets and three caps."""
+    some, over three tail targets and three caps.  Then 9,000 pairs with
+    the lam of test_window_for_equals_a_full_scan, 5e-324 to 1e307, at the
+    same targets and caps: in every call rows settle in different steps
+    of the scan, and most rows that are scanned at all start past the
+    cap and are dropped untested."""
     rng = np.random.default_rng(22)
     at_cap = exceeded = 0
     for eps_tail, max_radius in itertools.product((1e-14, 1e-6, 1e-15),
@@ -988,6 +992,40 @@ def test_windows_for_equals_window_for_element_by_element():
                 exceeded += 1
             assert got == want, (pair, eps_tail, max_radius)
     assert at_cap > 300 and 2000 < exceeded < 15000
+
+    # Per call, by name of the mapped function, the rows of each step:
+    # log1p maps over the rows a step tests, expm1 over those it settles.
+    steps, mapped = [], theta_core._mapped
+
+    def counted(f, values):
+        steps[-1].setdefault(f.__name__, []).append(len(values))
+        return mapped(f, values)
+
+    monkeypatch.setattr(theta_core, "_mapped", counted)
+    rng = np.random.default_rng(29)
+    scanned = found = 0
+    for eps_tail, max_radius in itertools.product((1e-14, 1e-6, 1e-15),
+                                                  (10, 60, 200)):
+        lam = np.exp(rng.uniform(math.log(5e-324), math.log(1e307), 1000))
+        lam[:4] = (5e-324, 1e-300, 1e300, 1e307)
+        t_star = rng.uniform(0.0, max_radius, lam.size)
+        t_star[::5] = 0.0
+        t_star[1::40] = max_radius - 1
+        with np.errstate(over="ignore"):  # rho is kept finite
+            rho = np.minimum(lam * t_star, 1.7e308)
+        scanned += int(np.sum(rho / lam + 1.0 <= max_radius))
+        steps.append({})
+        radii, floors = windows_for(lam, rho, eps_tail, max_radius)
+        for pair, got in zip(zip(lam.tolist(), rho.tolist()),
+                             zip(radii.tolist(), floors.tolist())):
+            try:
+                want = window_for(*pair, eps_tail, max_radius)
+                found += 1
+            except RadiusExceeded:
+                want = (0, -math.inf)
+            assert got == want, (pair, eps_tail, max_radius)
+        assert sum(n > 0 for n in steps[-1]["expm1"]) >= 2
+    assert found > 1000 and sum(s["log1p"][0] for s in steps) < scanned / 2
 
 
 def _full_scan(lam: float, rho: float, eps_tail: float,
@@ -1068,6 +1106,10 @@ def test_policy_validation():
         PrecisionPolicy(eps_tail=0.0)
     with pytest.raises(ValueError):
         PrecisionPolicy(max_radius=0)
+    for bad in (10.5, True):
+        with pytest.raises(ValueError, match="integer"):
+            PrecisionPolicy(max_radius=bad)
+    assert PrecisionPolicy(max_radius=np.int64(10)).max_radius == 10
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             PrecisionPolicy(rel_tol=bad)
