@@ -6,16 +6,18 @@ rational functions of the quotients at z1, the quotients at z2, and theta
 constants of the doubled period matrix.  This module implements that law in
 three layers, running the identity catalog's own rows:
 
-  1. doubled_values: from the sixteen point values at one z, produce every
-     doubled-argument theta at 2z (sixteen integer and twelve half
-     characteristics, one per solved row C1..C28), each divided through by
-     its constants coefficient.  The map is
+  1. doubled_values: from the sixteen point values at one z, produce the
+     doubled-argument thetas at 2z the law reads (twelve integer and
+     twelve half characteristics, one per solved row C1..C12, C17..C28),
+     each divided through by its constants coefficient.  The map is
      homogeneous of degree 2, so feeding quotients instead of raw values
      scales every output by the same factor 1/theta[0 0;0 0]^2(z).
-  2. duplication pairings (rows B1..B19): combine doubled values at 2*z1
-     and 2*z2 into the products G[a c;b d] = theta[a c;b d](z1+z2) *
-     theta[a c;0 0](z1-z2) and the three connector products anchored on
-     theta[0 0;0 0](z1-z2).
+  2. duplication pairings (rows B1..B19 but B4, B8, B12, B16, and eight
+     general_duplication instances): combine doubled values at 2*z1 and
+     2*z2 into the products G[a c;b d] = theta[a c;b d](z1+z2) *
+     theta[a c;0 0](z1-z2), the three connector products anchored on
+     theta[0 0;0 0](z1-z2), and for the quotients with lower row (1 1)
+     products anchored on theta[a c;1 1](z1-z2).
   3. quotient assembly: ratios of the G-values in which the difference
      factors and the common homogeneity scale cancel, leaving exactly
      F[a c;b d](z1+z2).
@@ -27,17 +29,21 @@ alone and never evaluates a theta series at a new argument.  Direct mode
 scratch.  verify_addition checks reduced mode against direct summation at
 z1+z2 and cross-checks the two modes against each other.
 
-Rows C1..C28 and B1..B19 are the law's only source: its constants are
-the ones the C rows read (constant_chars), and its guard against a
-degenerate tau is the C rows' own lhs coefficients (near_singular).  It
-reads none of D1..D16, whose root forms identity_catalog checks.
+The catalog's C and B rows and the duplication formula are the law's
+only source: its constants are the ones its C rows read (constant_chars),
+and its guard against a degenerate tau is those rows' own lhs
+coefficients (near_singular).  It reads none of C13..C16, whose rhs
+cancels about 2e5-fold on some draws, nor D1..D16, whose root forms
+identity_catalog checks.
 
-Direct sums take theta_core's one batched path, KernelBatch, so each is
-theta_eval's bit for bit: constants_vector, f_vector's numerators and
-doubled_values_direct are one theta_values call each, and verify_addition
-windows the six windows of each sample of a block in one
-truncation_windows call and sums their 117 series in one KernelBatch call
-(_block), leaving only a sample's three normalizers to theta_eval.
+Direct sums take theta_core's one batched path, KernelBatch:
+constants_vector, f_vector's numerators and doubled_values_direct are one
+theta_values call each, and verify_addition windows the six windows of
+each sample of a block in one truncation_windows call and sums their 107
+series in one KernelBatch call (_block), leaving only a sample's three
+normalizers to theta_eval.  The 107 series fall into 54 upper classes
+whose first rows are theta_eval's values bit for bit; the others are
+formed from their class's residue sums (KernelBatch).
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ from .identity_catalog import (
     IdentityTerm,
     ResidualReport,
     build_catalog,
+    general_duplication,
 )
 from .sampling import make_rng, sample_point, sample_tau
 from .theta_core import (
@@ -107,10 +114,26 @@ A_LABELS: dict[str, tuple] = {f"A{k + 1}": ch for k, ch in enumerate(A_ORDER)}
 _BASE = ThetaCharacteristic.of(*BASE_CHAR)
 _A_CHARS = tuple(ThetaCharacteristic.of(*ch) for ch in A_ORDER)
 
-# The catalog rows the law runs: C1..C28 solve each doubled theta at 2z,
-# B1..B19 pair doubled values at 2*z1 and 2*z2 into duplication products.
-SOLVED_IDS = tuple(f"C{n}" for n in range(1, 29))
-PAIRING_IDS = tuple(f"B{n}" for n in range(1, 20))
+# The catalog rows the law runs: C1..C12 and C17..C28 solve each doubled
+# theta at 2z, and B1..B19 but B4, B8, B12 and B16 pair doubled values at
+# 2*z1 and 2*z2 into duplication products.  The law reads no doubled theta
+# with lower row (1 1): on some draws the rhs of C13..C16, which solve
+# them, cancels about 2e5-fold, and the four B rows that read them carry
+# that into A3, A7, A11 and A15.  Those quotients take the route of
+# _ROUTE_UPPERS instead.  C13..C16 and B4, B8, B12, B16 stay catalog rows.
+SOLVED_IDS = tuple(f"C{n}" for n in (*range(1, 13), *range(17, 29)))
+PAIRING_IDS = tuple(f"B{n}" for n in range(1, 20) if n not in (4, 8, 12, 16))
+
+# The upper rows u of the route: with s = [u; 1 1] and e = [u; 0 1],
+# G[s, s] = theta[s](z1+z2) * theta[s](z1-z2) reads doubled thetas with
+# lower row (0 0), and G[e, s] with lower row (1 0), so F[s] = G[s, s] /
+# G[e, s] * F[e] at z1+z2 reads none with lower row (1 1).  Its difference
+# factor theta[s](z1-z2) cancels.  The other anchor the duplication formula
+# allows, theta[e](z1-z2) in G[s, e] / G[e, e], leaves sample 5 of
+# verify_addition(10, 7177) at 2.2e-9, where theta[e](z1-z2) is 300 times
+# smaller than theta[s](z1-z2).  The 8 pairings are general_duplication
+# instances, compiled with the catalog rows but not catalog rows.
+_ROUTE_UPPERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -143,10 +166,11 @@ class FVector:
 
 @dataclass(frozen=True)
 class ConstantsVector:
-    """The values of the sixteen doubled-period theta constants the solved
-    rows read at one tau, in constant_chars() order, each summed once.
-    Indexing takes a characteristic or a 4-tuple, as FVector's does.  The
-    six odd constants vanish identically and no row reads them."""
+    """The values of the fourteen doubled-period theta constants the
+    solved rows read at one tau, in constant_chars() order, each summed
+    once.  Indexing takes a characteristic or a 4-tuple, as FVector's
+    does.  The six odd constants vanish identically and no row reads
+    them, and [0 0;1 1] and [1 1;1 1] are read only by C13..C16."""
 
     values: tuple[complex, ...]
 
@@ -155,7 +179,7 @@ class ConstantsVector:
 
     @cached_property
     def _solved_rows(self) -> tuple[tuple, ...]:
-        """The solved rows C1..C28 at this tau, computed once: per row, its
+        """The solved rows SOLVED_IDS at this tau, computed once: per row, its
         id, its lhs coefficient and its rhs terms as (coeff * constants,
         chA index, chB index)."""
         _, _, products, solved, _ = _law_tables()
@@ -205,7 +229,8 @@ def f_vector(z: EvalPoint, tau: PeriodMatrix,
 
 
 def constant_chars() -> tuple[ThetaCharacteristic, ...]:
-    """The doubled-period constants rows C1..C28 read, in first-read order."""
+    """The doubled-period constants the solved rows read, in first-read
+    order."""
     return tuple(_law_tables()[0].values())
 
 
@@ -252,8 +277,8 @@ def _read(term: IdentityTerm, shape: tuple, ident: str) -> tuple:
 
 @lru_cache(maxsize=1)
 def _law_tables() -> tuple[dict, dict, tuple, tuple, tuple]:
-    """Catalog rows C1..C28 and B1..B19 in index form, compiled once from
-    the catalog builder.
+    """Catalog rows SOLVED_IDS and PAIRING_IDS, and the route's pairings,
+    in index form, compiled once from the catalog builder.
 
     A solved row (C) reads
 
@@ -261,10 +286,13 @@ def _law_tables() -> tuple[dict, dict, tuple, tuple, tuple]:
             = sum of coeff * constants * theta[chA](z) * theta[chB](z),
 
     so the doubled value is its rhs over its lhs coefficient.  A pairing
-    row (B) reads
+    row (B, or a route pairing) reads
 
         theta[sum](z1+z2) * theta[diff](z1-z2)
-            = sum of coeff * Theta[x](2*z1) * Theta[y](2*z2).
+            = sum of coeff * Theta[x](2*z1) * Theta[y](2*z2),
+
+    where Theta[x] is i**q times a solved target with the same kernel
+    offsets (ThetaCharacteristic._kernel), q folded into the coefficient.
 
     Returns (constants, targets, products, solved, pairings): as key ->
     ThetaCharacteristic, the constants in the order the solved rows first
@@ -296,15 +324,31 @@ def _law_tables() -> tuple[dict, dict, tuple, tuple, tuple]:
             tuple((c, product(keys),
                    _POINT_CHARS.index(a), _POINT_CHARS.index(b))
                   for c, (a, b), keys in rhs)))
-    for ident in PAIRING_IDS:
-        ((c0, pair, keys),) = [_read(t, _PAIRING_LHS, ident)
-                               for t in by_id[ident].lhs]
-        rhs = [_read(t, _PAIRING_RHS, ident) for t in by_id[ident].rhs]
-        if keys or any(more for _, _, more in rhs):
-            raise ValueError(f"{ident}: constants in a pairing row")
-        pairings.append((pair, tuple(
-            (c / c0, targets.index(x), targets.index(y))
-            for c, (x, y), _ in rhs)))
+    kernels = {}
+    for k, key in enumerate(targets):
+        *offsets, phase = ThetaCharacteristic.of(*key)._kernel
+        kernels[tuple(offsets)] = k, phase
+
+    def target(key: tuple) -> tuple[int, complex]:
+        """The index of the solved target with key's kernel offsets, and
+        the unit i**q with Theta[key] = i**q * Theta[target]."""
+        *offsets, phase = ThetaCharacteristic.of(*key)._kernel
+        k, known = kernels[tuple(offsets)]
+        return k, phase / known
+
+    route = [general_duplication(*u, *low, *u, 1, 1)
+             for u in _ROUTE_UPPERS for low in ((1, 1), (0, 1))]
+    for idty in [by_id[ident] for ident in PAIRING_IDS] + route:
+        ((c0, pair, keys),) = [_read(t, _PAIRING_LHS, idty.id)
+                               for t in idty.lhs]
+        rhs = []
+        for c, (x, y), more in (_read(t, _PAIRING_RHS, idty.id)
+                                for t in idty.rhs):
+            if keys or more:
+                raise ValueError(f"{idty.id}: constants in a pairing row")
+            (kx, qx), (ky, qy) = target(x), target(y)
+            rhs.append((c / c0 * qx * qy, kx, ky))
+        pairings.append((pair, tuple(rhs)))
     return ({key: ThetaCharacteristic.of(*key) for key in constants},
             {key: ThetaCharacteristic.of(*key) for key in targets},
             tuple(products), tuple(solved), tuple(pairings))
@@ -332,11 +376,12 @@ def _doubled(v: tuple, weights: tuple[tuple, ...]) -> list[complex]:
 
 def doubled_values(point_vals: Mapping[tuple, complex],
                    k: ConstantsVector) -> dict[tuple, complex]:
-    """Every doubled-argument theta at 2z from the sixteen values at z.
+    """The doubled-argument thetas at 2z the law reads, from the sixteen
+    values at z.
 
     `point_vals` maps the sixteen integer characteristics to values at one
-    point; the result maps the twenty-eight characteristics solved by
-    catalog rows C1..C28 (the sixteen integer ones plus the twelve
+    point; the result maps the twenty-four characteristics solved by
+    catalog rows SOLVED_IDS (twelve integer ones plus the twelve
     half-characteristic connector names) to theta[ch](2z; doubled periods)
     divided by the same overall scale.  With raw theta values in, true
     doubled values come out; with quotients in, everything is divided by
@@ -349,7 +394,8 @@ def doubled_values(point_vals: Mapping[tuple, complex],
 
 def _pairings(d1: list[complex], d2: list[complex]) -> dict[tuple, complex]:
     """theta[sum](z1+z2) * theta[diff](z1-z2), keyed by (sum, diff), from
-    doubled values at 2*z1 and 2*z2 in row order (catalog rows B1..B19)."""
+    doubled values at 2*z1 and 2*z2 in row order (PAIRING_IDS, then the
+    route's pairings)."""
     out: dict[tuple, complex] = {}
     for pair, terms in _law_tables()[4]:
         acc = 0j
@@ -365,21 +411,27 @@ def _assemble(d1: list[complex], d2: list[complex]) -> tuple[complex, ...]:
     F[ch](z1+z2) is the pairing of ch with theta[0 0;0 0](z1-z2) over that
     of theta[0 0;0 0], or, where no row pairs ch with theta[0 0;0 0], the
     pairing of ch with theta[a c;0 0](z1-z2) carried over by two anchor
-    pairings.  The difference factors and any common per-point scale cancel
-    in these ratios, which is what makes the same assembly serve both
-    computation modes.
+    pairings.  A quotient with lower row (1 1) is F[e] times G[ch, ch] /
+    G[e, ch] with e = [a c;0 1], which reads no doubled theta with lower
+    row (1 1) (_ROUTE_UPPERS).  The difference factors and any common
+    per-point scale cancel in these ratios, which is what makes the same
+    assembly serve both computation modes.
     """
     G = _pairings(d1, d2)
     g00 = _guard(G[(BASE_CHAR, BASE_CHAR)], "G[0 0;0 0]")
-    out: list[complex] = []
+    out: dict[tuple, complex] = {}
     for ch in A_ORDER:
-        if (ch, BASE_CHAR) in G:
-            out.append(G[(ch, BASE_CHAR)] / g00)
+        if ch[2:] == (1, 1):
+            e = (*ch[:2], 0, 1)
+            anchor = _guard(G[(e, ch)], f"G[{ch[0]} {ch[1]};0 1|1 1]")
+            out[ch] = G[(ch, ch)] * out[e] / anchor
+        elif (ch, BASE_CHAR) in G:
+            out[ch] = G[(ch, BASE_CHAR)] / g00
         else:
             upper = (*ch[:2], 0, 0)
             anchor = _guard(G[(upper, upper)], f"G[{ch[0]} {ch[1]};0 0]")
-            out.append(G[(upper, BASE_CHAR)] * G[(ch, upper)] / (anchor * g00))
-    return tuple(out)
+            out[ch] = G[(upper, BASE_CHAR)] * G[(ch, upper)] / (anchor * g00)
+    return tuple(out.values())
 
 
 def add_vector(f1: FVector, f2: FVector, k: ConstantsVector) -> FVector:
@@ -398,8 +450,8 @@ def add_vector(f1: FVector, f2: FVector, k: ConstantsVector) -> FVector:
 
 def doubled_values_direct(z: EvalPoint, tau: PeriodMatrix,
                           pol: PrecisionPolicy = DEFAULT_POLICY) -> dict:
-    """The twenty-eight doubled values by fresh summation at (2z; 2*tau),
-    in the order of rows C1..C28, all in one theta_values call."""
+    """The twenty-four doubled values by fresh summation at (2z; 2*tau),
+    in the order of rows SOLVED_IDS, all in one theta_values call."""
     targets = _law_tables()[1]
     return dict(zip(targets, theta_values(targets.values(), z.scaled(2),
                                           double_periods(tau), pol)))
@@ -436,20 +488,21 @@ def _quotient_rows(label_suffix: str, sample: int, got: FVector,
             for idx, (a, b) in enumerate(zip(got.values, want.values))]
 
 
-# Most samples one block draws ahead, so the arrays a block holds (117 rows
+# Most samples one block draws ahead, so the arrays a block holds (107 rows
 # per sample) do not grow with n_samples.
 _BLOCK_SAMPLES = 64
 
 
 @lru_cache(maxsize=1)
 def _block_rows() -> KernelBatch:
-    """The kernel rows of one sample, compiled once: 117 rows in six
-    tables, one per window, in order: the constants at the origin (doubled
-    periods), the numerators at z1, z2 and z1+z2 (base periods), the
-    doubled values at 2*z1 and 2*z2 (doubled periods)."""
+    """The kernel rows of one sample, compiled once: 107 rows in six
+    tables, one per window, in order: the 14 constants at the origin
+    (doubled periods), the 15 numerators at z1, z2 and z1+z2 (base
+    periods), the 24 doubled values at 2*z1 and 2*z2 (doubled periods).
+    They fall into 54 upper classes, whose first rows the kernel sums."""
     constants, targets = _law_tables()[:2]
     return KernelBatch.of((constants.values(), _A_CHARS, _A_CHARS, _A_CHARS,
-                           targets.values(), targets.values()))
+                           targets.values(), targets.values()), classes=True)
 
 
 def _one_sample(rng: np.random.Generator,
@@ -566,7 +619,7 @@ def verify_addition(n_samples: int = 100, seed: int = 0,
 
     Samples are drawn ahead in blocks of up to _BLOCK_SAMPLES, assuming no
     redraw, with the RNG state before each sample kept.  Every series of a
-    block but the normalizers (117 per sample) is summed in one KernelBatch
+    block but the normalizers (107 per sample) is summed in one KernelBatch
     call, and the samples are finished in order with the law's own code;
     the normalizers are theta_eval calls, three per sample.  The first
     sample that would redraw or raise (a sum not finite, near-singular

@@ -257,12 +257,15 @@ def _verify_catalog_rows(cfg: VerificationConfig, catalog: list[Identity],
     if cfg.jobs <= 1 or len(catalog) < 2:
         return verify_catalog(cfg.n_samples, cfg.seed, pol, catalog=catalog)
     ordered = sorted(catalog, key=lambda i: i.id)
-    chunks = [ordered[k::cfg.jobs] for k in range(cfg.jobs)]
+    chunks = [c for c in (ordered[k::cfg.jobs] for k in range(cfg.jobs)) if c]
+    # At most one worker per chunk and per CPU: --jobs 1000 would otherwise
+    # start a process per identity.  The chunks stay those of --jobs.
+    workers = min(cfg.jobs, os.cpu_count() or 1, len(chunks))
     rows: list[ResidualReport] = []
-    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_catalog_chunk,
                              [(c, cfg.n_samples, cfg.seed, pol)
-                              for c in chunks if c]):
+                              for c in chunks]):
             rows.extend(part)
     rows.sort(key=lambda r: (r.identity_id, r.sample_index))
     return rows
@@ -313,14 +316,15 @@ def _sign_resolution_details(d_ids: list[str], seed: int,
                              pol: PrecisionPolicy,
                              catalog: list[Identity]) -> list[dict]:
     """match_signs records for the selected ids' root forms in `catalog` at
-    3 tau draws, each distinct constant of the forms summed once per draw
-    (root_constants); a failed sign search is recorded with its error."""
+    3 tau draws, each distinct constant of the catalog's root forms summed
+    once per draw (root_constants); a failed sign search is recorded with
+    its error."""
     entries = {i.id: i for i in catalog if i.id in d_ids and i.root_form}
     rng = make_rng(seed, "sign-resolution")
     taus = [sample_tau(rng) for _ in range(3)]
     details = []
     for trial, (direct, base) in enumerate(
-            root_constants([*entries.values()], taus, pol)):
+            root_constants(catalog, taus, pol)):
         for d_id in sorted(d_ids):
             form = entries[d_id].root_form
             try:

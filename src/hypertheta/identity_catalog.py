@@ -1184,30 +1184,35 @@ def match_signs(d_id: str, root_form: dict, direct: complex,
 def resolve_sign(d_id: str, tau: PeriodMatrix,
                  pol: PrecisionPolicy = DEFAULT_POLICY,
                  catalog: list[Identity] | None = None):
-    """match_signs for one root form, its constants summed at tau."""
+    """match_signs for one root form, its constants summed at tau as
+    verify sums them (root_constants), so the record is the one verify
+    gives at tau bit for bit."""
     if catalog is None:
         catalog = build_catalog()
     entry = next((i for i in catalog if i.id == d_id and i.root_form), None)
     if entry is None:
         raise KeyError(f"no root form under id {d_id!r}")
-    ((direct, base),) = root_constants([entry], [tau], pol)
+    ((direct, base),) = root_constants(catalog, [tau], pol)
     return match_signs(d_id, entry.root_form,
                        direct[_json_key(entry.root_form["target"])], base)
 
 
-def root_constants(identities: list[Identity], taus: list[PeriodMatrix],
+def root_constants(catalog: list[Identity], taus: list[PeriodMatrix],
                    pol: PrecisionPolicy = DEFAULT_POLICY) -> list[tuple]:
-    """Per tau, the distinct doubled targets and base radicands of the root
-    forms as two dicts keyed by _json_key (match_signs' values): two
-    tables of one KernelBatch, summed at the origin in one call for all
-    taus, so bit for bit theta_values' values; the first that overflows,
-    per tau targets first, raises NonFiniteSum."""
-    targets = {k: ch for i in identities for k, ch in i._roots[0].items()}
-    radicands = {k: ch for i in identities for k, ch in i._roots[1].items()}
+    """Per tau, the distinct doubled targets and base radicands of all the
+    catalog's root forms as two dicts keyed by _json_key (match_signs'
+    values): two tables of one KernelBatch with classes, summed at the
+    origin in one call for all taus, so bit for bit theta_values' values.
+    A class-formed value depends on the other rows of its table, so the
+    tables hold every root form whichever ids a caller reads.  The first
+    sum that overflows, per tau targets first, raises NonFiniteSum."""
+    forms = [i for i in catalog if i.root_form]
+    targets = {k: ch for i in forms for k, ch in i._roots[0].items()}
+    radicands = {k: ch for i in forms for k, ch in i._roots[1].items()}
     windows = Windows.of([(ORIGIN, p) for tau in taus
                           for p in (double_periods(tau), tau)], pol)
-    values = iter(KernelBatch.of((targets.values(), radicands.values()))
-                  .values(windows))
+    values = iter(KernelBatch.of((targets.values(), radicands.values()),
+                                 classes=True).values(windows))
     return [(dict(zip(targets, values)), dict(zip(radicands, values)))
             for _ in taus]
 

@@ -21,10 +21,17 @@ mapped over lists, since numpy's SIMD log is not libm's.
 Every batched sum takes one path: truncation_windows windows arrays of
 (z, tau) in one windows_for call, giving each window it refuses
 truncation_window's exception, and KernelBatch sums tables of
-characteristics at such windows, theta_eval's values bit for bit.  The
-characteristic quadruple is written [a c; b d]: upper row (a, c), lower
-row (b, d), column pairing (a, b) and (c, d).  Entries are exact
-rationals with denominator 1 or 2.
+characteristics at such windows, theta_eval's values bit for bit.  Where
+asked (theta_values, the addition law's blocks), the rows of a table that
+share an upper row (reduced) form a class: they differ only by a real
+half-period shift of z, so they share one exponent grid up to powers of
+i.  The kernel then sums the first row of each class, theta_eval's value
+bit for bit, and its 16 residue sums, from which the class's other rows
+follow.  Those differ from theta_eval's values by rounding only, of the
+order of theta_eval's own rounding error (KernelBatch.values gives the
+bound).  The characteristic quadruple is
+written [a c; b d]: upper row (a, c), lower row (b, d), column pairing
+(a, b) and (c, d).  Entries are exact rationals with denominator 1 or 2.
 
 Doubled-period values ("capital Theta") are plain evaluations at
 double_periods(tau) = (2*tau1, 2*tau2, 2*tau12).
@@ -39,7 +46,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import accumulate, chain, product
 from typing import NamedTuple
 
 import numpy as np
@@ -550,14 +557,20 @@ def theta_eval(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
 
 def theta_values(chars, z: EvalPoint, tau: PeriodMatrix,
                  pol: PrecisionPolicy = DEFAULT_POLICY) -> list[complex]:
-    """[theta_eval(ch, z, tau, pol) for ch in chars], bit for bit, from one
-    truncation window and one KernelBatch: the radius and floor do not
-    depend on the characteristic.  Raises NonFiniteSum naming the first
-    characteristic, in the order given, whose sum overflows."""
+    """[theta_eval(ch, z, tau, pol) for ch in chars] from one truncation
+    window and one KernelBatch table with classes: the radius and floor do
+    not depend on the characteristic.  The first characteristic of each
+    upper class (its reduced upper row) gets theta_eval's value bit for
+    bit; the others are formed from that one's residue sums and differ
+    from theta_eval's by rounding only (KernelBatch.values gives the
+    bound).  Raises NonFiniteSum naming the first characteristic, in the
+    order given, whose sum overflows, or whose class's first
+    characteristic's sum does."""
     chars = tuple(chars)
     if not chars:
         return []
-    return KernelBatch.of([chars]).values(Windows.of([(z, tau)], pol))
+    return KernelBatch.of([chars], classes=True).values(
+        Windows.of([(z, tau)], pol))
 
 
 class Windows(NamedTuple):
@@ -577,7 +590,7 @@ class Windows(NamedTuple):
     def of(cls, pairs, pol: PrecisionPolicy = DEFAULT_POLICY) -> "Windows":
         """truncation_window of each (z, tau) pair, which raises its
         exception: for a few windows, where windows_for's fixed cost
-        (about 65 us) would dominate."""
+        (about 75 us on one window) would dominate."""
         return cls(*map(np.array, zip(*(
             (z.x, z.y, tau.tau1, tau.tau2, tau.tau12,
              *truncation_window(z, tau, pol.eps_tail, pol.max_radius))
@@ -619,22 +632,67 @@ def truncation_windows(x: np.ndarray, y: np.ndarray, tau1: np.ndarray,
     return Windows(x, y, tau1, tau2, tau12, radii, floors), errors
 
 
+# _RESIDUE_UNITS[e, f][p, q] = i**(e*p + f*q): the unit that weights the
+# terms with m = p, n = q mod 4 of a window whose lower offsets are shifted
+# by (e/4, f/4) (KernelBatch).
+_RESIDUE_UNITS = np.array(
+    [[[[_PHASES[(e * p + f * q) % 4] for q in range(4)] for p in range(4)]
+      for f in range(4)] for e in range(4)])
+
+
+def _unit16(k: int) -> complex:
+    """exp(pi*i*k/8), exact where it is a power of i."""
+    if k % 4 == 0:
+        return _PHASES[k // 4 % 4]
+    return cmath.exp(1j * math.pi * k / 8)
+
+
 class KernelBatch(NamedTuple):
     """Tables (collections) of characteristics compiled once into kernel
     rows, table after table: per row its characteristic, offsets and
-    reduction phase (_kernel); and the number of rows of each table."""
+    reduction phase (_kernel); and the number of rows of each table.
+
+    With classes, the rows of a table that share the upper offsets (a2,
+    c2) form a class; without, each row is a class of its own.  The first
+    row of a class, its head, is summed by the kernel; each further
+    row differs from it only by a real shift (e/4, f/4) of the lower
+    offsets, which multiplies the term at (m, n) by exp(2*pi*i*(e*a2 +
+    f*c2)/4) * i**(e*m + f*n).  So that row's sum is this constant phase
+    (shift) times the head's 16 residue sums (backends.residue_sums)
+    weighted by the units _RESIDUE_UNITS[e mod 4, f mod 4] (units), both
+    given for the rows that are not heads, in order."""
 
     chars: tuple[ThetaCharacteristic, ...]
     offsets: np.ndarray                # (4, C): a2, c2, b2, d2
     phases: np.ndarray                 # (C,)
     sizes: list[int]
+    back: np.ndarray                   # (C,) each row's distance from its head
+    units: np.ndarray                  # (D, 16)
+    shift: np.ndarray                  # (D,)
 
     @classmethod
-    def of(cls, tables) -> "KernelBatch":
+    def of(cls, tables, classes: bool = False) -> "KernelBatch":
+        tables = [tuple(chars) for chars in tables]
         chars = tuple(ch for chars in tables for ch in chars)
-        *offsets, phases = zip(*(ch._kernel for ch in chars))
+        kernels = [ch._kernel for ch in chars]
+        back, units, shift = [], [], []
+        for end in accumulate(map(len, tables)):
+            first: dict[tuple, int] = {}
+            for r in range(len(back), end):
+                a2, c2, b2, d2, _ = kernels[r]
+                h = first.setdefault((a2, c2), r) if classes else r
+                back.append(r - h)
+                if h != r:
+                    # Offsets and shifts are multiples of 1/4, so e, f and
+                    # 4*(e*a2 + f*c2) are exact integers.
+                    e, f = 4 * (b2 - kernels[h][2]), 4 * (d2 - kernels[h][3])
+                    units.append(_RESIDUE_UNITS[int(e) % 4, int(f) % 4])
+                    shift.append(_unit16(int(4 * (e * a2 + f * c2))))
+        *offsets, phases = zip(*kernels)
         return cls(chars, np.array(offsets), np.array(phases),
-                   [len(chars) for chars in tables])
+                   list(map(len, tables)), np.array(back, dtype=int),
+                   np.array(units, dtype=complex).reshape(-1, 16),
+                   np.array(shift, dtype=complex))
 
     @classmethod
     def join(cls, batches) -> "KernelBatch":
@@ -643,35 +701,68 @@ class KernelBatch(NamedTuple):
         return cls(tuple(chain.from_iterable(b.chars for b in batches)),
                    np.concatenate([b.offsets for b in batches], axis=1),
                    np.concatenate([b.phases for b in batches]),
-                   list(chain.from_iterable(b.sizes for b in batches)))
+                   list(chain.from_iterable(b.sizes for b in batches)),
+                   np.concatenate([b.back for b in batches]),
+                   np.concatenate([b.units for b in batches]),
+                   np.concatenate([b.shift for b in batches]))
 
     def values(self, windows: Windows, strict: bool = True) -> list[complex]:
         """The values of each table at its windows, window after window:
         windows holds one window per table per repetition, in table order.
-        The rows that share a radius are summed in one kernel call, under
-        np.errstate, and each window is reduced on its own; the sums are
-        phased by their exact units as theta_eval phases them, so each
-        value is theta_eval's bit for bit.  The rows of a window of radius
-        0 (refused) are not summed and read NaN.  A non-finite sum raises
-        NonFiniteSum naming the first such characteristic, in order, with
-        its unphased sum; with strict False it is kept, unphased."""
-        n = len(windows.radius) // len(self.sizes)
+        The heads that share a radius are summed in one kernel call, under
+        np.errstate, each window reduced on its own, and the sums are phased
+        by their exact units as theta_eval phases them: each head's value, so
+        without classes every value, is theta_eval's bit for bit.  A further
+        row of a class is formed from its head's residue sums (the class
+        docstring).  Its terms are the head's times exact units, so its sum
+        differs from theta_eval's by rounding only: each exponent by a few ulps
+        of the total modulus s of its five pieces, the order of the additions
+        (pairwise in theta_eval, in folds of K/4 here) and one rounded phase.
+        The two differ by at most about 2**-53 times the sum over the window of
+        |term| * (2R + 30 + 8*s).  The rows of a window of radius 0 (refused)
+        are not summed and read NaN.  Where a head's sum is not finite, its
+        whole class reads that sum.  A non-finite sum raises NonFiniteSum
+        naming the first such characteristic, in order, with its unphased sum;
+        with strict False it is kept, unphased."""
+        n, width = len(windows.radius) // len(self.sizes), len(self.chars)
         at = np.repeat(np.arange(len(windows.radius)), self.sizes * n)
         x, y, tau1, tau2, tau12, radii, floors = (v[at] for v in windows)
         a2, c2, b2, d2 = np.tile(self.offsets, n)
         sums = np.full(len(at), complex("nan"))
+        own = np.flatnonzero(self.back)
+        base = (np.arange(n) * width)[:, None]
+        derived, heads = base + own, base + own - self.back[own]
+        lead = np.ones(len(at), dtype=bool)
+        lead[derived] = False
+        split = np.zeros(len(at), dtype=bool)
+        split[heads] = True
+        slot = np.cumsum(split) - 1
+        residues = np.full((split.sum(), 4, 4), complex("nan"))
         with np.errstate(over="ignore", invalid="ignore"):
             xs, ys = x + b2, y + d2
             for radius in set(windows.radius.tolist()) - {0}:
-                rows = np.flatnonzero(radii == radius)
-                sums[rows] = lattice_sum(
-                    a2[rows], c2[rows], xs[rows], ys[rows], tau1[rows],
-                    tau2[rows], tau12[rows], radius, floor=floors[rows])
+                rows = np.flatnonzero(lead & (radii == radius))
+                kernel = (a2[rows], c2[rows], xs[rows], ys[rows], tau1[rows],
+                          tau2[rows], tau12[rows], radius)
+                if not own.size:
+                    # Without classes split would mark no row, and its
+                    # masks and empty residue grids cost the catalog's
+                    # sums about 4 %.
+                    sums[rows] = lattice_sum(*kernel, floor=floors[rows])
+                    continue
+                share = split[rows]
+                sums[rows], residues[slot[rows[share]]] = lattice_sum(
+                    *kernel, floor=floors[rows], split=share)
+            if own.size:
+                sums[derived] = (residues[slot[heads]].reshape(
+                    n, -1, 16) * self.units).sum(axis=-1) * self.shift
+                sums[derived] = np.where(np.isfinite(sums[heads]),
+                                         sums[derived], sums[heads])
             finite = np.isfinite(sums)
             np.multiply(sums, np.tile(self.phases, n), out=sums, where=finite)
         values = sums.tolist()
         if strict and not finite.all():
             k = int(np.argmin(finite))
-            raise NonFiniteSum(f"theta{self.chars[k % len(self.chars)]} sum "
+            raise NonFiniteSum(f"theta{self.chars[k % width]} sum "
                                f"overflows to {values[k]}")
         return values

@@ -147,9 +147,10 @@ def _counted_kernel(monkeypatch, *modules) -> dict:
 
 
 def test_constants_sum_each_constant_once(monkeypatch):
-    """The 16 doubled constants the solved rows read, each summed once in
+    """The 14 doubled constants the solved rows read, each summed once in
     one kernel call, and no sign search.  They are the targets of the
-    D1..D16 root forms, though the law reads none of those rows."""
+    D1..D16 root forms but [0 0;1 1] and [1 1;1 1], which only C13..C16
+    read, though the law reads none of those rows."""
     def boom(*args, **kwargs):
         raise AssertionError("match_signs on the constants path")
 
@@ -158,10 +159,11 @@ def test_constants_sum_each_constant_once(monkeypatch):
     kv = constants_vector(TAU)
     (chars,) = seen["theta_values"]
     assert chars == constant_chars()
-    assert len(chars) == len(set(chars)) == 16
-    assert set(chars) == set(_root_form_targets().values())
+    assert len(chars) == len(set(chars)) == 14
+    assert set(_root_form_targets().values()) - set(chars) == {
+        ThetaCharacteristic.of(0, 0, 1, 1), ThetaCharacteristic.of(1, 1, 1, 1)}
     assert seen["lattice_sum"] == 1
-    assert len(kv.values) == 16
+    assert len(kv.values) == 14
     for ch, value in zip(chars, kv.values):
         assert kv[ch] == value
 
@@ -178,7 +180,7 @@ def test_f_vector_divisor_hit_sums_no_numerator(monkeypatch):
 
 def test_verify_addition_sums_a_block_in_one_kernel_batch(monkeypatch):
     """Ten samples without a redraw: 30 normalizer theta_eval calls (three
-    per sample) and one KernelBatch.values call of 117 rows per sample, so
+    per sample) and one KernelBatch.values call of 107 rows per sample, so
     the lattice_sum calls are 30 plus the block's distinct radii."""
     seen = _counted_kernel(monkeypatch, addition)
     normalizers = []
@@ -200,21 +202,23 @@ def test_verify_addition_sums_a_block_in_one_kernel_batch(monkeypatch):
     assert (run.tau_redraws, run.point_redraws) == (0, 0)
     assert normalizers == [ThetaCharacteristic.of(0, 0, 0, 0)] * 30
     ((radii, rows),) = batches
-    assert rows == 1170
+    assert rows == 1070
     assert seen["theta_values"] == []
     assert seen["lattice_sum"] == 30 + len(set(radii.tolist()))
 
 
 def test_constants_at_diagonal_tau_do_not_warn():
-    """At diag(1.1i, 1.3i) zeta vanishes and the D10-D12 root forms miss
-    their 1e-8 match; the constants the law reads are still plain sums."""
+    """At diag(1.1i, 1.3i) zeta = Theta[1 1;1 1] vanishes and the D10-D12
+    root forms miss their 1e-8 match; the constants the law reads, which
+    no longer include zeta, are still plain sums."""
     tau = PeriodMatrix(1.1j, 1.3j, 0j)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         kv = constants_vector(tau)
-    zeta = theta_eval(ThetaCharacteristic.of(1, 1, 1, 1), ORIGIN,
-                      double_periods(tau))
-    assert kv[(1, 1, 1, 1)] == zeta
+    assert ThetaCharacteristic.of(1, 1, 1, 1) not in constant_chars()
+    for ch in ((0, 0, 0, 0), (1, 1, 0, 0)):
+        assert kv[ch] == theta_eval(ThetaCharacteristic.of(*ch), ORIGIN,
+                                    double_periods(tau))
 
 
 def test_theta_eval_and_law_never_call_reduce(monkeypatch):
@@ -242,26 +246,22 @@ def test_fragile_benchmark_draws_pass(seed):
     assert verify_addition(10, seed).all_passed
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 2: the lower-row (1 1) quotients read C13-C16, which "
-    "cancel on this draw; A11.path reads 5.6e-9 against 1e-9"))
 def test_benchmark_draw_7177_passes():
-    """Sample 5 of sub-seed 7177 (addition-law, bench seed 897) fails the
-    path rows of A3, A7, A11 and A15."""
+    """Sample 5 of sub-seed 7177 (addition-law, bench seed 897) failed the
+    path rows of A3, A7, A11 and A15 (A11.path 5.6e-9) while the law read
+    them through C13..C16."""
     run = verify_addition(10, 7177)
     assert all(r.passed for r in run.reports if r.sample_index == 5)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 2: the lower-row (1 1) quotients read C13-C16, whose "
-    "rhs cancels about 2e5-fold on these draws"))
 @pytest.mark.parametrize("n_samples, seed", [(1, 400858), (1, 11256),
                                              (10, 4878)])
 def test_known_failing_draws_pass(n_samples, seed):
-    """Draws on which the addition law misses its tolerances today: 400858
-    at 1.2e-7 to 4.4e-7 (A3, A7, A11, A15 and their path rows), 11256 at
-    3.6e-9 (A7.path, A11.path), sample 1 of 4878 at 3.5e-9 (A7.path) and
-    2.8e-9 (A11.path)."""
+    """Draws on which the addition law missed its tolerances while it read
+    the lower-row (1 1) quotients through C13..C16, whose rhs cancels
+    about 2e5-fold there: 400858 at 1.2e-7 to 4.4e-7 (A3, A7, A11, A15 and
+    their path rows), 11256 at 3.6e-9 (A7.path, A11.path), sample 1 of
+    4878 at 3.5e-9 (A7.path) and 2.8e-9 (A11.path)."""
     run = verify_addition(n_samples, seed)
     assert run.all_passed
 
@@ -285,7 +285,7 @@ def test_doubling_core_reproduces_doubled_thetas(k):
            for ch in ((0, 0, 0, 0),) + A_ORDER}
     dv = doubled_values(raw, k)
     direct = doubled_values_direct(Z1, TAU)
-    assert len(dv) == len(direct) == 28
+    assert len(dv) == len(direct) == 24
     for ch, got in dv.items():
         assert rel(got, direct[ch]) < 1e-9, ch
 
@@ -320,6 +320,38 @@ def test_addition_matches_direct_on_random_draws():
         alg = add_vector(f_vector(z1, tau), f_vector(z2, tau), kv)
         direct = f_vector(z1 + z2, tau)
         assert worst(alg, direct) < 1e-8
+
+
+def test_law_reads_no_doubled_theta_with_lower_row_11():
+    """The law's solved rows are C1..C12 and C17..C28, and its pairings
+    B1..B19 but B4, B8, B12, B16, and the route's eight: no pairing reads
+    a solved target with lower row (1 1), which only C13..C16 solve."""
+    _, targets, _, solved, pairings = addition._law_tables()
+    assert [ident for ident, _, _ in solved] == [
+        f"C{n}" for n in (*range(1, 13), *range(17, 29))]
+    assert len(targets) == 24 and len(pairings) == 15 + 8
+    assert all(key[2:] != (1, 1) for key in targets)
+    assert {pair for pair, _ in pairings[15:]} == {
+        pair for u in ((0, 0), (0, 1), (1, 0), (1, 1))
+        for pair in (((*u, 1, 1), (*u, 1, 1)), ((*u, 0, 1), (*u, 1, 1)))}
+
+
+def test_route_pairings_match_direct_products():
+    """The route's pairings, fed with directly summed doubled thetas, give
+    theta[s](z1+z2) * theta[s](z1-z2) and theta[e](z1+z2) * theta[s](z1-z2)
+    for s = [u; 1 1] and e = [u; 0 1], as direct sums at z1 + z2 and
+    z1 - z2 give them."""
+    d1 = list(doubled_values_direct(Z1, TAU).values())
+    d2 = list(doubled_values_direct(Z2, TAU).values())
+    G = addition._pairings(d1, d2)
+    diff = EvalPoint(Z1.x - Z2.x, Z1.y - Z2.y)
+    for u in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        s, e = (*u, 1, 1), (*u, 0, 1)
+        below = theta_eval(ThetaCharacteristic.of(*s), diff, TAU)
+        for sum_ch in (s, e):
+            want = theta_eval(ThetaCharacteristic.of(*sum_ch), Z1 + Z2,
+                              TAU) * below
+            assert rel(G[(sum_ch, s)], want) < 1e-12, (sum_ch, s)
 
 
 def test_identity_element(k):
@@ -468,12 +500,12 @@ def test_block_equals_one_sample_at_a_time(seed):
 
 
 def test_block_replays_redraws_one_sample_at_a_time(monkeypatch):
-    """At a divisor threshold of 0.05, seed 3 redraws 7 taus and 1 point
-    pair inside its blocks: each such sample is replayed from the RNG state
-    before it, and the rows and redraws stay those of the oracle."""
+    """At a divisor threshold of 0.05, seed 3 redraws 10 taus and 3 point
+    pairs inside its blocks: each such sample is replayed from the RNG
+    state before it, and the rows and redraws stay those of the oracle."""
     monkeypatch.setattr(addition, "DIVISOR_THRESHOLD", 0.05)
     run = verify_addition(20, 3)
-    assert (run.tau_redraws, run.point_redraws) == (7, 1)
+    assert (run.tau_redraws, run.point_redraws) == (10, 3)
     assert _outputs(run) == _outputs(_one_at_a_time(20, 3))
 
 
@@ -506,19 +538,20 @@ def test_addition_outputs_are_pinned(monkeypatch):
     """Rows and redraws of the addition suite, pinned: seeds 0-79, the
     benchmark items of seed 901, and the 0.05-threshold redraw case."""
     assert _dump([(10, s) for s in range(80)]) == (
-        "45138984d8ab78cb0bc2139326e01a04c08a6797facc643448a534df496bc3cb")
+        "4397efb3a0976c737d58172bcda75a4099a6776ebb9db84caae4a811ed6a1c8d")
     assert _dump([(10, s) for s in range(7208, 7216)]) == (
-        "d5091734a929a474e853912bb974b403bf6d9d6f4bab150b6ce10a1bf0192cd0")
+        "30e70c2a2940ad776533d6523bea4c3d6cd1084e675f153fc36ad075547a64ae")
     monkeypatch.setattr(addition, "DIVISOR_THRESHOLD", 0.05)
     assert _dump([(20, 3)]) == (
-        "8d3cde9ea97c7eb778d0c934faaf80b47a0451c766411f333ea3dc4c2681d590")
+        "ac0635a57cbed87145796775a89d7afc7f60e8ee8ce9ef5ebf87d1d94f976994")
 
 
 def test_wrong_sign_in_a_solved_row_fails_catalog_and_law(monkeypatch):
     """The law runs the catalog's own rows.  Flipping the sign of one
     coefficient of C7 (which solves Theta[1 0;0 1]) fails C7 in the catalog
     suite, and fails both comparisons of every quotient whose pairing reads
-    a doubled theta with lower row (0,1)."""
+    a doubled theta with lower row (0,1): those with lower row (0,1), and
+    those with lower row (1,1), which carry F[a c;0 1] over."""
     catalog = []
     for idty in identity_catalog.build_catalog():
         if idty.id == "C7":
@@ -537,6 +570,7 @@ def test_wrong_sign_in_a_solved_row_fails_catalog_and_law(monkeypatch):
         addition._law_tables.cache_clear()
     assert [(r.identity_id, r.passed) for r in reports] == [
         ("C6", True), ("C7", False)]
-    lower_01 = {label for label, ch in A_LABELS.items() if ch[2:] == (0, 1)}
+    reads_01 = {label for label, ch in A_LABELS.items()
+                if ch[2:] in ((0, 1), (1, 1))}
     assert {r.identity_id for r in run.reports if not r.passed} == \
-        lower_01 | {f"{label}.path" for label in lower_01}
+        reads_01 | {f"{label}.path" for label in reads_01}

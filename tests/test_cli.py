@@ -34,6 +34,7 @@ from hypertheta.identity_catalog import (
     load_catalog,
     resolve_sign,
     save_catalog,
+    selected,
     verify_catalog,
 )
 from hypertheta.sampling import make_rng, sample_tau
@@ -261,9 +262,9 @@ def test_verify_small_run_is_byte_pinned(tmp_path, capsys):
     assert code == 0
     assert report["total_rows"] == report["passed_rows"] == 474
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "c637556ea7e0504b05a6d999e0fa7be025c0c51475514c5ed13c4344c96f9ec6")
+        "19ad08aedf0907573ea9a1ab9eaa9ee7b05cd8aa5fb4172fc01d41d677071feb")
     assert report["determinism_hash"] == (
-        "88d27d51b015ca177a33ecf61a42d45c661e31bbb51deb359a73087e151738c8")
+        "40da4a463b1ea732ad1200fb8468a53dfeef053eb0bb3c472831292dea6e1577")
 
 
 def test_sign_details_sum_each_constant_once_per_draw(monkeypatch):
@@ -367,9 +368,9 @@ def test_sign_search_overflow_names_the_per_trial_characteristic(
     bad = [sample_tau(rng) for _ in range(2)][1].tau1
 
     def poisoned(a2, c2, xs, ys, tau1, *args, **kwargs):
-        sums = lattice_sum(a2, c2, xs, ys, tau1, *args, **kwargs)
+        sums, residues = lattice_sum(a2, c2, xs, ys, tau1, *args, **kwargs)
         sums[(tau1 == bad) & (a2 == 0.5)] = complex("inf")
-        return sums
+        return sums, residues
 
     monkeypatch.setattr(theta_core, "lattice_sum", poisoned)
     catalog = build_catalog()
@@ -569,6 +570,41 @@ def test_verify_parallel_jobs_match_serial(tmp_path, capsys):
     assert rep_parallel["config"]["output_path"] == str(parallel)
 
 
+@pytest.mark.parametrize("cpus", [2, 64])
+def test_verify_jobs_pool_is_capped(cpus, tmp_path, monkeypatch, capsys):
+    """--jobs 1000 starts at most one worker per CPU and per non-empty
+    chunk, and gives the --jobs 1 rows and determinism hash.  The pool is
+    a stub that records its size and maps in this process, so no process
+    starts."""
+    workers = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcess)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    runs = []
+    for jobs in ("1", "1000"):
+        out = tmp_path / f"rows{jobs}.jsonl"
+        assert main(["verify", "--samples", "1", "--only", "2e5,B1",
+                     "--jobs", jobs, "--out", str(out)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        runs.append((out.read_text(), report["determinism_hash"]))
+    identities = sum(selected(i.id, {"2e5", "B1"}) for i in build_catalog())
+    assert workers == [min(cpus, identities)]
+    assert runs[0] == runs[1]
+
+
 def test_catalog_file_with_the_same_ids_is_compiled_anew(tmp_path,
                                                        monkeypatch, capsys):
     """A HYPERTHETA_CATALOG file that keeps every id but changes one
@@ -613,14 +649,13 @@ def test_verify_only_subset_rows_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "731c5a9d3736401ba9212eae4fee972312beaa96ecec292b029f7050d70289c8")
     assert report["determinism_hash"] == (
-        "698a2bf1a2ff5a7152eed69ddf2f3c55e652cdda83ad383aa1d300a232720561")
+        "3a9cdbfc3c37d7d1e134944d8de3234ea0b02aa1536cb38a5fd482f4cb458c0b")
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 2: A3 and A3.path read 1.1e-8 on this draw"))
 def test_verify_known_failing_addition_draw_passes(tmp_path, capsys):
-    """verify --seed 1050000775 --samples 1 --only A3 exits 2 today: A3
-    misses its 1e-8 tolerance and A3.path its 1e-9, both at 1.1e-8."""
+    """verify --seed 1050000775 --samples 1 --only A3 exited 2 while the
+    law read A3 through C13..C16: A3 missed its 1e-8 tolerance and A3.path
+    its 1e-9, both at 1.1e-8."""
     code, rows, report, _ = _run_verify(tmp_path, capsys, "--seed",
                                         "1050000775", "--samples", "1",
                                         "--only", "A3")

@@ -373,9 +373,9 @@ def test_each_distinct_factor_summed_once_per_sample(monkeypatch):
         counts["characteristics"] += len(a2)
         return kernel(a2, *args, **kwargs)
 
-    def counted_window(*args):
+    def counted_window(*args, **kwargs):
         counts["window_sums"] += 1
-        return window(*args)
+        return window(*args, **kwargs)
 
     monkeypatch.setattr(theta_core.KernelBatch, "values", counted_values)
     monkeypatch.setattr(theta_core, "lattice_sum", counted_kernel)

@@ -208,6 +208,18 @@ _UNREDUCED_CHARS = [ThetaCharacteristic.of(*e) for e in itertools.product(
     [Fraction(k, 2) for k in range(-3, 5)], repeat=4)]
 
 
+def _head_rows(chars) -> list[int]:
+    """Per row of a table, the first row of its upper class (the kernel
+    offsets a2, c2): the row KernelBatch sums in the kernel for it."""
+    first: dict[tuple, int] = {}
+    return [first.setdefault(ch._kernel[:2], k) for k, ch in enumerate(chars)]
+
+
+def _heads(chars) -> list[int]:
+    """The rows of a table that are the first of their upper class."""
+    return [k for k, h in enumerate(_head_rows(chars)) if h == k]
+
+
 @pytest.mark.parametrize("z, tau, radius", [
     (EvalPoint(0.1 + 0.01j, -0.2), PeriodMatrix(0.2 + 3.5j, -0.1 + 4j,
                                                 0.3 + 0.5j), 2),
@@ -219,16 +231,20 @@ _UNREDUCED_CHARS = [ThetaCharacteristic.of(*e) for e in itertools.product(
 ])
 def test_theta_values_equal_theta_eval_bit_for_bit(z, tau, radius):
     """One kernel call over many characteristics, tau per row, gives
-    exactly the values of one theta_eval each, to the sign bit: the 16
-    integer characteristics, the 28 targets of the doubled law (half
-    characteristics included) and unreduced entries k/2, k in [-3, 4] (all
-    4,096 at small radii, which the kernel sums in several slices, every
-    31st otherwise), up to radius 30 on a thin lattice."""
+    exactly the value of one theta_eval for the first row of each upper
+    class, to the sign bit: the 16 integer characteristics, the 14
+    constants of the doubled law (half characteristics included) and
+    unreduced entries k/2, k in [-3, 4] (all 4,096 at small radii, which
+    the kernel sums in several slices, every 31st otherwise), up to radius
+    30 on a thin lattice.  The other rows come from their class's residue
+    sums (test_class_rows_match_a_30_digit_sum)."""
     assert truncation_radius(_INTEGER_CHARS[0], z, tau) == radius
     unreduced = _UNREDUCED_CHARS if radius <= 4 else _UNREDUCED_CHARS[::31]
     for chars in (_INTEGER_CHARS, list(_law_tables()[0].values()), unreduced):
-        assert ([_parts(v) for v in theta_values(chars, z, tau)]
-                == [_parts(theta_eval(ch, z, tau)) for ch in chars])
+        values = theta_values(chars, z, tau)
+        assert ([_parts(values[k]) for k in _heads(chars)]
+                == [_parts(theta_eval(chars[k], z, tau))
+                    for k in _heads(chars)])
 
 
 def test_theta_values_names_the_first_overflowing_characteristic():
@@ -360,8 +376,9 @@ def test_kernel_batch_equals_theta_values_bit_for_bit():
     """A KernelBatch of three tables summed at 20 repetitions of windows,
     each at its own (z, tau) and radius (many sharing a radius and so a
     kernel call with tau per row; the last repetition repeats the first),
-    gives exactly theta_values' values per window, and those are
-    theta_eval's, to the sign bit."""
+    gives exactly theta_eval's values, to the sign bit; with classes it
+    gives exactly theta_values' values per window, those of the first row
+    of each upper class the same."""
     rng = np.random.default_rng(11)
     tables = [[_UNREDUCED_CHARS[j] for j in rng.choice(
         len(_UNREDUCED_CHARS), size)] for size in (1, 16, 7)]
@@ -375,14 +392,17 @@ def test_kernel_batch_equals_theta_values_bit_for_bit():
     radii = windows.radius.tolist()
     assert radii == [truncation_window(z, tau)[0] for z, tau in pairs]
     assert len(set(radii)) < len(radii) - 40
-    got = _per_window(KernelBatch.of(tables).values(windows), tables,
-                      len(pairs))
+    plain, got = (_per_window(KernelBatch.of(tables, classes).values(
+        windows), tables, len(pairs)) for classes in (False, True))
     assert len(got) == len(pairs) and got[-3:] == got[:3]
-    for k, (values, (z, tau)) in enumerate(zip(got, pairs)):
+    for k, (values, each, (z, tau)) in enumerate(zip(got, plain, pairs)):
         chars = tables[k % 3]
+        assert [_parts(v) for v in each] == [
+            _parts(theta_eval(ch, z, tau)) for ch in chars]
         want = theta_values(chars, z, tau)
         assert [_parts(v) for v in values] == [_parts(v) for v in want]
-        assert want == [theta_eval(ch, z, tau) for ch in chars]
+        assert [_parts(want[j]) for j in _heads(chars)] == [
+            _parts(each[j]) for j in _heads(chars)]
 
 
 def test_kernel_batch_raises_or_keeps_an_overflow():
@@ -416,6 +436,150 @@ def test_kernel_batch_raises_or_keeps_an_overflow():
                 assert not cmath.isfinite(value)
                 outcomes["overflow"] += 1
     assert outcomes == {"finite": 4 + 16 + 4 + 6, "overflow": 10}
+
+
+def test_kernel_batch_classes_carry_an_overflowing_head():
+    """The batch of test_kernel_batch_raises_or_keeps_an_overflow with
+    classes raises the same NonFiniteSum.  With strict False the first row
+    of each upper class is non-finite where theta_eval raises, and else
+    theta_eval's value; a further row is non-finite where its class's
+    first row is, so [1 0; 1 0] and [1 0; 0 0], which theta_eval sums to
+    finite values, read non-finite with [1 0; 1 1].  Neither warns."""
+    edge = EvalPoint(0.2 + 15.45j, 0)
+    tables = (_INTEGER_CHARS[:4], _INTEGER_CHARS[::-1])
+    points = (Z_G, Z_G, edge, edge)
+    windows = Windows.of((z, TAU_G) for z in points)
+    batch = KernelBatch.of(tables, classes=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteSum) as want:
+            theta_values(_INTEGER_CHARS[::-1], edge, TAU_G)
+        with pytest.raises(NonFiniteSum, match=r"theta\[1 1; 1 1\]") as got:
+            batch.values(windows)
+        kept = _per_window(batch.values(windows, strict=False), tables,
+                           len(points))
+    assert str(got.value) == str(want.value)
+    outcomes = {"finite": 0, "overflow": 0, "overflowing class": 0}
+    for k, (values, z) in enumerate(zip(kept, points)):
+        heads = _head_rows(tables[k % 2])
+        for j, (ch, value) in enumerate(zip(tables[k % 2], values)):
+            if heads[j] != j:
+                finite = cmath.isfinite(values[heads[j]])
+                assert cmath.isfinite(value) == finite
+                outcomes["finite" if finite else "overflowing class"] += 1
+                continue
+            try:
+                assert _parts(value) == _parts(theta_eval(ch, z, TAU_G))
+                outcomes["finite"] += 1
+            except NonFiniteSum:
+                assert not cmath.isfinite(value)
+                outcomes["overflow"] += 1
+    assert outcomes == {"finite": 4 + 16 + 4 + 4, "overflow": 3,
+                        "overflowing class": 9}
+
+
+def _mp_class(chars, z: EvalPoint, tau: PeriodMatrix,
+              radius: int) -> list[complex]:
+    """theta[ch](z; tau) for each ch of chars summed over |m|, |n| <= radius
+    with 30 digits, straight from the definition, the characteristics left
+    unreduced: the terms without the lower entries once per upper row
+    (a, c), times exp(pi*i*(M*b + N*d)) per characteristic."""
+    out, grids = [], {}
+    with mpmath.workdps(30):
+        t1, t2, t12 = (mpmath.mpc(t.real, t.imag)
+                       for t in (tau.tau1, tau.tau2, tau.tau12))
+        x, y = (mpmath.mpc(v.real, v.imag) for v in (z.x, z.y))
+        for ch in chars:
+            a, c, b, d = (mpmath.mpf(e.numerator) / e.denominator
+                          for e in ch.entries)
+            if (ch.a, ch.c) not in grids:
+                ms = [m + a / 2 for m in range(-radius, radius + 1)]
+                ns = [n + c / 2 for n in range(-radius, radius + 1)]
+                grids[ch.a, ch.c] = ms, ns, [
+                    [mpmath.expjpi(t1 * M * M + t2 * N * N + 2 * t12 * M * N
+                                   + 2 * (M * x + N * y)) for N in ns]
+                    for M in ms]
+            ms, ns, grid = grids[ch.a, ch.c]
+            along = [mpmath.expjpi(N * d) for N in ns]
+            out.append(complex(mpmath.fsum(
+                mpmath.expjpi(M * b) * mpmath.fdot(row, along)
+                for M, row in zip(ms, grid))))
+    return out
+
+
+# Thin draws at radii 9-16, and two tables: the 16 integer characteristics
+# (four classes of four) and one class of 16 unreduced half characteristics
+# whose lower offsets differ by every multiple of 1/4.
+_CLASS_WINDOWS = [
+    (EvalPoint(0.21 - 0.32j, -0.34 + 0.45j), _thin_tau(0.12, angle=0.3)),
+    (EvalPoint(-0.4 + 0.6j, 0.1 - 0.2j), _thin_tau(0.2, angle=1.1)),
+    (EvalPoint(0.3 + 0.1j, 0.25 + 0.5j), _thin_tau(0.12, angle=2.0)),
+    (EvalPoint(0.05 - 0.55j, -0.2 - 0.3j),
+     _thin_tau(0.3, det=0.15, angle=2.6)),
+]
+_CLASS_TABLES = (_INTEGER_CHARS, [
+    ThetaCharacteristic.of("1/2", -1, b, d) for b in ("-1/2", "0", "1", "5/2")
+    for d in ("-1", "1/2", "3/2", "2")])
+
+
+@pytest.fixture(scope="module")
+def class_reference() -> list[tuple]:
+    """Per window and table: the window, the table, its 30-digit sums at
+    the certified radius plus 3, and theta_eval's values."""
+    out = []
+    for z, tau in _CLASS_WINDOWS:
+        radius = truncation_radius(_INTEGER_CHARS[0], z, tau)
+        assert 9 <= radius <= 16
+        for chars in _CLASS_TABLES:
+            out.append((z, tau, chars, _mp_class(chars, z, tau, radius + 3),
+                        [theta_eval(ch, z, tau) for ch in chars]))
+    return out
+
+
+def _class_errors(reference) -> list[tuple]:
+    """(characteristic, its head's, relative distance of theta_values'
+    value and of theta_eval's from the 30-digit sum) per row of
+    class_reference."""
+    out = []
+    for z, tau, chars, want, today in reference:
+        heads = _head_rows(chars)
+        for ch, h, got, old, ref in zip(chars, heads,
+                                        theta_values(chars, z, tau),
+                                        today, want):
+            out.append((ch, chars[h], abs(got - ref) / abs(ref),
+                        abs(old - ref) / abs(ref)))
+    return out
+
+
+def test_class_rows_match_a_30_digit_sum(class_reference):
+    """The rows KernelBatch forms from their class's residue sums, on thin
+    lattices at radii 9-16, are as close to a 30-digit sum as theta_eval's
+    values: the worst relative distance at most twice theta_eval's worst
+    on the same inputs (about 0.8 times here)."""
+    rows = _class_errors(class_reference)
+    assert sum(ch != head for ch, head, _, _ in rows) == 4 * (12 + 15)
+    worst_today = max(old for *_, old in rows)
+    assert worst_today < 1e-13
+    assert max(new for _, _, new, _ in rows) <= 2 * worst_today
+
+
+def test_a_wrong_residue_unit_fails_the_class_comparison(class_reference,
+                                                         monkeypatch):
+    """With one wrong power of i planted in the weights of the lower shift
+    (1/2, 0), the class comparison above fails for exactly the rows one
+    such shift from their head: [a c; 1 d] from [a c; 0 d] in the integer
+    table, and [1/2 -1; 5/2 -1] from [1/2 -1; -1/2 -1]."""
+    units = theta_core._RESIDUE_UNITS.copy()
+    units[2, 0, 1, 0] *= -1
+    monkeypatch.setattr(theta_core, "_RESIDUE_UNITS", units)
+    rows = _class_errors(class_reference)
+    worst_today = max(old for *_, old in rows)
+    failed = {(str(ch), str(head)) for ch, head, new, _ in rows
+              if new > 2 * worst_today}
+    assert failed == {
+        ("[0 0; 1 0]", "[0 0; 0 0]"), ("[0 1; 1 0]", "[0 1; 0 0]"),
+        ("[1 0; 1 0]", "[1 0; 0 0]"), ("[1 1; 1 0]", "[1 1; 0 0]"),
+        ("[1/2 -1; 5/2 -1]", "[1/2 -1; -1/2 -1]")}
 
 
 def _tail_bound(lam: float, rho: float, radius: int) -> float:
