@@ -8,18 +8,19 @@ The kernel computes the truncated double series
 with M = m + a2, N = n + c2, where a2, c2 are the (halved) upper
 characteristic entries and xs, ys already include the lower-row shift
 (xs = x + b/2, ys = y + d/2).  It takes two input shapes: scalars, one
-characteristic at one (z, tau), for theta_eval; or numpy arrays of shape
-(C,) for a2, c2, xs, ys, tau1, tau2 and tau12, one period matrix per
-row, for every batch of C rows that share R.  Each row's sum is
-bit-identical to its scalar call, since every term is formed by the same
-expressions in the same order and each window is reduced on its own.
+characteristic at one (z, tau), for theta_eval, summed by _scalar_sum;
+or numpy arrays of shape (C,) for a2, c2, xs, ys, tau1, tau2 and tau12,
+one period matrix per row, for every batch of C rows that share R,
+summed by _window_sums.  Each row's sum is bit-identical to its scalar
+call, since both routines form every term by exponents' expressions in
+its order and reduce each window on its own.
 At radius 4 (numpy, 2-core host, best of 9 repeats, floor -40) one row
-takes 26-31 us as a scalar call and 42-50 us as a batch of one, and 16
-or 28 rows take 86-144 us.
+takes 13-15 us as a scalar call and 27-31 us as a batch of one, and 16
+or 28 rows take 55-77 us.
 The index lines m and n enter the products as complex128 (line()): a
 call mixing a float line with complex operands converts it to exactly
 m + 0j but costs about 0.9 us more (1.51 against 0.65 us at 21
-elements), and the scalar call took 34-40 us with such calls.
+elements).
 
 Drop rule.  A floor, scalar or one per row, names the smallest exponent
 real part (log-modulus) worth exponentiating: a term whose exponent has
@@ -33,20 +34,24 @@ tail bound leaves below eps_tail.
 The default floor -inf keeps every term.  A NaN exponent is kept, so it
 still makes the sum non-finite.
 
-Box.  A scalar call with box=True at radius BOX_RADIUS or more passes
+Scalar windows.  _scalar_sum reads its index lines from _cached_line
+and, below BOX_RADIUS, the cross term's factor M*N from a centred slice
+of _cross_grid: one read-only grid per offset pair (a2, c2) at radius
+CROSS_RADIUS, 16 grids of 15 KB.  That spares each call an outer product
+and a float-to-complex cast, about 2.2 us at radius 9.  box=True says
+that no exponent of the window can overflow (theta_eval passes it where
+its window is not loud, theta_core._window); such a window has no NaN
+exponent, so one comparison, grid.real >= floor, masks it.  From
+BOX_RADIUS on, it also forms the exponents and the mask only inside
 floor_box, the index box of the ellipse of terms whose computed
 log-modulus can reach the floor (a median of 12 % of the square for the
-benchmark's theta-eval windows at radius 16 or more), to _window_sums,
-the one routine that exponentiates and sums every window, scalar or
-batched.  It forms the exponents and the mask only inside the box and
-writes their exp into that part of the zeroed (2R+1)^2 grid, which is
-summed whole as above: every kept term, every zero and the pairwise
-order are unchanged, so the sum is the same bit for bit.
-theta_eval asks for it only where its window is not loud
-(theta_core._window): where forming an exponent may overflow, a real
-part can be NaN outside the box, which the full window keeps and the
-box, formed from Im parts, cannot see.  The batched shape always forms
-the full grid: a box per slice of rows measured slower.
+benchmark's theta-eval windows at radius 16 or more), and writes their
+exp into that part of the zeroed (2R+1)^2 grid, which is summed whole as
+above: every kept term, every zero and the pairwise order are unchanged,
+so the sum is the same bit for bit.  Where forming an exponent may
+overflow, a real part can be NaN outside the box, which the full window
+keeps and the box, formed from Im parts, cannot see.  The batched shape
+always forms the full grid: a box per slice of rows measured slower.
 
 Residues.  A batched call with split also returns, for the rows it
 marks, the 16 partial sums of the summed window over (m mod 4, n mod 4)
@@ -86,18 +91,16 @@ def lattice_sum(a2, c2, xs, ys, tau1, tau2, tau12, radius: int,
                 floor=-math.inf, box: bool = False, split=None):
     """The sum over the (2R+1)^2 window, pairwise summation, terms whose
     log-modulus is below floor (a scalar, or one per row) set to 0: a
-    complex for scalar inputs, else an array of C sums.  With box, a
-    scalar call at radius BOX_RADIUS or more forms exponents only inside
-    floor_box, the same sum bit for bit; a caller asks for it only where
-    no exponent of the window can overflow (theta_core._window).  With
-    split, a boolean per row of a batch, it returns the C sums and the
-    residue_sums of the rows split marks, in order: shape (P, 4, 4)."""
+    complex for scalar inputs (_scalar_sum), else an array of C sums
+    (_window_sums).  box tells a scalar call that no exponent of its
+    window can overflow (theta_core._window), so it masks with one
+    comparison and, at radius BOX_RADIUS or more, forms exponents only
+    inside floor_box: the same sum bit for bit.  With split, a boolean
+    per row of a batch, it returns the C sums and the residue_sums of the
+    rows split marks, in order: shape (P, 4, 4)."""
     if not isinstance(a2, np.ndarray):
-        bounds = (floor_box(radius, a2, c2, xs, ys, tau1, tau2, tau12, floor)
-                  if box and radius >= BOX_RADIUS else None)
-        return complex(_window_sums(floor, *_cached_line(radius, a2),
-                                    *_cached_line(radius, c2), xs, ys, tau1,
-                                    tau2, tau12, box=bounds))
+        return _scalar_sum(a2, c2, xs, ys, tau1, tau2, tau12, radius, floor,
+                           box)
     k = np.arange(-radius, radius + 1, dtype=np.float64)
     rows = [np.broadcast_to(floor, a2.shape)[:, None, None],
             *line(k + a2[:, None]), *line(k + c2[:, None]), xs[:, None],
@@ -123,13 +126,32 @@ def line(m):
 
 @functools.lru_cache(maxsize=256)
 def _cached_line(radius: int, offset: float):
-    """line() of a scalar offset, read only.  The kernel offsets take 4
-    values, so 256 entries (0.6 MB at radius 60) hold every line that
-    radii up to 60 use."""
+    """line() of a scalar offset, read only, for _scalar_sum.  The kernel
+    offsets take 4 values, so 256 entries (0.6 MB at radius 60) hold
+    every line that radii up to 60 use."""
     lines = line(np.arange(-radius, radius + 1, dtype=np.float64) + offset)
     for v in lines:
         v.flags.writeable = False
     return lines
+
+
+# Radius of the cross-term grids of _cross_grid: every scalar window below
+# BOX_RADIUS reads a centred slice of one.
+CROSS_RADIUS = BOX_RADIUS - 1
+
+
+@functools.lru_cache(maxsize=16)
+def _cross_grid(a2: float, c2: float) -> np.ndarray:
+    """M*N = (m + a2)*(n + c2) over |m|, |n| <= CROSS_RADIUS as complex,
+    read only: the cross term's factor that exponents forms per call.  A
+    window of radius R < 16 is the slice [15 - R : 16 + R] on both axes,
+    the same floats, since each line entry k + a2 is formed alike (and
+    the products of the kernel offsets, multiples of 1/4 with small
+    numerators, are exact).  One grid per offset pair: 16 of 15 KB."""
+    k = np.arange(-CROSS_RADIUS, CROSS_RADIUS + 1, dtype=np.float64)
+    grid = ((k + a2)[:, None] * (k + c2)[None, :]).astype(complex)
+    grid.flags.writeable = False
+    return grid
 
 
 def exponents(m, tm, n, tn, xs, ys, tau1, tau2, tau12):
@@ -146,20 +168,44 @@ def exponents(m, tm, n, tn, xs, ys, tau1, tau2, tau12):
     return grid
 
 
-def _window_sums(floor, m, tm, n, tn, *offsets_and_periods, box=None,
-                 split=None):
-    """The sum of each window: exp of the exponents whose real part is not
-    below floor (a scalar, or shape (C, 1, 1)), zeros elsewhere.  With box,
-    a pair of slices of one window (floor_box), the exponents are formed
-    only inside it and their exp written into that part of the zeroed
-    window: the same kept terms, zeros and pairwise order.  With split, a
-    boolean per window of a batch, also the residue_sums of those windows."""
-    terms = out = np.zeros(m.shape + n.shape[-1:], dtype=complex)
-    if box is not None:
-        rows, cols = box
-        m, tm, n, tn, out = m[rows], tm[rows], n[cols], tn[cols], terms[box]
+def _scalar_sum(a2, c2, xs, ys, tau1, tau2, tau12, radius, floor, quiet):
+    """lattice_sum of one window: exponents' expressions in its order on
+    the cached lines, so bit for bit the sum of a batch of one.  Below
+    BOX_RADIUS the cross term's M*N is a slice of _cross_grid.  From
+    BOX_RADIUS on, a quiet window (box=True: no exponent can overflow)
+    forms its exponents only inside floor_box, any other the whole
+    square, each forming M*N as exponents does.  A quiet window masks
+    with grid.real >= floor, which is ~(grid.real < floor) where no
+    exponent is NaN; any other keeps its NaN exponents."""
+    m, tm = _cached_line(radius, a2)
+    n, tn = _cached_line(radius, c2)
+    terms = out = np.zeros((m.size, n.size), dtype=complex)
+    if radius < BOX_RADIUS:
+        ends = slice(CROSS_RADIUS - radius, CROSS_RADIUS + radius + 1)
+        cross = _cross_grid(a2, c2)[ends, ends]
+    else:
+        if quiet:
+            box = rows, cols = floor_box(radius, a2, c2, xs, ys, tau1, tau2,
+                                         tau12, floor)
+            m, tm, n, tn = m[rows], tm[rows], n[cols], tn[cols]
+            out = terms[box]
+        cross = (m.real[:, None] * n.real[None, :]).astype(complex)
+    row = 1j * np.pi * tau1 * m * m + tm * xs
+    col = 1j * np.pi * tau2 * n * n + tn * ys
+    grid = row[:, None] + col[None, :]
+    grid += 2j * np.pi * tau12 * cross
+    np.exp(grid, out=out,
+           where=grid.real >= floor if quiet else ~(grid.real < floor))
+    return complex(terms.sum())
+
+
+def _window_sums(floor, m, tm, n, tn, *offsets_and_periods, split=None):
+    """The sum of each window of a batch: exp of the exponents whose real
+    part is not below floor (shape (C, 1, 1)), zeros elsewhere.  With
+    split, a boolean per window, also the residue_sums of those windows."""
+    terms = np.zeros(m.shape + n.shape[-1:], dtype=complex)
     grid = exponents(m, tm, n, tn, *offsets_and_periods)
-    np.exp(grid, out=out, where=~(grid.real < floor))
+    np.exp(grid, out=terms, where=~(grid.real < floor))
     if split is None:
         return terms.sum(axis=(-2, -1))
     return terms.sum(axis=(-2, -1)), residue_sums(terms[split])

@@ -534,10 +534,12 @@ def theta_eval(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
     one part of its exp is infinite or NaN: the larger of |cos| and |sin|
     is at least 1/sqrt(2).  A pairwise sum with an infinite or NaN part
     has a non-finite part.  Only the message differs from the one a sum
-    gives.  Where the window is not loud, a kernel call at radius
-    backends.BOX_RADIUS or more forms only the exponents in the box of
-    terms that can reach the floor (backends.floor_box), the same sum
-    bit for bit."""
+    gives.  The sum is the kernel's scalar routine (backends._scalar_sum,
+    cached index lines and cross-term grid), bit for bit the value of a
+    KernelBatch without classes.  Where the window is not loud it masks
+    with one comparison, and at radius backends.BOX_RADIUS or more forms
+    only the exponents in the box of terms that can reach the floor
+    (backends.floor_box), the same sum bit for bit."""
     a2, c2, b2, d2, phase = ch._kernel
     radius, floor, loud = _window(z, tau, pol.eps_tail, pol.max_radius)
     if loud and _must_overflow(z, tau, radius, a2, c2):
@@ -564,8 +566,7 @@ def theta_values(chars, z: EvalPoint, tau: PeriodMatrix,
     bit; the others are formed from that one's residue sums and differ
     from theta_eval's by rounding only (KernelBatch.values gives the
     bound).  Raises NonFiniteSum naming the first characteristic, in the
-    order given, whose sum overflows, or whose class's first
-    characteristic's sum does."""
+    order given, whose sum overflows."""
     chars = tuple(chars)
     if not chars:
         return []
@@ -720,8 +721,10 @@ class KernelBatch(NamedTuple):
         (pairwise in theta_eval, in folds of K/4 here) and one rounded phase.
         The two differ by at most about 2**-53 times the sum over the window of
         |term| * (2R + 30 + 8*s).  The rows of a window of radius 0 (refused)
-        are not summed and read NaN.  Where a head's sum is not finite, its
-        whole class reads that sum.  A non-finite sum raises NonFiniteSum
+        are not summed and read NaN.  Where a head's sum is not finite, the
+        further rows of its class are summed on their own, as heads: each
+        reads theta_eval's value, or overflows where theta_eval does.
+        A non-finite sum raises NonFiniteSum
         naming the first such characteristic, in order, with its unphased sum;
         with strict False it is kept, unphased."""
         n, width = len(windows.radius) // len(self.sizes), len(self.chars)
@@ -756,8 +759,13 @@ class KernelBatch(NamedTuple):
             if own.size:
                 sums[derived] = (residues[slot[heads]].reshape(
                     n, -1, 16) * self.units).sum(axis=-1) * self.shift
-                sums[derived] = np.where(np.isfinite(sums[heads]),
-                                         sums[derived], sums[heads])
+                alone = derived[~np.isfinite(sums[heads])
+                                & (radii[derived] != 0)]
+                for radius in set(radii[alone].tolist()):
+                    rows = alone[radii[alone] == radius]
+                    sums[rows] = lattice_sum(
+                        a2[rows], c2[rows], xs[rows], ys[rows], tau1[rows],
+                        tau2[rows], tau12[rows], radius, floor=floors[rows])
             finite = np.isfinite(sums)
             np.multiply(sums, np.tile(self.phases, n), out=sums, where=finite)
         values = sums.tolist()

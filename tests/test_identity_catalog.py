@@ -412,6 +412,35 @@ def test_each_identity_is_compiled_once(monkeypatch):
     assert verify_catalog(1, 5, catalog=copy, only={"none"}) == []
 
 
+def test_the_last_program_is_kept(monkeypatch):
+    """verify_catalog joins its fragments into a program once per list of
+    identity objects: a second call with the same objects reuses the last
+    program, and a list with the same ids but new objects, or another
+    selection, is compiled anew; the rows do not change."""
+    programs = []
+    compile_ = identity_catalog._compile
+
+    def recorded(identities):
+        programs.append(compile_(identities))
+        return programs[-1]
+
+    monkeypatch.setattr(identity_catalog, "_compile", recorded)
+    want = [r.as_json() for r in verify_catalog(1, 3)]
+    assert [r.as_json() for r in verify_catalog(1, 3)] == want
+    assert programs[1] is programs[0]
+    copy = identity_catalog.identities_from_json(catalog_as_json(CAT))
+    assert [r.as_json() for r in verify_catalog(1, 3, catalog=copy)] == want
+    assert programs[2] is not programs[1]
+    assert [i.id for i in programs[2].identities] == [
+        i.id for i in programs[1].identities]
+    assert all(a is not b for a, b in zip(programs[2].identities,
+                                          programs[1].identities))
+    verify_catalog(1, 3, catalog=copy, only={"2e5"})
+    assert programs[3] is not programs[2]
+    assert verify_catalog(1, 3, catalog=copy)[0].as_json() == want[0]
+    assert programs[4] is not programs[3]
+
+
 def test_evaluate_identity_rows_are_pinned():
     """evaluate_identity of every identity at its own seeded draw keeps
     its bytes: a one-identity program is that identity's fragment."""

@@ -16,7 +16,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypertheta import (
@@ -37,7 +37,7 @@ from hypertheta import (
     theta_values,
     truncation_radius,
 )
-from hypertheta import identity_catalog, theta_core
+from hypertheta import backends, identity_catalog, theta_core
 from hypertheta.addition import _law_tables
 from hypertheta.backends import (
     BOX_RADIUS,
@@ -365,6 +365,79 @@ def test_scalar_kernel_equals_a_batch_of_one_to_the_sign_bit():
         theta_eval(ch, ORIGIN, phase_overflow)
 
 
+# The fixed parts of test_scalar_routine_equals_a_batch's examples, and
+# their (im1, im_z) with the window's (radius, loud).
+_SPLIT_FIXED = dict(ratio=1.3, corr=0.2 / 1.3 ** 0.5, skew=-0.5,
+                    re=(0.1, -0.2, 0.05, 0.3, -0.1), lift=(1, -1, 2, -3))
+_SPLIT_EXAMPLES = {(1.0, 0.0): (4, False), (0.5, 2.4): (15, False),
+                   (0.5, 2.6): (16, False), (0.2, 2.8): (40, False),
+                   (1.0, 11.0): (30, True)}
+
+
+def _split_inputs(im1, ratio, corr, im_z, skew, re):
+    """(z, tau) from the drawn parts of test_scalar_routine_equals_a_batch:
+    Im tau1 = im1, Im tau2 = ratio*im1, Im tau12 = corr*sqrt(their
+    product), Im z = (im_z, skew*im_z), real parts re."""
+    i2 = ratio * im1
+    tau = PeriodMatrix(complex(re[0], im1), complex(re[1], i2),
+                       complex(re[2], corr * math.sqrt(im1 * i2)))
+    return EvalPoint(complex(re[3], im_z), complex(re[4], skew * im_z)), tau
+
+
+def _with_split_examples(test):
+    """test with an explicit example per entry of _SPLIT_EXAMPLES."""
+    for im1, im_z in _SPLIT_EXAMPLES:
+        test = example(im1=im1, im_z=im_z, **_SPLIT_FIXED)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None)
+@given(im1=st.floats(0.02, 1.5), ratio=st.floats(0.5, 2.0),
+       corr=st.floats(-0.9, 0.9), im_z=st.floats(-1.0, 1.0).map(
+           lambda u: 3.5 * u), skew=st.floats(-1.0, 1.0),
+       re=st.tuples(*[st.floats(-1.0, 1.0)] * 5),
+       lift=st.tuples(*[st.integers(-3, 3)] * 4))
+@_with_split_examples
+def test_scalar_routine_equals_a_batch(im1, ratio, corr, im_z, skew, re,
+                                       lift):
+    """theta_eval (the scalar routine, backends._scalar_sum) and a
+    KernelBatch without classes (the batched _window_sums) give the same
+    value to the sign bit, or both overflow, for all 16 upper offset
+    pairs (a2, c2) at once, as unreduced characteristics shifted by the
+    drawn lift, at radii 2-40: drawn windows, and the examples at radius
+    4, at 15 and 16 (the edge of the cross-term grid's slice and of the
+    box), at 40, and one loud window at radius 30.  The cross-term cache
+    holds at most 16 grids, none writeable."""
+    z, tau = _split_inputs(im1, ratio, corr, im_z, skew, re)
+    try:
+        radius, _, loud = theta_core._window(z, tau, DEFAULT_POLICY.eps_tail,
+                                             DEFAULT_POLICY.max_radius)
+    except RadiusExceeded:
+        radius, loud = 0, False
+    assume(2 <= radius <= 40)
+    ka, kc, kb, kd = lift
+    chars = [ThetaCharacteristic.of(Fraction(a + 4 * ka, 2),
+                                    Fraction(c + 4 * kc, 2),
+                                    Fraction(a * c + kb, 2), Fraction(kd, 2))
+             for a in range(4) for c in range(4)]
+    assert len({ch._kernel[:2] for ch in chars}) == 16
+    batch = KernelBatch.of([chars]).values(Windows.of([(z, tau)]),
+                                           strict=False)
+    for ch, value in zip(chars, batch):
+        try:
+            scalar = theta_eval(ch, z, tau)
+        except NonFiniteSum:
+            assert not cmath.isfinite(value), ch
+            continue
+        assert _parts(scalar) == _parts(value), (ch, z, tau)
+    if (im1, im_z) in _SPLIT_EXAMPLES and (ratio, skew) == (1.3, -0.5):
+        assert (radius, loud) == _SPLIT_EXAMPLES[im1, im_z]
+    info = backends._cross_grid.cache_info()
+    assert info.maxsize == 16 and info.currsize <= 16
+    assert not any(backends._cross_grid(a / 4, c / 4).flags.writeable
+                   for a in range(4) for c in range(4))
+
+
 def _per_window(values: list, tables, windows: int) -> list[list]:
     """A batch's values split into one list per window."""
     ends = list(itertools.accumulate(
@@ -442,9 +515,11 @@ def test_kernel_batch_classes_carry_an_overflowing_head():
     """The batch of test_kernel_batch_raises_or_keeps_an_overflow with
     classes raises the same NonFiniteSum.  With strict False the first row
     of each upper class is non-finite where theta_eval raises, and else
-    theta_eval's value; a further row is non-finite where its class's
-    first row is, so [1 0; 1 0] and [1 0; 0 0], which theta_eval sums to
-    finite values, read non-finite with [1 0; 1 1].  Neither warns."""
+    theta_eval's value; a further row of a class whose first row is
+    non-finite is summed on its own, so it too reads theta_eval's value
+    bit for bit or is non-finite where theta_eval raises: [1 0; 1 0] and
+    [1 0; 0 0], in the class of the overflowing [1 0; 1 1], read
+    theta_eval's finite values.  Neither warns."""
     edge = EvalPoint(0.2 + 15.45j, 0)
     tables = (_INTEGER_CHARS[:4], _INTEGER_CHARS[::-1])
     points = (Z_G, Z_G, edge, edge)
@@ -459,23 +534,31 @@ def test_kernel_batch_classes_carry_an_overflowing_head():
         kept = _per_window(batch.values(windows, strict=False), tables,
                            len(points))
     assert str(got.value) == str(want.value)
-    outcomes = {"finite": 0, "overflow": 0, "overflowing class": 0}
+    outcomes = {"finite": 0, "overflow": 0,
+                "finite in an overflowing class": 0,
+                "overflow in an overflowing class": 0}
+    rescued = set()
     for k, (values, z) in enumerate(zip(kept, points)):
         heads = _head_rows(tables[k % 2])
         for j, (ch, value) in enumerate(zip(tables[k % 2], values)):
-            if heads[j] != j:
-                finite = cmath.isfinite(values[heads[j]])
-                assert cmath.isfinite(value) == finite
-                outcomes["finite" if finite else "overflowing class"] += 1
-                continue
+            alone = heads[j] != j and not cmath.isfinite(values[heads[j]])
             try:
-                assert _parts(value) == _parts(theta_eval(ch, z, TAU_G))
-                outcomes["finite"] += 1
+                want_value = theta_eval(ch, z, TAU_G)
             except NonFiniteSum:
                 assert not cmath.isfinite(value)
-                outcomes["overflow"] += 1
+                outcomes["overflow in an overflowing class" if alone
+                         else "overflow"] += 1
+                continue
+            if heads[j] == j or alone:
+                assert _parts(value) == _parts(want_value), ch
+            if alone:
+                rescued.add(str(ch))
+            outcomes["finite in an overflowing class" if alone
+                     else "finite"] += 1
     assert outcomes == {"finite": 4 + 16 + 4 + 4, "overflow": 3,
-                        "overflowing class": 9}
+                        "finite in an overflowing class": 2,
+                        "overflow in an overflowing class": 7}
+    assert rescued == {"[1 0; 1 0]", "[1 0; 0 0]"}
 
 
 def _mp_class(chars, z: EvalPoint, tau: PeriodMatrix,
