@@ -38,11 +38,11 @@ Scalar windows.  _scalar_sum reads its index lines from _cached_line
 and, below BOX_RADIUS, the cross term's factor M*N from a centred slice
 of _cross_grid: one read-only grid per offset pair (a2, c2) at radius
 CROSS_RADIUS, 16 grids of 15 KB.  That spares each call an outer product
-and a float-to-complex cast, about 2.2 us at radius 9.  box=True says
+and a float-to-complex cast, about 2.2 us at radius 9.  quiet=True says
 that no exponent of the window can overflow (theta_eval passes it where
 its window is not loud, theta_core._window); such a window has no NaN
 exponent, so one comparison, grid.real >= floor, masks it.  From
-BOX_RADIUS on, it also forms the exponents and the mask only inside
+BOX_RADIUS on, a quiet window also forms the exponents and the mask only inside
 floor_box, the index box of the ellipse of terms whose computed
 log-modulus can reach the floor (a median of 12 % of the square for the
 benchmark's theta-eval windows at radius 16 or more), and writes their
@@ -76,7 +76,7 @@ BACKEND_NAME = "numpy"
 # a slice of characteristics at a time.
 GRID_POINTS = 8192
 
-# Smallest radius at which a scalar call with box=True forms only the
+# Smallest radius at which a scalar call with quiet=True forms only the
 # exponents inside floor_box.  theta_eval with the box over without,
 # median of 150 inputs of the benchmark's theta-eval draw per radius, min
 # of 7 interleaved calls each (2-core x86-64 host, numpy 2.4): 1.04 at
@@ -88,11 +88,11 @@ BOX_RADIUS = 16
 
 
 def lattice_sum(a2, c2, xs, ys, tau1, tau2, tau12, radius: int,
-                floor=-math.inf, box: bool = False, split=None):
+                floor=-math.inf, quiet: bool = False, split=None):
     """The sum over the (2R+1)^2 window, pairwise summation, terms whose
     log-modulus is below floor (a scalar, or one per row) set to 0: a
     complex for scalar inputs (_scalar_sum), else an array of C sums
-    (_window_sums).  box tells a scalar call that no exponent of its
+    (_window_sums).  quiet tells a scalar call that no exponent of its
     window can overflow (theta_core._window), so it masks with one
     comparison and, at radius BOX_RADIUS or more, forms exponents only
     inside floor_box: the same sum bit for bit.  With split, a boolean
@@ -100,7 +100,7 @@ def lattice_sum(a2, c2, xs, ys, tau1, tau2, tau12, radius: int,
     rows split marks, in order: shape (P, 4, 4)."""
     if not isinstance(a2, np.ndarray):
         return _scalar_sum(a2, c2, xs, ys, tau1, tau2, tau12, radius, floor,
-                           box)
+                           quiet)
     k = np.arange(-radius, radius + 1, dtype=np.float64)
     rows = [np.broadcast_to(floor, a2.shape)[:, None, None],
             *line(k + a2[:, None]), *line(k + c2[:, None]), xs[:, None],
@@ -172,11 +172,11 @@ def _scalar_sum(a2, c2, xs, ys, tau1, tau2, tau12, radius, floor, quiet):
     """lattice_sum of one window: exponents' expressions in its order on
     the cached lines, so bit for bit the sum of a batch of one.  Below
     BOX_RADIUS the cross term's M*N is a slice of _cross_grid.  From
-    BOX_RADIUS on, a quiet window (box=True: no exponent can overflow)
-    forms its exponents only inside floor_box, any other the whole
-    square, each forming M*N as exponents does.  A quiet window masks
-    with grid.real >= floor, which is ~(grid.real < floor) where no
-    exponent is NaN; any other keeps its NaN exponents."""
+    BOX_RADIUS on, a quiet window (no exponent can overflow) forms its
+    exponents only inside floor_box, any other the whole square, each
+    forming M*N as exponents does.  A quiet window masks with grid.real
+    >= floor, which is ~(grid.real < floor) where no exponent is NaN; any
+    other keeps its NaN exponents."""
     m, tm = _cached_line(radius, a2)
     n, tn = _cached_line(radius, c2)
     terms = out = np.zeros((m.size, n.size), dtype=complex)

@@ -547,7 +547,7 @@ def theta_eval(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
                            "exceeds the largest float")
     if not loud:
         value = lattice_sum(a2, c2, z.x + b2, z.y + d2, tau.tau1, tau.tau2,
-                            tau.tau12, radius, floor=floor, box=True)
+                            tau.tau12, radius, floor=floor, quiet=True)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             value = lattice_sum(a2, c2, z.x + b2, z.y + d2, tau.tau1,
@@ -723,10 +723,10 @@ class KernelBatch(NamedTuple):
         |term| * (2R + 30 + 8*s).  The rows of a window of radius 0 (refused)
         are not summed and read NaN.  Where a head's sum is not finite, the
         further rows of its class are summed on their own, as heads: each
-        reads theta_eval's value, or overflows where theta_eval does.
-        A non-finite sum raises NonFiniteSum
-        naming the first such characteristic, in order, with its unphased sum;
-        with strict False it is kept, unphased."""
+        reads theta_eval's value, or overflows where theta_eval does.  A
+        non-finite sum raises NonFiniteSum naming the first such
+        characteristic, in order, with its unphased sum; with strict False
+        it is kept, unphased."""
         n, width = len(windows.radius) // len(self.sizes), len(self.chars)
         at = np.repeat(np.arange(len(windows.radius)), self.sizes * n)
         x, y, tau1, tau2, tau12, radii, floors = (v[at] for v in windows)
@@ -743,19 +743,23 @@ class KernelBatch(NamedTuple):
         residues = np.full((split.sum(), 4, 4), complex("nan"))
         with np.errstate(over="ignore", invalid="ignore"):
             xs, ys = x + b2, y + d2
+
+            def kernel(rows, radius, share=None):
+                return lattice_sum(a2[rows], c2[rows], xs[rows], ys[rows],
+                                   tau1[rows], tau2[rows], tau12[rows],
+                                   radius, floor=floors[rows], split=share)
+
             for radius in set(windows.radius.tolist()) - {0}:
                 rows = np.flatnonzero(lead & (radii == radius))
-                kernel = (a2[rows], c2[rows], xs[rows], ys[rows], tau1[rows],
-                          tau2[rows], tau12[rows], radius)
                 if not own.size:
                     # Without classes split would mark no row, and its
                     # masks and empty residue grids cost the catalog's
                     # sums about 4 %.
-                    sums[rows] = lattice_sum(*kernel, floor=floors[rows])
+                    sums[rows] = kernel(rows, radius)
                     continue
                 share = split[rows]
-                sums[rows], residues[slot[rows[share]]] = lattice_sum(
-                    *kernel, floor=floors[rows], split=share)
+                sums[rows], residues[slot[rows[share]]] = kernel(
+                    rows, radius, share)
             if own.size:
                 sums[derived] = (residues[slot[heads]].reshape(
                     n, -1, 16) * self.units).sum(axis=-1) * self.shift
@@ -763,9 +767,7 @@ class KernelBatch(NamedTuple):
                                 & (radii[derived] != 0)]
                 for radius in set(radii[alone].tolist()):
                     rows = alone[radii[alone] == radius]
-                    sums[rows] = lattice_sum(
-                        a2[rows], c2[rows], xs[rows], ys[rows], tau1[rows],
-                        tau2[rows], tau12[rows], radius, floor=floors[rows])
+                    sums[rows] = kernel(rows, radius)
             finite = np.isfinite(sums)
             np.multiply(sums, np.tile(self.phases, n), out=sums, where=finite)
         values = sums.tolist()
