@@ -44,16 +44,24 @@ series in one KernelBatch call (_block), leaving only a sample's three
 normalizers to theta_eval.  The 107 series fall into 54 upper classes
 whose first rows are theta_eval's values bit for bit; the others are
 formed from their class's residue sums (KernelBatch).
+
+The block then runs the law on all its samples at once (_finish_block),
+from the same tables compiled into index arrays (_BlockLaw), as numpy
+arrays of dtype=object.  Each element operation is CPython's own complex
+arithmetic, in the scalar law's order, so every value is bit for bit that
+of the per-point functions add_vector, add_direct and doubled_values, which
+stay scalar as the reference: a complex128 law would round differently,
+and by the CPU's SIMD level, since numpy's complex multiply contracts to
+FMA under its x86-64-v3 dispatch.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -181,13 +189,20 @@ class ConstantsVector:
     def _solved_rows(self) -> tuple[tuple, ...]:
         """The solved rows SOLVED_IDS at this tau, computed once: per row, its
         id, its lhs coefficient and its rhs terms as (coeff * constants,
-        chA index, chB index)."""
+        chA index, chB index).  Each lhs sum is a left fold from 0j, as
+        the block's (_BlockLaw), not builtin sum(), which may compensate
+        complex sums."""
         _, _, products, solved, _ = _law_tables()
         values = [math.prod((self.values[i] for i in factors), start=1)
                   for factors in products]
-        return tuple((ident, sum(c * values[i] for c, i in lhs),
-                      [(c * values[i], a, b) for c, i, a, b in rhs])
-                     for ident, lhs, rhs in solved)
+        rows = []
+        for ident, lhs, rhs in solved:
+            den = 0j
+            for c, i in lhs:
+                den += c * values[i]
+            rows.append((ident, den,
+                         [(c * values[i], a, b) for c, i, a, b in rhs]))
+        return tuple(rows)
 
     def near_singular(self) -> tuple[str, ...]:
         """Ids of the solved rows whose lhs coefficient is below
@@ -275,8 +290,17 @@ def _read(term: IdentityTerm, shape: tuple, ident: str) -> tuple:
             tuple(FVector._key(f.ch) for f in consts))
 
 
+class _LawTables(tuple):
+    """_law_tables()'s five tables, with .block, the same compiled into
+    index arrays for a whole block once per result."""
+
+    @cached_property
+    def block(self) -> _BlockLaw:
+        return _BlockLaw.of(self)
+
+
 @lru_cache(maxsize=1)
-def _law_tables() -> tuple[dict, dict, tuple, tuple, tuple]:
+def _law_tables() -> _LawTables:
     """Catalog rows SOLVED_IDS and PAIRING_IDS, and the route's pairings,
     in index form, compiled once from the catalog builder.
 
@@ -301,6 +325,8 @@ def _law_tables() -> tuple[dict, dict, tuple, tuple, tuple]:
     its id, its lhs terms (coeff, products index) and its rhs terms (coeff,
     products index, chA and chB _POINT_CHARS index); per pairing row, (sum,
     diff) and its rhs terms (coeff / lhs coeff, x and y targets index).
+    Their .block (_LawTables) is compiled from this result, so clearing
+    this cache recompiles it too.
     """
     by_id = {i.id: i for i in build_catalog()}
     constants: dict[tuple, int] = {}
@@ -349,9 +375,10 @@ def _law_tables() -> tuple[dict, dict, tuple, tuple, tuple]:
             (kx, qx), (ky, qy) = target(x), target(y)
             rhs.append((c / c0 * qx * qy, kx, ky))
         pairings.append((pair, tuple(rhs)))
-    return ({key: ThetaCharacteristic.of(*key) for key in constants},
-            {key: ThetaCharacteristic.of(*key) for key in targets},
-            tuple(products), tuple(solved), tuple(pairings))
+    return _LawTables((
+        {key: ThetaCharacteristic.of(*key) for key in constants},
+        {key: ThetaCharacteristic.of(*key) for key in targets},
+        tuple(products), tuple(solved), tuple(pairings)))
 
 
 def _solved_weights(k: ConstantsVector) -> tuple[tuple, ...]:
@@ -481,13 +508,6 @@ class AdditionRun:
         return all(r.passed for r in self.reports)
 
 
-def _quotient_rows(label_suffix: str, sample: int, got: FVector,
-                   want: FVector, tol: float) -> list[ResidualReport]:
-    return [ResidualReport.compare(f"A{idx + 1}{label_suffix}", sample, a, b,
-                                   tol, DEFAULT_POLICY.abs_tol)
-            for idx, (a, b) in enumerate(zip(got.values, want.values))]
-
-
 # Most samples one block draws ahead, so the arrays a block holds (107 rows
 # per sample) do not grow with n_samples.
 _BLOCK_SAMPLES = 64
@@ -503,6 +523,180 @@ def _block_rows() -> KernelBatch:
     constants, targets = _law_tables()[:2]
     return KernelBatch.of((constants.values(), _A_CHARS, _A_CHARS, _A_CHARS,
                            targets.values(), targets.values()), classes=True)
+
+
+def _fold_plan(lengths: list[int]) -> tuple:
+    """Where _fold puts rows of the given numbers of terms, in order: (the
+    zero slot starting each row, the terms' slots, the width): row r's
+    terms follow its zero slot, r + 1 slots past their index."""
+    rows = np.arange(len(lengths))
+    starts = np.cumsum([0, *lengths[:-1]]) + rows
+    slots = np.arange(sum(lengths)) + np.repeat(rows + 1, lengths)
+    return starts, slots, sum(lengths) + len(lengths)
+
+
+def _fold(terms: np.ndarray, plan: tuple) -> np.ndarray:
+    """Row sums of terms along the last axis, each a left fold from 0j as
+    the scalar law's `acc = 0j; acc += term`: np.add.reduceat over a zero
+    slot followed by the row's terms, which on object arrays adds in
+    order."""
+    starts, slots, width = plan
+    buf = np.empty((*terms.shape[:-1], width), dtype=object)
+    buf[..., starts] = 0j
+    buf[..., slots] = terms
+    return np.add.reduceat(buf, starts, axis=-1)
+
+
+def _columns(terms) -> list[np.ndarray]:
+    """terms transposed: their first entries (the coefficients, the tables'
+    own Python numbers) as an object array, the others as index arrays."""
+    first, *rest = zip(*terms)
+    return [np.array(first, dtype=object),
+            *(np.array(column) for column in rest)]
+
+
+class _BlockLaw(NamedTuple):
+    """The law's tables (_law_tables) as index arrays for _finish_block.
+
+    products: how many distinct products of constants the rows read;
+    factors: per factor position k, the products with a k-th factor and
+        that factor's constants index;
+    lhs, rhs: the solved rows' terms, as coefficients, products index (and
+        chA, chB _POINT_CHARS index), and their fold plan;
+    pairings: coefficients, x and y targets index, and the fold plan;
+    guards: the pairings the assembly divides by, G[0 0;0 0] first;
+    base, upper, route: _assemble's three branches, as the A_ORDER
+        positions each fills and the pairings it reads (and for the route
+        the positions of its F[e])."""
+
+    products: int
+    factors: tuple
+    lhs: tuple
+    rhs: tuple
+    pairings: tuple
+    guards: np.ndarray
+    base: tuple
+    upper: tuple
+    route: tuple
+
+    @classmethod
+    def of(cls, tables: tuple) -> "_BlockLaw":
+        _, _, products, solved, pairings = tables
+        factors = tuple(
+            (np.array([p for p, f in enumerate(products) if len(f) > k]),
+             np.array([f[k] for f in products if len(f) > k]))
+            for k in range(max(map(len, products))))
+        col = {pair: j for j, (pair, _) in enumerate(pairings)}
+        base, upper, route = [], [], []
+        for at, ch in enumerate(A_ORDER):
+            if ch[2:] == (1, 1):
+                e = (*ch[:2], 0, 1)
+                route.append((at, col[(ch, ch)], A_ORDER.index(e),
+                              col[(e, ch)]))
+            elif (ch, BASE_CHAR) in col:
+                base.append((at, col[(ch, BASE_CHAR)]))
+            else:
+                u = (*ch[:2], 0, 0)
+                upper.append((at, col[(u, BASE_CHAR)], col[(ch, u)],
+                              col[(u, u)]))
+        branches = [tuple(map(np.array, zip(*rows)))
+                    for rows in (base, upper, route)]
+        return cls(
+            len(products), factors,
+            (*_columns(t for _, lhs, _ in solved for t in lhs),
+             _fold_plan([len(lhs) for _, lhs, _ in solved])),
+            (*_columns(t for _, _, rhs in solved for t in rhs),
+             _fold_plan([len(rhs) for _, _, rhs in solved])),
+            (*_columns(t for _, terms in pairings for t in terms),
+             _fold_plan([len(terms) for _, terms in pairings])),
+            np.array([col[(BASE_CHAR, BASE_CHAR)], *branches[1][3],
+                      *branches[2][3]]),
+            *branches)
+
+
+def _first(refused: np.ndarray) -> int:
+    """The index of the first True in refused, or its length."""
+    hits = np.flatnonzero(refused)
+    return int(hits[0]) if hits.size else len(refused)
+
+
+def _small(values: np.ndarray) -> np.ndarray:
+    """abs() < DIVISOR_THRESHOLD per value: each guard of the scalar law."""
+    return np.abs(values) < DIVISOR_THRESHOLD
+
+
+def _finish_block(values: list, draws: list,
+                  pol: PrecisionPolicy) -> np.ndarray:
+    """(reduced, direct12, direct_mode) of the first m samples of a block,
+    an (m, 3, 15) object array, from its summed kernel rows: the samples
+    before the first that _one_sample would redraw or raise on, bit for bit
+    its values.
+
+    The law runs on all samples at once as numpy object arrays, in the
+    scalar code's order of operations: each element operation is the
+    values' own Python arithmetic, run by numpy's object loops, so no
+    rounding differs from the scalar law's, and none depends on numpy's
+    SIMD level, as complex128 arithmetic would (its multiply contracts to
+    FMA under x86-64-v3 dispatch).  The block is cut, before anything
+    divides by them, at the first sample whose sums are not all finite,
+    whose constants are near_singular, whose normalizer raises (DivisorHit,
+    NonFiniteSum), or one of whose assembly guards is below
+    DIVISOR_THRESHOLD in either mode.  The samples after one refused by an
+    assembly guard have had their normalizers evaluated, and nothing else."""
+    law = _law_tables().block
+    n = len(draws)
+    sums = np.array(values, dtype=object).reshape(n, -1)
+    finite = np.isfinite(np.array(values)).reshape(n, -1).all(axis=1)
+    ends = list(accumulate(_block_rows().sizes, initial=0))
+    consts, at_points, at_doubled = np.split(
+        sums[:_first(~finite)], [ends[1], ends[4]], axis=1)
+    at_points = at_points.reshape(-1, 3, len(A_ORDER))  # z1, z2, z1+z2
+    at_doubled = at_doubled.reshape(-1, 2, len(SOLVED_IDS))  # 2z1, 2z2
+
+    # ConstantsVector._solved_rows: products from 1, lhs sums and weights
+    prods = np.full((len(consts), law.products), 1, dtype=object)
+    for cols, idx in law.factors:
+        prods[:, cols] = prods[:, cols] * consts[:, idx]
+    coeffs, cols, plan = law.lhs
+    den = _fold(coeffs * prods[:, cols], plan)
+    m = _first(_small(den).any(axis=1))
+
+    norms = []
+    for tau, z1, z2 in draws[:m]:
+        try:
+            norms.append([_normalizer(z, tau, pol)
+                          for z in (z1, z2, z1 + z2)])
+        except ArithmeticError:  # DivisorHit, NonFiniteSum
+            break
+    m = len(norms)
+    # the quotients at z1, z2 and z1+z2 (axis 1)
+    f = at_points[:m] / np.array(norms, dtype=object).reshape(m, 3, 1)
+
+    # _doubled at z1 and z2 (axis 1) from (1, F), then the pairings of
+    # reduced and direct mode (axis 1) from the doubled values at 2z1 and
+    # 2z2 (axis 2)
+    coeffs, cols, a, b, plan = law.rhs
+    v = np.concatenate([np.full((m, 2, 1), 1 + 0j, dtype=object), f[:, :2]],
+                       axis=-1)
+    w = (coeffs * prods[:m, cols])[:, None]
+    d = _fold(w * v[..., a] * v[..., b], plan) / den[:m, None]
+    d = np.stack([d, at_doubled[:m]], axis=1)
+    coeffs, x, y, plan = law.pairings
+    g = _fold(coeffs * d[:, :, 0, x] * d[:, :, 1, y], plan)
+    m = _first(_small(g[..., law.guards]).any(axis=(1, 2)))
+
+    # _assemble in both modes, into (reduced, direct12, direct_mode)
+    g, out = g[:m], np.empty((m, 3, 15), dtype=object)
+    out[:, 1] = f[:m, 2]
+    q = out[:, ::2]
+    g00 = g[..., law.guards[:1]]
+    at, num = law.base
+    q[..., at] = g[..., num] / g00
+    at, ub, cu, uu = law.upper
+    q[..., at] = g[..., ub] * g[..., cu] / (g[..., uu] * g00)
+    at, cc, e, ec = law.route
+    q[..., at] = g[..., cc] * q[..., e] / g[..., ec]
+    return out
 
 
 def _one_sample(rng: np.random.Generator,
@@ -537,35 +731,15 @@ def _one_sample(rng: np.random.Generator,
     return (reduced, direct12, direct_mode), tau_redraws, point_redraws
 
 
-def _finish(values: list, tau: PeriodMatrix, z1: EvalPoint, z2: EvalPoint,
-            pol: PrecisionPolicy):
-    """(reduced, direct12, direct_mode) of a sample from its summed block
-    rows, split by window, bit for bit as _one_sample computes them; None
-    where _one_sample would redraw or raise."""
-    constants, at_z1, at_z2, at_sum, at_2z1, at_2z2 = values
-    k = ConstantsVector(tuple(constants))
-    if k.near_singular():
-        return None
-    quotients = []
-    try:
-        for z, numerators in ((z1, at_z1), (z2, at_z2), (z1 + z2, at_sum)):
-            den = _normalizer(z, tau, pol)
-            quotients.append(FVector(tuple(v / den for v in numerators)))
-        f1, f2, direct12 = quotients
-        return (add_vector(f1, f2, k), direct12,
-                FVector(_assemble(at_2z1, at_2z2)))
-    except ArithmeticError:  # DivisorHit, NonFiniteSum, DegenerateDenominator
-        return None
-
-
 def _block(rng: np.random.Generator, count: int,
-           pol: PrecisionPolicy) -> tuple[list, dict | None]:
+           pol: PrecisionPolicy) -> tuple[np.ndarray, dict | None]:
     """Up to count samples drawn ahead, assuming no redraw, windowed by one
     truncation_windows call, summed in one KernelBatch call, then finished
-    in order: the outputs of the samples finished, and the RNG state before
-    the first sample not finished (None when all count are).  That sample
-    is the first whose drawing raises or one of whose windows fails, or
-    whose sums are not all finite, or which _finish refuses."""
+    all at once by the law as object arrays (_finish_block), bit for bit the
+    scalar per-point functions' values: the outputs of the samples
+    finished, and the RNG state before the first sample not finished (None
+    when all count are).  That sample is the first whose drawing raises or
+    one of whose windows fails, or which _finish_block refuses."""
     states, draws, rows = [], [], []
     for _ in range(count):
         states.append(rng.bit_generator.state)
@@ -588,22 +762,16 @@ def _block(rng: np.random.Generator, count: int,
             *map(np.array, zip(*rows)), pol.eps_tail, pol.max_radius)
         del draws[min(errors, default=len(rows)) // 6:]
     if not draws:
-        return [], states[0]
+        return np.empty((0, 3, 15), dtype=object), states[0]
 
-    batch = _block_rows()
-    values = batch.values(Windows(*(v[:6 * len(draws)] for v in windows)),
-                          strict=False)
-    ends = list(accumulate(batch.sizes, initial=0))
-    done = []
-    for j, (tau, z1, z2) in enumerate(draws):
-        sample = values[ends[-1] * j:ends[-1] * (j + 1)]
-        out = (all(map(cmath.isfinite, sample))
-               and _finish([sample[lo:hi] for lo, hi in zip(ends, ends[1:])],
-                           tau, z1, z2, pol))
-        if not out:
-            return done, states[j]
-        done.append(out)
-    return done, (states[len(draws)] if len(draws) < count else None)
+    values = _block_rows().values(
+        Windows(*(v[:6 * len(draws)] for v in windows)), strict=False)
+    done = _finish_block(values, draws, pol)
+    return done, (states[len(done)] if len(done) < count else None)
+
+
+# The row ids of one sample, in report order.
+_ROW_IDS = [f"A{k + 1}{suffix}" for suffix in ("", ".path") for k in range(15)]
 
 
 def verify_addition(n_samples: int = 100, seed: int = 0,
@@ -620,35 +788,40 @@ def verify_addition(n_samples: int = 100, seed: int = 0,
     Samples are drawn ahead in blocks of up to _BLOCK_SAMPLES, assuming no
     redraw, with the RNG state before each sample kept.  Every series of a
     block but the normalizers (107 per sample) is summed in one KernelBatch
-    call, and the samples are finished in order with the law's own code;
-    the normalizers are theta_eval calls, three per sample.  The first
-    sample that would redraw or raise (a sum not finite, near-singular
-    constants, a normalizer below DIVISOR_THRESHOLD, a
+    call; the normalizers are theta_eval calls, three per sample.  The law
+    then finishes all samples of the block at once as numpy object arrays
+    (_finish_block): each element operation is CPython's own arithmetic,
+    in the scalar law's order, so every value is bit for bit that of the
+    per-point functions, and does not depend on numpy's SIMD level.  The
+    first sample that would redraw or raise (a sum not finite,
+    near-singular constants, a normalizer below DIVISOR_THRESHOLD, a
     DegenerateDenominator, or an error while drawing or windowing ahead)
     gets the RNG state from before it back and runs on its own
     (_one_sample, through constants_vector, f_vector, add_vector and
-    add_direct), and a new block starts after it.  So the rows, the
+    add_direct), and a new block starts after it.  The rows of all samples
+    are then formed at once (ResidualReport.compare_all).  So the rows, the
     redraws and the exceptions are bit for bit those of drawing and
     checking one sample at a time.
     """
     rng = make_rng(seed, "addition")
-    reports: list[ResidualReport] = []
     tau_redraws = 0
     point_redraws = 0
-    outputs: list[tuple] = []
-    while len(outputs) < n_samples:
-        done, state = _block(
-            rng, min(_BLOCK_SAMPLES, n_samples - len(outputs)), pol)
-        outputs.extend(done)
+    outputs = [np.empty((0, 3, 15), dtype=object)]
+    done = 0
+    while done < n_samples:
+        block, state = _block(rng, min(_BLOCK_SAMPLES, n_samples - done), pol)
+        outputs.append(block)
+        done += len(block)
         if state is not None:
             rng.bit_generator.state = state
             out, taus, points = _one_sample(rng, pol)
-            outputs.append(out)
+            outputs.append(np.array([[f.values for f in out]], dtype=object))
+            done += 1
             tau_redraws += taus
             point_redraws += points
-    for idx, (reduced, direct12, direct_mode) in enumerate(outputs):
-        reports.extend(_quotient_rows("", idx, reduced, direct12,
-                                      CONSISTENCY_TOL))
-        reports.extend(_quotient_rows(".path", idx, reduced, direct_mode,
-                                      PATH_TOL))
+    outputs = np.concatenate(outputs)
+    reports = ResidualReport.compare_all(
+        _ROW_IDS * done, np.repeat(np.arange(done), len(_ROW_IDS)).tolist(),
+        outputs[:, :1], outputs[:, 1:],
+        np.array([[CONSISTENCY_TOL], [PATH_TOL]]), DEFAULT_POLICY.abs_tol)
     return AdditionRun(reports, n_samples, tau_redraws, point_redraws)

@@ -201,8 +201,11 @@ class Identity:
                    obj.get("root_form"))
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
+    """One row of a verify report: an identity (or addition quotient) at
+    one sample, its two sides, their residuals and the verdict.  A named
+    tuple, so rows are immutable and hashable and cheap to construct."""
+
     identity_id: str
     sample_index: int
     lhs_value: complex
@@ -222,6 +225,29 @@ class ResidualReport:
         rel_res = abs_res / max(abs(lhs), abs(rhs), REL_FLOOR)
         return cls(identity_id, sample_index, lhs, rhs, abs_res, rel_res,
                    rel_res < rel_tol or abs_res < abs_tol)
+
+    @classmethod
+    def compare_all(cls, ids: list[str], samples: list[int], lhs: np.ndarray,
+                    rhs: np.ndarray, rel_tol, abs_tol: float) -> list:
+        """compare over arrays, row for row and bit for bit: lhs, rhs and
+        rel_tol broadcast together, and ids and samples name the rows in
+        C order.  lhs and rhs are object arrays, so each |.| is the
+        values' own abs(); the float steps after it are single IEEE
+        operations, which numpy rounds as Python does, and the two
+        where() steps are max()'s: a later argument replaces the maximum
+        only when it compares greater."""
+        lhs, rhs, rel_tol = np.broadcast_arrays(lhs, rhs, rel_tol)
+        with np.errstate(invalid="ignore"):  # inf / inf, as Python's nan
+            abs_res = np.abs(lhs - rhs).astype(float)
+            scale = np.abs(lhs).astype(float)
+            other = np.abs(rhs).astype(float)
+            scale = np.where(other > scale, other, scale)
+            scale = np.where(REL_FLOOR > scale, REL_FLOOR, scale)
+            rel_res = abs_res / scale
+            passed = (rel_res < rel_tol) | (abs_res < abs_tol)
+        return list(map(cls, ids, samples, lhs.ravel().tolist(),
+                        rhs.ravel().tolist(), abs_res.ravel().tolist(),
+                        rel_res.ravel().tolist(), passed.ravel().tolist()))
 
     def as_json(self) -> dict:
         def num(x: float):

@@ -15,6 +15,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -507,6 +510,94 @@ def test_block_replays_redraws_one_sample_at_a_time(monkeypatch):
     run = verify_addition(20, 3)
     assert (run.tau_redraws, run.point_redraws) == (10, 3)
     assert _outputs(run) == _outputs(_one_at_a_time(20, 3))
+
+
+def test_full_and_spanning_blocks_equal_one_sample_at_a_time(monkeypatch):
+    """70 samples at a seed outside the pinned sets: a full block of
+    _BLOCK_SAMPLES, then a block of the 6 left, bit for bit the oracle's."""
+    sizes = []
+    block = addition._block
+
+    def counted(rng, count, pol):
+        out, state = block(rng, count, pol)
+        sizes.append((count, len(out)))
+        return out, state
+
+    monkeypatch.setattr(addition, "_block", counted)
+    run = verify_addition(70, 1234)
+    assert sizes == [(addition._BLOCK_SAMPLES,) * 2, (6, 6)]
+    assert _outputs(run) == _outputs(_one_at_a_time(70, 1234))
+
+
+def test_block_replays_a_divisor_hit_one_sample_at_a_time(monkeypatch):
+    """At a divisor threshold of 0.15, seed 2's fourth block (7 samples
+    drawn ahead) is cut at its sample 1, whose constants are not
+    near-singular but whose normalizer at z1+z2 is below the threshold
+    (DivisorHit): the block's only cut by that guard.  That sample is
+    replayed from the RNG state before it, and the rows and redraws stay
+    those of the oracle."""
+    monkeypatch.setattr(addition, "DIVISOR_THRESHOLD", 0.15)
+    cuts = []
+    finish = addition._finish_block
+
+    def finished(values, draws, pol):
+        out = finish(values, draws, pol)
+        if len(out) < len(draws):
+            tau, z1, z2 = draws[len(out)]
+            cuts.append((len(draws), len(out),
+                         constants_vector(tau, pol).near_singular() != (),
+                         [abs(theta_eval(ThetaCharacteristic.of(0, 0, 0, 0),
+                                         z, tau, pol)) < 0.15
+                          for z in (z1, z2, z1 + z2)]))
+        return out
+
+    monkeypatch.setattr(addition, "_finish_block", finished)
+    run = verify_addition(10, 2)
+    assert (run.tau_redraws, run.point_redraws) == (19, 8)
+    assert [cut for cut in cuts if any(cut[3])] == [
+        (7, 1, False, [False, False, True])]
+    assert _outputs(run) == _outputs(_one_at_a_time(10, 2))
+
+
+def _dispatched_simd() -> list[str]:
+    """The SIMD targets numpy dispatches to on this CPU above its baseline,
+    or none where numpy does not say."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        return []
+    features = getattr(umath, "__cpu_features__", {})
+    return [t for t in getattr(umath, "__cpu_dispatch__", ())
+            if features.get(t)]
+
+
+_SIMD_ROWS = """
+import hashlib
+from numpy._core import _multiarray_umath as umath
+from hypertheta.addition import verify_addition
+print(sorted(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]))
+print(hashlib.sha256("".join(
+    r.json_line() for seed in range(7208, 7216)
+    for r in verify_addition(10, seed).reports).encode()).hexdigest())
+"""
+
+
+def test_addition_rows_do_not_depend_on_numpy_simd_level():
+    """The benchmark items' rows with every dispatched SIMD target switched
+    off (NPY_DISABLE_CPU_FEATURES) equal those of the default process: the
+    law runs on object arrays, CPython's own arithmetic, not complex128,
+    whose multiply contracts to FMA under x86-64-v3 dispatch."""
+    targets = _dispatched_simd()
+    if not targets:
+        pytest.skip("numpy dispatches no SIMD target above its baseline")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    proc = subprocess.run([sys.executable, "-c", _SIMD_ROWS], env=env,
+                          capture_output=True, text=True, check=True)
+    enabled, digest = proc.stdout.split("\n")[:2]
+    assert enabled == "[]"
+    assert digest == hashlib.sha256("".join(
+        r.json_line() for seed in range(7208, 7216)
+        for r in verify_addition(10, seed).reports).encode()).hexdigest()
 
 
 def test_block_raises_what_one_sample_at_a_time_raises(monkeypatch):
