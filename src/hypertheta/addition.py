@@ -46,8 +46,9 @@ whose first rows are theta_eval's values bit for bit; the others are
 formed from their class's residue sums (KernelBatch).
 
 The block then runs the law on all its samples at once (_finish_block),
-from the same tables compiled into index arrays (_BlockLaw), as numpy
-arrays of dtype=object.  Each element operation is CPython's own complex
+as numpy arrays of dtype=object, from index arrays (_BlockLaw) compiled
+with the tables and the block's kernel rows into one cached object
+(_law_tables).  Each element operation is CPython's own complex
 arithmetic, in the scalar law's order, so every value is bit for bit that
 of the per-point functions add_vector, add_direct and doubled_values, which
 stay scalar as the reference: a complex128 law would round differently,
@@ -183,7 +184,8 @@ class ConstantsVector:
     values: tuple[complex, ...]
 
     def __getitem__(self, ch) -> complex:
-        return self.values[list(_law_tables()[0]).index(FVector._key(ch))]
+        return self.values[list(_law_tables().constants).index(
+            FVector._key(ch))]
 
     @cached_property
     def _solved_rows(self) -> tuple[tuple, ...]:
@@ -192,11 +194,11 @@ class ConstantsVector:
         chA index, chB index).  Each lhs sum is a left fold from 0j, as
         the block's (_BlockLaw), not builtin sum(), which may compensate
         complex sums."""
-        _, _, products, solved, _ = _law_tables()
+        law = _law_tables()
         values = [math.prod((self.values[i] for i in factors), start=1)
-                  for factors in products]
+                  for factors in law.products]
         rows = []
-        for ident, lhs, rhs in solved:
+        for ident, lhs, rhs in law.solved:
             den = 0j
             for c, i in lhs:
                 den += c * values[i]
@@ -246,7 +248,7 @@ def f_vector(z: EvalPoint, tau: PeriodMatrix,
 def constant_chars() -> tuple[ThetaCharacteristic, ...]:
     """The doubled-period constants the solved rows read, in first-read
     order."""
-    return tuple(_law_tables()[0].values())
+    return tuple(_law_tables().constants.values())
 
 
 def constants_vector(tau: PeriodMatrix,
@@ -290,17 +292,38 @@ def _read(term: IdentityTerm, shape: tuple, ident: str) -> tuple:
             tuple(FVector._key(f.ch) for f in consts))
 
 
-class _LawTables(tuple):
-    """_law_tables()'s five tables, with .block, the same compiled into
-    index arrays for a whole block once per result."""
+class _Law(NamedTuple):
+    """The law compiled from the catalog rows (_law_tables).
 
-    @cached_property
-    def block(self) -> _BlockLaw:
-        return _BlockLaw.of(self)
+    constants, targets: as key -> ThetaCharacteristic, the constants in
+        the order the solved rows first read them and the doubled theta
+        each solved row gives;
+    products: the distinct products of constants, as tuples of constants
+        indices;
+    solved: per solved row, its id, its lhs terms (coeff, products index)
+        and its rhs terms (coeff, products index, chA and chB _POINT_CHARS
+        index);
+    pairings: per pairing row, (sum, diff) and its rhs terms (coeff / lhs
+        coeff, x and y targets index);
+    block: the same tables as index arrays for a whole block (_BlockLaw);
+    rows: the kernel rows of one sample of a block, 107 rows in six
+        tables, one per window, in order: the 14 constants at the origin
+        (doubled periods), the 15 numerators at z1, z2 and z1+z2 (base
+        periods), the 24 doubled values at 2*z1 and 2*z2 (doubled
+        periods).  They fall into 54 upper classes, whose first rows the
+        kernel sums."""
+
+    constants: dict
+    targets: dict
+    products: tuple
+    solved: tuple
+    pairings: tuple
+    block: _BlockLaw
+    rows: KernelBatch
 
 
 @lru_cache(maxsize=1)
-def _law_tables() -> _LawTables:
+def _law_tables() -> _Law:
     """Catalog rows SOLVED_IDS and PAIRING_IDS, and the route's pairings,
     in index form, compiled once from the catalog builder.
 
@@ -318,15 +341,9 @@ def _law_tables() -> _LawTables:
     where Theta[x] is i**q times a solved target with the same kernel
     offsets (ThetaCharacteristic._kernel), q folded into the coefficient.
 
-    Returns (constants, targets, products, solved, pairings): as key ->
-    ThetaCharacteristic, the constants in the order the solved rows first
-    read them and the doubled theta each solved row gives; the distinct
-    products of constants, as tuples of constants indices; per solved row,
-    its id, its lhs terms (coeff, products index) and its rhs terms (coeff,
-    products index, chA and chB _POINT_CHARS index); per pairing row, (sum,
-    diff) and its rhs terms (coeff / lhs coeff, x and y targets index).
-    Their .block (_LawTables) is compiled from this result, so clearing
-    this cache recompiles it too.
+    Returns them as a _Law, with the block's index arrays and kernel rows
+    compiled from them in the same call, so clearing this cache recompiles
+    everything the block reads.
     """
     by_id = {i.id: i for i in build_catalog()}
     constants: dict[tuple, int] = {}
@@ -375,10 +392,14 @@ def _law_tables() -> _LawTables:
             (kx, qx), (ky, qy) = target(x), target(y)
             rhs.append((c / c0 * qx * qy, kx, ky))
         pairings.append((pair, tuple(rhs)))
-    return _LawTables((
-        {key: ThetaCharacteristic.of(*key) for key in constants},
-        {key: ThetaCharacteristic.of(*key) for key in targets},
-        tuple(products), tuple(solved), tuple(pairings)))
+    constants = {key: ThetaCharacteristic.of(*key) for key in constants}
+    targets = {key: ThetaCharacteristic.of(*key) for key in targets}
+    products = tuple(products)
+    return _Law(constants, targets, products, tuple(solved), tuple(pairings),
+                _BlockLaw.of(products, solved, pairings),
+                KernelBatch.of((constants.values(), _A_CHARS, _A_CHARS,
+                                _A_CHARS, targets.values(), targets.values()),
+                               classes=True))
 
 
 def _solved_weights(k: ConstantsVector) -> tuple[tuple, ...]:
@@ -416,7 +437,7 @@ def doubled_values(point_vals: Mapping[tuple, complex],
     input vector.
     """
     v = tuple(point_vals[ch] for ch in _POINT_CHARS)
-    return dict(zip(_law_tables()[1], _doubled(v, _solved_weights(k))))
+    return dict(zip(_law_tables().targets, _doubled(v, _solved_weights(k))))
 
 
 def _pairings(d1: list[complex], d2: list[complex]) -> dict[tuple, complex]:
@@ -424,7 +445,7 @@ def _pairings(d1: list[complex], d2: list[complex]) -> dict[tuple, complex]:
     doubled values at 2*z1 and 2*z2 in row order (PAIRING_IDS, then the
     route's pairings)."""
     out: dict[tuple, complex] = {}
-    for pair, terms in _law_tables()[4]:
+    for pair, terms in _law_tables().pairings:
         acc = 0j
         for coeff, x, y in terms:
             acc += coeff * d1[x] * d2[y]
@@ -479,7 +500,7 @@ def doubled_values_direct(z: EvalPoint, tau: PeriodMatrix,
                           pol: PrecisionPolicy = DEFAULT_POLICY) -> dict:
     """The twenty-four doubled values by fresh summation at (2z; 2*tau),
     in the order of rows SOLVED_IDS, all in one theta_values call."""
-    targets = _law_tables()[1]
+    targets = _law_tables().targets
     return dict(zip(targets, theta_values(targets.values(), z.scaled(2),
                                           double_periods(tau), pol)))
 
@@ -511,18 +532,6 @@ class AdditionRun:
 # Most samples one block draws ahead, so the arrays a block holds (107 rows
 # per sample) do not grow with n_samples.
 _BLOCK_SAMPLES = 64
-
-
-@lru_cache(maxsize=1)
-def _block_rows() -> KernelBatch:
-    """The kernel rows of one sample, compiled once: 107 rows in six
-    tables, one per window, in order: the 14 constants at the origin
-    (doubled periods), the 15 numerators at z1, z2 and z1+z2 (base
-    periods), the 24 doubled values at 2*z1 and 2*z2 (doubled periods).
-    They fall into 54 upper classes, whose first rows the kernel sums."""
-    constants, targets = _law_tables()[:2]
-    return KernelBatch.of((constants.values(), _A_CHARS, _A_CHARS, _A_CHARS,
-                           targets.values(), targets.values()), classes=True)
 
 
 def _fold_plan(lengths: list[int]) -> tuple:
@@ -580,8 +589,8 @@ class _BlockLaw(NamedTuple):
     route: tuple
 
     @classmethod
-    def of(cls, tables: tuple) -> "_BlockLaw":
-        _, _, products, solved, pairings = tables
+    def of(cls, products: tuple, solved: tuple,
+           pairings: tuple) -> "_BlockLaw":
         factors = tuple(
             (np.array([p for p, f in enumerate(products) if len(f) > k]),
              np.array([f[k] for f in products if len(f) > k]))
@@ -643,11 +652,12 @@ def _finish_block(values: list, draws: list,
     NonFiniteSum), or one of whose assembly guards is below
     DIVISOR_THRESHOLD in either mode.  The samples after one refused by an
     assembly guard have had their normalizers evaluated, and nothing else."""
-    law = _law_tables().block
+    tables = _law_tables()
+    law = tables.block
     n = len(draws)
     sums = np.array(values, dtype=object).reshape(n, -1)
     finite = np.isfinite(np.array(values)).reshape(n, -1).all(axis=1)
-    ends = list(accumulate(_block_rows().sizes, initial=0))
+    ends = list(accumulate(tables.rows.sizes, initial=0))
     consts, at_points, at_doubled = np.split(
         sums[:_first(~finite)], [ends[1], ends[4]], axis=1)
     at_points = at_points.reshape(-1, 3, len(A_ORDER))  # z1, z2, z1+z2
@@ -764,7 +774,7 @@ def _block(rng: np.random.Generator, count: int,
     if not draws:
         return np.empty((0, 3, 15), dtype=object), states[0]
 
-    values = _block_rows().values(
+    values = _law_tables().rows.values(
         Windows(*(v[:6 * len(draws)] for v in windows)), strict=False)
     done = _finish_block(values, draws, pol)
     return done, (states[len(done)] if len(done) < count else None)

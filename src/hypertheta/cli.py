@@ -558,8 +558,12 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--samples", dest="n_samples", type=int,
                           default=None)
     p_verify.add_argument("--eps-tail", type=float, default=None)
-    p_verify.add_argument("--rel-tol", type=float, default=None)
-    p_verify.add_argument("--abs-tol", type=float, default=None)
+    p_verify.add_argument("--rel-tol", type=float, default=None,
+                          help="relative tolerance of the catalog rows; "
+                          "A, .path and E rows keep fixed tolerances")
+    p_verify.add_argument("--abs-tol", type=float, default=None,
+                          help="absolute tolerance of the catalog rows; "
+                          "A, .path and E rows keep fixed tolerances")
     p_verify.add_argument("--only", type=_parse_only, default=None,
                           help="comma-separated ids or id families")
     p_verify.add_argument("--format", dest="output_format",

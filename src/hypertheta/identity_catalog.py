@@ -38,11 +38,10 @@ import hashlib
 import json
 import math
 import os
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, product
+from itertools import product
 from json.encoder import encode_basestring_ascii as _quoted
 from typing import NamedTuple
 
@@ -162,12 +161,6 @@ class Identity:
     # Optional record of a printed square-root expression for the lhs
     # constant, consumed by match_signs (present on D1..D16 only).
     root_form: dict | None = None
-
-    @cached_property
-    def _compiled(self) -> "_Fragment":
-        """The identity as _compile reads it (_fragment); built once per
-        object, so a catalog loaded anew is compiled anew."""
-        return _fragment(self)
 
     @cached_property
     def _roots(self) -> tuple[dict, dict]:
@@ -989,47 +982,17 @@ def evaluate_identity(idty: Identity, s: SampleAssignment,
     return row
 
 
-class _Fragment(NamedTuple):
-    """One identity compiled.  A group is one distinct (argument, scale) of
-    its factors and a row one distinct reduced characteristic (_kernel) of
-    a group, both in order of first appearance; the rows are numbered group
-    after group, from 0 within the identity, and each side's terms are
-    (coefficient, rows of its factors)."""
-
-    groups: np.ndarray          # (3, g) per group coeff1, coeff2, doubled
-    batch: KernelBatch          # one table per group: its rows
-    sides: tuple[tuple, tuple]  # lhs, rhs terms
-
-
-def _fragment(idty: Identity) -> _Fragment:
-    """The identity's factors keyed by argument, scale and _kernel."""
-    tables: dict[tuple, dict] = {}
-    for t in (*idty.lhs, *idty.rhs):
-        for f in t.factors:
-            tables.setdefault((f.arg, f.scale), {}).setdefault(f.ch._kernel,
-                                                               f.ch)
-    rows = {}
-    for group, table in tables.items():
-        for kernel in table:
-            rows[group, kernel] = len(rows)
-    sides = tuple(tuple((t.coefficient, tuple(rows[(f.arg, f.scale),
-                                                    f.ch._kernel]
-                                              for f in t.factors))
-                        for t in terms) for terms in (idty.lhs, idty.rhs))
-    return _Fragment(
-        np.array([(arg.coeff1, arg.coeff2, scale is Scale.DOUBLED)
-                  for arg, scale in tables], dtype=int).T,
-        KernelBatch.of([table.values() for table in tables.values()]), sides)
-
-
 class _Program(NamedTuple):
-    """Identities compiled: their fragments (_Fragment) one after another,
-    groups and rows numbered across all of them, and one KernelBatch whose
-    tables are the groups'."""
+    """Identities compiled (_compile).  A group is one distinct (argument,
+    scale) of an identity's factors and a row one distinct reduced
+    characteristic (_kernel) of a group, both in order of first
+    appearance; groups and rows are numbered across all identities, and
+    the batch has one table per group."""
 
     identities: tuple[Identity, ...]
-    first_group: list[int]      # per identity, then the number of groups
-    first_row: list[int]        # per group, then the number of rows
+    sides: list[tuple]          # per identity lhs, rhs: (coefficient, rows
+                                # of its factors) per term
+    group: np.ndarray           # (C,) the group of each row
     draw: np.ndarray            # (G,) the identity, so the draw, of a group
     coeffs: np.ndarray          # (2, G) the argument's coefficients of p1, p2
     scale: np.ndarray           # (G,) 0 for base, 1 for doubled periods
@@ -1042,26 +1005,42 @@ _last_program: _Program | None = None
 
 
 def _compile(identities: list[Identity]) -> _Program:
-    """The identities' fragments, each compiled once per Identity object
-    (Identity._compiled), concatenated into one program.  The last program
-    is returned again for the same objects in the same order, compared by
-    identity as catalog_sha256 does (an Identity holds a dict, so it is
-    not hashable); joining 200 fragments costs about 0.3 ms."""
+    """The identities' factors keyed by argument, scale and _kernel, in one
+    pass: per identity its groups, each group's distinct rows, and each
+    side's terms as row positions; one KernelBatch holds all the rows.  The
+    last program is returned again for the same objects in the same order,
+    compared by identity as catalog_sha256 does (an Identity holds a dict,
+    so it is not hashable), so a catalog loaded anew is compiled anew."""
     global _last_program
     last = _last_program
     if last is not None and len(last.identities) == len(identities) and all(
             a is b for a, b in zip(last.identities, identities)):
         return last
-    fragments = [idty._compiled for idty in identities]
-    first_group = list(accumulate((len(f.batch.sizes) for f in fragments),
-                                  initial=0))
-    batch = KernelBatch.join(f.batch for f in fragments)
-    *coeffs, scale = np.concatenate([f.groups for f in fragments], axis=1)
+    tables: dict[tuple, dict] = {}
+    rows: dict[tuple, int] = {}
+    sides = []
+    for i, idty in enumerate(identities):
+        own: dict[tuple, dict] = {}
+        for t in (*idty.lhs, *idty.rhs):
+            for f in t.factors:
+                own.setdefault((i, f.arg, f.scale), {}).setdefault(
+                    f.ch._kernel, f.ch)
+        for group, table in own.items():
+            for kernel in table:
+                rows[group, kernel] = len(rows)
+        tables.update(own)
+        sides.append(tuple(
+            tuple((t.coefficient, tuple(rows[(i, f.arg, f.scale),
+                                             f.ch._kernel]
+                                        for f in t.factors))
+                  for t in terms) for terms in (idty.lhs, idty.rhs)))
+    batch = KernelBatch.of([table.values() for table in tables.values()])
+    draw, args, scales = zip(*tables)
     _last_program = _Program(
-        tuple(identities), first_group,
-        list(accumulate(batch.sizes, initial=0)),
-        np.repeat(np.arange(len(fragments)), np.diff(first_group)),
-        np.array(coeffs, dtype=complex), scale, batch)
+        tuple(identities), sides,
+        np.repeat(np.arange(len(tables)), batch.sizes), np.array(draw),
+        np.array([(a.coeff1, a.coeff2) for a in args], dtype=complex).T,
+        np.array([s is Scale.DOUBLED for s in scales], dtype=int), batch)
     return _last_program
 
 
@@ -1086,28 +1065,23 @@ def _evaluate(prog: _Program, d: Draws, index: int,
     if not cmath.isfinite(sum(values)):  # a failed window or an overflow
         for k, value in enumerate(values):
             if not cmath.isfinite(value):
-                errors.setdefault(bisect_right(prog.first_row, k) - 1,
+                errors.setdefault(int(prog.group[k]),
                                   NonFiniteSum(f"theta{prog.batch.chars[k]} "
                                                f"sum overflows to {value}"))
+    failed: dict[int, Exception] = {}
+    for k in sorted(errors):
+        failed.setdefault(int(prog.draw[k]), errors[k])
     out = []
-    for i, idty in enumerate(prog.identities):
-        first, stop = prog.first_group[i:i + 2]
-        error = next((errors[k] for k in range(first, stop) if k in errors),
-                     None) if errors else None
-        if error is not None:
-            out.append(error)
-            continue
-        lhs, rhs = idty._compiled.sides
-        own = values[prog.first_row[first]:prog.first_row[stop]]
-        out.append(ResidualReport.compare(idty.id, index, _side(lhs, own),
-                                          _side(rhs, own), pol.rel_tol,
-                                          pol.abs_tol))
+    for i, (idty, (lhs, rhs)) in enumerate(zip(prog.identities, prog.sides)):
+        out.append(failed[i] if i in failed else ResidualReport.compare(
+            idty.id, index, _side(lhs, values), _side(rhs, values),
+            pol.rel_tol, pol.abs_tol))
     return out
 
 
 def _side(terms, values: list[complex]) -> complex:
     """One side of an identity: each coefficient times its factors' values
-    (the identity's own rows), in the catalog's order, summed."""
+    (rows of the program's batch), in the catalog's order, summed."""
     total = 0j
     for coefficient, indices in terms:
         prod = coefficient
@@ -1123,9 +1097,9 @@ def verify_catalog(n_samples: int = 100, seed: int = 0,
                    only: set[str] | None = None) -> list[ResidualReport]:
     """Evaluate every identity at n_samples fresh draws.
 
-    The selected identities' compiled fragments are concatenated into one
-    program (_compile), whose KernelBatch has one table per (argument,
-    scale) group; each Identity object is compiled once.  Then one sample
+    The selected identities are compiled into one program (_compile),
+    whose KernelBatch has one table per (argument, scale) group; repeated
+    runs on the same Identity objects reuse it.  Then one sample
     index of all of them is evaluated at a time (_evaluate): their draws
     (draw_stream), each group's argument and periods as arrays, one
     truncation_windows call and one KernelBatch call, which makes one

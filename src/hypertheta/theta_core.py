@@ -46,7 +46,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, product
+from itertools import accumulate, product
 from typing import NamedTuple
 
 import numpy as np
@@ -694,18 +694,6 @@ class KernelBatch(NamedTuple):
                    list(map(len, tables)), np.array(back, dtype=int),
                    np.array(units, dtype=complex).reshape(-1, 16),
                    np.array(shift, dtype=complex))
-
-    @classmethod
-    def join(cls, batches) -> "KernelBatch":
-        """The tables of batches, one after another."""
-        batches = list(batches)
-        return cls(tuple(chain.from_iterable(b.chars for b in batches)),
-                   np.concatenate([b.offsets for b in batches], axis=1),
-                   np.concatenate([b.phases for b in batches]),
-                   list(chain.from_iterable(b.sizes for b in batches)),
-                   np.concatenate([b.back for b in batches]),
-                   np.concatenate([b.units for b in batches]),
-                   np.concatenate([b.shift for b in batches]))
 
     def values(self, windows: Windows, strict: bool = True) -> list[complex]:
         """The values of each table at its windows, window after window:

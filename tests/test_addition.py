@@ -94,6 +94,38 @@ def test_f_eval_matches_ratio_of_sums():
     assert rel(got, num / den) < 1e-14
 
 
+# (m1, m2, n1, n2): z moves by m + tau n, out of the sampling window
+_PERIODS = ((1, 0, 0, 0), (0, 1, 0, 0), (-2, 1, 0, 0), (0, 0, 1, 0),
+            (0, 0, 0, 1), (0, 0, -1, 0), (1, 1, 1, -1), (0, 0, 1, 1))
+
+
+def test_quotients_are_quasi_periodic_outside_the_window():
+    """F[a c; b d](z + m + tau n) = (-1)**(a m1 + c m2 - b n1 - d n2) *
+    F[a c; b d](z) for the fifteen quotients at five sampling draws, and
+    the opposite sign misses, so a slip in the convention fails.  A shift
+    whose window exceeds the radius cap is skipped: one shift of one draw
+    here.  The worst error here is 7.8e-14."""
+    rng = make_rng(0, "quasi-periodic")
+    checked = skipped = 0
+    for _ in range(5):
+        tau, z = sample_tau(rng), sample_point(rng)
+        at_z = [f_eval(ch, z, tau) for ch in A_ORDER]
+        for m1, m2, n1, n2 in _PERIODS:
+            moved = EvalPoint(z.x + m1 + tau.tau1 * n1 + tau.tau12 * n2,
+                              z.y + m2 + tau.tau12 * n1 + tau.tau2 * n2)
+            for (a, c, b, d), f in zip(A_ORDER, at_z):
+                try:
+                    got = f_eval((a, c, b, d), moved, tau)
+                except theta_core.RadiusExceeded:
+                    skipped += 1
+                    continue
+                want = (-1) ** (a * m1 + c * m2 - b * n1 - d * n2) * f
+                assert rel(got, want) < 1e-12, ((a, c, b, d), (m1, m2, n1, n2))
+                assert rel(got, -want) > 1
+                checked += 1
+    assert skipped <= len(A_ORDER) and checked + skipped == 5 * 8 * 15
+
+
 def test_f_vector_indexing():
     f = f_vector(Z1, TAU)
     assert f[(0, 0, 0, 0)] == 1.0 + 0j
@@ -329,12 +361,12 @@ def test_law_reads_no_doubled_theta_with_lower_row_11():
     """The law's solved rows are C1..C12 and C17..C28, and its pairings
     B1..B19 but B4, B8, B12, B16, and the route's eight: no pairing reads
     a solved target with lower row (1 1), which only C13..C16 solve."""
-    _, targets, _, solved, pairings = addition._law_tables()
-    assert [ident for ident, _, _ in solved] == [
+    law = addition._law_tables()
+    assert [ident for ident, _, _ in law.solved] == [
         f"C{n}" for n in (*range(1, 13), *range(17, 29))]
-    assert len(targets) == 24 and len(pairings) == 15 + 8
-    assert all(key[2:] != (1, 1) for key in targets)
-    assert {pair for pair, _ in pairings[15:]} == {
+    assert len(law.targets) == 24 and len(law.pairings) == 15 + 8
+    assert all(key[2:] != (1, 1) for key in law.targets)
+    assert {pair for pair, _ in law.pairings[15:]} == {
         pair for u in ((0, 0), (0, 1), (1, 0), (1, 1))
         for pair in (((*u, 1, 1), (*u, 1, 1)), ((*u, 0, 1), (*u, 1, 1)))}
 
@@ -665,3 +697,25 @@ def test_wrong_sign_in_a_solved_row_fails_catalog_and_law(monkeypatch):
                 if ch[2:] in ((0, 1), (1, 1))}
     assert {r.identity_id for r in run.reports if not r.passed} == \
         reads_01 | {f"{label}.path" for label in reads_01}
+
+
+def test_clearing_the_law_tables_recompiles_the_block(monkeypatch):
+    """One _law_tables.cache_clear() recompiles everything the block
+    reads.  After a run, a catalog whose C5 lists its two lhs terms the
+    other way round (the same equation, whose constants constant_chars()
+    then lists in another order) gives the block the oracle's rows."""
+    verify_addition(1, 0)
+    before = constant_chars()
+    catalog = [dataclasses.replace(idty, lhs=idty.lhs[::-1])
+               if idty.id == "C5" else idty
+               for idty in identity_catalog.build_catalog()]
+    monkeypatch.setattr(identity_catalog, "_built_catalog",
+                        lambda: tuple(catalog))
+    addition._law_tables.cache_clear()
+    try:
+        assert constant_chars() != before
+        assert set(constant_chars()) == set(before)
+        assert _outputs(verify_addition(3, 0)) == _outputs(
+            _one_at_a_time(3, 0))
+    finally:
+        addition._law_tables.cache_clear()

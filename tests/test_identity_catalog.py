@@ -56,6 +56,7 @@ from hypertheta.identity_catalog import (
     base_id,
     catalog_as_json,
     catalog_sha256,
+    selected,
 )
 from hypertheta.theta_core import truncation_window
 from hypertheta.sampling import Draws, draw_stream, make_rng, sample_tau
@@ -387,33 +388,32 @@ def test_each_distinct_factor_summed_once_per_sample(monkeypatch):
     assert [r.as_json() for r in rows] == expected
 
 
-def test_each_identity_is_compiled_once(monkeypatch):
-    """verify_catalog compiles each Identity object once: a second call on
-    the same catalog, an --only subset of it and evaluate_identity build
-    no fragment again, and give the rows of the built-in catalog.  A copy
-    of the catalog (new objects, same ids) is compiled anew."""
-    built = []
-
-    def counted(idty):
-        built.append(idty.id)
-        return fragment(idty)
-
+def test_each_selection_gets_its_own_program_and_the_built_in_rows():
+    """A copy of the catalog (new objects, same ids) and an --only subset
+    of it are each compiled into a program of their own, and give the rows
+    of the built-in catalog; so does evaluate_identity on the copy.  An
+    --only set that selects nothing gives no rows."""
     want = [r.as_json() for r in verify_catalog(1, 5)]
-    fragment = identity_catalog._fragment
-    monkeypatch.setattr(identity_catalog, "_fragment", counted)
+    built = identity_catalog._last_program
     copy = identity_catalog.identities_from_json(catalog_as_json(CAT))
     assert [r.as_json() for r in verify_catalog(1, 5, catalog=copy)] == want
-    assert sorted(built) == sorted(BY_ID)
-    built.clear()
-    assert [r.as_json() for r in verify_catalog(1, 5, catalog=copy)] == want
-    verify_catalog(1, 5, catalog=copy, only={"2e5", "C17"})
-    evaluate_identity(copy[0], SAMPLE)
-    assert built == []
+    whole = identity_catalog._last_program
+    assert whole is not built
+    assert set(map(id, whole.identities)) == set(map(id, copy))
+    only = {"2e5", "C17"}
+    assert [r.as_json() for r in verify_catalog(
+        1, 5, catalog=copy, only=only)] == [
+            row for row in want if selected(row["id"], only)]
+    assert identity_catalog._last_program is not whole
+    assert [i.id for i in identity_catalog._last_program.identities] == [
+        i.id for i in copy if selected(i.id, only)]
+    assert evaluate_identity(copy[0], SAMPLE).as_json() == evaluate_identity(
+        CAT[0], SAMPLE).as_json()
     assert verify_catalog(1, 5, catalog=copy, only={"none"}) == []
 
 
 def test_the_last_program_is_kept(monkeypatch):
-    """verify_catalog joins its fragments into a program once per list of
+    """verify_catalog compiles its selection into a program once per list of
     identity objects: a second call with the same objects reuses the last
     program, and a list with the same ids but new objects, or another
     selection, is compiled anew; the rows do not change."""
@@ -443,7 +443,7 @@ def test_the_last_program_is_kept(monkeypatch):
 
 def test_evaluate_identity_rows_are_pinned():
     """evaluate_identity of every identity at its own seeded draw keeps
-    its bytes: a one-identity program is that identity's fragment."""
+    its bytes: it runs a program of that identity alone."""
     lines = [json.dumps(evaluate_identity(idty, assignments_for(
         7, idty.id, 1)[0]).as_json(), sort_keys=True, separators=(",", ":"))
         + "\n" for idty in CAT]
