@@ -10,8 +10,8 @@ ResidualReport row per (id, sample) as JSON-lines or CSV, followed by a
 RunReport summary on stdout.  Reports are a pure function of the
 configuration: rows are sorted by id then sample index (so worker
 parallelism never reorders output), and the RunReport carries a
-determinism hash over everything except wall time, the output path and
-the worker count.
+determinism hash over everything except wall time, `stats` (the Python,
+numpy and kernel names), the output path and the worker count.
 
 Exit codes: 0 all pass; 2 numeric failures; 3 configuration/parse errors,
 a malformed catalog file, a non-finite `--z`, a negative seed or a bad
@@ -29,14 +29,18 @@ import io
 import json
 import math
 import os
+import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .addition import A_LABELS, DivisorHit, f_eval, verify_addition
+from .backends import BACKEND_NAME
 from .elliptic_so3 import component_residuals, euler_lhs, euler_rhs
 from .identity_catalog import (
     Domain,
@@ -398,9 +402,12 @@ def cmd_verify(args) -> int:
     for r in rows:
         slot = per_identity.setdefault(
             r.identity_id, {"max_rel_residual": 0.0, "passed": 0, "samples": 0})
-        if math.isfinite(r.rel_residual):
-            slot["max_rel_residual"] = max(slot["max_rel_residual"],
-                                           r.rel_residual)
+        # An errored row's residual is inf, which JSON cannot write: its id
+        # reports null rather than the maximum of its other rows.
+        if slot["max_rel_residual"] is not None:
+            slot["max_rel_residual"] = (
+                max(slot["max_rel_residual"], r.rel_residual)
+                if math.isfinite(r.rel_residual) else None)
         slot["samples"] += 1
         slot["passed"] += int(r.passed)
     failing = sorted({r.identity_id for r in rows if not r.passed})
@@ -444,6 +451,11 @@ def cmd_verify(args) -> int:
     digest.update(body.encode("utf-8"))
     report["determinism_hash"] = digest.hexdigest()
     report["wall_time_s"] = round(time.monotonic() - started, 3)
+    # Unhashed, as wall time: the draws are numpy's bit streams and the
+    # sums numpy's arithmetic, so a pin that fails on another host is
+    # first compared by these.
+    report["stats"] = {"python": platform.python_version(),
+                       "numpy": np.__version__, "kernel": BACKEND_NAME}
     print(json.dumps(report, sort_keys=True))
 
     if failing:

@@ -2,8 +2,10 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
+import platform
 import re
 import shlex
 import sys
@@ -37,7 +39,13 @@ from hypertheta.identity_catalog import (
     selected,
     verify_catalog,
 )
-from hypertheta.sampling import make_rng, sample_tau
+from hypertheta.sampling import (
+    Draws,
+    SampleAssignment,
+    assignments_for,
+    make_rng,
+    sample_tau,
+)
 from hypertheta.theta_core import (
     DEFAULT_POLICY,
     EvalPoint,
@@ -244,8 +252,10 @@ def test_verify_smoke(tmp_path, capsys):
     # 200 catalog ids + 15 quotients + 15 path rows + 7 elliptic rows
     assert len({r["id"] for r in rows}) == 200 + 30 + 7
     for key in ("config", "per_identity", "redraws", "versions",
-                "catalog_sha256", "determinism_hash", "wall_time_s"):
+                "catalog_sha256", "determinism_hash", "wall_time_s", "stats"):
         assert key in report
+    assert report["stats"] == {"python": platform.python_version(),
+                               "numpy": np.__version__, "kernel": "numpy"}
     per = report["per_identity"]["B1"]
     assert per["passed"] == per["samples"] == 2
     assert rows == sorted(rows, key=lambda r: (r["id"], r["sample"]))
@@ -265,6 +275,47 @@ def test_verify_small_run_is_byte_pinned(tmp_path, capsys):
         "19ad08aedf0907573ea9a1ab9eaa9ee7b05cd8aa5fb4172fc01d41d677071feb")
     assert report["determinism_hash"] == (
         "40da4a463b1ea732ad1200fb8468a53dfeef053eb0bb3c472831292dea6e1577")
+
+
+def test_verify_three_word_seed_is_byte_pinned(tmp_path, capsys):
+    """A root seed of 2^64 + 5 is three uint32 words, so with a label's two
+    the entropy is longer than SeedSequence's pool of four: rows and hash
+    pinned as numpy's own generators drew them."""
+    out = tmp_path / "rows.jsonl"
+    code = main(["verify", "--seed", "18446744073709551621", "--samples",
+                 "2", "--only", "2e5,B1,C17", "--out", str(out)])
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert code == 0
+    assert report["total_rows"] == report["passed_rows"] == 36
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "8a3afd0f098b52c6b125861447467548ba5629fa525ef0383b7579fc4495e3aa")
+    assert report["determinism_hash"] == (
+        "6d9f7197de5588515cbebb3a6bf7ac19a984cc83a3ad33a908173c556623292b")
+
+
+def test_verify_reports_null_max_residual_for_an_errored_id(
+        tmp_path, monkeypatch, capsys):
+    """At tau = diag(i, i) and p1 = (0, 20i) the sums of 2e5.0000 overflow
+    and its row errors with residual inf.  The report gives that id's
+    max_rel_residual as null, not the 0.0 of no finite row, and B1, drawn
+    as usual, its finite maximum."""
+    bad = SampleAssignment(PeriodMatrix(1j, 1j, 0j), EvalPoint(0, 20j),
+                           EvalPoint(0j, 0j), seed=0)
+    monkeypatch.setattr(identity_catalog, "draw_stream", lambda seed, labels:
+                        itertools.repeat(Draws.of([
+                            bad if label == "2e5.0000"
+                            else assignments_for(seed, label, 1)[0]
+                            for label in labels])))
+    code, rows, report, err = _run_verify(
+        tmp_path, capsys, "--only", "2e5.0000,B1", "--jobs", "1")
+    assert code == EXIT_FAILED and "2e5.0000" in err
+    assert [r["error"].split(":")[0] for r in rows
+            if r["id"] == "2e5.0000"] == ["NonFiniteSum"] * 2
+    assert report["failing_ids"] == ["2e5.0000"]
+    assert report["per_identity"]["2e5.0000"] == {
+        "max_rel_residual": None, "passed": 0, "samples": 2}
+    b1 = [r["rel_residual"] for r in rows if r["id"] == "B1"]
+    assert report["per_identity"]["B1"]["max_rel_residual"] == max(b1) > 0
 
 
 def test_sign_details_sum_each_constant_once_per_draw(monkeypatch):

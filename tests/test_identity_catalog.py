@@ -180,6 +180,45 @@ def test_corrupted_coefficient_is_detected():
     assert rep.rel_residual > 1e-9
 
 
+# The catalog's dead terms: each holds an odd integer theta constant at the
+# origin, which is identically 0, so no draw can show a misprint in the
+# term's other factor, its coefficient or its presence.  Row -> right-side
+# term index -> that constant; the README lists them.
+DEAD_TERMS = {
+    "2e6.0001": {1: "[0 1; 0 1]", 3: "[1 1; 0 1]"},
+    "2e6.0010": {2: "[1 0; 1 0]", 3: "[1 1; 1 0]"},
+    "2e6.0011": {1: "[0 1; 1 1]", 2: "[1 0; 1 1]"},
+    "2e6.0101": {1: "[0 1; 0 1]", 3: "[1 1; 0 1]"},
+    "2e6.0110": {2: "[1 0; 1 0]", 3: "[1 1; 1 0]"},
+    "2e6.0111": {1: "[0 1; 1 1]", 2: "[1 0; 1 1]"},
+    "2e6.1001": {1: "[0 1; 0 1]", 3: "[1 1; 0 1]"},
+    "2e6.1010": {2: "[1 0; 1 0]", 3: "[1 1; 1 0]"},
+    "2e6.1011": {1: "[0 1; 1 1]", 2: "[1 0; 1 1]"},
+    "2e6.1101": {1: "[0 1; 0 1]", 3: "[1 1; 0 1]"},
+    "2e6.1110": {2: "[1 0; 1 0]", 3: "[1 1; 1 0]"},
+    "2e6.1111": {1: "[0 1; 1 1]", 2: "[1 0; 1 1]"},
+}
+
+
+def test_dead_terms_are_24_in_the_2e6_rows_with_a_nonzero_lower_row():
+    """Exactly 24 terms of the catalog hold an odd integer theta constant
+    at the origin, two on the right side of each of the 12 rows
+    2e6.0001 .. 2e6.1111 whose lower row is not (0 0).  Each such
+    constant sums to 0 up to rounding."""
+    dead: dict[str, dict[int, str]] = {}
+    for idty in CAT:
+        for side, terms in (("lhs", idty.lhs), ("rhs", idty.rhs)):
+            for k, term in enumerate(terms):
+                for f in term.factors:
+                    if (f.arg == ArgSelector(0, 0) and f.ch.is_integer
+                            and theta_core.is_odd(f.ch)):
+                        assert side == "rhs" and k not in dead.get(idty.id, {})
+                        dead.setdefault(idty.id, {})[k] = str(f.ch)
+                        assert abs(theta_eval(f.ch, ORIGIN, TAU)) < 1e-15
+    assert dead == DEAD_TERMS
+    assert sum(map(len, dead.values())) == 24
+
+
 def test_swap_symmetry_of_two_point_entries():
     """Both sides of every TwoPoint entry are built from even functions of
     the difference, so swapping p1 and p2 changes nothing."""
