@@ -47,7 +47,6 @@ from .identity_catalog import (
     Identity,
     NoConsistentSign,
     ResidualReport,
-    _json_key,
     base_id,
     catalog_as_json,
     catalog_sha256,
@@ -330,10 +329,8 @@ def _sign_resolution_details(d_ids: list[str], seed: int,
     for trial, (direct, base) in enumerate(
             root_constants(catalog, taus, pol)):
         for d_id in sorted(d_ids):
-            form = entries[d_id].root_form
             try:
-                value, record = match_signs(
-                    d_id, form, direct[_json_key(form["target"])], base)
+                value, record = match_signs(entries[d_id], direct, base)
             except NoConsistentSign as exc:
                 details.append({"trial": trial, "id": d_id, "error": str(exc)})
                 continue
@@ -359,6 +356,14 @@ def _rows_to_text(rows: list[ResidualReport], fmt: str) -> str:
                          "" if obj["rel_residual"] is None else obj["rel_residual"],
                          obj["pass"], obj["error"]])
     return buf.getvalue()
+
+
+def _json_object(parts: dict[str, str]) -> str:
+    """json.dumps(obj, sort_keys=True) of a dict obj with str keys, given
+    each value's json.dumps(value, sort_keys=True) by its key: keys sorted,
+    ", " and ": " between, as at every level of json.dumps' output."""
+    return "{" + ", ".join(f"{json.dumps(key)}: {parts[key]}"
+                           for key in sorted(parts)) + "}"
 
 
 def cmd_verify(args) -> int:
@@ -443,20 +448,25 @@ def cmd_verify(args) -> int:
     }
     # Where rows go and how many workers made them decide no result, so
     # the hash leaves them out: equal hashes then prove --jobs invariance.
-    hashed = {**report, "config": {
+    # Each value is serialized once; the hashed text and the printed line
+    # are assembled from the same parts.
+    parts = {key: json.dumps(value, sort_keys=True)
+             for key, value in report.items()}
+    hashed = {**parts, "config": json.dumps({
         k: v for k, v in report["config"].items()
-        if k not in ("output_path", "jobs")}}
+        if k not in ("output_path", "jobs")}, sort_keys=True)}
     digest = hashlib.sha256()
-    digest.update(json.dumps(hashed, sort_keys=True).encode("utf-8"))
+    digest.update(_json_object(hashed).encode("utf-8"))
     digest.update(body.encode("utf-8"))
-    report["determinism_hash"] = digest.hexdigest()
-    report["wall_time_s"] = round(time.monotonic() - started, 3)
+    parts["determinism_hash"] = json.dumps(digest.hexdigest())
+    parts["wall_time_s"] = json.dumps(round(time.monotonic() - started, 3))
     # Unhashed, as wall time: the draws are numpy's bit streams and the
     # sums numpy's arithmetic, so a pin that fails on another host is
     # first compared by these.
-    report["stats"] = {"python": platform.python_version(),
-                       "numpy": np.__version__, "kernel": BACKEND_NAME}
-    print(json.dumps(report, sort_keys=True))
+    parts["stats"] = json.dumps({"python": platform.python_version(),
+                                 "numpy": np.__version__,
+                                 "kernel": BACKEND_NAME}, sort_keys=True)
+    print(_json_object(parts))
 
     if failing:
         print("failing ids: " + ", ".join(failing), file=sys.stderr)

@@ -22,7 +22,8 @@ The catalog covers four layers that build on each other:
 
 The verifier sums the distinct reduced characteristics of each (argument,
 scale) group, the tables of one KernelBatch, at windows from one
-truncation_windows call per sample: theta_eval's values, bit for bit.
+truncation_windows call per block of samples: theta_eval's values, bit for
+bit.
 
 Identity ids are catalog keys; suspected misprints in the source tables are
 encoded in the mathematically coherent reading and flagged (see each
@@ -41,7 +42,7 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import islice, product
 from json.encoder import encode_basestring_ascii as _quoted
 from typing import NamedTuple
 
@@ -163,14 +164,16 @@ class Identity:
     root_form: dict | None = None
 
     @cached_property
-    def _roots(self) -> tuple[dict, dict]:
-        """The root form's target and radicands, each a dict of parsed
-        characteristics keyed by _json_key; parsed once per object."""
+    def _roots(self) -> tuple[dict, dict, tuple]:
+        """The root form parsed once per object: its target and its
+        radicands, each a dict of characteristics keyed by _json_key, and
+        per root its terms as (sign, key, key)."""
         form = self.root_form
         radicands = [c for root in form["roots"] for _, *p in root for c in p]
-        return tuple({_json_key(c): ThetaCharacteristic.from_json(c)
-                      for c in chars}
-                     for chars in ([form["target"]], radicands))
+        return (*({_json_key(c): ThetaCharacteristic.from_json(c)
+                   for c in chars} for chars in ([form["target"]], radicands)),
+                tuple(tuple((sign, _json_key(a), _json_key(b))
+                            for sign, a, b in root) for root in form["roots"]))
 
     def as_json(self) -> dict:
         obj = {"id": self.id,
@@ -976,7 +979,7 @@ def evaluate_identity(idty: Identity, s: SampleAssignment,
     ConstantsOnly identities ignore both points by construction (their
     selectors never touch the ignored point).
     """
-    (row,) = _evaluate(_compile([idty]), Draws.of([s]), s.seed, pol)
+    ((row,),) = _evaluate(_compile([idty]), [Draws.of([s])], s.seed, pol)
     if isinstance(row, Exception):
         raise row
     return row
@@ -999,23 +1002,33 @@ class _Program(NamedTuple):
     batch: KernelBatch
 
 
+# Most sample indices _evaluate takes at once, so the arrays a block holds
+# (about 0.7 MB a sample at their peak) do not grow with n_samples.  In a
+# run of 100 samples, blocks of 4 to 8 were the fastest; 8 raised the peak
+# RSS by about 1 MB over one sample a block, and 16 by about 3 MB.
+_BLOCK_SAMPLES = 8
+
 # The last program _compile built, kept for the next call with the same
 # identity objects: verify_catalog compiles its selection on every call.
 _last_program: _Program | None = None
+
+
+def _same_objects(a, b) -> bool:
+    """Whether two sequences hold the same objects in the same order (an
+    Identity holds a dict, so it is not hashable)."""
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
 
 
 def _compile(identities: list[Identity]) -> _Program:
     """The identities' factors keyed by argument, scale and _kernel, in one
     pass: per identity its groups, each group's distinct rows, and each
     side's terms as row positions; one KernelBatch holds all the rows.  The
-    last program is returned again for the same objects in the same order,
-    compared by identity as catalog_sha256 does (an Identity holds a dict,
-    so it is not hashable), so a catalog loaded anew is compiled anew."""
+    last program is returned again for the same objects in the same order
+    (_same_objects), so a catalog loaded anew is compiled anew."""
     global _last_program
-    last = _last_program
-    if last is not None and len(last.identities) == len(identities) and all(
-            a is b for a, b in zip(last.identities, identities)):
-        return last
+    if _last_program is not None and _same_objects(_last_program.identities,
+                                                   identities):
+        return _last_program
     tables: dict[tuple, dict] = {}
     rows: dict[tuple, int] = {}
     sides = []
@@ -1044,38 +1057,52 @@ def _compile(identities: list[Identity]) -> _Program:
     return _last_program
 
 
-def _evaluate(prog: _Program, d: Draws, index: int,
-              pol: PrecisionPolicy) -> list:
-    """For each identity of prog at its row of d, its ResidualReport, or the
+def _evaluate(prog: _Program, draws: list[Draws], start: int,
+              pol: PrecisionPolicy) -> list[list]:
+    """For each draw of a block, samples start, start + 1, ..., and each
+    identity of prog at its row of that draw, its ResidualReport, or the
     exception of its first failing group.  Each group's argument and
-    periods are formed as arrays and windowed by one truncation_windows
-    call, and all groups are summed by one KernelBatch call; a group whose
-    window fails is not summed, and a group with a non-finite sum gets the
-    NonFiniteSum of its first such characteristic.  The side products and
-    the comparison stay Python arithmetic, in the catalog's order."""
+    periods are formed as arrays for all samples of the block, windowed by
+    one truncation_windows call, and summed by one KernelBatch call that
+    repeats the tables once per sample; every window is still summed on
+    its own, so each value is the one a block of one sample gives.  A
+    group whose window fails is not summed, and a group with a non-finite
+    sum gets the NonFiniteSum of its first such characteristic.  The side
+    products and the comparison stay Python arithmetic, in the catalog's
+    order."""
     g, c1, c2 = prog.draw, *prog.coeffs
+    n, groups, width = len(draws), len(g), len(prog.group)
+    d = Draws(*(np.stack(column)[:, g] for column in zip(*draws)))
     with np.errstate(over="ignore", invalid="ignore"):
-        x = c1 * d.x1[g] + c2 * d.x2[g]
-        y = c1 * d.y1[g] + c2 * d.y2[g]
-        periods = [np.stack((t, 2 * t))[prog.scale, g]
+        x = (c1 * d.x1 + c2 * d.x2).ravel()
+        y = (c1 * d.y1 + c2 * d.y2).ravel()
+        periods = [np.where(prog.scale, 2 * t, t).ravel()
                    for t in (d.tau1, d.tau2, d.tau12)]
-    windows, errors = truncation_windows(x, y, *periods, prog.scale,
-                                         pol.eps_tail, pol.max_radius)
+    windows, errors = truncation_windows(
+        x, y, *periods, np.tile(prog.scale, n), pol.eps_tail, pol.max_radius)
     values = prog.batch.values(windows, strict=False)
     if not cmath.isfinite(sum(values)):  # a failed window or an overflow
         for k, value in enumerate(values):
             if not cmath.isfinite(value):
-                errors.setdefault(int(prog.group[k]),
-                                  NonFiniteSum(f"theta{prog.batch.chars[k]} "
-                                               f"sum overflows to {value}"))
-    failed: dict[int, Exception] = {}
+                sample, row = divmod(k, width)
+                errors.setdefault(
+                    sample * groups + int(prog.group[row]),
+                    NonFiniteSum(f"theta{prog.batch.chars[row]} "
+                                 f"sum overflows to {value}"))
+    failed: dict[tuple, Exception] = {}
     for k in sorted(errors):
-        failed.setdefault(int(prog.draw[k]), errors[k])
+        sample, group = divmod(k, groups)
+        failed.setdefault((sample, int(g[group])), errors[k])
     out = []
-    for i, (idty, (lhs, rhs)) in enumerate(zip(prog.identities, prog.sides)):
-        out.append(failed[i] if i in failed else ResidualReport.compare(
-            idty.id, index, _side(lhs, values), _side(rhs, values),
-            pol.rel_tol, pol.abs_tol))
+    for sample in range(n):
+        own = values[sample * width:(sample + 1) * width]
+        out.append([
+            failed[sample, i] if (sample, i) in failed
+            else ResidualReport.compare(idty.id, start + sample,
+                                        _side(lhs, own), _side(rhs, own),
+                                        pol.rel_tol, pol.abs_tol)
+            for i, (idty, (lhs, rhs)) in enumerate(zip(prog.identities,
+                                                       prog.sides))])
     return out
 
 
@@ -1099,14 +1126,16 @@ def verify_catalog(n_samples: int = 100, seed: int = 0,
 
     The selected identities are compiled into one program (_compile),
     whose KernelBatch has one table per (argument, scale) group; repeated
-    runs on the same Identity objects reuse it.  Then one sample
-    index of all of them is evaluated at a time (_evaluate): their draws
-    (draw_stream), each group's argument and periods as arrays, one
-    truncation_windows call and one KernelBatch call, which makes one
-    kernel call per radius, so the values held at once do not grow with
-    n_samples.  Per-sample errors (e.g. RadiusExceeded on an extreme draw)
-    become failed report rows instead of aborting the run, and leave the
-    other rows of the block unchanged.  Reports come out sorted by identity
+    runs on the same Identity objects reuse it.  Then a block of up to
+    _BLOCK_SAMPLES sample indices of all of them is evaluated at a time
+    (_evaluate): their draws (draw_stream), each group's argument and
+    periods as arrays, one truncation_windows call and one KernelBatch
+    call, which makes one kernel call per radius in the block, so the
+    values held at once do not grow with n_samples.  Per-sample errors
+    (e.g. RadiusExceeded on an extreme draw) become failed report rows
+    instead of aborting the run, and leave the other rows of the block
+    unchanged.  Every window is summed on its own, so the rows do not
+    depend on the block size.  Reports come out sorted by identity
     id then sample index, so the output is a pure function of (catalog,
     n_samples, seed, pol).
     """
@@ -1121,16 +1150,17 @@ def verify_catalog(n_samples: int = 100, seed: int = 0,
     prog = _compile(identities)
     draws = draw_stream(seed, [i.id for i in identities])
     per_identity: list[list[ResidualReport]] = [[] for _ in identities]
-    for index in range(n_samples):
-        for idty, row, out in zip(identities,
-                                  _evaluate(prog, next(draws), index, pol),
-                                  per_identity):
-            if isinstance(row, Exception):
-                row = ResidualReport(
-                    idty.id, index, complex("nan"), complex("nan"),
-                    math.inf, math.inf, False,
-                    error=f"{type(row).__name__}: {row}")
-            out.append(row)
+    for start in range(0, n_samples, _BLOCK_SAMPLES):
+        block = list(islice(draws, min(_BLOCK_SAMPLES, n_samples - start)))
+        for index, rows in enumerate(_evaluate(prog, block, start, pol),
+                                     start):
+            for idty, row, out in zip(identities, rows, per_identity):
+                if isinstance(row, Exception):
+                    row = ResidualReport(
+                        idty.id, index, complex("nan"), complex("nan"),
+                        math.inf, math.inf, False,
+                        error=f"{type(row).__name__}: {row}")
+                out.append(row)
     return [row for rows in per_identity for row in rows]
 
 
@@ -1156,44 +1186,48 @@ def _json_key(ch) -> tuple:
     return tuple(n if d == 1 else Fraction(n, d) for n, d in ch)
 
 
-def match_signs(d_id: str, root_form: dict, direct: complex,
+def match_signs(idty: Identity, direct: dict[tuple, complex],
                 base: dict[tuple, complex]) -> tuple[complex, dict]:
-    """Find the radical signs of a printed root expression.
+    """Find the radical signs of idty's printed root expression.
 
-    `direct` is the directly summed doubled constant the form targets and
-    `base` maps its radicands' characteristics (_json_key) to base-period
-    theta constants.  Each radical is taken on its principal branch; sign
-    assignments are scanned (the printed one first) for one whose
-    combination matches `direct` to relative 1e-8.  Returns the matched
-    value and a record of the choice; raises NoConsistentSign when no
-    assignment matches.
+    `direct` and `base` map characteristics (_json_key) to directly summed
+    doubled-period and base-period theta constants, as root_constants
+    gives them; the form's target, radicands and roots are read parsed
+    (Identity._roots).  Each radical is taken on its principal branch;
+    sign assignments are scanned (the printed one first) for one whose
+    combination matches the target's constant to relative 1e-8.  Returns
+    the matched value and a record of the choice; raises NoConsistentSign
+    when no assignment matches.
     """
-    prefactor = _PREFACTORS[root_form["prefactor"]]
+    form = idty.root_form
+    (target,), _, roots = idty._roots
+    prefactor = _PREFACTORS[form["prefactor"]]
     radicals = []
-    for root in root_form["roots"]:
+    for root in roots:
         content = 0j
-        for sign, chA, chB in root:
-            content += sign * base[_json_key(chA)] * base[_json_key(chB)]
+        for sign, a, b in root:
+            content += sign * base[a] * base[b]
         radicals.append(cmath.sqrt(content))
 
-    printed = tuple(root_form["printed_signs"])
+    constant = direct[target]
+    printed = tuple(form["printed_signs"])
     others = product((1, -1), repeat=len(radicals))
     candidates = [printed] + [signs for signs in others if signs != printed]
-    scale = max(abs(direct), REL_FLOOR)
+    scale = max(abs(constant), REL_FLOOR)
     best = None
     for signs in candidates:
         value = prefactor * sum(s * r for s, r in zip(signs, radicals))
-        err = abs(value - direct) / scale
+        err = abs(value - constant) / scale
         if best is None or err < best[0]:
             best = (err, signs, value)
         if err <= 1e-8:
-            record = {"id": d_id, "signs": list(signs),
+            record = {"id": idty.id, "signs": list(signs),
                       "printed_signs": list(printed),
                       "matches_printed": signs == printed,
                       "rel_error": err}
             return value, record
     raise NoConsistentSign(
-        f"{d_id}: best assignment {best[1]} misses by rel {best[0]:.3e}")
+        f"{idty.id}: best assignment {best[1]} misses by rel {best[0]:.3e}")
 
 
 def resolve_sign(d_id: str, tau: PeriodMatrix,
@@ -1208,28 +1242,56 @@ def resolve_sign(d_id: str, tau: PeriodMatrix,
     if entry is None:
         raise KeyError(f"no root form under id {d_id!r}")
     ((direct, base),) = root_constants(catalog, [tau], pol)
-    return match_signs(d_id, entry.root_form,
-                       direct[_json_key(entry.root_form["target"])], base)
+    return match_signs(entry, direct, base)
+
+
+class _RootTables(NamedTuple):
+    """The catalog's root forms and the distinct doubled targets and base
+    radicands of all of them (keys by _json_key), the two tables of one
+    KernelBatch with classes."""
+
+    forms: tuple[Identity, ...]
+    targets: tuple[tuple, ...]
+    radicands: tuple[tuple, ...]
+    batch: KernelBatch
+
+
+# The last tables _root_tables built, kept for the next call with the same
+# root-form objects: verify resolves signs on every run.
+_last_roots: _RootTables | None = None
+
+
+def _root_tables(catalog: list[Identity]) -> _RootTables:
+    """The catalog's root forms compiled into _RootTables; the last tables
+    are returned again for the same objects in the same order, compared by
+    identity as _compile does."""
+    global _last_roots
+    forms = [i for i in catalog if i.root_form]
+    if _last_roots is not None and _same_objects(_last_roots.forms, forms):
+        return _last_roots
+    targets = {k: ch for i in forms for k, ch in i._roots[0].items()}
+    radicands = {k: ch for i in forms for k, ch in i._roots[1].items()}
+    _last_roots = _RootTables(
+        tuple(forms), tuple(targets), tuple(radicands),
+        KernelBatch.of((targets.values(), radicands.values()), classes=True))
+    return _last_roots
 
 
 def root_constants(catalog: list[Identity], taus: list[PeriodMatrix],
                    pol: PrecisionPolicy = DEFAULT_POLICY) -> list[tuple]:
     """Per tau, the distinct doubled targets and base radicands of all the
     catalog's root forms as two dicts keyed by _json_key (match_signs'
-    values): two tables of one KernelBatch with classes, summed at the
+    values): the two tables of _root_tables' KernelBatch, summed at the
     origin in one call for all taus, so bit for bit theta_values' values.
     A class-formed value depends on the other rows of its table, so the
     tables hold every root form whichever ids a caller reads.  The first
     sum that overflows, per tau targets first, raises NonFiniteSum."""
-    forms = [i for i in catalog if i.root_form]
-    targets = {k: ch for i in forms for k, ch in i._roots[0].items()}
-    radicands = {k: ch for i in forms for k, ch in i._roots[1].items()}
+    tables = _root_tables(catalog)
     windows = Windows.of([(ORIGIN, p) for tau in taus
                           for p in (double_periods(tau), tau)], pol)
-    values = iter(KernelBatch.of((targets.values(), radicands.values()),
-                                 classes=True).values(windows))
-    return [(dict(zip(targets, values)), dict(zip(radicands, values)))
-            for _ in taus]
+    values = iter(tables.batch.values(windows))
+    return [(dict(zip(tables.targets, values)),
+             dict(zip(tables.radicands, values))) for _ in taus]
 
 
 # --------------------------------------------------------------------------
@@ -1275,9 +1337,7 @@ def identities_from_json(obj: dict) -> list[Identity]:
 def catalog_sha256(catalog: list[Identity]) -> str:
     """catalog_as_json(catalog)["sha256"], reusing the memoized digest of
     the built-in catalog."""
-    built = _built_catalog()
-    if len(built) == len(catalog) and all(
-            a is b for a, b in zip(built, catalog)):
+    if _same_objects(_built_catalog(), catalog):
         return _built_sha256()
     return _sha256([i.as_json() for i in catalog])
 

@@ -517,6 +517,12 @@ def clear_theta_cache() -> None:
     theta_eval sums afresh and there is nothing to clear."""
 
 
+# |Re x| or |Re y| above which theta_eval shifts z by integers first.  The
+# sampling family's arguments stay within |Re| <= 1, so no sampled value
+# takes the shift.
+RE_SHIFT = 4.0
+
+
 def theta_eval(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
                pol: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     """Truncated lattice sum for theta[ch](z; tau), tail and dropped terms
@@ -539,8 +545,20 @@ def theta_eval(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
     KernelBatch without classes.  Where the window is not loud it masks
     with one comparison, and at radius backends.BOX_RADIUS or more forms
     only the exponents in the box of terms that can reach the floor
-    (backends.floor_box), the same sum bit for bit."""
+    (backends.floor_box), the same sum bit for bit.
+
+    Where |Re x| or |Re y| exceeds RE_SHIFT, the sum is taken at z - k,
+    k = (round(Re x), round(Re y)), and multiplied by the exact unit
+    i**((2a*k1 + 2c*k2) mod 4): theta(z + k) = exp(pi*i*(a*k1 + c*k2)) *
+    theta(z) for integer k.  The shift rounds nothing, so the kernel forms
+    its phases from |Re| <= 1/2, not from a huge Re z, where they lose
+    digits (at 1e12) or overflow to NaN (at 1e307)."""
     a2, c2, b2, d2, phase = ch._kernel
+    if abs(z.x.real) > RE_SHIFT or abs(z.y.real) > RE_SHIFT:
+        z.validate()
+        k1, k2 = round(z.x.real), round(z.y.real)
+        z = EvalPoint(z.x - k1, z.y - k2)
+        phase *= _PHASES[(int(4 * a2) * k1 + int(4 * c2) * k2) % 4]
     radius, floor, loud = _window(z, tau, pol.eps_tail, pol.max_radius)
     if loud and _must_overflow(z, tau, radius, a2, c2):
         raise NonFiniteSum(f"theta{ch} sum overflows: a term's modulus "

@@ -352,8 +352,8 @@ def _per_trial_sign_details(d_ids, seed, catalog):
     """The sign records as one theta_values call per trial and kind of
     constant gives them: the doubled targets, then the base radicands,
     each parsed from its JSON, then match_signs per id."""
-    forms = {i.id: i.root_form for i in catalog
-             if i.id in d_ids and i.root_form}
+    entries = {i.id: i for i in catalog if i.id in d_ids and i.root_form}
+    forms = {d_id: i.root_form for d_id, i in entries.items()}
     key = identity_catalog._json_key
     rng = make_rng(seed, "sign-resolution")
     details = []
@@ -368,10 +368,9 @@ def _per_trial_sign_details(d_ids, seed, catalog):
             EvalPoint(), periods))) for chars, periods in (
                 (targets, double_periods(tau)), (radicands, tau)))
         for d_id in sorted(d_ids):
-            form = forms[d_id]
             try:
                 value, record = identity_catalog.match_signs(
-                    d_id, form, direct[key(form["target"])], base)
+                    entries[d_id], direct, base)
             except identity_catalog.NoConsistentSign as exc:
                 details.append({"trial": trial, "id": d_id, "error": str(exc)})
                 continue
@@ -468,6 +467,33 @@ def test_verify_only_spans_all_suites(tmp_path, capsys):
     assert report["suites"] == {"catalog": True, "addition": True,
                                 "elliptic": True}
     assert report["sign_resolutions"] == []
+
+
+@pytest.mark.parametrize("extra", [
+    (), ("--only", "B1,A3", "--rel-tol", "1e-17", "--abs-tol", "1e-19"),
+    ("--format", "csv")])
+def test_verify_report_is_json_dumps_and_hashes_its_part(tmp_path, capsys,
+                                                         extra):
+    """The printed report is json.dumps(report, sort_keys=True) byte for
+    byte, and its determinism_hash the sha256 of json.dumps(hashed,
+    sort_keys=True) followed by the rows body, hashed being the report
+    without the hash, wall time and stats, and its config without the
+    output path and the worker count: with failing ids, without, and
+    with CSV rows."""
+    out = tmp_path / "rows"
+    code = main(["verify", "--samples", "1", "--out", str(out), *extra])
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    report = json.loads(line)
+    assert line == json.dumps(report, sort_keys=True)
+    assert (code == EXIT_FAILED) == bool(report["failing_ids"]) == bool(
+        extra[:1] == ("--only",))
+    hashed = {key: value for key, value in report.items()
+              if key not in ("determinism_hash", "wall_time_s", "stats")}
+    hashed["config"] = {key: value for key, value in report["config"].items()
+                        if key not in ("output_path", "jobs")}
+    assert report["determinism_hash"] == hashlib.sha256(
+        json.dumps(hashed, sort_keys=True).encode("utf-8")
+        + out.read_bytes()).hexdigest()
 
 
 def test_every_elliptic_row_is_listed_and_selectable(tmp_path, capsys):

@@ -360,6 +360,35 @@ def test_every_root_form_resolves():
             assert isinstance(record["matches_printed"], bool)
 
 
+def test_root_constants_keep_their_batch():
+    """The root forms' KernelBatch is built once per list of root-form
+    objects (_root_tables), as _compile keeps its program: a second call
+    with the same objects reuses it, a catalog loaded anew gets its own,
+    and the constants do not change."""
+    tables = identity_catalog._root_tables(CAT)
+    assert identity_catalog._root_tables(build_catalog()) is tables
+    copy = identity_catalog.identities_from_json(catalog_as_json(CAT))
+    anew = identity_catalog._root_tables(copy)
+    assert anew is not tables
+    assert (anew.targets, anew.radicands) == (tables.targets,
+                                              tables.radicands)
+    assert identity_catalog.root_constants(copy, [TAU]) == (
+        identity_catalog.root_constants(CAT, [TAU]))
+
+
+def test_sign_search_parses_no_characteristic_again(monkeypatch):
+    """match_signs reads the root forms as Identity._roots parsed them
+    once per object: a second search, with _json_key failing, gives the
+    same record."""
+    want = resolve_sign("D11", TAU, catalog=CAT)
+
+    def boom(ch):
+        raise AssertionError(f"{ch} parsed again")
+
+    monkeypatch.setattr(identity_catalog, "_json_key", boom)
+    assert resolve_sign("D11", TAU, catalog=CAT) == want
+
+
 def test_resolve_sign_reports_branch_choice():
     value, record = resolve_sign("D5", TAU, catalog=CAT)
     assert record["printed_signs"] == [1, 1]
@@ -394,9 +423,10 @@ def test_verify_catalog_deterministic():
 
 def test_each_distinct_factor_summed_once_per_sample(monkeypatch):
     """A factor repeated within one identity at one sample is summed once.
-    Each sample index of all identities is one KernelBatch.values call,
-    which makes one kernel call per truncation radius among its windows,
-    and each kernel call sums its rows one GRID_POINTS slice at a time."""
+    A block of up to _BLOCK_SAMPLES sample indices of all identities is
+    one KernelBatch.values call (two samples: one block), which makes one
+    kernel call per truncation radius among its windows, and each kernel
+    call sums its rows one GRID_POINTS slice at a time."""
     expected = [r.as_json() for r in verify_catalog(2, 0)]
     counts = {"characteristics": 0, "blocks": 0, "radius_classes": 0,
               "lattice_sum": 0, "window_sums": 0}
@@ -421,10 +451,63 @@ def test_each_distinct_factor_summed_once_per_sample(monkeypatch):
     monkeypatch.setattr(theta_core, "lattice_sum", counted_kernel)
     monkeypatch.setattr(backends, "_window_sums", counted_window)
     rows = verify_catalog(2, 0)
-    assert counts == {"characteristics": 3216, "blocks": 2,
-                      "radius_classes": 31, "lattice_sum": 31,
-                      "window_sums": 73}
+    assert counts == {"characteristics": 3216, "blocks": 1,
+                      "radius_classes": 17, "lattice_sum": 17,
+                      "window_sums": 63}
     assert [r.as_json() for r in rows] == expected
+
+
+@pytest.fixture(scope="module")
+def rows_of_17_samples():
+    """The rows of 17 samples summed one sample per block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identity_catalog, "_BLOCK_SAMPLES", 1)
+        return [r.json_line() for r in verify_catalog(17, 4)]
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 17])
+def test_blocks_do_not_move_a_row(n, rows_of_17_samples):
+    """verify_catalog sums _BLOCK_SAMPLES (8) samples per block, each
+    window on its own: the rows of n samples, whole blocks or not, are
+    the first n samples' rows of a 17-sample run, bit for bit, as one
+    sample per block gives them."""
+    assert identity_catalog._BLOCK_SAMPLES == 8
+    assert [r.json_line() for r in verify_catalog(n, 4)] == [
+        line for line in rows_of_17_samples
+        if json.loads(line)["sample"] < n]
+
+
+def test_an_overflow_inside_a_block_errors_only_its_row(monkeypatch):
+    """Sample 5 of 2e5.0000 (inside the first block) and sample 8 of B1
+    (the first of the second) are drawn at tau = diag(i, i) with p1 = (0,
+    20i) and p2 = 0, where their sums overflow: those two rows error with
+    NonFiniteSum, without numpy's warnings, and every other row is the
+    unforced run's, bit for bit."""
+    catalog = [BY_ID[i] for i in ("2e5.0000", "B1", "C17", "D5")]
+    want = verify_catalog(10, 3, catalog=catalog)
+    bad = Draws.of([SampleAssignment(PeriodMatrix(1j, 1j, 0j),
+                                     EvalPoint(0, 20j), ORIGIN, seed=0)])
+    forced = {(5, "2e5.0000"), (8, "B1")}
+
+    def stream(seed, labels):
+        for index, draws in enumerate(draw_stream(seed, labels)):
+            columns = [column.copy() for column in draws]
+            for k, label in enumerate(labels):
+                if (index, label) in forced:
+                    for column, value in zip(columns, bad):
+                        column[k] = value[0]
+            yield Draws(*columns)
+
+    monkeypatch.setattr(identity_catalog, "draw_stream", stream)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = verify_catalog(10, 3, catalog=catalog)
+    assert len(rows) == len(want) == 40
+    for row, unforced in zip(rows, want):
+        if (row.sample_index, row.identity_id) in forced:
+            assert row.error.startswith("NonFiniteSum: ") and not row.passed
+        else:
+            assert row.json_line() == unforced.json_line()
 
 
 def test_each_selection_gets_its_own_program_and_the_built_in_rows():
@@ -500,7 +583,7 @@ def _catalog_windows(monkeypatch, prog, draws) -> tuple:
         return seen[-1]
 
     monkeypatch.setattr(identity_catalog, "truncation_windows", windowed)
-    identity_catalog._evaluate(prog, draws, 0, PrecisionPolicy())
+    identity_catalog._evaluate(prog, [draws], 0, PrecisionPolicy())
     (windows_and_errors,) = seen
     return windows_and_errors
 

@@ -960,6 +960,29 @@ def test_theta_eval_validates_tau_and_z_once(monkeypatch):
                    EvalPoint(complex("nan"), 0j), TAU_G)
 
 
+@pytest.mark.parametrize("chars", [(0, 0, 0, 1), (1, 1, 1, 1),
+                                   ("1/2", "3/2", 1, "1/2"),
+                                   ("-1/2", 1, 0, "3/2"), (3, "1/2", 0, 0)])
+def test_integer_shifts_of_re_z_keep_the_value(chars):
+    """theta(z + k) = i**(2a*k1 + 2c*k2) * theta(z) for integer k: above
+    |Re| = RE_SHIFT theta_eval takes the sum at z less the nearest
+    integers, so shifts of Re z up to 1e300 give the unshifted value times
+    that unit, bit for bit, for integer and half-integer upper rows.  A
+    shift that would round Re z's fraction away starts from Re z = 0."""
+    ch = ThetaCharacteristic.of(*chars)
+    units = (1, 1j, -1, -1j)
+    for k1, k2 in [(5.0, 0.0), (0.0, -7.0), (12345.0, -678.0), (1e12, 3.0),
+                   (2.0 ** 52, -2.0 ** 40), (1e16, 1e16), (1e300, -1e300),
+                   (-1e307, 5.0)]:
+        z = EvalPoint(0.25 - 0.1j, -0.125 + 0.2j)
+        if (z.x + k1).real - k1 != z.x.real or (z.y + k2).real - k2 != z.y.real:
+            z = EvalPoint(-0.1j, 0.2j)
+        shifted = EvalPoint(z.x + k1, z.y + k2)
+        unit = units[(int(2 * ch.a) * int(k1) + int(2 * ch.c) * int(k2)) % 4]
+        assert theta_eval(ch, shifted, TAU_G) == unit * theta_eval(
+            ch, z, TAU_G), (k1, k2)
+
+
 def test_overflowing_sum_raises_instead_of_returning_nan():
     """At Im z = 20 the terms overflow double precision; the sum is not a
     value, so theta_eval raises rather than return NaN, and without
@@ -1119,8 +1142,9 @@ def test_a_loud_window_sums_its_whole_square(monkeypatch):
     part that overflows gives NaN exponents, which the kernel keeps and
     the box of terms that can reach the floor, formed from Im parts only,
     cannot see.  At Re tau1 = 3.2e306 they lie at |m| >= 18, outside that
-    box (|m| <= 4), where a box sums finite terms only; at Re x = 1e307
-    the imaginary parts overflow.  Both raise the NonFiniteSum of the
+    box (|m| <= 4), where a box sums finite terms only; at Re tau2 =
+    1e307 the imaginary parts overflow (a Re x of 1e307 would be shifted
+    back by integers first).  Both raise the NonFiniteSum of the
     summed window, without numpy's warnings (raised here as errors); the
     input of CI's first overflow pin, which _must_overflow catches, makes
     no kernel call."""
@@ -1135,9 +1159,8 @@ def test_a_loud_window_sums_its_whole_square(monkeypatch):
         (ThetaCharacteristic.of(0, 0, 0, 0), EvalPoint(0.1, 0.2 + 2j),
          PeriodMatrix(3.2e306 + 2j, 0.3 + 0.15j, 0j), 35, [False],
          "theta[0 0; 0 0] sum overflows to (nan+nanj)"),
-        (ThetaCharacteristic.of(1, 0, 0, 1),
-         EvalPoint(1e307 + 1.5j, 0.2 - 0.5j),
-         PeriodMatrix(0.1 + 0.15j, 0.3 + 1.2j, 0.05j), 28, [False],
+        (ThetaCharacteristic.of(1, 0, 0, 1), EvalPoint(1.5j, 0.2 - 0.5j),
+         PeriodMatrix(0.1 + 0.15j, 1e307 + 1.2j, 0.05j), 28, [False],
          "theta[1 0; 0 1] sum overflows to (nan+nanj)"),
         (ThetaCharacteristic.of(0, 0, 0, 0), EvalPoint(0, 20j), TAU_E, 49, [],
          "theta[0 0; 0 0] sum overflows: a term's modulus exceeds the "
@@ -1423,8 +1446,8 @@ def test_validation_survives_overflowing_determinants():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(identity_catalog, "truncation_windows", windowed)
         for t in taus:
-            identity_catalog._evaluate(prog, Draws.of(
-                [SampleAssignment(t, ORIGIN, ORIGIN, seed=0)]), 0,
+            identity_catalog._evaluate(prog, [Draws.of(
+                [SampleAssignment(t, ORIGIN, ORIGIN, seed=0)])], 0,
                 DEFAULT_POLICY)
     assert [{type(e) for e in errs.values()} for errs in errors] \
         == [{InvalidPeriod}, set(), {RadiusExceeded}]
