@@ -48,12 +48,13 @@ formed from their class's residue sums (KernelBatch).
 The block then runs the law on all its samples at once (_finish_block),
 as numpy arrays of dtype=object, from index arrays (_BlockLaw) compiled
 with the tables and the block's kernel rows into one cached object
-(_law_tables).  Each element operation is CPython's own complex
-arithmetic, in the scalar law's order, so every value is bit for bit that
-of the per-point functions add_vector, add_direct and doubled_values, which
-stay scalar as the reference: a complex128 law would round differently,
-and by the CPU's SIMD level, since numpy's complex multiply contracts to
-FMA under its x86-64-v3 dispatch.
+(_law_tables); its sums of products are identity_catalog's (_products,
+_fold), which sum the catalog's sides too.  Each element operation is
+CPython's own complex arithmetic, in the scalar law's order, so every
+value is bit for bit that of the per-point functions add_vector,
+add_direct and doubled_values, which stay scalar as the reference: a
+complex128 law would round differently, and by the CPU's SIMD level,
+since numpy's complex multiply contracts to FMA under x86-64-v3.
 """
 
 from __future__ import annotations
@@ -75,6 +76,10 @@ from .identity_catalog import (
     ARG_SUM,
     IdentityTerm,
     ResidualReport,
+    _fold,
+    _fold_plan,
+    _positions,
+    _products,
     build_catalog,
     general_duplication,
 )
@@ -534,42 +539,23 @@ class AdditionRun:
 _BLOCK_SAMPLES = 64
 
 
-def _fold_plan(lengths: list[int]) -> tuple:
-    """Where _fold puts rows of the given numbers of terms, in order: (the
-    zero slot starting each row, the terms' slots, the width): row r's
-    terms follow its zero slot, r + 1 slots past their index."""
-    rows = np.arange(len(lengths))
-    starts = np.cumsum([0, *lengths[:-1]]) + rows
-    slots = np.arange(sum(lengths)) + np.repeat(rows + 1, lengths)
-    return starts, slots, sum(lengths) + len(lengths)
-
-
-def _fold(terms: np.ndarray, plan: tuple) -> np.ndarray:
-    """Row sums of terms along the last axis, each a left fold from 0j as
-    the scalar law's `acc = 0j; acc += term`: np.add.reduceat over a zero
-    slot followed by the row's terms, which on object arrays adds in
-    order."""
-    starts, slots, width = plan
-    buf = np.empty((*terms.shape[:-1], width), dtype=object)
-    buf[..., starts] = 0j
-    buf[..., slots] = terms
-    return np.add.reduceat(buf, starts, axis=-1)
-
-
-def _columns(terms) -> list[np.ndarray]:
-    """terms transposed: their first entries (the coefficients, the tables'
-    own Python numbers) as an object array, the others as index arrays."""
-    first, *rest = zip(*terms)
-    return [np.array(first, dtype=object),
-            *(np.array(column) for column in rest)]
+def _columns(rows) -> tuple:
+    """The terms of rows of terms as _finish_block folds them: their first
+    entries (the coefficients, the tables' own Python numbers) as an
+    object array, the others as index arrays, then the rows' _fold_plan."""
+    rows = list(rows)
+    first, *rest = zip(*(t for terms in rows for t in terms))
+    return (np.array(first, dtype=object),
+            *(np.array(column) for column in rest),
+            _fold_plan([len(terms) for terms in rows]))
 
 
 class _BlockLaw(NamedTuple):
     """The law's tables (_law_tables) as index arrays for _finish_block.
 
-    products: how many distinct products of constants the rows read;
+    products: 1 for each distinct product of constants (its start);
     factors: per factor position k, the products with a k-th factor and
-        that factor's constants index;
+        that factor's constants index (_positions);
     lhs, rhs: the solved rows' terms, as coefficients, products index (and
         chA, chB _POINT_CHARS index), and their fold plan;
     pairings: coefficients, x and y targets index, and the fold plan;
@@ -578,7 +564,7 @@ class _BlockLaw(NamedTuple):
         positions each fills and the pairings it reads (and for the route
         the positions of its F[e])."""
 
-    products: int
+    products: np.ndarray
     factors: tuple
     lhs: tuple
     rhs: tuple
@@ -591,10 +577,6 @@ class _BlockLaw(NamedTuple):
     @classmethod
     def of(cls, products: tuple, solved: tuple,
            pairings: tuple) -> "_BlockLaw":
-        factors = tuple(
-            (np.array([p for p, f in enumerate(products) if len(f) > k]),
-             np.array([f[k] for f in products if len(f) > k]))
-            for k in range(max(map(len, products))))
         col = {pair: j for j, (pair, _) in enumerate(pairings)}
         base, upper, route = [], [], []
         for at, ch in enumerate(A_ORDER):
@@ -611,13 +593,10 @@ class _BlockLaw(NamedTuple):
         branches = [tuple(map(np.array, zip(*rows)))
                     for rows in (base, upper, route)]
         return cls(
-            len(products), factors,
-            (*_columns(t for _, lhs, _ in solved for t in lhs),
-             _fold_plan([len(lhs) for _, lhs, _ in solved])),
-            (*_columns(t for _, _, rhs in solved for t in rhs),
-             _fold_plan([len(rhs) for _, _, rhs in solved])),
-            (*_columns(t for _, terms in pairings for t in terms),
-             _fold_plan([len(terms) for _, terms in pairings])),
+            np.full(len(products), 1, dtype=object), _positions(products),
+            _columns(lhs for _, lhs, _ in solved),
+            _columns(rhs for _, _, rhs in solved),
+            _columns(terms for _, terms in pairings),
             np.array([col[(BASE_CHAR, BASE_CHAR)], *branches[1][3],
                       *branches[2][3]]),
             *branches)
@@ -642,11 +621,8 @@ def _finish_block(values: list, draws: list,
     its values.
 
     The law runs on all samples at once as numpy object arrays, in the
-    scalar code's order of operations: each element operation is the
-    values' own Python arithmetic, run by numpy's object loops, so no
-    rounding differs from the scalar law's, and none depends on numpy's
-    SIMD level, as complex128 arithmetic would (its multiply contracts to
-    FMA under x86-64-v3 dispatch).  The block is cut, before anything
+    scalar code's order of operations, so no rounding differs from the
+    scalar law's (the module docstring).  The block is cut, before anything
     divides by them, at the first sample whose sums are not all finite,
     whose constants are near_singular, whose normalizer raises (DivisorHit,
     NonFiniteSum), or one of whose assembly guards is below
@@ -664,9 +640,7 @@ def _finish_block(values: list, draws: list,
     at_doubled = at_doubled.reshape(-1, 2, len(SOLVED_IDS))  # 2z1, 2z2
 
     # ConstantsVector._solved_rows: products from 1, lhs sums and weights
-    prods = np.full((len(consts), law.products), 1, dtype=object)
-    for cols, idx in law.factors:
-        prods[:, cols] = prods[:, cols] * consts[:, idx]
+    prods = _products(law.products, law.factors, consts)
     coeffs, cols, plan = law.lhs
     den = _fold(coeffs * prods[:, cols], plan)
     m = _first(_small(den).any(axis=1))
@@ -796,22 +770,14 @@ def verify_addition(n_samples: int = 100, seed: int = 0,
     redrawn and counted, never silently dropped.
 
     Samples are drawn ahead in blocks of up to _BLOCK_SAMPLES, assuming no
-    redraw, with the RNG state before each sample kept.  Every series of a
-    block but the normalizers (107 per sample) is summed in one KernelBatch
-    call; the normalizers are theta_eval calls, three per sample.  The law
-    then finishes all samples of the block at once as numpy object arrays
-    (_finish_block): each element operation is CPython's own arithmetic,
-    in the scalar law's order, so every value is bit for bit that of the
-    per-point functions, and does not depend on numpy's SIMD level.  The
-    first sample that would redraw or raise (a sum not finite,
-    near-singular constants, a normalizer below DIVISOR_THRESHOLD, a
-    DegenerateDenominator, or an error while drawing or windowing ahead)
-    gets the RNG state from before it back and runs on its own
-    (_one_sample, through constants_vector, f_vector, add_vector and
-    add_direct), and a new block starts after it.  The rows of all samples
-    are then formed at once (ResidualReport.compare_all).  So the rows, the
-    redraws and the exceptions are bit for bit those of drawing and
-    checking one sample at a time.
+    redraw, with the RNG state before each sample kept, and each block is
+    summed and finished at once (_block, _finish_block).  The first sample
+    that would redraw or raise gets the RNG state from before it back and
+    runs on its own (_one_sample, through constants_vector, f_vector,
+    add_vector and add_direct), and a new block starts after it.  The rows
+    of all samples are then formed at once by ResidualReport.compare_all,
+    as the catalog's are.  So the rows, the redraws and the exceptions are
+    bit for bit those of drawing and checking one sample at a time.
     """
     rng = make_rng(seed, "addition")
     tau_redraws = 0

@@ -32,7 +32,6 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
@@ -259,6 +258,8 @@ def _verify_catalog_rows(cfg: VerificationConfig, catalog: list[Identity],
     catalog = [i for i in catalog if selected(i.id, only)]
     if cfg.jobs <= 1 or len(catalog) < 2:
         return verify_catalog(cfg.n_samples, cfg.seed, pol, catalog=catalog)
+    # imported here, so eval, list and a serial verify load no pool
+    from concurrent.futures import ProcessPoolExecutor
     ordered = sorted(catalog, key=lambda i: i.id)
     chunks = [c for c in (ordered[k::cfg.jobs] for k in range(cfg.jobs)) if c]
     # At most one worker per chunk and per CPU: --jobs 1000 would otherwise

@@ -216,7 +216,8 @@ class ResidualReport(NamedTuple):
                 rhs: complex, rel_tol: float,
                 abs_tol: float) -> "ResidualReport":
         """The row for lhs against rhs: it passes when the residual is below
-        rel_tol relative to max(|lhs|, |rhs|, REL_FLOOR) or below abs_tol."""
+        rel_tol relative to max(|lhs|, |rhs|, REL_FLOOR) or below abs_tol:
+        compare_all's scalar reference, kept for the tests."""
         abs_res = abs(lhs - rhs)
         rel_res = abs_res / max(abs(lhs), abs(rhs), REL_FLOOR)
         return cls(identity_id, sample_index, lhs, rhs, abs_res, rel_res,
@@ -287,6 +288,50 @@ def _json_complex(z: complex) -> str:
         return (f'{{"im":{float.__repr__(z.imag)},'
                 f'"re":{float.__repr__(z.real)}}}')
     return "null"
+
+
+# --------------------------------------------------------------------------
+# sums of products as object arrays (_evaluate, addition._finish_block)
+
+def _positions(factors) -> tuple:
+    """Per factor position k, as index arrays, the terms with a k-th factor
+    and that factor's index; factors holds each term's indices in order."""
+    return tuple(
+        (np.array([p for p, f in enumerate(factors) if len(f) > k]),
+         np.array([f[k] for f in factors if len(f) > k]))
+        for k in range(max(map(len, factors))))
+
+
+def _products(first: np.ndarray, positions: tuple,
+              values: np.ndarray) -> np.ndarray:
+    """Per row of values, each term's first times its factors' values, one
+    factor position (_positions) at a time: ((first * v1) * v2) ..., each
+    step the objects' own Python arithmetic."""
+    out = np.repeat(first[None], len(values), axis=0)
+    for terms, rows in positions:
+        out[:, terms] = out[:, terms] * values[:, rows]
+    return out
+
+
+def _fold_plan(lengths: list[int]) -> tuple:
+    """Where _fold puts rows of the given numbers of terms, in order: (the
+    zero slot starting each row, the terms' slots, the width): row r's
+    terms follow its zero slot, r + 1 slots past their index."""
+    rows = np.arange(len(lengths))
+    starts = np.cumsum([0, *lengths[:-1]]) + rows
+    slots = np.arange(sum(lengths)) + np.repeat(rows + 1, lengths)
+    return starts, slots, sum(lengths) + len(lengths)
+
+
+def _fold(terms: np.ndarray, plan: tuple) -> np.ndarray:
+    """Row sums of terms along the last axis, each a left fold from 0j as
+    a scalar `acc = 0j; acc += term` loop: np.add.reduceat over a zero slot
+    followed by the row's terms, which on object arrays adds in order."""
+    starts, slots, width = plan
+    buf = np.empty((*terms.shape[:-1], width), dtype=object)
+    buf[..., starts] = 0j
+    buf[..., slots] = terms
+    return np.add.reduceat(buf, starts, axis=-1)
 
 
 # --------------------------------------------------------------------------
@@ -974,14 +1019,14 @@ def evaluate_identity(idty: Identity, s: SampleAssignment,
     factors' (argument, scale) groups, in order of first appearance, the
     first whose inputs are invalid, whose radius is exceeded or whose sum
     overflows raises its exception here, truncation_window's or
-    theta_eval's class and text.
-    No theta value is kept between calls.  OnePoint identities ignore p2 and
-    ConstantsOnly identities ignore both points by construction (their
-    selectors never touch the ignored point).
+    theta_eval's class and text.  No theta value is kept between calls.
+    OnePoint identities ignore p2 and ConstantsOnly identities ignore both
+    points by construction (their selectors never touch the ignored point).
     """
-    ((row,),) = _evaluate(_compile([idty]), [Draws.of([s])], s.seed, pol)
-    if isinstance(row, Exception):
-        raise row
+    (row,), failed = _evaluate(_compile([idty]), [Draws.of([s])], s.seed,
+                               pol)
+    if failed:
+        raise failed[0]
     return row
 
 
@@ -993,8 +1038,10 @@ class _Program(NamedTuple):
     the batch has one table per group."""
 
     identities: tuple[Identity, ...]
-    sides: list[tuple]          # per identity lhs, rhs: (coefficient, rows
-                                # of its factors) per term
+    term_coeffs: np.ndarray     # (T,) the terms of each identity's lhs,
+                                # then its rhs: coefficients, as objects
+    term_rows: tuple            # their factors' rows (_positions)
+    plan: tuple                 # the sides' fold plan (_fold_plan)
     group: np.ndarray           # (C,) the group of each row
     draw: np.ndarray            # (G,) the identity, so the draw, of a group
     coeffs: np.ndarray          # (2, G) the argument's coefficients of p1, p2
@@ -1022,16 +1069,17 @@ def _same_objects(a, b) -> bool:
 def _compile(identities: list[Identity]) -> _Program:
     """The identities' factors keyed by argument, scale and _kernel, in one
     pass: per identity its groups, each group's distinct rows, and each
-    side's terms as row positions; one KernelBatch holds all the rows.  The
-    last program is returned again for the same objects in the same order
-    (_same_objects), so a catalog loaded anew is compiled anew."""
+    side's terms as _products and _fold read them; one KernelBatch holds
+    all the rows.  The last program is returned again for the same objects
+    in the same order (_same_objects), so a catalog loaded anew is compiled
+    anew."""
     global _last_program
     if _last_program is not None and _same_objects(_last_program.identities,
                                                    identities):
         return _last_program
     tables: dict[tuple, dict] = {}
     rows: dict[tuple, int] = {}
-    sides = []
+    terms, lengths = [], []
     for i, idty in enumerate(identities):
         own: dict[tuple, dict] = {}
         for t in (*idty.lhs, *idty.rhs):
@@ -1042,15 +1090,16 @@ def _compile(identities: list[Identity]) -> _Program:
             for kernel in table:
                 rows[group, kernel] = len(rows)
         tables.update(own)
-        sides.append(tuple(
-            tuple((t.coefficient, tuple(rows[(i, f.arg, f.scale),
-                                             f.ch._kernel]
-                                        for f in t.factors))
-                  for t in terms) for terms in (idty.lhs, idty.rhs)))
+        for side in (idty.lhs, idty.rhs):
+            lengths.append(len(side))
+            terms += [(t.coefficient, [rows[(i, f.arg, f.scale), f.ch._kernel]
+                                       for f in t.factors]) for t in side]
     batch = KernelBatch.of([table.values() for table in tables.values()])
     draw, args, scales = zip(*tables)
+    coefficients, factors = zip(*terms)
     _last_program = _Program(
-        tuple(identities), sides,
+        tuple(identities), np.array(coefficients, dtype=object),
+        _positions(factors), _fold_plan(lengths),
         np.repeat(np.arange(len(tables)), batch.sizes), np.array(draw),
         np.array([(a.coeff1, a.coeff2) for a in args], dtype=complex).T,
         np.array([s is Scale.DOUBLED for s in scales], dtype=int), batch)
@@ -1058,18 +1107,19 @@ def _compile(identities: list[Identity]) -> _Program:
 
 
 def _evaluate(prog: _Program, draws: list[Draws], start: int,
-              pol: PrecisionPolicy) -> list[list]:
-    """For each draw of a block, samples start, start + 1, ..., and each
-    identity of prog at its row of that draw, its ResidualReport, or the
-    exception of its first failing group.  Each group's argument and
-    periods are formed as arrays for all samples of the block, windowed by
-    one truncation_windows call, and summed by one KernelBatch call that
-    repeats the tables once per sample; every window is still summed on
-    its own, so each value is the one a block of one sample gives.  A
-    group whose window fails is not summed, and a group with a non-finite
-    sum gets the NonFiniteSum of its first such characteristic.  The side
-    products and the comparison stay Python arithmetic, in the catalog's
-    order."""
+              pol: PrecisionPolicy) -> tuple[list, dict]:
+    """The ResidualReport of each identity of prog at each draw of a block,
+    samples start, start + 1, ..., sample after sample, and by row the
+    exception of each failed row's first failing group.  Each group's
+    argument and periods are formed as arrays for the whole block,
+    windowed by one truncation_windows call and summed by one KernelBatch
+    call that repeats the tables per sample, each window on its own, so
+    each value is the one a block of one sample gives.  A failed window is
+    not summed, and a group with a non-finite sum gets the NonFiniteSum of
+    its first such characteristic.  Both sides of all rows are one
+    _products and one _fold, in the catalog's order, as in the addition
+    law's block, and one compare_all forms the rows; a failed row is
+    compared as NaN and carries its exception's text."""
     g, c1, c2 = prog.draw, *prog.coeffs
     n, groups, width = len(draws), len(g), len(prog.group)
     d = Draws(*(np.stack(column)[:, g] for column in zip(*draws)))
@@ -1089,33 +1139,25 @@ def _evaluate(prog: _Program, draws: list[Draws], start: int,
                     sample * groups + int(prog.group[row]),
                     NonFiniteSum(f"theta{prog.batch.chars[row]} "
                                  f"sum overflows to {value}"))
-    failed: dict[tuple, Exception] = {}
+    ids = [idty.id for idty in prog.identities]
+    failed: dict[int, Exception] = {}
     for k in sorted(errors):
         sample, group = divmod(k, groups)
-        failed.setdefault((sample, int(g[group])), errors[k])
-    out = []
-    for sample in range(n):
-        own = values[sample * width:(sample + 1) * width]
-        out.append([
-            failed[sample, i] if (sample, i) in failed
-            else ResidualReport.compare(idty.id, start + sample,
-                                        _side(lhs, own), _side(rhs, own),
-                                        pol.rel_tol, pol.abs_tol)
-            for i, (idty, (lhs, rhs)) in enumerate(zip(prog.identities,
-                                                       prog.sides))])
-    return out
-
-
-def _side(terms, values: list[complex]) -> complex:
-    """One side of an identity: each coefficient times its factors' values
-    (rows of the program's batch), in the catalog's order, summed."""
-    total = 0j
-    for coefficient, indices in terms:
-        prod = coefficient
-        for i in indices:
-            prod *= values[i]
-        total += prod
-    return total
+        failed.setdefault(sample * len(ids) + int(g[group]), errors[k])
+    values = np.array(values, dtype=object).reshape(n, width)
+    # numpy reports the FP flags a failed group's inf or NaN raise in its
+    # object loops, which the scalar arithmetic does not
+    with np.errstate(all="ignore"):
+        sides = _fold(_products(prog.term_coeffs, prog.term_rows, values),
+                      prog.plan).reshape(-1, 2)
+    sides[list(failed)] = complex("nan")
+    rows = ResidualReport.compare_all(
+        ids * n, [s for s in range(start, start + n) for _ in ids],
+        sides[:, 0], sides[:, 1], pol.rel_tol, pol.abs_tol)
+    for k, e in failed.items():
+        rows[k] = ResidualReport(*rows[k][:4], math.inf, math.inf, False,
+                                 f"{type(e).__name__}: {e}")
+    return rows, failed
 
 
 def verify_catalog(n_samples: int = 100, seed: int = 0,
@@ -1125,19 +1167,16 @@ def verify_catalog(n_samples: int = 100, seed: int = 0,
     """Evaluate every identity at n_samples fresh draws.
 
     The selected identities are compiled into one program (_compile),
-    whose KernelBatch has one table per (argument, scale) group; repeated
-    runs on the same Identity objects reuse it.  Then a block of up to
-    _BLOCK_SAMPLES sample indices of all of them is evaluated at a time
-    (_evaluate): their draws (draw_stream), each group's argument and
-    periods as arrays, one truncation_windows call and one KernelBatch
-    call, which makes one kernel call per radius in the block, so the
-    values held at once do not grow with n_samples.  Per-sample errors
-    (e.g. RadiusExceeded on an extreme draw) become failed report rows
-    instead of aborting the run, and leave the other rows of the block
-    unchanged.  Every window is summed on its own, so the rows do not
-    depend on the block size.  Reports come out sorted by identity
-    id then sample index, so the output is a pure function of (catalog,
-    n_samples, seed, pol).
+    which repeated runs on the same Identity objects reuse, and evaluated
+    a block of up to _BLOCK_SAMPLES sample indices at a time (_evaluate):
+    one KernelBatch call, one fold of the sides shared with the addition
+    law (_products, _fold) and one compare_all per block, so the values
+    held at once do not grow with n_samples.  Per-sample errors (e.g.
+    RadiusExceeded on an extreme draw) become failed report rows instead
+    of aborting the run, and leave the other rows unchanged.  Every
+    window is summed on its own, so the rows do not depend on the block
+    size.  Reports come out sorted by identity id then sample index, so
+    the output is a pure function of (catalog, n_samples, seed, pol).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -1149,19 +1188,12 @@ def verify_catalog(n_samples: int = 100, seed: int = 0,
         return []
     prog = _compile(identities)
     draws = draw_stream(seed, [i.id for i in identities])
-    per_identity: list[list[ResidualReport]] = [[] for _ in identities]
+    rows = []
     for start in range(0, n_samples, _BLOCK_SAMPLES):
         block = list(islice(draws, min(_BLOCK_SAMPLES, n_samples - start)))
-        for index, rows in enumerate(_evaluate(prog, block, start, pol),
-                                     start):
-            for idty, row, out in zip(identities, rows, per_identity):
-                if isinstance(row, Exception):
-                    row = ResidualReport(
-                        idty.id, index, complex("nan"), complex("nan"),
-                        math.inf, math.inf, False,
-                        error=f"{type(row).__name__}: {row}")
-                out.append(row)
-    return [row for rows in per_identity for row in rows]
+        rows += _evaluate(prog, block, start, pol)[0]
+    return [row for i in range(len(identities))
+            for row in rows[i::len(identities)]]
 
 
 def base_id(ident: str) -> str:

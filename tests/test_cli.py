@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line harness (eval / verify / list)."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import itertools
@@ -8,6 +9,7 @@ import math
 import platform
 import re
 import shlex
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -669,7 +671,7 @@ def test_verify_jobs_pool_is_capped(cpus, tmp_path, monkeypatch, capsys):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcess)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     runs = []
     for jobs in ("1", "1000"):
@@ -681,6 +683,17 @@ def test_verify_jobs_pool_is_capped(cpus, tmp_path, monkeypatch, capsys):
     identities = sum(selected(i.id, {"2e5", "B1"}) for i in build_catalog())
     assert workers == [min(cpus, identities)]
     assert runs[0] == runs[1]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """The process pool is imported by a parallel verify only, so eval,
+    list and a serial verify do not load multiprocessing."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hypertheta.cli; print(sorted("
+         "{'multiprocessing', 'concurrent.futures.process'} & "
+         "set(sys.modules)))"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_catalog_file_with_the_same_ids_is_compiled_anew(tmp_path,

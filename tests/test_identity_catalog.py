@@ -633,6 +633,18 @@ def _factor_by_factor(idty, s: SampleAssignment):
                                   side(idty.rhs), pol.rel_tol, pol.abs_tol)
 
 
+def test_every_built_in_row_equals_factor_by_factor():
+    """All built-in identities at seed 0, samples 0 and 1 (one block):
+    each verify_catalog row is byte for byte the row of a factor-by-factor
+    theta_eval evaluation, so a value that moves names its row."""
+    rows = verify_catalog(2, 0, catalog=CAT)
+    assert len(rows) == 2 * len(CAT) == 400
+    for row in rows:
+        idty = BY_ID[row.identity_id]
+        s = assignments_for(0, idty.id, 2)[row.sample_index]
+        assert row.json_line() == _factor_by_factor(idty, s).json_line()
+
+
 def test_failures_inside_a_block_stay_with_their_sample(monkeypatch):
     """One verify_catalog block holds five hand-built samples: C1's on a
     lattice so thin that no radius up to 60 meets the tail target, 2e8's
@@ -682,7 +694,9 @@ def test_failures_inside_a_block_stay_with_their_sample(monkeypatch):
                                 ValueError)) as info:
                 evaluate_identity(idty, s)
             assert row.error == f"{type(info.value).__name__}: {info.value}"
-            assert not row.passed
+            assert repr(row) == repr(ResidualReport(
+                idty.id, 0, complex("nan"), complex("nan"), math.inf,
+                math.inf, False, row.error))
     assert {r.identity_id: r.error.split(":")[0] for r in rows if r.error} \
         == {"2e8": "NonFiniteSum", "C1": "RadiusExceeded",
             "2e4.0000": "ValueError", "2e5.0000": "InvalidPeriod"}
