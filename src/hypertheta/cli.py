@@ -22,6 +22,7 @@ RadiusExceeded (5), DivisorHit (6) and NonFiniteSum (7).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -271,7 +272,6 @@ def _verify_catalog_rows(cfg: VerificationConfig, catalog: list[Identity],
                              [(c, cfg.n_samples, cfg.seed, pol)
                               for c in chunks]):
             rows.extend(part)
-    rows.sort(key=lambda r: (r.identity_id, r.sample_index))
     return rows
 
 
@@ -298,8 +298,8 @@ def _verify_elliptic_rows(n_samples: int, seed: int) -> list[ResidualReport]:
     for idx in range(n_samples):
         u1, u3 = (float(v) for v in rng.uniform(-3.0, 3.0, size=2))
         k = float(rng.uniform(0.0, 1.0))
-        lhs = euler_lhs(u1, u3, k).matrix
-        rhs = euler_rhs(u1, u3, k).matrix
+        lhs = euler_lhs(u1, u3, k)
+        rhs = euler_rhs(u1, u3, k)
         comp = component_residuals(u1, u3, k)
         for key, (entry, _) in _ELLIPTIC_ROWS.items():
             if entry is None:
@@ -312,7 +312,6 @@ def _verify_elliptic_rows(n_samples: int, seed: int) -> list[ResidualReport]:
             rows.append(ResidualReport(key, idx, a, b, res,
                                        res / max(abs(a), abs(b), 1.0),
                                        bool(res < ELLIPTIC_TOL)))
-    rows.sort(key=lambda r: (r.identity_id, r.sample_index))
     return rows
 
 
@@ -367,29 +366,41 @@ def _json_object(parts: dict[str, str]) -> str:
                            for key in sorted(parts)) + "}"
 
 
+_ADDITION_IDS = frozenset(A_LABELS) | {f"{a}.path" for a in A_LABELS}
+
+
 def cmd_verify(args) -> int:
     try:
         cfg = VerificationConfig.from_args(args)
         cfg.validate()
         catalog = load_catalog()
+        row_ids = {i.id for i in catalog} | _ADDITION_IDS | set(_ELLIPTIC_ROWS)
+        unknown = sorted(set(cfg.only) - row_ids
+                         - {base_id(r) for r in row_ids})
+        if unknown:
+            raise ValueError("--only entries select no row: "
+                             + ", ".join(unknown))
+        # opened before any suite runs: a path that cannot be written is a
+        # configuration error, not a traceback after the whole run
+        out = (open(cfg.output_path, "w", encoding="utf-8")
+               if cfg.output_path else contextlib.nullcontext(sys.stdout))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    with out as fh:
+        return _run_verify(cfg, catalog, fh)
 
+
+def _run_verify(cfg: VerificationConfig, catalog: list[Identity],
+                fh) -> int:
+    """The suites cfg selects, their rows written to fh and the report
+    line printed; EXIT_FAILED when a row or a sign search fails."""
     only = set(cfg.only) or None
-    addition_ids = set(A_LABELS) | {f"{a}.path" for a in A_LABELS}
-    elliptic_ids = set(_ELLIPTIC_ROWS)
-    row_ids = {i.id for i in catalog} | addition_ids | elliptic_ids
-    unknown = sorted(set(cfg.only) - row_ids - {base_id(r) for r in row_ids})
-    if unknown:
-        print(f"error: --only entries select no row: {', '.join(unknown)}",
-              file=sys.stderr)
-        return EXIT_CONFIG
     started = time.monotonic()
 
     run_catalog = any(selected(i.id, only) for i in catalog)
-    run_addition = any(selected(a, only) for a in addition_ids)
-    run_elliptic = any(selected(e, only) for e in elliptic_ids)
+    run_addition = any(selected(a, only) for a in _ADDITION_IDS)
+    run_elliptic = any(selected(e, only) for e in _ELLIPTIC_ROWS)
 
     rows: list[ResidualReport] = []
     redraws = {"tau": 0, "points": 0}
@@ -402,6 +413,7 @@ def cmd_verify(args) -> int:
     if run_elliptic:
         rows.extend(r for r in _verify_elliptic_rows(cfg.n_samples, cfg.seed)
                     if selected(r.identity_id, only))
+    # the one sort of the rows: each suite returns them in its own order
     rows.sort(key=lambda r: (r.identity_id, r.sample_index))
 
     per_identity: dict[str, dict] = {}
@@ -428,11 +440,7 @@ def cmd_verify(args) -> int:
                                       if "error" in d)})
 
     body = _rows_to_text(rows, cfg.output_format)
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+    fh.write(body)
 
     report = {
         "config": cfg.as_json(),

@@ -36,13 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 LANDEN_CUTOFF = 1e-15
-PYTHAGOREAN_TOL = 1e-12
-ROTATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class JacobiTriple:
-    """sn, cn, dn at one (u, k), carrying its Pythagorean invariants."""
+    """sn, cn, dn at one (u, k)."""
 
     u: float
     k: float
@@ -50,33 +48,8 @@ class JacobiTriple:
     cn: float
     dn: float
 
-    def validate(self, tol: float = PYTHAGOREAN_TOL) -> None:
-        r1 = abs(self.sn ** 2 + self.cn ** 2 - 1.0)
-        r2 = abs(self.dn ** 2 + (self.k * self.sn) ** 2 - 1.0)
-        if r1 > tol or r2 > tol:
-            raise ValueError(
-                f"Pythagorean residuals {r1:.3e}, {r2:.3e} exceed {tol:.1e} "
-                f"at u={self.u}, k={self.k}")
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.sn, self.cn, self.dn)
-
-
-@dataclass(frozen=True, eq=False)
-class RotationMatrix:
-    """A 3x3 rotation; validate() checks orthogonality and det = +1."""
-
-    matrix: np.ndarray
-
-    def validate(self, tol: float = ROTATION_TOL) -> None:
-        m = self.matrix
-        if m.shape != (3, 3):
-            raise ValueError(f"expected 3x3, got {m.shape}")
-        ortho = float(np.max(np.abs(m @ m.T - np.eye(3))))
-        det = float(np.linalg.det(m))
-        if ortho > tol or abs(det - 1.0) > tol:
-            raise ValueError(
-                f"not a rotation: orthogonality {ortho:.3e}, det {det!r}")
 
 
 def _sncndn(u: float, k: float) -> tuple[float, float, float]:
@@ -124,23 +97,16 @@ def _triples(u1: float, u3: float, k: float):
     return (jacobi_eval(u1, k), jacobi_eval(u1 + u3, k), jacobi_eval(u3, k))
 
 
-def euler_lhs(u1: float, u3: float, k: float) -> RotationMatrix:
+def euler_lhs(u1: float, u3: float, k: float) -> np.ndarray:
     """X(u3) Z(u1 + u3) X(u1)."""
     t1, t2, t3 = _triples(u1, u3, k)
-    return RotationMatrix(x_rotation(t3) @ z_rotation(t2) @ x_rotation(t1))
+    return x_rotation(t3) @ z_rotation(t2) @ x_rotation(t1)
 
 
-def euler_rhs(u1: float, u3: float, k: float) -> RotationMatrix:
+def euler_rhs(u1: float, u3: float, k: float) -> np.ndarray:
     """Z(u1) X(u1 + u3) Z(u3)."""
     t1, t2, t3 = _triples(u1, u3, k)
-    return RotationMatrix(z_rotation(t1) @ x_rotation(t2) @ z_rotation(t3))
-
-
-def yang_baxter_residual(u1: float, u3: float, k: float) -> float:
-    """Largest entry of lhs - rhs; zero exactly when the identity holds."""
-    lhs = euler_lhs(u1, u3, k).matrix
-    rhs = euler_rhs(u1, u3, k).matrix
-    return float(np.max(np.abs(lhs - rhs)))
+    return z_rotation(t1) @ x_rotation(t2) @ z_rotation(t3)
 
 
 def component_residuals(u1: float, u3: float, k: float) -> dict[str, float]:

@@ -370,16 +370,12 @@ def _term(coefficient, *factors: ThetaFactor) -> IdentityTerm:
 # (0,0), (0,1), (1,0), (1,1) in both the upper-row and lower-row role.
 _ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
+# The symmetric matrix M with M @ M = 4*I that interchanges squared base
+# thetas and doubled-theta products (rows/columns ordered per _ORDER).
 _RIEMANN = ((1, 1, 1, 1),
             (1, -1, 1, -1),
             (1, 1, -1, -1),
             (1, -1, -1, 1))
-
-
-def riemann_matrix():
-    """The symmetric 4x4 matrix with M @ M = 4*I that interchanges squared
-    base thetas and doubled-theta products (rows/columns ordered per _ORDER)."""
-    return np.array(_RIEMANN, dtype=int)
 
 
 # --------------------------------------------------------------------------
@@ -1277,53 +1273,25 @@ def resolve_sign(d_id: str, tau: PeriodMatrix,
     return match_signs(entry, direct, base)
 
 
-class _RootTables(NamedTuple):
-    """The catalog's root forms and the distinct doubled targets and base
-    radicands of all of them (keys by _json_key), the two tables of one
-    KernelBatch with classes."""
-
-    forms: tuple[Identity, ...]
-    targets: tuple[tuple, ...]
-    radicands: tuple[tuple, ...]
-    batch: KernelBatch
-
-
-# The last tables _root_tables built, kept for the next call with the same
-# root-form objects: verify resolves signs on every run.
-_last_roots: _RootTables | None = None
-
-
-def _root_tables(catalog: list[Identity]) -> _RootTables:
-    """The catalog's root forms compiled into _RootTables; the last tables
-    are returned again for the same objects in the same order, compared by
-    identity as _compile does."""
-    global _last_roots
-    forms = [i for i in catalog if i.root_form]
-    if _last_roots is not None and _same_objects(_last_roots.forms, forms):
-        return _last_roots
-    targets = {k: ch for i in forms for k, ch in i._roots[0].items()}
-    radicands = {k: ch for i in forms for k, ch in i._roots[1].items()}
-    _last_roots = _RootTables(
-        tuple(forms), tuple(targets), tuple(radicands),
-        KernelBatch.of((targets.values(), radicands.values()), classes=True))
-    return _last_roots
-
-
 def root_constants(catalog: list[Identity], taus: list[PeriodMatrix],
                    pol: PrecisionPolicy = DEFAULT_POLICY) -> list[tuple]:
     """Per tau, the distinct doubled targets and base radicands of all the
     catalog's root forms as two dicts keyed by _json_key (match_signs'
-    values): the two tables of _root_tables' KernelBatch, summed at the
+    values): the two tables of one KernelBatch with classes, summed at the
     origin in one call for all taus, so bit for bit theta_values' values.
     A class-formed value depends on the other rows of its table, so the
     tables hold every root form whichever ids a caller reads.  The first
     sum that overflows, per tau targets first, raises NonFiniteSum."""
-    tables = _root_tables(catalog)
+    forms = [i for i in catalog if i.root_form]
+    targets = {k: ch for i in forms for k, ch in i._roots[0].items()}
+    radicands = {k: ch for i in forms for k, ch in i._roots[1].items()}
+    batch = KernelBatch.of((targets.values(), radicands.values()),
+                           classes=True)
     windows = Windows.of([(ORIGIN, p) for tau in taus
                           for p in (double_periods(tau), tau)], pol)
-    values = iter(tables.batch.values(windows))
-    return [(dict(zip(tables.targets, values)),
-             dict(zip(tables.radicands, values))) for _ in taus]
+    values = iter(batch.values(windows))
+    return [(dict(zip(targets, values)), dict(zip(radicands, values)))
+            for _ in taus]
 
 
 # --------------------------------------------------------------------------

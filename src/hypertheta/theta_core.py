@@ -66,10 +66,6 @@ class NonFiniteSum(ArithmeticError):
     """The truncated lattice sum overflowed to a non-finite value."""
 
 
-class HalfIntegerParityUndefined(ValueError):
-    """Parity (odd/even) is defined only for integer characteristics."""
-
-
 def _as_frac(value) -> Fraction:
     """Coerce one characteristic entry to an exact rational with den 1 or 2."""
     if isinstance(value, Fraction):
@@ -129,10 +125,6 @@ class ThetaCharacteristic:
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.c, self.b, self.d)
 
-    @property
-    def is_integer(self) -> bool:
-        return all(e.denominator == 1 for e in self.entries)
-
     def _reduction(self) -> tuple[tuple[int, int, int, int], int]:
         """Doubled entries of the reduced form and q with theta[self] =
         i**q * theta[reduced], in integers from the doubled entries k = 2e.
@@ -172,17 +164,6 @@ class ThetaCharacteristic:
         def fmt(e: Fraction) -> str:
             return str(e.numerator) if e.denominator == 1 else f"{e.numerator}/2"
         return f"[{fmt(self.a)} {fmt(self.c)}; {fmt(self.b)} {fmt(self.d)}]"
-
-
-def is_odd(ch: ThetaCharacteristic) -> bool:
-    """Parity of an integer characteristic: odd iff a*b + c*d is odd.
-
-    The six odd quadruples are exactly the ones whose theta vanishes
-    identically at the origin.
-    """
-    if not ch.is_integer:
-        raise HalfIntegerParityUndefined(f"parity undefined for {ch}")
-    return (ch.a * ch.b + ch.c * ch.d) % 2 == 1
 
 
 class Scale(enum.Enum):

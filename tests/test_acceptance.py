@@ -26,17 +26,17 @@ from hypertheta import (
     component_residuals,
     constants_vector,
     double_periods,
+    euler_lhs,
+    euler_rhs,
     f_vector,
-    is_odd,
     jacobi_eval,
-    riemann_matrix,
     theta_eval,
     truncation_radius,
     verify_addition,
     verify_catalog,
-    yang_baxter_residual,
 )
 from hypertheta.backends import lattice_sum
+from hypertheta.identity_catalog import _RIEMANN
 from hypertheta.sampling import make_rng, sample_point, sample_tau
 from hypertheta.theta_core import DEFAULT_POLICY
 
@@ -132,9 +132,9 @@ def _theta_1d(a: int, b: int, x: complex, tau: complex,
 def test_primary_theta_core_oracles():
     """Odd vanishing, block-diagonal factorization, radius stability,
     reduction phase law."""
-    # 1. the six odd characteristics vanish at the origin
-    odd = [ThetaCharacteristic.of(*u, *l) for u in _ORDER for l in _ORDER
-           if is_odd(ThetaCharacteristic.of(*u, *l))]
+    # 1. the six odd characteristics (a*b + c*d odd) vanish at the origin
+    odd = [ThetaCharacteristic.of(a, c, b, d) for a, c in _ORDER
+           for b, d in _ORDER if (a * b + c * d) % 2]
     assert len(odd) == 6
     worst_odd = max(abs(theta_eval(ch, ORIGIN, TAU_G)) for ch in odd)
     assert worst_odd < 10 * EPS
@@ -184,7 +184,7 @@ def test_primary_theta_core_oracles():
 
 def test_primary_riemann_matrix():
     """M symmetric, M^2 = 4I, round trip exact and < 1e-10 through thetas."""
-    M = riemann_matrix()
+    M = np.array(_RIEMANN)
     assert np.array_equal(M, M.T)
     assert np.array_equal(M @ M, 4 * np.eye(4, dtype=int))
     rng = np.random.default_rng(5)
@@ -216,6 +216,11 @@ def test_primary_riemann_matrix():
           f"theta round trip {worst:.2e} < 1e-10")
 
 
+def _matrix_gap(u1: float, u3: float, k: float) -> float:
+    """Largest entry of lhs - rhs of the matrix identity."""
+    return float(np.abs(euler_lhs(u1, u3, k) - euler_rhs(u1, u3, k)).max())
+
+
 def test_primary_elliptic_identity():
     """Matrix identity and six components < 1e-10 over 100 draws;
     k = 0, 1 degenerations to 1e-12."""
@@ -224,7 +229,7 @@ def test_primary_elliptic_identity():
     for _ in range(100):
         u1, u3 = (float(x) for x in rng.uniform(-3.0, 3.0, size=2))
         k = float(rng.uniform(0.0, 1.0))
-        worst_m = max(worst_m, yang_baxter_residual(u1, u3, k))
+        worst_m = max(worst_m, _matrix_gap(u1, u3, k))
         worst_c = max(worst_c, max(
             abs(v) for v in component_residuals(u1, u3, k).values()))
     assert worst_m < 1e-10
@@ -238,8 +243,8 @@ def test_primary_elliptic_identity():
         sn1, cn1, dn1 = jacobi_eval(float(u), 1.0).as_tuple()
         worst_d = max(worst_d, abs(sn1 - np.tanh(u)),
                       abs(cn1 - 1 / np.cosh(u)), abs(dn1 - 1 / np.cosh(u)))
-        worst_d = max(worst_d, yang_baxter_residual(float(u), 0.4, 0.0),
-                      yang_baxter_residual(float(u), 0.4, 1.0))
+        worst_d = max(worst_d, _matrix_gap(float(u), 0.4, 0.0),
+                      _matrix_gap(float(u), 0.4, 1.0))
     assert worst_d < 1e-12
     print(f"\nPASS elliptic identity: matrix {worst_m:.2e}, "
           f"components {worst_c:.2e} < 1e-10 over 100 draws; "

@@ -632,6 +632,24 @@ def test_verify_rejects_only_entry_that_selects_no_row(only, unknown,
     assert captured.out == "" and not out.exists()
 
 
+def test_verify_out_that_cannot_be_opened_is_a_config_error(
+        tmp_path, monkeypatch, capsys):
+    """--out is opened before any suite runs: a path in a missing folder
+    exits EXIT_CONFIG with an error line, and no suite is called."""
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran before --out was opened")
+
+    for suite in ("verify_catalog", "verify_addition",
+                  "_verify_elliptic_rows"):
+        monkeypatch.setattr(cli, suite, no_suite)
+    out = tmp_path / "missing" / "rows.jsonl"
+    assert main(["verify", "--samples", "1", "--out", str(out)]) \
+        == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_verify_parallel_jobs_match_serial(tmp_path, capsys):
     """--jobs and --out change no row and, so that the hash can prove it,
     not the determinism hash either; the config echo still shows both."""

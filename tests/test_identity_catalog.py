@@ -43,7 +43,6 @@ from hypertheta import (
     general_duplication,
     load_catalog,
     resolve_sign,
-    riemann_matrix,
     save_catalog,
     theta_eval,
     truncation_radius,
@@ -133,8 +132,7 @@ def test_general_duplication_rejects_half_integers():
 
 
 def test_riemann_matrix_properties():
-    m = riemann_matrix()
-    assert m.dtype == np.dtype(int)
+    m = np.array(identity_catalog._RIEMANN)
     assert (m == m.T).all()
     assert (m @ m == 4 * np.eye(4, dtype=int)).all()
 
@@ -210,8 +208,9 @@ def test_dead_terms_are_24_in_the_2e6_rows_with_a_nonzero_lower_row():
         for side, terms in (("lhs", idty.lhs), ("rhs", idty.rhs)):
             for k, term in enumerate(terms):
                 for f in term.factors:
-                    if (f.arg == ArgSelector(0, 0) and f.ch.is_integer
-                            and theta_core.is_odd(f.ch)):
+                    if (f.arg == ArgSelector(0, 0)
+                            and all(e.denominator == 1 for e in f.ch.entries)
+                            and (f.ch.a * f.ch.b + f.ch.c * f.ch.d) % 2):
                         assert side == "rhs" and k not in dead.get(idty.id, {})
                         dead.setdefault(idty.id, {})[k] = str(f.ch)
                         assert abs(theta_eval(f.ch, ORIGIN, TAU)) < 1e-15
@@ -360,18 +359,9 @@ def test_every_root_form_resolves():
             assert isinstance(record["matches_printed"], bool)
 
 
-def test_root_constants_keep_their_batch():
-    """The root forms' KernelBatch is built once per list of root-form
-    objects (_root_tables), as _compile keeps its program: a second call
-    with the same objects reuses it, a catalog loaded anew gets its own,
-    and the constants do not change."""
-    tables = identity_catalog._root_tables(CAT)
-    assert identity_catalog._root_tables(build_catalog()) is tables
+def test_root_constants_of_a_catalog_loaded_anew():
+    """A catalog loaded anew gives the same root-form constants."""
     copy = identity_catalog.identities_from_json(catalog_as_json(CAT))
-    anew = identity_catalog._root_tables(copy)
-    assert anew is not tables
-    assert (anew.targets, anew.radicands) == (tables.targets,
-                                              tables.radicands)
     assert identity_catalog.root_constants(copy, [TAU]) == (
         identity_catalog.root_constants(CAT, [TAU]))
 

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from hypertheta import (
     DEFAULT_POLICY,
     EvalPoint,
-    HalfIntegerParityUndefined,
     InvalidPeriod,
     NonFiniteSum,
     ORIGIN,
@@ -32,7 +31,6 @@ from hypertheta import (
     Scale,
     ThetaCharacteristic,
     double_periods,
-    is_odd,
     theta_eval,
     theta_values,
     truncation_radius,
@@ -208,6 +206,13 @@ _UNREDUCED_CHARS = [ThetaCharacteristic.of(*e) for e in itertools.product(
     [Fraction(k, 2) for k in range(-3, 5)], repeat=4)]
 
 
+def _odd_integer(ch: ThetaCharacteristic) -> bool:
+    """An integer characteristic with a*b + c*d odd: its theta vanishes
+    identically at the origin."""
+    return (all(e.denominator == 1 for e in ch.entries)
+            and (ch.a * ch.b + ch.c * ch.d) % 2 == 1)
+
+
 def _head_rows(chars) -> list[int]:
     """Per row of a table, the first row of its upper class (the kernel
     offsets a2, c2): the row KernelBatch sums in the kernel for it."""
@@ -338,7 +343,7 @@ def test_scalar_kernel_equals_a_batch_of_one_to_the_sign_bit():
             boxed += 1
     imaginary = PeriodMatrix(1.1j, 1.4j, 0.2j)
     cases += [(ch, ORIGIN, imaginary) for ch in _UNREDUCED_CHARS[::41]]
-    odd = [ch for ch in _UNREDUCED_CHARS if ch.is_integer and is_odd(ch)]
+    odd = [ch for ch in _UNREDUCED_CHARS if _odd_integer(ch)]
     cases += [(ch, ORIGIN, tau) for ch in odd for tau in (imaginary, TAU_G)]
     huge = PeriodMatrix(1e307j, 1e307j, 0)
     cases += [(ThetaCharacteristic.of(0, 0, 0, 1), EvalPoint(0.1, 0), huge)]
@@ -837,17 +842,12 @@ def test_exactly_six_odd_characteristics_vanish_at_origin():
             for b in (0, 1):
                 for d in (0, 1):
                     ch = ThetaCharacteristic.of(a, c, b, d)
-                    if is_odd(ch):
+                    if (a * b + c * d) % 2:
                         odd_by_rule.add((a, c, b, d))
                     if abs(theta_eval(ch, ORIGIN, TAU_G)) < 1e-12:
                         vanishing.add((a, c, b, d))
     assert len(odd_by_rule) == 6
     assert vanishing == odd_by_rule
-
-
-def test_parity_undefined_for_half_integer():
-    with pytest.raises(HalfIntegerParityUndefined):
-        is_odd(ThetaCharacteristic.of("1/2", 0, 0, 0))
 
 
 half_steps = st.integers(min_value=-8, max_value=8).map(lambda n: Fraction(n, 2))
