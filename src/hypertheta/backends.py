@@ -245,9 +245,9 @@ def floor_box(radius: int, a2: float, c2: float, xs: complex, ys: complex,
     are not negative; slicing clips the stops to the window.
     Forming the box errs by a few ulps of R + |u| + h (h the half-width),
     times kappa = Y11*Y22/det Y for the cancellation in det Y.  In the
-    windows theta_eval sums, |u| <= sqrt(2)*rho/lambda_min < sqrt(2)*R
-    (window_for), and a half-width that ends inside the window is below
-    about 4R; there the part 1e-9*s of delta widens it by at least
+    windows theta_eval sums, |u_k| < R + 1 (window_for takes R above
+    |u_k + 1/2| - 1/2), and a half-width that ends inside the window is
+    below about 4R; there the part 1e-9*s of delta widens it by at least
     1e-10*kappa*R, four orders more.
     So each term outside the box is below floor, and set to 0, in the
     full window too.  This holds only where no exponent overflows: an

@@ -1277,16 +1277,14 @@ def root_constants(catalog: list[Identity], taus: list[PeriodMatrix],
                    pol: PrecisionPolicy = DEFAULT_POLICY) -> list[tuple]:
     """Per tau, the distinct doubled targets and base radicands of all the
     catalog's root forms as two dicts keyed by _json_key (match_signs'
-    values): the two tables of one KernelBatch with classes, summed at the
-    origin in one call for all taus, so bit for bit theta_values' values.
-    A class-formed value depends on the other rows of its table, so the
-    tables hold every root form whichever ids a caller reads.  The first
-    sum that overflows, per tau targets first, raises NonFiniteSum."""
+    values): the two tables of one KernelBatch without classes, summed at
+    the origin in one call for all taus, so bit for bit theta_eval's
+    values.  The first sum that overflows, per tau targets first, raises
+    NonFiniteSum."""
     forms = [i for i in catalog if i.root_form]
     targets = {k: ch for i in forms for k, ch in i._roots[0].items()}
     radicands = {k: ch for i in forms for k, ch in i._roots[1].items()}
-    batch = KernelBatch.of((targets.values(), radicands.values()),
-                           classes=True)
+    batch = KernelBatch.of((targets.values(), radicands.values()))
     windows = Windows.of([(ORIGIN, p) for tau in taus
                           for p in (double_periods(tau), tau)], pol)
     values = iter(batch.values(windows))

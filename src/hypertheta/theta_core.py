@@ -9,7 +9,9 @@ The central object is
 
 evaluated by truncated lattice summation over a square window
 max(|m|, |n|) <= R, with R chosen from a rigorous tail bound T(R) <
-eps_tail.  Within the window only the terms that the unused slack
+eps_tail in the metric of Im tau: the square of each term's exponent is
+completed around the Gaussian's peak -(Im tau)^-1 Im z, row by row and
+column by column.  Within the window only the terms that the unused slack
 eps_tail - T(R) cannot absorb are exponentiated: a term whose log-modulus
 is below log((eps_tail - T(R)) / (2R+1)^2) is set to 0, so the dropped
 terms and the tail together stay below eps_tail (window_for,
@@ -180,18 +182,16 @@ class PeriodMatrix:
     tau12: complex
     scale: Scale = Scale.BASE
 
-    def validate(self) -> float:
-        """lambda_min of valid periods; where it is NaN, raises
-        InvalidPeriod naming the failed condition."""
-        lam = self.lambda_min
-        if math.isnan(lam):
+    def validate(self) -> None:
+        """Raises InvalidPeriod naming the failed condition where lambda_min
+        is NaN."""
+        if math.isnan(self.lambda_min):
             entries = (self.tau1, self.tau2, self.tau12)
             if not all(map(cmath.isfinite, entries)):
                 raise InvalidPeriod(f"non-finite period entry in {self}")
             i1, i2, i12 = self.tau1.imag, self.tau2.imag, self.tau12.imag
             raise InvalidPeriod(
                 f"Im part not positive definite: Im tau1={i1}, Im tau2={i2}, Im tau12={i12}")
-        return lam
 
     @property
     def lambda_min(self) -> float:
@@ -203,8 +203,9 @@ class PeriodMatrix:
 def lambda_min(tau1: complex, tau2: complex, tau12: complex) -> float:
     """Smallest eigenvalue of the Im part of the periods, or NaN where they
     are invalid: an entry not finite, or the Im part not positive definite.
-    This is the one validity test; PeriodMatrix.validate raises where it
-    gives NaN, and truncation_windows reads it per window.
+    PeriodMatrix.validate raises where it gives NaN; window_for and
+    windows_for refuse the same Im parts from the same scaled determinant,
+    so the windows take their validity from it (_window).
 
     The eigenvalue is the determinant over the largest one: the difference
     of half the trace and the hypot cancels when the eigenvalues are far
@@ -282,8 +283,9 @@ def truncation_radius(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
                       max_radius: int = DEFAULT_POLICY.max_radius) -> int:
     """The radius of truncation_window(z, tau, eps_tail, max_radius).  ch
     is not read: the radius does not depend on the characteristic (the
-    lower-row shift is real and drops out of the modulus, and the
-    upper-row offsets the kernel sums are reduced to [0, 1)).  Kept for
+    lower-row shift is real and drops out of the modulus, and window_for's
+    bound holds for every upper-row offset in [0, 1), to which the kernel
+    reduces them).  Kept for
     eval's printed radius and for the benchmark, which call it in this
     form; the evaluators take their windows from truncation_window and
     truncation_windows."""
@@ -294,39 +296,53 @@ def truncation_window(z: EvalPoint, tau: PeriodMatrix,
                       eps_tail: float = DEFAULT_POLICY.eps_tail,
                       max_radius: int = DEFAULT_POLICY.max_radius
                       ) -> tuple[int, float]:
-    """window_for at tau's lambda_min and rho = max(|Im x|, |Im y|) of z,
-    after tau and then z are validated: the radius and drop floor that
-    theta_eval and theta_values sum with."""
+    """window_for at the Im parts of tau's entries and of z, after tau and
+    then z are validated: the radius and drop floor that theta_eval and
+    theta_values sum with."""
     return _window(z, tau, eps_tail, max_radius)[:2]
 
 
 def _window(z: EvalPoint, tau: PeriodMatrix, eps_tail: float,
             max_radius: int) -> tuple[int, float, bool]:
     """truncation_window's radius and floor, and whether the window's own
-    bound admits an overflow: every term has log-modulus at most
-    2*pi*rho^2/lam (window_for's f(t) at its peak, once per index), so
-    the (2R+1)^2 terms and their sum stay finite unless that bound plus
-    2*log(2R+1) reaches log of the largest float.  Below rho^2/lam = 100
-    that needs 2*log(2R+1) > 81, a radius above 1e17, so one comparison
-    clears the terms of ordinary windows.  Forming the exponents
-    (backends.exponents) may overflow only where 8*(R+1)^2*(|tau1| + |tau2|
-    + |tau12| + |x| + |y| + 2), above each piece of them, reaches it.
-    Only there does theta_eval test a term for a certain overflow
+    bound admits an overflow: no term has log-modulus above the peak
+    pi*w.u that window_for's bound reads (w = Im z, u = (Im tau)^-1 w), so
+    the (2R+1)^2 terms and their sum stay finite unless that peak, raised
+    by PEAK_MARGIN, plus 2*log(2R+1) reaches log of the largest float.
+    Below a peak of 600 that needs 2*log(2R+1) > 109, a radius above 1e23,
+    so one comparison clears the terms of ordinary windows.  Forming the
+    exponents (backends.exponents) may overflow only where 8*(R+1)^2*(|tau1|
+    + |tau2| + |tau12| + |x| + |y| + 2), above each piece of them, reaches
+    it.  Only there does theta_eval test a term for a certain overflow
     (_must_overflow) and sum under np.errstate (about 2 us to enter), as
-    NonFiniteSum says what numpy's warnings would."""
-    lam = tau.validate()
-    z.validate()
-    rho = max(abs(z.x.imag), abs(z.y.imag))
-    radius, floor = window_for(lam, rho, eps_tail, max_radius)
-    if (rho * rho >= 100.0 * lam and 2.0 * math.pi * rho * rho / lam
-            + 2.0 * math.log(2 * radius + 1) >= _LOG_MAX):
-        return radius, floor, True
+    NonFiniteSum says what numpy's warnings would.
+
+    Validity comes from the same determinant: the scan refuses an Im tau
+    that lambda_min calls invalid and a non-finite Im z, and size is
+    finite only where every entry is.  Only where the scan raises or size
+    is not finite are tau and then z validated, so an invalid one raises
+    its own exception before RadiusExceeded, as PeriodMatrix.validate and
+    EvalPoint.validate word it."""
+    try:
+        radius, floor, peak = window_for(tau.tau1.imag, tau.tau2.imag,
+                                         tau.tau12.imag, z.x.imag, z.y.imag,
+                                         eps_tail, max_radius)
+    except RadiusExceeded:
+        tau.validate()
+        z.validate()
+        raise
     try:  # abs raises OverflowError for a modulus past the largest float
         size = (abs(tau.tau1) + abs(tau.tau2) + abs(tau.tau12) + abs(z.x)
                 + abs(z.y) + 2.0)
     except OverflowError:
         size = math.inf
-    return radius, floor, 8.0 * (radius + 1) ** 2 * size >= sys.float_info.max
+    if not size < math.inf:
+        tau.validate()
+        z.validate()
+    return radius, floor, (
+        peak >= 600.0 and (peak * (1.0 + PEAK_MARGIN)
+                           + 2.0 * math.log(2 * radius + 1) >= _LOG_MAX)
+        or 8.0 * (radius + 1) ** 2 * size >= sys.float_info.max)
 
 
 def _must_overflow(z: EvalPoint, tau: PeriodMatrix, radius: int,
@@ -369,6 +385,7 @@ def _must_overflow(z: EvalPoint, tau: PeriodMatrix, radius: int,
 
 
 _LOG2 = math.log(2.0)
+_LOG4 = math.log(4.0)
 _LOG_MAX = math.log(sys.float_info.max)
 
 # Subtracted from the drop floor.  It covers the rounding of exp and of the
@@ -385,106 +402,170 @@ FLOOR_MARGIN = 1e-6
 # margin decides.
 OVERFLOW_MARGIN = 1e-12
 
+# Relative to the peak pi*w.u of _window's overflow test.  The computed
+# peak errs by a few ulps times kappa = Y11*Y22/det Y, for the cancellation
+# in det Y, and a kernel exponent by a few ulps of the total modulus of
+# its five pieces: the margin covers both for kappa up to about 1e9 and
+# pieces up to about 1e11 in modulus.
+PEAK_MARGIN = 1e-6
 
-def window_for(lam: float, rho: float,
+
+def window_for(y1: float, y2: float, y12: float, w1: float, w2: float,
                eps_tail: float = DEFAULT_POLICY.eps_tail,
                max_radius: int = DEFAULT_POLICY.max_radius
-               ) -> tuple[int, float]:
-    """(R, floor): the certified radius for periods whose Im part has
-    smallest eigenvalue lam, at a point with rho = max(|Im x|, |Im y|), and
-    the drop floor of its window, from one scan.
+               ) -> tuple[int, float, float]:
+    """(R, floor, peak): the certified radius for periods whose Im part is
+    Y = [[y1, y12], [y12, y2]], at a point whose Im part is w = (w1, w2),
+    the drop floor of its window, from one scan, and the peak pi*w.u that
+    its bound reads, the largest log-modulus of any term (_window).
 
-    Bound used.  Every term satisfies |term| <= f(M)*f(N) with
-    f(t) = exp(-pi*lam*t^2 + 2*pi*rho*|t|).  Writing t* = rho/lam for the
-    maximiser of f:
+    Bound used.  Write u = Y^-1 w, mu1 = det Y/y2, mu2 = det Y/y1 and
+    s_k = |u_k + 1/2| - 1/2.  The term at v = (m + a2, n + c2) has modulus
+    exp(pi*w.u) * exp(-pi*p'Yp) with p = v + u, and completing the square
+    in p2 gives p'Yp = mu1*p1^2 + y2*(p2 + y12*p1/y2)^2.  So
+      * one row m sums over all n to at most exp(pi*w.u) * G1 *
+        exp(-pi*mu1*p1^2), G1 = 1 + 1/sqrt(y2) (a Gaussian over a shifted
+        unit lattice sums to at most its peak plus its integral),
+      * the rows |m| > R have |p1| >= t1 = R - s1 on both sides, since the
+        reduced offsets a2, c2 lie in [0, 1); for t1 > 0 each side sums to
+        at most exp(pi*w.u) * G1 * exp(-pi*mu1*t1^2) * (1 + 1/(2*pi*mu1*t1))
+        (its first row plus a Gaussian tail integral),
+      * the columns |n| > R follow alike, with mu2, t2 = R - s2 and
+        G2 = 1 + 1/sqrt(y1),
+    and the terms outside the square max(|m|, |n|) <= R satisfy
+      tail(R) <= T(R) = 4*exp(pi*w.u) * max_k G_k*exp(-pi*mu_k*t_k^2)
+                                            * exp(1/(2*pi*mu_k*t_k)),
+    1 + x <= exp(x) sparing the scan a logarithm per radius.
 
-      * one full index line sums to at most
-        S = 2*exp(pi*rho^2/lam) * (t* + 2 + 1/sqrt(lam))
-        (at most t*+2 terms at the peak value plus a Gaussian integral),
-      * for R >= t* + 1 the part of one line with |m| > R is at most
-        T1(R) = 2*f(R) * (1 + 1/(2*pi*(lam*R - rho)))
-        since |m + delta| >= |m| - 1 >= R for the reduced offsets
-        delta in [0, 1),
-      * the region max(|m|,|n|) > R is covered by two such lines,
-        so tail(R) <= T(R) = 2 * S * T1(R).
-
-    The scan returns the first R >= max(2, ceil(t*+1)) with
-    T(R) < eps_tail; the bound is monotone in R, so shrinking eps_tail can
-    only grow the radius.  Raises RadiusExceeded when no radius up to
-    max_radius meets the target, also when lam has rounded to 0 or the
-    scan would start past max_radius.  log T1(R) exceeds g(R) = log 2 -
-    pi*lam*R^2 + 2*pi*rho*R by a positive log1p term, so no R below the
-    larger root r of g(R) = log_target passes, and the scan starts one
-    below r (a unit for the rounding of r and of the scan), formed as
-    t* + sqrt(t*^2 + (log 2 - log_target)/(pi*lam)), which cannot overflow.
+    The scan returns the first R >= max(2, floor(max s_k) + 1) with
+    T(R) < eps_tail; T falls as R grows, so shrinking eps_tail can only
+    grow the radius.  Raises RadiusExceeded when no radius up to
+    max_radius meets the target, also where Y is not positive definite,
+    mu_k has rounded to 0, u or pi*w.u is not finite, or the scan would
+    start past max_radius.  No R at or below r_k = s_k +
+    sqrt((log G_k - log_target)/(pi*mu_k)), log_target = log eps_tail -
+    log 4 - pi*w.u, passes, since the positive last exponent only adds to
+    the bound; the scan starts one below the larger r_k (a unit for the
+    rounding of r_k and of the scan).  Where y1*y2 - y12^2 overflows
+    (entries above about 1e154), Y is first multiplied by the exact power
+    of two that brings its largest entry into [0.5, 1), as lambda_min
+    does, and u and mu_k are scaled back.
 
     Drop floor.  floor = log((eps_tail - T(R)) / (2R+1)^2) - FLOOR_MARGIN.
     The kernel sets to 0 each term of the window whose log-modulus is below
     it (backends.lattice_sum).  At most (2R+1)^2 terms are dropped, each
     below (eps_tail - T(R)) / (2R+1)^2, so the dropped terms and the tail
     outside the window together stay below eps_tail.
+
+    In the code k_k = pi*mu_k, g_k = log G_k, and b_k is the log of the
+    k-th part of T(R) less log 4 + pi*w.u.
     """
-    t_star = rho / lam if lam > 0 else math.inf
-    if t_star + 1.0 <= max_radius:
-        log_eps = math.log(eps_tail)
-        log_s = _LOG2 + math.pi * rho * rho / lam \
-            + math.log(t_star + 2.0 + 1.0 / math.sqrt(lam))
-        log_target = log_eps - _LOG2 - log_s
-        disc = t_star * t_star + (_LOG2 - log_target) / (math.pi * lam)
-        root = t_star + math.sqrt(disc) if disc > 0 else 0.0
-        start = max(2, math.ceil(t_star + 1.0),
-                    math.ceil(min(root, max_radius + 2)) - 1)
-        for radius in range(start, max_radius + 1):
-            log_t1 = _LOG2 - math.pi * lam * radius * radius \
-                + 2.0 * math.pi * rho * radius \
-                + math.log1p(1.0 / (2.0 * math.pi * (lam * radius - rho)))
-            if log_t1 < log_target:
-                # 1 - T(R)/eps_tail, with T(R)/eps_tail = exp(log_t1 -
-                # log_target) < 1; expm1 keeps it positive.
-                slack = -math.expm1(log_t1 - log_target)
-                return radius, (log_eps + math.log(slack) - FLOOR_MARGIN
-                                - 2.0 * math.log(2 * radius + 1))
+    scale, sy1, sy2, sy12 = 1.0, y1, y2, y12
+    det = y1 * y2 - y12 * y12
+    if not -math.inf < det < math.inf:
+        scale = math.ldexp(1.0, -math.frexp(max(abs(y1), abs(y2),
+                                                abs(y12)))[1])
+        sy1, sy2, sy12 = y1 * scale, y2 * scale, y12 * scale
+        det = sy1 * sy2 - sy12 * sy12
+    if y1 > 0 and y2 > 0 and 0 < det < math.inf:
+        u1 = (sy2 * w1 - sy12 * w2) / det * scale
+        u2 = (sy1 * w2 - sy12 * w1) / det * scale
+        k1 = math.pi * (det / sy2 / scale)
+        k2 = math.pi * (det / sy1 / scale)
+        peak = math.pi * (w1 * u1 + w2 * u2)
+        s1, s2 = abs(u1 + 0.5) - 0.5, abs(u2 + 0.5) - 0.5
+        if (s1 < max_radius and s2 < max_radius and peak < math.inf
+                and k1 > 0 and k2 > 0):
+            log_eps = math.log(eps_tail)
+            log_target = log_eps - _LOG4 - peak
+            g1 = math.log1p(1.0 / math.sqrt(y2))
+            g2 = math.log1p(1.0 / math.sqrt(y1))
+            d1, d2 = (g1 - log_target) / k1, (g2 - log_target) / k2
+            r1 = s1 + math.sqrt(d1) if d1 > 0 else s1
+            r2 = s2 + math.sqrt(d2) if d2 > 0 else s2
+            root = r1 if r1 > r2 else r2
+            start = max(2, math.floor(s1 if s1 > s2 else s2) + 1,
+                        math.ceil(root if root < max_radius + 2
+                                  else max_radius + 2) - 1)
+            h1, h2 = 0.5 / k1, 0.5 / k2
+            for radius in range(start, max_radius + 1):
+                t1, t2 = radius - s1, radius - s2
+                b1 = g1 - k1 * t1 * t1 + h1 / t1
+                b2 = g2 - k2 * t2 * t2 + h2 / t2
+                if b1 < log_target and b2 < log_target:
+                    # 1 - T(R)/eps_tail, with T(R)/eps_tail = exp(b -
+                    # log_target) < 1, b the larger of b1 and b2; expm1
+                    # keeps it positive.
+                    slack = -math.expm1((b1 if b1 > b2 else b2) - log_target)
+                    return radius, (log_eps + math.log(slack) - FLOOR_MARGIN
+                                    - 2.0 * math.log(2 * radius + 1)), peak
+        mu_min, u_max = min(k1, k2) / math.pi, max(abs(u1), abs(u2))
+    else:
+        mu_min = u_max = math.nan
     raise RadiusExceeded(
         f"tail target {eps_tail} unreachable within radius {max_radius} "
-        f"(lambda_min={lam:.3g}, rho={rho:.3g})")
+        f"(mu_min={mu_min:.3g}, |u|={u_max:.3g})")
 
 
 def _mapped(f, values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, values.tolist()), float, len(values))
 
 
-def windows_for(lam: np.ndarray, rho: np.ndarray,
+def windows_for(y1: np.ndarray, y2: np.ndarray, y12: np.ndarray,
+                w1: np.ndarray, w2: np.ndarray,
                 eps_tail: float = DEFAULT_POLICY.eps_tail,
                 max_radius: int = DEFAULT_POLICY.max_radius
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """window_for of each (lam, rho) pair as arrays of radii and floors, bit
-    for bit (radius 0, floor -inf where it raises RadiusExceeded): its
-    start and expressions in its order, math's log, log1p and expm1 mapped
-    over lists.  Each step tests every unsettled row at its own next
-    radius; a row passes with that radius and its floor, and is dropped
-    once its next radius would exceed max_radius."""
-    radii, floors = np.zeros(len(lam), dtype=int), np.full(len(lam), -math.inf)
+    """window_for of each window (Im tau entries y1, y2, y12 and Im z
+    entries w1, w2, one array each) as arrays of radii and floors, bit for
+    bit (radius 0, floor -inf where it raises RadiusExceeded): its start
+    and expressions in its order, math's log, log1p and expm1 mapped over
+    lists.  Each step tests every unsettled row at its own next radius; a
+    row passes with that radius and its floor, and is dropped once its
+    next radius would exceed max_radius."""
+    radii, floors = np.zeros(len(y1), dtype=int), np.full(len(y1), -math.inf)
     with np.errstate(all="ignore"):
-        t_star = np.where(lam > 0, rho / lam, math.inf)
-        rows = np.flatnonzero(t_star + 1.0 <= max_radius)
-        lam, rho, t_star = lam[rows], rho[rows], t_star[rows]
+        scale = np.ones(len(y1))
+        big = ~np.isfinite(y1 * y2 - y12 * y12)
+        if big.any():
+            top = np.maximum(np.maximum(abs(y1[big]), abs(y2[big])),
+                             abs(y12[big]))
+            scale[big] = np.ldexp(1.0, -np.frexp(top)[1])
+        sy1, sy2, sy12 = y1 * scale, y2 * scale, y12 * scale
+        det = sy1 * sy2 - sy12 * sy12
+        u1 = (sy2 * w1 - sy12 * w2) / det * scale
+        u2 = (sy1 * w2 - sy12 * w1) / det * scale
+        k1 = math.pi * (det / sy2 / scale)
+        k2 = math.pi * (det / sy1 / scale)
+        peak = math.pi * (w1 * u1 + w2 * u2)
+        s1, s2 = abs(u1 + 0.5) - 0.5, abs(u2 + 0.5) - 0.5
+        rows = np.flatnonzero(
+            (y1 > 0) & (y2 > 0) & (0 < det) & (det < math.inf)
+            & (s1 < max_radius) & (s2 < max_radius) & (peak < math.inf)
+            & (k1 > 0) & (k2 > 0))
+        y1, y2, k1, k2, peak, s1, s2 = (
+            v[rows] for v in (y1, y2, k1, k2, peak, s1, s2))
         log_eps = math.log(eps_tail)
-        log_s = _LOG2 + math.pi * rho * rho / lam \
-            + _mapped(math.log, t_star + 2.0 + 1.0 / np.sqrt(lam))
-        log_target = log_eps - _LOG2 - log_s
-        disc = t_star * t_star + (_LOG2 - log_target) / (math.pi * lam)
-        root = np.where(disc > 0, t_star + np.sqrt(disc), 0.0)
-        r = np.maximum(np.maximum(2.0, np.ceil(t_star + 1.0)),
+        log_target = log_eps - _LOG4 - peak
+        g1 = _mapped(math.log1p, 1.0 / np.sqrt(y2))
+        g2 = _mapped(math.log1p, 1.0 / np.sqrt(y1))
+        d1, d2 = (g1 - log_target) / k1, (g2 - log_target) / k2
+        h1, h2 = 0.5 / k1, 0.5 / k2
+        root = np.maximum(np.where(d1 > 0, s1 + np.sqrt(d1), s1),
+                          np.where(d2 > 0, s2 + np.sqrt(d2), s2))
+        r = np.maximum(np.maximum(2.0, np.floor(np.maximum(s1, s2)) + 1.0),
                        np.ceil(np.minimum(root, max_radius + 2.0)) - 1.0)
         go = r <= max_radius
         while go.any():
-            rows, lam, rho, log_target, r = (
-                v[go] for v in (rows, lam, rho, log_target, r))
-            log_t1 = _LOG2 - math.pi * lam * r * r + 2.0 * math.pi * rho * r \
-                + _mapped(math.log1p, 1.0 / (2.0 * math.pi * (lam * r - rho)))
-            done = log_t1 < log_target
+            rows, g1, g2, k1, k2, h1, h2, s1, s2, log_target, r = (
+                v[go] for v in (rows, g1, g2, k1, k2, h1, h2, s1, s2,
+                                log_target, r))
+            t1, t2 = r - s1, r - s2
+            b = np.maximum(g1 - k1 * t1 * t1 + h1 / t1,
+                           g2 - k2 * t2 * t2 + h2 / t2)
+            done = b < log_target
             k, rk = rows[done], r[done]
-            slack = -_mapped(math.expm1, log_t1[done] - log_target[done])
+            slack = -_mapped(math.expm1, b[done] - log_target[done])
             radii[k] = rk
             floors[k] = (log_eps + _mapped(math.log, slack) - FLOOR_MARGIN
                          - 2.0 * _mapped(math.log, 2.0 * rk + 1.0))
@@ -605,20 +686,15 @@ def truncation_windows(x: np.ndarray, y: np.ndarray, tau1: np.ndarray,
     """truncation_window of each window, bit for bit, for complex arrays
     x, y and periods, one entry per window (doubled: whose periods are
     doubled): the Windows, and by index the exception of each window it
-    refuses, class and text.  The periods are checked by lambda_min (NaN
-    where invalid), the arguments by isfinite, and all are windowed by one
-    windows_for call; only the refused windows go to truncation_window."""
-    # lambda_min, math arithmetic, once per run of windows with equal
-    # periods (a draw's groups of one scale are consecutive).
-    new = np.ones(len(tau1), dtype=bool)
-    new[1:] = ((tau1[1:] != tau1[:-1]) | (tau2[1:] != tau2[:-1])
-               | (tau12[1:] != tau12[:-1]))
-    lam = np.fromiter(map(lambda_min, tau1[new].tolist(), tau2[new].tolist(),
-                          tau12[new].tolist()), float)[np.cumsum(new) - 1]
-    valid = ~np.isnan(lam) & np.isfinite(x) & np.isfinite(y)
-    rho = np.maximum(np.abs(x.imag), np.abs(y.imag))
-    radii, floors = windows_for(lam, rho, eps_tail, max_radius)
-    radii[~valid], floors[~valid], errors = 0, -math.inf, {}
+    refuses, class and text.  All are windowed by one windows_for call,
+    whose determinant refuses every Im tau that lambda_min calls invalid
+    (_window); a window with a non-finite entry is refused too, and only
+    the refused windows go to truncation_window."""
+    radii, floors = windows_for(tau1.imag, tau2.imag, tau12.imag, x.imag,
+                                y.imag, eps_tail, max_radius)
+    finite = (np.isfinite(x) & np.isfinite(y) & np.isfinite(tau1)
+              & np.isfinite(tau2) & np.isfinite(tau12))
+    radii[~finite], floors[~finite], errors = 0, -math.inf, {}
     for k in np.flatnonzero(radii == 0).tolist():
         tau = PeriodMatrix(complex(tau1[k]), complex(tau2[k]),
                            complex(tau12[k]),
