@@ -35,23 +35,14 @@ The default floor -inf keeps every term.  A NaN exponent is kept, so it
 still makes the sum non-finite.
 
 Scalar windows.  _scalar_sum reads its index lines from _cached_line
-and, below BOX_RADIUS, the cross term's factor M*N from a centred slice
-of _cross_grid: one read-only grid per offset pair (a2, c2) at radius
-CROSS_RADIUS, 16 grids of 15 KB.  That spares each call an outer product
-and a float-to-complex cast, about 2.2 us at radius 9.  quiet=True says
-that no exponent of the window can overflow (theta_eval passes it where
-its window is not loud, theta_core._window); such a window has no NaN
-exponent, so one comparison, grid.real >= floor, masks it.  From
-BOX_RADIUS on, a quiet window also forms the exponents and the mask only inside
-floor_box, the index box of the ellipse of terms whose computed
-log-modulus can reach the floor (a median of 12 % of the square for the
-benchmark's theta-eval windows at radius 16 or more), and writes their
-exp into that part of the zeroed (2R+1)^2 grid, which is summed whole as
-above: every kept term, every zero and the pairwise order are unchanged,
-so the sum is the same bit for bit.  Where forming an exponent may
-overflow, a real part can be NaN outside the box, which the full window
-keeps and the box, formed from Im parts, cannot see.  The batched shape
-always forms the full grid: a box per slice of rows measured slower.
+and, up to CROSS_RADIUS, the cross term's factor M*N from a centred slice
+of _cross_grid: one read-only grid per offset pair (a2, c2), 16 grids of
+15 KB.  That spares each call an outer product and a float-to-complex
+cast, about 2.2 us at radius 9.  Like the batched shape, it forms and
+sums every window's whole (2R+1)^2 square.  quiet=True says that no
+exponent of the window can overflow (theta_eval passes it where its
+window is not loud, theta_core._window); such a window has no NaN
+exponent, so one comparison, grid.real >= floor, masks it.
 
 Residues.  A batched call with split also returns, for the rows it
 marks, the 16 partial sums of the summed window over (m mod 4, n mod 4)
@@ -76,17 +67,6 @@ BACKEND_NAME = "numpy"
 # a slice of characteristics at a time.
 GRID_POINTS = 8192
 
-# Smallest radius at which a scalar call with quiet=True forms only the
-# exponents inside floor_box.  theta_eval with the box over without,
-# median of 150 inputs of the benchmark's theta-eval draw per radius, min
-# of 7 interleaved calls each (2-core x86-64 host, numpy 2.4): 1.04 at
-# radius 10, 1.002 at 11, 0.970 at 12, 0.950 at 14, 0.918 at 16.  In the
-# benchmark's stream of fresh calls a box call also slows the call after
-# it (about 4 %), and a gate of 12 read the same as 16 on every theta-eval
-# metric (6 rounds), so the gate keeps that margin.
-BOX_RADIUS = 16
-
-
 def lattice_sum(a2, c2, xs, ys, tau1, tau2, tau12, radius: int,
                 floor=-math.inf, quiet: bool = False, split=None):
     """The sum over the (2R+1)^2 window, pairwise summation, terms whose
@@ -94,8 +74,7 @@ def lattice_sum(a2, c2, xs, ys, tau1, tau2, tau12, radius: int,
     complex for scalar inputs (_scalar_sum), else an array of C sums
     (_window_sums).  quiet tells a scalar call that no exponent of its
     window can overflow (theta_core._window), so it masks with one
-    comparison and, at radius BOX_RADIUS or more, forms exponents only
-    inside floor_box: the same sum bit for bit.  With split, a boolean
+    comparison: the same sum bit for bit.  With split, a boolean
     per row of a batch, it returns the C sums and the residue_sums of the
     rows split marks, in order: shape (P, 4, 4)."""
     if not isinstance(a2, np.ndarray):
@@ -135,9 +114,10 @@ def _cached_line(radius: int, offset: float):
     return lines
 
 
-# Radius of the cross-term grids of _cross_grid: every scalar window below
-# BOX_RADIUS reads a centred slice of one.
-CROSS_RADIUS = BOX_RADIUS - 1
+# Radius of the cross-term grids of _cross_grid: every scalar window up to
+# it reads a centred slice of one.  That is 93 % of the windows of the
+# benchmark's theta-eval draw at seed 901; a larger window forms M*N.
+CROSS_RADIUS = 15
 
 
 @functools.lru_cache(maxsize=16)
@@ -170,31 +150,24 @@ def exponents(m, tm, n, tn, xs, ys, tau1, tau2, tau12):
 
 def _scalar_sum(a2, c2, xs, ys, tau1, tau2, tau12, radius, floor, quiet):
     """lattice_sum of one window: exponents' expressions in its order on
-    the cached lines, so bit for bit the sum of a batch of one.  Below
-    BOX_RADIUS the cross term's M*N is a slice of _cross_grid.  From
-    BOX_RADIUS on, a quiet window (no exponent can overflow) forms its
-    exponents only inside floor_box, any other the whole square, each
-    forming M*N as exponents does.  A quiet window masks with grid.real
-    >= floor, which is ~(grid.real < floor) where no exponent is NaN; any
+    the cached lines, so bit for bit the sum of a batch of one.  Up to
+    CROSS_RADIUS the cross term's M*N is a slice of _cross_grid, beyond it
+    formed as exponents forms it.  A quiet window masks with grid.real >=
+    floor, which is ~(grid.real < floor) where no exponent is NaN; any
     other keeps its NaN exponents."""
     m, tm = _cached_line(radius, a2)
     n, tn = _cached_line(radius, c2)
-    terms = out = np.zeros((m.size, n.size), dtype=complex)
-    if radius < BOX_RADIUS:
+    terms = np.zeros((m.size, n.size), dtype=complex)
+    if radius <= CROSS_RADIUS:
         ends = slice(CROSS_RADIUS - radius, CROSS_RADIUS + radius + 1)
         cross = _cross_grid(a2, c2)[ends, ends]
     else:
-        if quiet:
-            box = rows, cols = floor_box(radius, a2, c2, xs, ys, tau1, tau2,
-                                         tau12, floor)
-            m, tm, n, tn = m[rows], tm[rows], n[cols], tn[cols]
-            out = terms[box]
         cross = (m.real[:, None] * n.real[None, :]).astype(complex)
     row = 1j * np.pi * tau1 * m * m + tm * xs
     col = 1j * np.pi * tau2 * n * n + tn * ys
     grid = row[:, None] + col[None, :]
     grid += 2j * np.pi * tau12 * cross
-    np.exp(grid, out=out,
+    np.exp(grid, out=terms,
            where=grid.real >= floor if quiet else ~(grid.real < floor))
     return complex(terms.sum())
 
@@ -223,54 +196,3 @@ def residue_sums(terms):
     grid = np.zeros((count, 4 * size, 4 * size), dtype=complex)
     grid[:, lead:lead + k, lead:lead + k] = terms
     return grid.reshape(count, size, 4, size, 4).sum(axis=1).sum(axis=2)
-
-
-def floor_box(radius: int, a2: float, c2: float, xs: complex, ys: complex,
-              tau1: complex, tau2: complex, tau12: complex,
-              floor: float) -> tuple[slice, slice]:
-    """The index box (rows, cols) of the window that holds every term
-    whose computed exponent has real part at least floor, for valid
-    periods; the whole window where the box is not finite.
-
-    With Y = Im tau, w = Im(xs, ys) and v = (M, N) = (m + a2, n + c2), a
-    term's log-modulus is -pi*v'Yv - 2*pi*w.v = -pi*(v + u)'Y(v + u) +
-    pi*w.u with u = Y^-1 w.  The kernel forms it (exponents) from five
-    pieces, pi*Y11*M^2, pi*Y22*N^2, 2*pi*Y12*M*N, 2*pi*w1*M and 2*pi*w2*N,
-    whose moduli sum to at most s = pi*(Y11 + Y22 + 2|Y12|)(R+1)^2 +
-    2*pi*(|w1| + |w2|)(R+1), since |M|, |N| <= R + 1; it errs by a few
-    ulps of s.  So a term whose computed log-modulus reaches floor has
-    (v + u)'Y(v + u) <= r^2 - 1e-6/pi, where r^2 = w.u + (delta - floor)/pi
-    and delta = 1e-9*s + 1e-6, and then |v_k + u_k| <= r*sqrt((Y^-1)_kk)
-    (Cauchy-Schwarz).  The box holds the indices of that range of v that
-    are not negative; slicing clips the stops to the window.
-    Forming the box errs by a few ulps of R + |u| + h (h the half-width),
-    times kappa = Y11*Y22/det Y for the cancellation in det Y.  In the
-    windows theta_eval sums, |u_k| < R + 1 (window_for takes R above
-    |u_k + 1/2| - 1/2), and a half-width that ends inside the window is
-    below about 4R; there the part 1e-9*s of delta widens it by at least
-    1e-10*kappa*R, four orders more.
-    So each term outside the box is below floor, and set to 0, in the
-    full window too.  This holds only where no exponent overflows: an
-    overflowed real part gives a NaN exponent, which the kernel keeps and
-    the box, formed from Im parts, cannot see."""
-    y1, y2, y12 = tau1.imag, tau2.imag, tau12.imag
-    w1, w2 = xs.imag, ys.imag
-    det = y1 * y2 - y12 * y12
-    u1 = (y2 * w1 - y12 * w2) / det
-    u2 = (y1 * w2 - y12 * w1) / det
-    k = radius + 1.0
-    delta = 1e-9 * math.pi * ((y1 + y2 + 2.0 * abs(y12)) * k * k
-                              + 2.0 * (abs(w1) + abs(w2)) * k) + 1e-6
-    r2 = w1 * u1 + w2 * u2 + (delta - floor) / math.pi
-    if 0.0 < det < math.inf and 0.0 < r2 < math.inf:
-        h1, h2 = (r2 * y2 / det) ** 0.5, (r2 * y1 / det) ** 0.5
-        if h1 + h2 < math.inf:
-            lo1, hi1 = radius - a2 - u1 - h1, radius - a2 - u1 + h1
-            lo2, hi2 = radius - c2 - u2 - h2, radius - c2 - u2 + h2
-            # -(-lo // 1) is ceil(lo), and int(hi) is floor(hi) for hi >=
-            # 0: cheaper than calls to math.ceil, math.floor and max.
-            return (slice(-int(-lo1 // 1) if lo1 > 0 else 0,
-                          int(hi1) + 1 if hi1 >= 0 else 0),
-                    slice(-int(-lo2 // 1) if lo2 > 0 else 0,
-                          int(hi2) + 1 if hi2 >= 0 else 0))
-    return slice(0, 2 * radius + 1), slice(0, 2 * radius + 1)

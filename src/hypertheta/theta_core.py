@@ -183,49 +183,25 @@ class PeriodMatrix:
     scale: Scale = Scale.BASE
 
     def validate(self) -> None:
-        """Raises InvalidPeriod naming the failed condition where lambda_min
-        is NaN."""
-        if math.isnan(self.lambda_min):
-            entries = (self.tau1, self.tau2, self.tau12)
-            if not all(map(cmath.isfinite, entries)):
-                raise InvalidPeriod(f"non-finite period entry in {self}")
-            i1, i2, i12 = self.tau1.imag, self.tau2.imag, self.tau12.imag
+        """Raises InvalidPeriod naming the failed condition: an entry not
+        finite, or Im part not positive definite (Im tau1 <= 0, Im tau2 <=
+        0 or det <= 0).  Where Im tau1*Im tau2 - Im tau12^2 overflows
+        (entries above about 1e154), the entries are first multiplied by
+        the exact power of two that brings the largest into [0.5, 1), as
+        window_for scales them: scaling rounds nothing, so the determinant
+        keeps its sign, and window_for and windows_for refuse the same Im
+        parts (_window)."""
+        if not all(map(cmath.isfinite, (self.tau1, self.tau2, self.tau12))):
+            raise InvalidPeriod(f"non-finite period entry in {self}")
+        i1, i2, i12 = self.tau1.imag, self.tau2.imag, self.tau12.imag
+        det = i1 * i2 - i12 * i12
+        if not math.isfinite(det):
+            s = math.ldexp(1.0,
+                           -math.frexp(max(abs(i1), abs(i2), abs(i12)))[1])
+            det = (i1 * s) * (i2 * s) - (i12 * s) * (i12 * s)
+        if not (i1 > 0 and i2 > 0 and det > 0):
             raise InvalidPeriod(
                 f"Im part not positive definite: Im tau1={i1}, Im tau2={i2}, Im tau12={i12}")
-
-    @property
-    def lambda_min(self) -> float:
-        """Smallest eigenvalue of the 2x2 imaginary part, NaN where the
-        matrix is invalid (lambda_min below)."""
-        return lambda_min(self.tau1, self.tau2, self.tau12)
-
-
-def lambda_min(tau1: complex, tau2: complex, tau12: complex) -> float:
-    """Smallest eigenvalue of the Im part of the periods, or NaN where they
-    are invalid: an entry not finite, or the Im part not positive definite.
-    PeriodMatrix.validate raises where it gives NaN; window_for and
-    windows_for refuse the same Im parts from the same scaled determinant,
-    so the windows take their validity from it (_window).
-
-    The eigenvalue is the determinant over the largest one: the difference
-    of half the trace and the hypot cancels when the eigenvalues are far
-    apart.  Where i1*i2 - i12^2 overflows (entries above about 1e154), the
-    entries are first multiplied by the exact power of two s that brings
-    the largest into [0.5, 1).  Scaling by s rounds nothing, so the
-    determinant keeps its sign; entries whose products do not overflow
-    are used as they are, so no value moves."""
-    if not (cmath.isfinite(tau1) and cmath.isfinite(tau2)
-            and cmath.isfinite(tau12)):
-        return math.nan
-    i1, i2, i12 = tau1.imag, tau2.imag, tau12.imag
-    det, s = i1 * i2 - i12 * i12, 1.0
-    if not math.isfinite(det):
-        s = math.ldexp(1.0, -math.frexp(max(abs(i1), abs(i2), abs(i12)))[1])
-        i1, i2, i12 = i1 * s, i2 * s, i12 * s
-        det = i1 * i2 - i12 * i12
-    if i1 <= 0 or i2 <= 0 or det <= 0:
-        return math.nan
-    return det / (0.5 * (i1 + i2) + math.hypot(0.5 * (i1 - i2), i12)) / s
 
 
 def double_periods(tau: PeriodMatrix) -> PeriodMatrix:
@@ -318,7 +294,7 @@ def _window(z: EvalPoint, tau: PeriodMatrix, eps_tail: float,
     NonFiniteSum says what numpy's warnings would.
 
     Validity comes from the same determinant: the scan refuses an Im tau
-    that lambda_min calls invalid and a non-finite Im z, and size is
+    that PeriodMatrix.validate refuses and a non-finite Im z, and size is
     finite only where every entry is.  Only where the scan raises or size
     is not finite are tau and then z validated, so an invalid one raises
     its own exception before RadiusExceeded, as PeriodMatrix.validate and
@@ -448,8 +424,8 @@ def window_for(y1: float, y2: float, y12: float, w1: float, w2: float,
     the bound; the scan starts one below the larger r_k (a unit for the
     rounding of r_k and of the scan).  Where y1*y2 - y12^2 overflows
     (entries above about 1e154), Y is first multiplied by the exact power
-    of two that brings its largest entry into [0.5, 1), as lambda_min
-    does, and u and mu_k are scaled back.
+    of two that brings its largest entry into [0.5, 1), as
+    PeriodMatrix.validate does, and u and mu_k are scaled back.
 
     Drop floor.  floor = log((eps_tail - T(R)) / (2R+1)^2) - FLOOR_MARGIN.
     The kernel sets to 0 each term of the window whose log-modulus is below
@@ -605,9 +581,7 @@ def theta_eval(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
     gives.  The sum is the kernel's scalar routine (backends._scalar_sum,
     cached index lines and cross-term grid), bit for bit the value of a
     KernelBatch without classes.  Where the window is not loud it masks
-    with one comparison, and at radius backends.BOX_RADIUS or more forms
-    only the exponents in the box of terms that can reach the floor
-    (backends.floor_box), the same sum bit for bit.
+    with one comparison, the same sum bit for bit.
 
     Where |Re x| or |Re y| exceeds RE_SHIFT, the sum is taken at z - k,
     k = (round(Re x), round(Re y)), and multiplied by the exact unit
@@ -687,9 +661,9 @@ def truncation_windows(x: np.ndarray, y: np.ndarray, tau1: np.ndarray,
     x, y and periods, one entry per window (doubled: whose periods are
     doubled): the Windows, and by index the exception of each window it
     refuses, class and text.  All are windowed by one windows_for call,
-    whose determinant refuses every Im tau that lambda_min calls invalid
-    (_window); a window with a non-finite entry is refused too, and only
-    the refused windows go to truncation_window."""
+    whose determinant refuses every Im tau that PeriodMatrix.validate
+    refuses (_window); a window with a non-finite entry is refused too,
+    and only the refused windows go to truncation_window."""
     radii, floors = windows_for(tau1.imag, tau2.imag, tau12.imag, x.imag,
                                 y.imag, eps_tail, max_radius)
     finite = (np.isfinite(x) & np.isfinite(y) & np.isfinite(tau1)

@@ -214,12 +214,14 @@ def test_eval_exit_codes(argv, code, capsys):
     assert capsys.readouterr().err.startswith("error: ") == (code != EXIT_OK)
 
 
-def test_eval_far_apart_eigenvalues_keep_the_radius(capsys):
-    """Im tau = diag(1e20, 1) has lambda_min 1, as diag(1, 1) has: the same
-    radius at the same point, where half the trace minus the hypot would
-    cancel to 0."""
+@pytest.mark.parametrize("huge", ["1e20i,i,0", "i,1e20i,0"],
+                         ids=["first", "second"])
+def test_eval_a_huge_axis_leaves_the_radius_to_the_other(huge, capsys):
+    """At Im tau = diag(1e20, 1) only the second axis of window_for's bound
+    in the metric of Im tau binds (mu1 = 1e20), and at diag(1, 1e20) only
+    the first: eval prints the radius of diag(1, 1) at the same point."""
     radii = []
-    for tau in ("1e20i,i,0", "i,i,0"):
+    for tau in (huge, "i,i,0"):
         assert main(["eval", "--char", "0,0,0,0", "--z", "0.3+0.2i,0.1-0.25i",
                      "--tau", tau]) == 0
         radii.append(capsys.readouterr().out.rsplit("[radius", 1)[1])

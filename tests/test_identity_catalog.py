@@ -641,10 +641,10 @@ def test_failures_inside_a_block_stay_with_their_sample(monkeypatch):
     with |Im z| = 20 at p1 + p2, whose sum overflows, D1's on a thin
     lattice whose base constants share that overflowing group's radius and
     so its kernel call, 2e4.0000's with a non-finite p1, and 2e5.0000's
-    with Im tau = diag(-2, 0), whose lambda_min formula would divide 0 by
-    0.  The failed rows carry evaluate_identity's error text, the
-    non-finite point's as the scalar point check words it; every other row
-    equals a factor-by-factor evaluation byte for byte."""
+    with Im tau = diag(-2, 0), which is not positive definite.  The failed
+    rows carry evaluate_identity's error text, the non-finite point's as
+    the scalar point check words it; every other row equals a
+    factor-by-factor evaluation byte for byte."""
     far = (EvalPoint(0.1 + 10j, -0.2 + 0.05j),
            EvalPoint(-0.3 + 10j, 0.1 - 0.05j))
     partner = PeriodMatrix(0.1 + 0.0075j, -0.2 + 2j, 0.05 + 0j)
@@ -740,9 +740,8 @@ def test_radius_errors_become_failed_reports():
                                  PeriodMatrix(0j, 0j, 0j)],
                          ids=["diag(-2,0)", "zero"])
 def test_singular_im_tau_is_an_invalid_period(tau):
-    """Periods whose Im part has no positive eigenvalue, where the
-    eigenvalue formula's denominator is 0, fail the validity test before
-    any lambda_min is formed: InvalidPeriod with the scalar text."""
+    """Periods whose Im part has no positive eigenvalue fail the validity
+    test: InvalidPeriod with the scalar text."""
     with pytest.raises(InvalidPeriod) as info:
         evaluate_identity(CAT[0], SampleAssignment(tau, P1, P2, seed=0))
     i1, i2, i12 = tau.tau1.imag, tau.tau2.imag, tau.tau12.imag

@@ -38,10 +38,9 @@ from hypertheta import (
 from hypertheta import backends, identity_catalog, theta_core
 from hypertheta.addition import _law_tables
 from hypertheta.backends import (
-    BOX_RADIUS,
+    CROSS_RADIUS,
     GRID_POINTS,
     exponents,
-    floor_box,
     lattice_sum,
     line,
 )
@@ -50,7 +49,6 @@ from hypertheta.theta_core import (
     FLOOR_MARGIN,
     KernelBatch,
     Windows,
-    lambda_min,
     truncation_window,
     window_for,
     windows_for,
@@ -130,6 +128,11 @@ def _thin_tau(lam_min: float, det: float = 0.2, angle: float = 0.4,
                         complex(re[2], i12))
 
 
+def _lambda_min(i1: float, i2: float, i12: float) -> float:
+    """The smallest eigenvalue of Im tau = [[i1, i12], [i12, i2]]."""
+    return float(np.linalg.eigvalsh([[i1, i12], [i12, i2]])[0])
+
+
 def _mp_theta(ch: ThetaCharacteristic, z: EvalPoint, tau: PeriodMatrix,
               radius: int) -> complex:
     """theta[ch](z; tau) summed over |m|, |n| <= radius with 30 digits,
@@ -165,7 +168,7 @@ def _rounding_scale(ch: ThetaCharacteristic, z: EvalPoint,
     return float((term * (1 + np.pi * sum(map(np.abs, pieces)))).sum())
 
 
-# At lambda_min 0.01 (_thin_tau) this Im x = 0.28 gets the certified
+# At smallest eigenvalue 0.01 (_thin_tau) this Im x = 0.28 gets the certified
 # radius max_radius; at Im x = 0.29 no radius up to it meets the target.
 Z_GUARD = EvalPoint(0.21 + 0.28j, -0.34 + 0.05j)
 
@@ -177,14 +180,15 @@ Z_GUARD = EvalPoint(0.21 + 0.28j, -0.34 + 0.05j)
     (0.01, Z_GUARD, ("1/2 -1/2 0 0",)),
 ], ids=["0.07", "0.14", "0.01", "0.01-guard"])
 def test_thin_lattices_match_a_30_digit_sum(lam_min, z, chars):
-    """Away from the sampling family (det Im tau = 0.2, small lambda_min,
+    """Away from the sampling family (det Im tau = 0.2, small eigenvalue,
     down to 0.01 with the radius at max_radius), with half, unreduced and
     odd characteristics.  At the default eps_tail and at 1e-6, where the
     neglected tail and the dropped terms outweigh rounding, each value is
     within eps_tail plus a rounding allowance of 8 ulps of the terms'
-    rounding scale; from lambda_min 0.07 up, also within 1e-13 relative."""
+    rounding scale; from eigenvalue 0.07 up, also within 1e-13 relative."""
     tau = _thin_tau(lam_min)
-    assert math.isclose(tau.lambda_min, lam_min, rel_tol=1e-12)
+    assert math.isclose(_lambda_min(tau.tau1.imag, tau.tau2.imag,
+                                    tau.tau12.imag), lam_min, rel_tol=1e-12)
     for ch in (ThetaCharacteristic.of(*entries.split()) for entries in chars):
         radius = truncation_radius(ch, z, tau) + 3
         want = _mp_theta(ch, z, tau, radius)
@@ -266,7 +270,8 @@ def test_theta_values_names_the_first_overflowing_characteristic():
 
 def _mixed_periods(rng, count: int) -> list[PeriodMatrix]:
     """count period matrices: draws of the sampling family, every third one
-    a thin lattice with lambda_min in [0.06, 0.3] at a random slant."""
+    a thin lattice with smallest eigenvalue in [0.06, 0.3] at a random
+    slant."""
     return [_thin_tau(rng.uniform(0.06, 0.3), angle=rng.uniform(0, math.pi))
             if i % 3 == 0 else sample_tau(rng) for i in range(count)]
 
@@ -292,9 +297,8 @@ def test_lattice_sum_with_tau_per_row_equals_scalar_calls(radius):
 
 def _scalar_and_batch_of_one(ch, z, tau):
     """ch's kernel sum at (z, tau) in truncation_window's window, from the
-    scalar kernel (cached lines, and the box where theta_eval takes it)
-    and from a batch of one row with tau per row (lines formed per
-    call)."""
+    scalar kernel (cached lines and cross-term grid) and from a batch of
+    one row with tau per row (lines formed per call)."""
     radius, floor, loud = theta_core._window(z, tau, DEFAULT_POLICY.eps_tail,
                                              DEFAULT_POLICY.max_radius)
     a2, c2, b2, d2, _ = ch._kernel
@@ -316,8 +320,9 @@ def test_scalar_kernel_equals_a_batch_of_one_to_the_sign_bit():
     purely imaginary tau, where the sums are exactly real and eval prints
     the sign of the imaginary zero; for the six odd characteristics at the
     origin; at tau = diag(1e307i), where theta_eval gives 1 without a
-    warning; and off-centre peaks at radius BOX_RADIUS or more (|Im z|
-    1-2, lambda_min 0.15-0.3), where the scalar kernel sums a box.  Where
+    warning; and 40 off-centre peaks at radius above CROSS_RADIUS (|Im z|
+    1-2, smallest eigenvalue of Im tau 0.15-0.3), where the scalar kernel
+    forms the cross term per call and sums the whole square.  Where
     tau1's phase overflows, the exponents are NaN, the kernel keeps them,
     and theta_eval raises NonFiniteSum."""
     rng = np.random.default_rng(7)
@@ -326,21 +331,15 @@ def test_scalar_kernel_equals_a_batch_of_one_to_the_sign_bit():
                  (rng.uniform(-1, 1, (60, 2))
                   + 1j * rng.uniform(-1.5, 1.5, (60, 2))).tolist(),
                  _mixed_periods(rng, 60))]
-    boxed = 0
-    while boxed < 40:
+    wide = 0
+    while wide < 40:
         tau = _thin_tau(rng.uniform(0.15, 0.3), angle=rng.uniform(0, math.pi))
         im_z = rng.uniform(1, 2, 2) * rng.choice((-1.0, 1.0), 2)
         z = EvalPoint(*(rng.uniform(-1, 1, 2) + 1j * im_z).tolist())
-        radius, floor = truncation_window(z, tau)
-        if radius >= BOX_RADIUS:
-            ch = rng.choice(_UNREDUCED_CHARS)
-            a2, c2, b2, d2, _ = ch._kernel
-            rows, cols = floor_box(radius, a2, c2, z.x + b2, z.y + d2,
-                                   tau.tau1, tau.tau2, tau.tau12, floor)
-            window = np.zeros((2 * radius + 1,) * 2)
-            assert window[rows, cols].size < window.size
-            cases.append((ch, z, tau))
-            boxed += 1
+        radius, _ = truncation_window(z, tau)
+        if radius > CROSS_RADIUS:
+            cases.append((rng.choice(_UNREDUCED_CHARS), z, tau))
+            wide += 1
     imaginary = PeriodMatrix(1.1j, 1.4j, 0.2j)
     cases += [(ch, ORIGIN, imaginary) for ch in _UNREDUCED_CHARS[::41]]
     odd = [ch for ch in _UNREDUCED_CHARS if _odd_integer(ch)]
@@ -410,10 +409,11 @@ def test_scalar_routine_equals_a_batch(im1, ratio, corr, im_z, skew, re,
     value to the sign bit, or both overflow, for all 16 upper offset
     pairs (a2, c2) at once, as unreduced characteristics shifted by the
     drawn lift, at radii 2-40: drawn windows, and the examples at radius
-    4, at 15 and 16 (the edge of the cross-term grid's slice and of the
-    box), at 40, and one loud window at radius 30.  The cross-term cache,
-    emptied first, keeps every grid the sums read, at most one per offset
-    pair, with no eviction, and none is writeable."""
+    4, at 15 and 16 (the last radius that slices the cross-term grid and
+    the first that forms the cross term), at 40, and one loud window at
+    radius 30.  The cross-term cache, emptied first, keeps every grid the
+    sums read, at most one per offset pair, with no eviction, and none is
+    writeable."""
     backends._cross_grid.cache_clear()
     z, tau = _split_inputs(im1, ratio, corr, im_z, skew, re)
     try:
@@ -705,124 +705,6 @@ def test_dropped_terms_stay_below_the_unused_slack(z, tau, eps_tail):
     assert terms.sum(axis=(-2, -1)).tolist() == pruned.tolist()
 
 
-def _box_rows(rng, count: int) -> list[tuple]:
-    """count kernel rows (a2, c2, xs, ys, tau1, tau2, tau12, radius,
-    floor) at windows (_window) that are not loud and have radius
-    BOX_RADIUS or more: Im tau of any shape with |Im tau12| up to
-    0.95*sqrt(Im tau1 * Im tau2), scaled to lambda_min in [0.01, 0.15];
-    each |Im z| coordinate up to the smaller of 0.97*59*lambda_min (the
-    peak inside max_radius) and sqrt(110*lambda_min), about where the
-    window turns loud; the 16 offset pairs (a2, c2) in turn, in runs of
-    16 at eps_tail 1e-14 and 1e-6 alternately."""
-    rows = []
-    while len(rows) < count:
-        i1, i2 = rng.uniform(0.3, 2.0, 2)
-        i12 = rng.uniform(-0.95, 0.95) * math.sqrt(i1 * i2)
-        i1, i2, i12 = np.array([i1, i2, i12]) * (
-            rng.uniform(0.01, 0.15) / lambda_min(1j * i1, 1j * i2, 1j * i12))
-        lam = lambda_min(1j * i1, 1j * i2, 1j * i12)
-        im_z = rng.uniform(-1, 1, 2) * min(0.97 * 59 * lam,
-                                           math.sqrt(110 * lam))
-        re = rng.uniform(-0.5, 0.5, 5)
-        z = EvalPoint(complex(re[0], im_z[0]), complex(re[1], im_z[1]))
-        tau = PeriodMatrix(complex(re[2], i1), complex(re[3], i2),
-                           complex(re[4], i12))
-        eps_tail = (1e-14, 1e-6)[len(rows) // 16 % 2]
-        try:
-            radius, floor, loud = theta_core._window(
-                z, tau, eps_tail, DEFAULT_POLICY.max_radius)
-        except RadiusExceeded:
-            continue
-        if loud or radius < BOX_RADIUS:
-            continue
-        a2, c2 = len(rows) % 4 / 4, len(rows) // 4 % 4 / 4
-        b2, d2 = rng.integers(0, 4, 2) / 4
-        rows.append((a2, c2, z.x + b2, z.y + d2, tau.tau1, tau.tau2,
-                     tau.tau12, radius, floor))
-    return rows
-
-
-def _tip_row(rng, row: tuple) -> tuple:
-    """row with Im(xs, ys) and the floor moved so that a drawn term is the
-    tip, along +-m or +-n, of the ellipse of terms whose log-modulus
-    reaches the floor: the floor is that term's computed log-modulus, so
-    in exact arithmetic the box's end lies on the term's index.  The peak
-    stays inside the window and below log-modulus 450.  Returns the row
-    and (the term's index, its axis k, whether it ends the box upward)."""
-    a2, c2, xs, ys, tau1, tau2, tau12, radius, _ = row
-    im_tau = np.array([[tau1.imag, tau12.imag], [tau12.imag, tau2.imag]])
-    inverse = np.linalg.inv(im_tau)
-    k = rng.integers(2)
-    # x = v + u, the term less the peak, along the column (Im tau)^-1 e_k
-    x = (rng.choice((-1.0, 1.0)) * rng.uniform(0.5, radius / 8)
-         * inverse[:, k] / inverse[k, k])
-    reach = min(radius / 4, 6 / math.sqrt(np.linalg.eigvalsh(im_tau)[-1]))
-    offsets = np.array([a2, c2])
-    v = np.round(x - rng.uniform(-reach, reach, 2) - offsets) + offsets
-    im_z = im_tau @ (x - v)
-    xs, ys = complex(xs.real, im_z[0]), complex(ys.real, im_z[1])
-    index = tuple((v - offsets).astype(int) + radius)
-    assert 0 <= min(index) and max(index) <= 2 * radius
-    grid = _full_grid(a2, c2, xs, ys, tau1, tau2, tau12, radius)
-    return ((a2, c2, xs, ys, tau1, tau2, tau12, radius,
-             float(grid.real[index])), (index, k, x[k] > 0))
-
-
-def _full_grid(a2, c2, xs, ys, tau1, tau2, tau12, radius):
-    """The exponents of the whole window, from uncached lines."""
-    k = np.arange(-radius, radius + 1.0)
-    return exponents(*line(k + a2), *line(k + c2), xs, ys, tau1, tau2, tau12)
-
-
-def test_floor_box_holds_every_term_that_reaches_the_floor():
-    """floor_box holds every term of the full window (exponents) whose
-    real part is at least the floor, and the box path of the scalar
-    kernel gives the full window's sum to the sign bit: on 2,000 seeded
-    rows of _box_rows, and on 800 of them moved so that a term sits on
-    the tip of its ellipse, where the box ends on that term's index.  The
-    boxes hold 30 % of the window or less in most rows (a median of about
-    23 %).  Where the box
-    is not finite (floor -inf, or Im tau1 * Im tau2 overflowing) it is
-    the whole window."""
-    rng = np.random.default_rng(27)
-    drawn = _box_rows(rng, 2000)
-    cases = [(row, None) for row in drawn] + [
-        _tip_row(rng, row) for row in drawn[::5] + drawn[1::5]]
-    small = 0
-    for (*kernel_row, radius, floor), tip in cases:
-        box = floor_box(radius, *kernel_row, floor)
-        grid = _full_grid(*kernel_row, radius)
-        inside = np.zeros(grid.shape, dtype=bool)
-        inside[box] = True
-        reached = ~(grid.real < floor)
-        assert not (reached & ~inside).any(), kernel_row
-        small += inside.sum() <= 0.3 * inside.size
-        if tip is not None:
-            index, k, upward = tip
-            assert reached[index]
-            assert index[k] == (box[k].stop - 1 if upward
-                                else box[k].start), kernel_row
-        got = lattice_sum(*kernel_row, radius, floor=floor, quiet=True)
-        want = lattice_sum(*kernel_row, radius, floor=floor)
-        assert _parts(got) == _parts(want), kernel_row
-    assert small > 0.5 * len(cases)
-    # No box where it cannot be formed: floor -inf, and a window that is
-    # not loud at radius 16 whose Im tau1 * Im tau2 overflows (1e309).
-    i12 = math.sqrt(1e303) * math.sqrt(1e6) * (1 - 2.5e-8)
-    thin = PeriodMatrix(0.1 + 1e303j, 0.2 + 1e6j, complex(0, i12))
-    z = EvalPoint(0.1 + 0.3j, 0.2 - 0.1j)
-    radius, floor, loud = theta_core._window(z, thin, DEFAULT_POLICY.eps_tail,
-                                             DEFAULT_POLICY.max_radius)
-    assert (radius, loud) == (16, False)
-    kernel_row = (0.5, 0.0, z.x, z.y, thin.tau1, thin.tau2, thin.tau12)
-    for floor in (floor, -math.inf):
-        assert floor_box(radius, *kernel_row, floor) == (
-            slice(0, 2 * radius + 1),) * 2
-        boxed = lattice_sum(*kernel_row, radius, floor=floor, quiet=True)
-        assert _parts(boxed) == _parts(
-            lattice_sum(*kernel_row, radius, floor=floor))
-
-
 def test_exactly_six_odd_characteristics_vanish_at_origin():
     odd_by_rule = set()
     vanishing = set()
@@ -1000,7 +882,7 @@ def test_exponents_near_the_largest_float_do_not_warn():
 def _overflow_band_inputs(rng) -> list[tuple]:
     """(family, ch, z, tau) around the certain-overflow test: characteristic
     entries k/2 with k in [-3, 4], Im tau drawn as the benchmark draws it
-    (lambda_min >= 0.15), and four families of Im z.
+    (smallest eigenvalue >= 0.15), and four families of Im z.
       * the failing band: each |Im z| uniform in 8..20, random signs;
       * near threshold: Im tau scaled so that the Gaussian's peak, within
         0.3 of a lattice point of the characteristic's coset, has
@@ -1015,7 +897,7 @@ def _overflow_band_inputs(rng) -> list[tuple]:
         while True:
             i1, i2 = rng.uniform(0.3, 2.0, 2)
             i12 = rng.uniform(-0.95, 0.95) * math.sqrt(i1 * i2)
-            if lambda_min(1j * i1, 1j * i2, 1j * i12) >= 0.15:
+            if _lambda_min(i1, i2, i12) >= 0.15:
                 break
         ks = rng.integers(-3, 5, 4)
         if family == "midpoint":
@@ -1131,11 +1013,10 @@ def test_certain_overflow_away_from_the_rounded_peak(monkeypatch):
 
 def test_a_loud_window_sums_its_whole_square(monkeypatch):
     """Where forming the exponents may overflow (_window: loud), theta_eval
-    sums the whole window at radius BOX_RADIUS or more as well: a real
-    part that overflows gives NaN exponents, which the kernel keeps and
-    the box of terms that can reach the floor, formed from Im parts only,
-    cannot see.  At Re tau1 = 3.2e306 they lie at |m| >= 18, outside that
-    box (|m| <= 4), where a box sums finite terms only; at Re tau2 =
+    does not pass quiet to the kernel: a real part that overflows gives
+    NaN exponents, which the loud mask keeps and quiet's one comparison
+    (grid.real >= floor) sets to 0.  At Re tau1 = 3.2e306 they lie at
+    |m| >= 18, so a quiet sum of that window is finite; at Re tau2 =
     1e307 the imaginary parts overflow (a Re x of 1e307 would be shifted
     back by integers first).  Both raise the NonFiniteSum of the
     summed window, without numpy's warnings (raised here as errors); the
@@ -1144,7 +1025,7 @@ def test_a_loud_window_sums_its_whole_square(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("box", False))
+        calls.append(kwargs.get("quiet", False))
         return lattice_sum(*args, **kwargs)
 
     monkeypatch.setattr(theta_core, "lattice_sum", counted)
@@ -1173,9 +1054,10 @@ def test_a_loud_window_sums_its_whole_square(monkeypatch):
     a2, c2, b2, d2, _ = ch._kernel
     radius, floor = truncation_window(z, tau)
     with np.errstate(over="ignore", invalid="ignore"):
-        boxed = lattice_sum(a2, c2, z.x + b2, z.y + d2, tau.tau1, tau.tau2,
-                            tau.tau12, radius, floor=floor, quiet=True)
-    assert cmath.isfinite(boxed)
+        masked = lattice_sum(a2, c2, z.x + b2, z.y + d2, tau.tau1,
+                             tau.tau2, tau.tau12, radius, floor=floor,
+                             quiet=True)
+    assert cmath.isfinite(masked)
 
 
 def _refusals() -> list[tuple[EvalPoint, PeriodMatrix]]:
@@ -1448,7 +1330,7 @@ def test_the_bound_holds_outside_the_square():
         i1, i2 = rng.uniform(0.3, 2.0, 2)
         i12 = corr * math.sqrt(i1 * i2)
         i1, i2, i12 = np.array([i1, i2, i12]) * (
-            lam / lambda_min(1j * i1, 1j * i2, 1j * i12))
+            lam / _lambda_min(i1, i2, i12))
         im = rng.uniform(-1.0, 1.0, 2) * im_z
         re = rng.uniform(-0.5, 0.5, 5)
         windows.append((
@@ -1519,29 +1401,17 @@ def test_json_round_trips():
     assert ThetaCharacteristic.from_json(ch.as_json()) == ch
 
 
-def test_lambda_min_matches_eigenvalue():
-    import numpy as np
-    im = np.array([[TAU_G.tau1.imag, TAU_G.tau12.imag],
-                   [TAU_G.tau12.imag, TAU_G.tau2.imag]])
-    assert math.isclose(TAU_G.lambda_min, min(np.linalg.eigvalsh(im)),
-                        rel_tol=1e-12)
-    # half the trace minus the hypot would cancel to 0 here
-    assert PeriodMatrix(1e20j, 1j, 0j).lambda_min == 1.0
-    # i1*i2 - i12^2 overflows unless Im tau is scaled first
-    assert math.isclose(PeriodMatrix(1e200j, 1e200j, 0.99e200j).lambda_min,
-                        0.01e200, rel_tol=1e-12)
-    # invalid periods give NaN, the one validity test validate reads
-    for periods in [(complex("nan"), 1j, 0j), (1j, complex("inf"), 0j),
-                    (-2j, 0j, 0j), (0j, 0j, 0j), (1j, 1j, 1j),
-                    (1e200j, 1e200j, 1e200j)]:
-        assert math.isnan(lambda_min(*periods)), periods
-        assert math.isnan(PeriodMatrix(*periods).lambda_min), periods
-
-
 def test_validation_survives_overflowing_determinants():
     """Entries whose products overflow: validate and the catalog's block
     check agree that a singular Im tau is invalid and a definite one
-    valid (the last one then exceeds the radius, as eval's exit 5 does)."""
+    valid (the last one then exceeds the radius, as eval's exit 5 does).
+    validate also refuses a non-finite entry and an Im tau that is not
+    positive definite."""
+    for periods in [(complex("nan"), 1j, 0j), (1j, complex("inf"), 0j),
+                    (-2j, 0j, 0j), (0j, 0j, 0j), (1j, 1j, 1j),
+                    (1e200j, 1e200j, 1e200j)]:
+        with pytest.raises(InvalidPeriod):
+            PeriodMatrix(*periods).validate()
     taus = [PeriodMatrix(1e200j, 1e200j, 1e200j),
             PeriodMatrix(1e200j, 1e200j, 0.99e200j),
             PeriodMatrix(1e300j, 1e-300j, 0j)]
